@@ -179,17 +179,20 @@ let micro_tests () =
     Test.make ~name:"alg1/permgen-6-slots"
       (Staged.stage (fun () -> ignore (Smokestack.Permgen.generate metas)))
   in
-  let aes =
+  let aes_block ~name ~rounds =
     let key = Crypto.Aes.expand_key (Crypto.Entropy.bytes entropy 16) in
     let block = Crypto.Entropy.bytes entropy 16 in
-    Test.make ~name:"table1/aes-block-software"
-      (Staged.stage (fun () -> ignore (Crypto.Aes.encrypt_block key block)))
+    Test.make ~name
+      (Staged.stage (fun () ->
+           ignore (Crypto.Aes.encrypt_block ~rounds key block)))
   in
+  let aes = aes_block ~name:"table1/aes-block-software" ~rounds:10 in
+  let aes1 = aes_block ~name:"table1/aes1-block-software" ~rounds:1 in
   Test.make_grouped ~name:"smokestack"
     [
       gen_test Rng.Scheme.Pseudo; gen_test Rng.Scheme.aes1;
       gen_test Rng.Scheme.aes10; gen_test Rng.Scheme.Rdrand;
-      fig3_probe; fig4_pbox; sec_attempt; permgen; aes;
+      fig3_probe; fig4_pbox; sec_attempt; permgen; aes; aes1;
     ]
 
 let run_chaos pool =
@@ -402,16 +405,18 @@ let run_engine () =
     (* one warm-up run: populates the engine's compiled-program cache so
        the timed runs measure execution, not compilation *)
     ignore (Apps.Runner.run_chunks ~backend ~fuel:400_000_000 applied ~seed:1L ~chunks);
-    let t0 = Sys.time () in
     let instrs = ref 0 in
-    for _ = 1 to reps do
-      let _, stats =
-        Apps.Runner.run_chunks ~backend ~fuel:400_000_000 applied ~seed:1L
-          ~chunks
-      in
-      instrs := stats.Machine.Exec.instr_count
-    done;
-    ((Sys.time () -. t0) /. float_of_int reps, !instrs)
+    let times =
+      List.init reps (fun _ ->
+          let t0 = Monotonic_clock.now () in
+          let _, stats =
+            Apps.Runner.run_chunks ~backend ~fuel:400_000_000 applied ~seed:1L
+              ~chunks
+          in
+          instrs := stats.Machine.Exec.instr_count;
+          Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9)
+    in
+    (Sutil.Stats.median times, !instrs)
   in
   let mips instrs t = float_of_int instrs /. t /. 1e6 in
   let tbl =
@@ -423,19 +428,25 @@ let run_engine () =
           ("reference", Sutil.Texttable.Right);
           ("bytecode", Sutil.Texttable.Right);
           ("speedup", Sutil.Texttable.Right);
+          ("bytecode, AES-10 hardened", Sutil.Texttable.Right);
+          ("hardening wall", Sutil.Texttable.Right);
         ]
   in
   let speedups =
     List.map
       (fun (w : Apps.Spec.workload) ->
-        let applied =
-          Defenses.Defense.apply Defenses.Defense.No_defense
-            (Lazy.force w.program)
+        let prog = Lazy.force w.program in
+        let applied = Defenses.Defense.apply Defenses.Defense.No_defense prog in
+        let hardened =
+          Defenses.Defense.apply
+            (Defenses.Defense.Smokestack Smokestack.Config.default)
+            prog
         in
         let tref, instrs =
           time_backend Machine.Backend.reference applied w
         in
         let tbc, _ = time_backend Engine.Backend.backend applied w in
+        let thard, hinstrs = time_backend Engine.Backend.backend hardened w in
         Sutil.Texttable.add_row tbl
           [
             w.wname;
@@ -443,6 +454,8 @@ let run_engine () =
             Printf.sprintf "%.3f s (%.1f Mi/s)" tref (mips instrs tref);
             Printf.sprintf "%.3f s (%.1f Mi/s)" tbc (mips instrs tbc);
             Printf.sprintf "%.2fx" (tref /. tbc);
+            Printf.sprintf "%.3f s (%.1f Mi/s)" thard (mips hinstrs thard);
+            Printf.sprintf "%+.1f%%" (100. *. ((thard /. tbc) -. 1.));
           ];
         tref /. tbc)
       Apps.Spec.spec
@@ -450,7 +463,8 @@ let run_engine () =
   emit ~name:"engine"
     ~title:
       "Engine: instruction throughput, reference interpreter vs bytecode \
-       engine (unhardened workloads)"
+       engine (unhardened workloads; median of 3 monotonic-clock runs), \
+       and the bytecode engine's wall-time cost of Smokestack AES-10"
     tbl;
   say "geomean speedup: %.2fx, best: %.2fx (identical observables on every run \
        — see `dune runtest` and Harness.Diffval)"

@@ -1,121 +1,154 @@
-(* GF(2^8) arithmetic with the AES reduction polynomial x^8+x^4+x^3+x+1. *)
+(* Table-driven AES-128.  Bytes are packed little-endian into 32-bit
+   words, one word per state column (row r in bits 8r..8r+7), so the
+   state is four immediate ints and a CTR block's two u64 halves are
+   plain word concatenations.  A full round is sixteen T-table lookups:
+   [te_r.(x)] is the MixColumns column contributed by S-box output
+   [sbox x] sitting in row r.  All tables are built eagerly at module
+   init and never mutated, so any number of domains can share them — a
+   module-level [lazy] would be a concurrent Lazy.force hazard once pool
+   jobs run AES on several domains. *)
 
+(* GF(2^8) doubling with the AES reduction polynomial x^8+x^4+x^3+x+1;
+   only used while building the tables. *)
 let xtime b =
   let b = b lsl 1 in
   if b land 0x100 <> 0 then (b lxor 0x11b) land 0xff else b
 
-let gmul a b =
-  let acc = ref 0 in
-  let a = ref a and b = ref b in
-  while !b <> 0 do
-    if !b land 1 <> 0 then acc := !acc lxor !a;
-    a := xtime !a;
-    b := !b lsr 1
-  done;
-  !acc
-
 (* The S-box is derived rather than transcribed: multiplicative inverse
-   in GF(2^8) followed by the FIPS-197 affine transformation.  The
-   known-answer tests pin it against published vectors.  Computed
-   eagerly at module init — a module-level [lazy] would be a concurrent
-   Lazy.force hazard once pool jobs run AES on several domains. *)
+   in GF(2^8) (through log/antilog tables over the generator 3)
+   followed by the FIPS-197 affine transformation.  The known-answer
+   tests pin it against published vectors. *)
 let sbox_table =
-  let inv = Array.make 256 0 in
-  for a = 1 to 255 do
-    for b = 1 to 255 do
-      if gmul a b = 1 then inv.(a) <- b
-    done
+  let exp = Array.make 256 0 and log = Array.make 256 0 in
+  let x = ref 1 in
+  for i = 0 to 254 do
+    exp.(i) <- !x;
+    log.(!x) <- i;
+    x := !x lxor xtime !x
   done;
+  let rotl8 v k = ((v lsl k) lor (v lsr (8 - k))) land 0xff in
   Array.init 256 (fun x ->
-      let b = inv.(x) in
-      let rotl8 v k = ((v lsl k) lor (v lsr (8 - k))) land 0xff in
+      let b = if x = 0 then 0 else exp.((255 - log.(x)) mod 255) in
       b lxor rotl8 b 1 lxor rotl8 b 2 lxor rotl8 b 3 lxor rotl8 b 4 lxor 0x63)
 
 let sbox x = sbox_table.(x land 0xff)
 
-type key = { round_keys : int array array (* 11 round keys x 16 bytes *) }
+let rotl32 w k = ((w lsl k) lor (w lsr (32 - k))) land 0xffffffff
+
+(* Column (2s, s, s, 3s) for s = S(x), rows 0..3 from the low byte up;
+   the other three tables are its byte rotations. *)
+let te0 =
+  Array.init 256 (fun x ->
+      let s = sbox_table.(x) in
+      let s2 = xtime s in
+      s2 lor (s lsl 8) lor (s lsl 16) lor ((s2 lxor s) lsl 24))
+
+let te1 = Array.map (fun w -> rotl32 w 8) te0
+let te2 = Array.map (fun w -> rotl32 w 16) te0
+let te3 = Array.map (fun w -> rotl32 w 24) te0
+
+type key = int array (* 44 round-key words, 4 per round key *)
 
 let rcon = [| 0x01; 0x02; 0x04; 0x08; 0x10; 0x20; 0x40; 0x80; 0x1b; 0x36 |]
+
+let sub_word w =
+  sbox_table.(w land 0xff)
+  lor (sbox_table.((w lsr 8) land 0xff) lsl 8)
+  lor (sbox_table.((w lsr 16) land 0xff) lsl 16)
+  lor (sbox_table.(w lsr 24) lsl 24)
+
+let word_of_string s off = Int32.to_int (String.get_int32_le s off) land 0xffffffff
 
 let expand_key k =
   if String.length k <> 16 then
     invalid_arg "Crypto.Aes.expand_key: key must be 16 bytes";
-  (* Words are 4 bytes; 44 words total for AES-128. *)
-  let w = Array.make_matrix 44 4 0 in
+  let w = Array.make 44 0 in
   for i = 0 to 3 do
-    for j = 0 to 3 do
-      w.(i).(j) <- Char.code k.[(4 * i) + j]
-    done
+    w.(i) <- word_of_string k (4 * i)
   done;
   for i = 4 to 43 do
-    let temp = Array.copy w.(i - 1) in
-    if i mod 4 = 0 then begin
-      (* RotWord *)
-      let t0 = temp.(0) in
-      temp.(0) <- temp.(1);
-      temp.(1) <- temp.(2);
-      temp.(2) <- temp.(3);
-      temp.(3) <- t0;
-      (* SubWord + Rcon *)
-      for j = 0 to 3 do
-        temp.(j) <- sbox temp.(j)
-      done;
-      temp.(0) <- temp.(0) lxor rcon.((i / 4) - 1)
-    end;
-    for j = 0 to 3 do
-      w.(i).(j) <- w.(i - 4).(j) lxor temp.(j)
-    done
+    let prev = w.(i - 1) in
+    let temp =
+      if i mod 4 = 0 then
+        (* SubWord(RotWord) + Rcon: RotWord moves row 0 to row 3 *)
+        sub_word ((prev lsr 8) lor ((prev land 0xff) lsl 24))
+        lxor rcon.((i / 4) - 1)
+      else prev
+    in
+    w.(i) <- w.(i - 4) lxor temp
   done;
-  let round_keys =
-    Array.init 11 (fun r -> Array.init 16 (fun b -> w.((4 * r) + (b / 4)).(b mod 4)))
-  in
-  { round_keys }
+  w
 
 let standard_rounds = 10
 
-let add_round_key state rk =
-  for i = 0 to 15 do
-    state.(i) <- state.(i) lxor rk.(i)
-  done
+(* Every table index below is masked to a byte, and every round-key
+   index is below [4 * (rounds + 1)] <= 44 = [Array.length rk]. *)
+let[@inline] tab (t : int array) i = Array.unsafe_get t i
 
-let sub_bytes state =
-  for i = 0 to 15 do
-    state.(i) <- sbox state.(i)
-  done
+let check_rounds fn rounds =
+  if rounds < 1 || rounds > standard_rounds then
+    invalid_arg (fn ^ ": rounds must be in [1, 10]")
 
-(* State is stored column-major: byte [4*c + r] is row r, column c. *)
-let shift_rows state =
-  let s = Array.copy state in
-  for c = 0 to 3 do
-    for r = 0 to 3 do
-      state.((4 * c) + r) <- s.((4 * ((c + r) mod 4)) + r)
-    done
-  done
+let encrypt_words ~rounds (rk : key) (st : int array) =
+  check_rounds "Crypto.Aes.encrypt_words" rounds;
+  if Array.length st <> 4 then
+    invalid_arg "Crypto.Aes.encrypt_words: state must be 4 words";
+  let s0 = ref (st.(0) lxor tab rk 0)
+  and s1 = ref (st.(1) lxor tab rk 1)
+  and s2 = ref (st.(2) lxor tab rk 2)
+  and s3 = ref (st.(3) lxor tab rk 3) in
+  (* SubBytes + ShiftRows + MixColumns + AddRoundKey: output column c
+     takes row r from input column c + r. *)
+  for r = 1 to rounds - 1 do
+    let a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 and k = 4 * r in
+    s0 :=
+      tab te0 (a0 land 0xff)
+      lxor tab te1 ((a1 lsr 8) land 0xff)
+      lxor tab te2 ((a2 lsr 16) land 0xff)
+      lxor tab te3 (a3 lsr 24)
+      lxor tab rk k;
+    s1 :=
+      tab te0 (a1 land 0xff)
+      lxor tab te1 ((a2 lsr 8) land 0xff)
+      lxor tab te2 ((a3 lsr 16) land 0xff)
+      lxor tab te3 (a0 lsr 24)
+      lxor tab rk (k + 1);
+    s2 :=
+      tab te0 (a2 land 0xff)
+      lxor tab te1 ((a3 lsr 8) land 0xff)
+      lxor tab te2 ((a0 lsr 16) land 0xff)
+      lxor tab te3 (a1 lsr 24)
+      lxor tab rk (k + 2);
+    s3 :=
+      tab te0 (a3 land 0xff)
+      lxor tab te1 ((a0 lsr 8) land 0xff)
+      lxor tab te2 ((a1 lsr 16) land 0xff)
+      lxor tab te3 (a2 lsr 24)
+      lxor tab rk (k + 3)
+  done;
+  (* final round: SubBytes + ShiftRows + AddRoundKey, no MixColumns *)
+  let a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 and k = 4 * rounds in
+  let final b0 b1 b2 b3 =
+    tab sbox_table (b0 land 0xff)
+    lor (tab sbox_table ((b1 lsr 8) land 0xff) lsl 8)
+    lor (tab sbox_table ((b2 lsr 16) land 0xff) lsl 16)
+    lor (tab sbox_table (b3 lsr 24) lsl 24)
+  in
+  st.(0) <- final a0 a1 a2 a3 lxor tab rk k;
+  st.(1) <- final a1 a2 a3 a0 lxor tab rk (k + 1);
+  st.(2) <- final a2 a3 a0 a1 lxor tab rk (k + 2);
+  st.(3) <- final a3 a0 a1 a2 lxor tab rk (k + 3)
 
-let mix_columns state =
-  for c = 0 to 3 do
-    let b = c * 4 in
-    let a0 = state.(b) and a1 = state.(b + 1) and a2 = state.(b + 2) and a3 = state.(b + 3) in
-    state.(b) <- gmul 2 a0 lxor gmul 3 a1 lxor a2 lxor a3;
-    state.(b + 1) <- a0 lxor gmul 2 a1 lxor gmul 3 a2 lxor a3;
-    state.(b + 2) <- a0 lxor a1 lxor gmul 2 a2 lxor gmul 3 a3;
-    state.(b + 3) <- gmul 3 a0 lxor a1 lxor a2 lxor gmul 2 a3
-  done
+let string_of_words st =
+  let b = Bytes.create 16 in
+  Array.iteri (fun c w -> Bytes.set_int32_le b (4 * c) (Int32.of_int w)) st;
+  Bytes.unsafe_to_string b
 
-let encrypt_block ?(rounds = standard_rounds) { round_keys } block =
+let encrypt_block ?(rounds = standard_rounds) rk block =
   if String.length block <> 16 then
     invalid_arg "Crypto.Aes.encrypt_block: block must be 16 bytes";
-  if rounds < 1 || rounds > standard_rounds then
-    invalid_arg "Crypto.Aes.encrypt_block: rounds must be in [1, 10]";
-  let state = Array.init 16 (fun i -> Char.code block.[i]) in
-  add_round_key state round_keys.(0);
-  for r = 1 to rounds - 1 do
-    sub_bytes state;
-    shift_rows state;
-    mix_columns state;
-    add_round_key state round_keys.(r)
-  done;
-  sub_bytes state;
-  shift_rows state;
-  add_round_key state round_keys.(rounds);
-  String.init 16 (fun i -> Char.chr state.(i))
+  check_rounds "Crypto.Aes.encrypt_block" rounds;
+  let w = word_of_string block in
+  let st = [| w 0; w 4; w 8; w 12 |] in
+  encrypt_words ~rounds rk st;
+  string_of_words st
