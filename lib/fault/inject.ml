@@ -43,7 +43,7 @@ let arm_rng_latency armed (st : Machine.Exec.state) extra trigger =
 let arm_mem_flip armed (st : Machine.Exec.state) ~seg ~offset ~bit trigger =
   let name = match seg with Plan.Stack -> "stack" | Plan.Data -> "data" in
   let s = Machine.Memory.segment st.mem name in
-  let len = Bytes.length s.bytes in
+  let len = s.size in
   let addr =
     match seg with
     | Plan.Stack -> s.base + len - 1 - (offset mod len)

@@ -17,7 +17,8 @@
       instruction count the trigger covers, flipping the planned bit
       via {!Machine.Memory.flip_bit}.  The byte offset counts down
       from the stack top (where live frames sit) or up from the data
-      base, reduced modulo the segment size.
+      base, reduced modulo the segment's extent size (not the part of
+      it materialized so far).
     - {b Intrinsics} ([intr:*]) wrap the named intrinsic: on triggered
       invocations the first argument (for result-less intrinsics such
       as [ss.fid_assert]) or the result is XORed with the plan's

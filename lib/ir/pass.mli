@@ -3,7 +3,9 @@
     Mirrors the structure of the paper's implementation (§IV): analysis
     and instrumentation are organized as function passes and module
     passes run in a pipeline.  Every pass run is followed by IR
-    verification unless disabled. *)
+    verification unless disabled.  The manager is stateless: it keeps
+    no timings and takes no lock, so pipelines on several domains never
+    contend; the [bench/perf] spans time the passes from outside. *)
 
 type t =
   | Function_pass of { name : string; run : Prog.t -> Func.t -> unit }
@@ -23,12 +25,3 @@ val run :
     post-condition breakage are distinguishable from the message alone.
     The Smokestack hardening pipeline uses it to run the static
     validator of [Analysis.Validate]. *)
-
-val timings : unit -> (string * float) list
-(** Cumulative wall-clock seconds per pass name since startup, most
-    recent first; for the compile-time reporting in the harness.  The
-    accumulator is process-wide and mutex-guarded (passes may run from
-    several domains at once); it is diagnostic only and never feeds
-    experiment results. *)
-
-val reset_timings : unit -> unit

@@ -110,7 +110,8 @@ val data_base : int
 
 val prepare : ?heap_size:int -> ?stack_size:int -> Ir.Prog.t -> state
 (** Loads globals into rodata/data segments and builds a fresh state.
-    Defaults: 8 MiB heap, 1 MiB stack. *)
+    Defaults: 8 MiB heap, 1 MiB stack — extents; their bytes are
+    materialized as the program touches them (see {!Memory}). *)
 
 val register_intrinsic : state -> string -> intrinsic -> unit
 val set_input : state -> (state -> int -> string) -> unit

@@ -9,6 +9,14 @@
     into a crash outcome (the paper's "service restarts after a
     crash").
 
+    Backing bytes are materialized on demand: each segment holds a
+    page-aligned window of its extent that grows (at least doubling,
+    toward the access) the first time an access falls outside it, and
+    every byte outside the window reads as zero.  Nothing observable
+    depends on the window — faults, permissions and {!touched_bytes}
+    are defined over the whole extent — so a fresh memory costs only
+    what its program touches.
+
     Domain-safety: no module-level state; a memory belongs to one
     prepared {!Exec.state} and therefore to one job at a time. *)
 
@@ -29,7 +37,7 @@ val fault_to_string : fault -> string
 type segment = {
   name : string;
   base : int;
-  bytes : Bytes.t;
+  size : int;  (** the extent: addresses [\[base, base + size)] are mapped *)
   perm : perm;
   touched : Bytes.t;  (** one byte per 4 KiB page, for RSS accounting *)
 }
@@ -44,10 +52,6 @@ val create : (string * int * int * perm) list -> t
 
 val segment : t -> string -> segment
 (** Raises [Invalid_argument] for unknown names. *)
-
-val segments : t -> segment list
-val find : t -> int -> segment option
-(** Segment containing an address, if mapped. *)
 
 val load : t -> width:int -> int -> int64
 (** Little-endian load, zero-extended. Raises {!exception:Fault}. *)
@@ -84,7 +88,8 @@ val set_access_hook : t -> (unit -> unit) option -> unit
     layer uses it to flip a bit when the owning state's instruction
     counter crosses a plan's trigger; the hook must not itself call
     the checked accessors (use {!flip_bit}, which writes the backing
-    bytes directly).  Costs one branch per access when [None]. *)
+    bytes directly, materializing them first).  Costs one branch per
+    access when [None]. *)
 
 val flip_bit : t -> addr:int -> bit:int -> unit
 (** Flip one bit of one mapped byte, ignoring permissions (this models

@@ -380,6 +380,57 @@ let test_chaos_detects_and_scores_policies () =
         open_.pscore
   | _ -> Alcotest.fail "expected exactly two policy rows"
 
+(* Where [mem:*] plans land, pinned to the addresses the plan grammar
+   produced when every segment was allocated eagerly: the byte offset
+   is reduced modulo the segment's extent, whatever part of it happens
+   to be materialized.  Each row is (plan, flipped address, XOR mask),
+   on mcf; the flipped byte is found by diffing against an identically
+   prepared, unarmed state. *)
+let flip_goldens =
+  [
+    ("mem:stack:0:0@1", 0xcfffff, 1);
+    ("mem:stack:1:7@1", 0xcffffe, 128);
+    ("mem:stack:64:3@1", 0xcfffbf, 8);
+    ("mem:stack:4095:1@1", 0xcff000, 2);
+    ("mem:stack:4096:2@1", 0xcfefff, 4);
+    ("mem:stack:65537:5@1", 0xcefffe, 32);
+    ("mem:stack:1048575:6@1", 0xc00000, 64);
+    ("mem:stack:1048576:4@1", 0xcfffff, 16);
+    ("mem:stack:3000000:3@1", 0xc2393f, 8);
+    ("mem:data:0:0@1", 0x200000, 1);
+    ("mem:data:16:1@1", 0x200010, 2);
+    ("mem:data:100:2@1", 0x200064, 4);
+    ("mem:data:1000:7@1", 0x2003e8, 128);
+    ("mem:data:4096:5@1", 0x201000, 32);
+    ("mem:data:123456:6@1", 0x203180, 64);
+  ]
+
+let test_mem_flip_addresses_pinned () =
+  let prog = Lazy.force (Option.get (Apps.Spec.find "mcf")).program in
+  List.iter
+    (fun (spec, want_addr, want_mask) ->
+      let plan = Result.get_ok (Fault.Plan.of_spec spec) in
+      let clean = Machine.Exec.prepare prog and st = Machine.Exec.prepare prog in
+      ignore (Fault.Inject.arm plan st);
+      let s =
+        Machine.Memory.segment st.mem (List.nth (String.split_on_char ':' spec) 1)
+      in
+      (* fire the @1 trigger on one access, before anything else has
+         materialized the target *)
+      st.instr_count <- 1;
+      ignore (Machine.Memory.load st.mem ~width:1 s.base);
+      let a = Machine.Memory.read_bytes clean.mem s.base s.size
+      and b = Machine.Memory.read_bytes st.mem s.base s.size in
+      let rec diffs i acc =
+        if i < 0 then acc else diffs (i - 1) (if a.[i] <> b.[i] then i :: acc else acc)
+      in
+      match diffs (s.size - 1) [] with
+      | [ i ] ->
+          Alcotest.(check (pair int int)) spec (want_addr, want_mask)
+            (s.base + i, Char.code a.[i] lxor Char.code b.[i])
+      | diff -> Alcotest.failf "%s: %d bytes differ" spec (List.length diff))
+    flip_goldens
+
 let () =
   Alcotest.run "fault"
     [
@@ -421,6 +472,8 @@ let () =
             test_fid_corruption_detected;
           Alcotest.test_case "never-firing plans" `Quick
             test_never_firing_plan_is_observation_free;
+          Alcotest.test_case "mem flip addresses pinned" `Quick
+            test_mem_flip_addresses_pinned;
           Alcotest.test_case "60 random plans: structured outcomes" `Slow
             test_property_structured_outcomes_both_backends;
         ] );

@@ -75,7 +75,294 @@ let test_cstring () =
   Alcotest.(check string) "stops at NUL" "hello" (Machine.Memory.cstring m 0x10000)
 
 (* ------------------------------------------------------------------ *)
+(* Memory vs. an eager reference model *)
+
+module M = Machine.Memory
+
+(* Test-only reference model: the flat memory that allocated every
+   segment's whole extent up front, with the same bounds, permission
+   and page-accounting rules.  It raises [Machine.Memory.Fault], so the
+   two implementations' outcomes compare directly. *)
+module Eager = struct
+  type seg = { base : int; bytes : Bytes.t; perm : M.perm; touched : Bytes.t }
+  type t = { segs : seg array; mutable last : int }
+
+  let create specs =
+    let segs =
+      List.map
+        (fun (_, base, size, perm) ->
+          {
+            base;
+            bytes = Bytes.make size '\000';
+            perm;
+            touched = Bytes.make ((size + M.page_size - 1) / M.page_size) '\000';
+          })
+        specs
+      |> List.sort (fun a b -> compare a.base b.base)
+      |> Array.of_list
+    in
+    { segs; last = 0 }
+
+  let locate t ~op addr size =
+    if addr = 0 then raise (M.Fault M.Null_dereference);
+    let fits s = addr >= s.base && addr + size <= s.base + Bytes.length s.bytes in
+    let s = t.segs.(t.last) in
+    if fits s then s
+    else
+      let rec scan i =
+        if i >= Array.length t.segs then
+          raise (M.Fault (M.Out_of_bounds { addr; size; op }))
+        else if fits t.segs.(i) then begin
+          t.last <- i;
+          t.segs.(i)
+        end
+        else scan (i + 1)
+      in
+      scan 0
+
+  let touch s off size =
+    for p = off / M.page_size to (off + size - 1) / M.page_size do
+      Bytes.set s.touched p '\001'
+    done
+
+  let load t ~width addr =
+    let s = locate t ~op:"load" addr width in
+    touch s (addr - s.base) width;
+    Sutil.Bytecodec.get s.bytes ~width (addr - s.base)
+
+  let store t ~width addr v =
+    let s = locate t ~op:"store" addr width in
+    if s.perm = M.Read_only then raise (M.Fault (M.Write_protected { addr }));
+    touch s (addr - s.base) width;
+    Sutil.Bytecodec.set s.bytes ~width (addr - s.base) v
+
+  let read_bytes t addr n =
+    if n = 0 then ""
+    else begin
+      let s = locate t ~op:"read" addr n in
+      touch s (addr - s.base) n;
+      Bytes.sub_string s.bytes (addr - s.base) n
+    end
+
+  let write_bytes_perm ~check t addr str =
+    let n = String.length str in
+    if n > 0 then begin
+      let s = locate t ~op:"write" addr n in
+      if check && s.perm = M.Read_only then
+        raise (M.Fault (M.Write_protected { addr }));
+      touch s (addr - s.base) n;
+      Bytes.blit_string str 0 s.bytes (addr - s.base) n
+    end
+
+  let cstring t ~max addr =
+    let buf = Buffer.create 32 in
+    let rec go a =
+      if Buffer.length buf >= max then
+        raise (M.Fault (M.Misc (Printf.sprintf "unterminated string at 0x%x" addr)))
+      else
+        let c = Int64.to_int (load t ~width:1 a) in
+        if c <> 0 then begin
+          Buffer.add_char buf (Char.chr c);
+          go (a + 1)
+        end
+    in
+    go addr;
+    Buffer.contents buf
+
+  let flip_bit t ~addr ~bit =
+    match
+      Array.find_opt
+        (fun s -> addr >= s.base && addr < s.base + Bytes.length s.bytes)
+        t.segs
+    with
+    | None -> invalid_arg "unmapped"
+    | Some s ->
+        let off = addr - s.base in
+        Bytes.set s.bytes off
+          (Char.chr (Char.code (Bytes.get s.bytes off) lxor (1 lsl bit)))
+
+  let touched_bytes t =
+    Array.fold_left
+      (fun acc s ->
+        acc
+        + M.page_size
+          * Seq.fold_left (fun n c -> if c <> '\000' then n + 1 else n) 0
+              (Bytes.to_seq s.touched))
+      0 t.segs
+end
+
+(* Extents deliberately not page multiples, one gap and one pair of
+   adjacent segments (heap ends where stack begins). *)
+let model_layout =
+  [
+    ("rodata", 0x1000, 5000, M.Read_only);
+    ("data", 0x4000, (3 * 4096) + 100, M.Read_write);
+    ("heap", 0x10000, 0x10000, M.Read_write);
+    ("stack", 0x20000, 40000, M.Read_write);
+  ]
+
+type mem_op =
+  | Load of int * int
+  | Store of int * int * int64
+  | Read of int * int
+  | Write of int * string
+  | Write_protected of int * string
+  | Cstring of int * int
+  | Flip of int * int
+
+let show_op = function
+  | Load (w, a) -> Printf.sprintf "load%d 0x%x" w a
+  | Store (w, a, v) -> Printf.sprintf "store%d 0x%x %Ld" w a v
+  | Read (a, n) -> Printf.sprintf "read 0x%x %d" a n
+  | Write (a, s) -> Printf.sprintf "write 0x%x (%d bytes)" a (String.length s)
+  | Write_protected (a, s) ->
+      Printf.sprintf "write_protected 0x%x (%d bytes)" a (String.length s)
+  | Cstring (a, max) -> Printf.sprintf "cstring 0x%x max=%d" a max
+  | Flip (a, b) -> Printf.sprintf "flip 0x%x bit %d" a b
+
+(* Addresses cluster within a few bytes of address 0, segment edges and
+   page boundaries counted from either edge — where windows start,
+   stop and double. *)
+let gen_addr =
+  let open QCheck2.Gen in
+  let anchors =
+    0
+    :: List.concat_map
+         (fun (_, base, size, _) ->
+           base :: (base + size)
+           :: List.concat_map
+                (fun k -> [ base + (k * M.page_size); base + size - (k * M.page_size) ])
+                [ 1; 2; 3; 4; 8 ])
+         model_layout
+  in
+  frequency
+    [
+      (8, map2 ( + ) (oneofl anchors) (int_range (-9) 9));
+      (1, int_range 0 0x40000);
+    ]
+
+let gen_mem_op =
+  let open QCheck2.Gen in
+  let width = oneofl [ 1; 2; 4; 8 ] in
+  let len = frequency [ (4, int_range 0 64); (1, int_range 0 10_000) ] in
+  let str =
+    string_size ~gen:(frequency [ (6, printable); (1, return '\000') ]) len
+  in
+  frequency
+    [
+      (3, map2 (fun w a -> Load (w, a)) width gen_addr);
+      (3, map3 (fun w a v -> Store (w, a, v)) width gen_addr int64);
+      (1, map2 (fun a n -> Read (a, n)) gen_addr len);
+      (2, map2 (fun a s -> Write (a, s)) gen_addr str);
+      (1, map2 (fun a s -> Write_protected (a, s)) gen_addr str);
+      (1, map2 (fun a m -> Cstring (a, m)) gen_addr (int_range 1 64));
+      (1, map2 (fun a b -> Flip (a, b)) gen_addr (int_range 0 7));
+    ]
+
+type mem_result = Value of string | Faulted of M.fault | Invalid
+
+let observe f =
+  match f () with
+  | v -> Value v
+  | exception M.Fault fault -> Faulted fault
+  | exception Invalid_argument _ -> Invalid
+
+let show_result = function
+  | Value v -> Printf.sprintf "value %S" v
+  | Faulted f -> "fault: " ^ M.fault_to_string f
+  | Invalid -> "Invalid_argument"
+
+let apply_real m = function
+  | Load (w, a) -> observe (fun () -> Int64.to_string (M.load m ~width:w a))
+  | Store (w, a, v) -> observe (fun () -> M.store m ~width:w a v; "")
+  | Read (a, n) -> observe (fun () -> M.read_bytes m a n)
+  | Write (a, s) -> observe (fun () -> M.write_bytes m a s; "")
+  | Write_protected (a, s) -> observe (fun () -> M.write_protected m a s; "")
+  | Cstring (a, max) -> observe (fun () -> M.cstring m ~max a)
+  | Flip (a, bit) -> observe (fun () -> M.flip_bit m ~addr:a ~bit; "")
+
+let apply_model e = function
+  | Load (w, a) -> observe (fun () -> Int64.to_string (Eager.load e ~width:w a))
+  | Store (w, a, v) -> observe (fun () -> Eager.store e ~width:w a v; "")
+  | Read (a, n) -> observe (fun () -> Eager.read_bytes e a n)
+  | Write (a, s) -> observe (fun () -> Eager.write_bytes_perm ~check:true e a s; "")
+  | Write_protected (a, s) ->
+      observe (fun () -> Eager.write_bytes_perm ~check:false e a s; "")
+  | Cstring (a, max) -> observe (fun () -> Eager.cstring e ~max a)
+  | Flip (a, bit) -> observe (fun () -> Eager.flip_bit e ~addr:a ~bit; "")
+
+let prop_memory_matches_eager_model =
+  QCheck2.Test.make ~count:500 ~name:"memory matches eager reference model"
+    ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+    QCheck2.Gen.(list_size (int_range 1 60) gen_mem_op)
+    (fun ops ->
+      let m = M.create model_layout and e = Eager.create model_layout in
+      List.iteri
+        (fun i op ->
+          let got = apply_real m op and want = apply_model e op in
+          if got <> want then
+            QCheck2.Test.fail_reportf "op %d (%s): got %s, model %s" i (show_op op)
+              (show_result got) (show_result want);
+          if M.touched_bytes m <> Eager.touched_bytes e then
+            QCheck2.Test.fail_reportf "op %d (%s): touched_bytes %d, model %d" i
+              (show_op op) (M.touched_bytes m) (Eager.touched_bytes e))
+        ops;
+      (* every byte of every extent agrees at the end *)
+      List.for_all
+        (fun (_, base, size, _) ->
+          observe (fun () -> M.read_bytes m base size)
+          = observe (fun () -> Eager.read_bytes e base size))
+        model_layout)
+
+let mib = 1024 * 1024
+
+let allocated_during f =
+  let before = Gc.allocated_bytes () in
+  let r = f () in
+  (r, Gc.allocated_bytes () -. before)
+
+let test_stack_top_materializes_little () =
+  let m = M.create [ ("stack", 0x100000, mib, M.Read_write) ] in
+  let (), bytes =
+    allocated_during (fun () -> M.store m ~width:8 (0x100000 + mib - 8) 7L)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "first access at the top allocated %.0f bytes" bytes)
+    true (bytes <= 16384.)
+
+let test_downward_growth_keeps_contents () =
+  let top = 0x100000 + mib in
+  let m = M.create [ ("stack", 0x100000, mib, M.Read_write) ] in
+  (* each store lies below everything materialized so far *)
+  let addrs = [ top - 8; top - 5000; top - 20_000; top - 100_000; top - 700_000; 0x100000 ] in
+  List.iteri (fun i a -> M.store m ~width:8 a (Int64.of_int (i + 1))) addrs;
+  List.iteri
+    (fun i a ->
+      Alcotest.(check int64) (Printf.sprintf "0x%x" a) (Int64.of_int (i + 1))
+        (M.load m ~width:8 a))
+    addrs;
+  Alcotest.(check int64) "untouched stays zero" 0L (M.load m ~width:8 (top - 50_000))
+
+let test_flip_untouched_byte () =
+  let m = M.create [ ("heap", 0x100000, mib, M.Read_write) ] in
+  M.flip_bit m ~addr:(0x100000 + 300_000) ~bit:3;
+  Alcotest.(check int) "a flip touches no page" 0 (M.touched_bytes m);
+  Alcotest.(check int64) "bit set" 8L (M.load m ~width:1 (0x100000 + 300_000));
+  Alcotest.(check int64) "neighbours zero" 0L (M.load m ~width:1 (0x100000 + 300_001))
+
+(* ------------------------------------------------------------------ *)
 (* Exec: faults, builtins, accounting *)
+
+(* A fresh state pays for the bytes its program initializes, not for
+   its 9 MiB address space. *)
+let test_prepare_allocation_bound () =
+  let w = Option.get (Apps.Spec.find "gobmk") in
+  let prog = Lazy.force w.program in
+  ignore (Machine.Exec.prepare prog);
+  let _, bytes = allocated_during (fun () -> Machine.Exec.prepare prog) in
+  Alcotest.(check bool)
+    (Printf.sprintf "prepare allocated %.0f bytes" bytes)
+    true (bytes < 65536.)
 
 let outcome_testable =
   Alcotest.testable
@@ -429,9 +716,17 @@ let () =
           Alcotest.test_case "overlap rejected" `Quick test_memory_overlap_rejected;
           Alcotest.test_case "touched pages" `Quick test_touched_pages;
           Alcotest.test_case "cstring" `Quick test_cstring;
+          Alcotest.test_case "stack top materializes little" `Quick
+            test_stack_top_materializes_little;
+          Alcotest.test_case "downward growth keeps contents" `Quick
+            test_downward_growth_keeps_contents;
+          Alcotest.test_case "flip untouched byte" `Quick test_flip_untouched_byte;
+          QCheck_alcotest.to_alcotest prop_memory_matches_eager_model;
         ] );
       ( "exec",
         [
+          Alcotest.test_case "prepare allocation bound" `Quick
+            test_prepare_allocation_bound;
           Alcotest.test_case "exit code" `Quick test_exit_code;
           Alcotest.test_case "exit builtin" `Quick test_exit_builtin;
           Alcotest.test_case "division by zero" `Quick test_division_by_zero_faults;
