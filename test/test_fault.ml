@@ -472,10 +472,10 @@ let () =
             test_fid_corruption_detected;
           Alcotest.test_case "never-firing plans" `Quick
             test_never_firing_plan_is_observation_free;
-          Alcotest.test_case "mem flip addresses pinned" `Quick
-            test_mem_flip_addresses_pinned;
           Alcotest.test_case "60 random plans: structured outcomes" `Slow
             test_property_structured_outcomes_both_backends;
+          Alcotest.test_case "mem flip addresses pinned" `Quick
+            test_mem_flip_addresses_pinned;
         ] );
       ( "chaos",
         [
