@@ -2,450 +2,73 @@
 
    Usage: dune exec bin/experiments.exe
             [-- [--engine=ENGINE] [--jobs=N] OUTPUT.md]
-   Writes the full paper-vs-measured report (defaults to stdout).
-   --engine=bytecode runs every experiment on the compiled engine
-   (differentially validated against the reference; see DESIGN.md).
-   --jobs=N fans experiment cells out over N domains; the report is
-   byte-identical for every N (results merge in submission order). *)
+   Writes the full paper-vs-measured report (defaults to stdout), one
+   section per Harness.Registry entry.  --engine=bytecode runs every
+   experiment on the compiled engine (differentially validated against
+   the reference; see DESIGN.md).  --jobs=N fans experiment cells out
+   over N domains; the report is byte-identical for every N (results
+   merge in submission order).
 
-let buf = Buffer.create 16384
-let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt
+   Exit codes: 0 every headline invariant holds, 1 one failed (named on
+   stderr, after the report is written), 2 usage error. *)
 
-let engine_prefix = "--engine="
-let jobs_prefix = "--jobs="
+open Cmdliner
 
-let strip_prefix ~prefix s =
-  String.sub s (String.length prefix) (String.length s - String.length prefix)
-
-(* Parsed before any experiment runs: every Workbench/Runner call picks
-   up the process-default backend, and the pool is sized before any
-   domain is spawned. *)
-let jobs, positional_args =
-  Engine.Backend.install ();
-  (* every Harden.harden call in every experiment now runs the static
-     validator as its post-condition (and Config.selective resolves) *)
-  Analysis.Validate.install ();
-  let args = List.tl (Array.to_list Sys.argv) in
-  let engine_args, rest =
-    List.partition (fun a -> String.starts_with ~prefix:engine_prefix a) args
-  in
-  (match engine_args with
-  | [] -> ()
-  | spec :: _ -> (
-      let name = strip_prefix ~prefix:engine_prefix spec in
-      match Machine.Backend.kind_of_string name with
-      | Some kind -> Machine.Backend.set_default kind
-      | None ->
-          Printf.eprintf "unknown engine %S (ref, bytecode)\n" name;
-          exit 2));
-  let jobs_args, rest =
-    List.partition (fun a -> String.starts_with ~prefix:jobs_prefix a) rest
-  in
-  let jobs =
-    match jobs_args with
-    | [] -> None
-    | spec :: _ -> (
-        match int_of_string_opt (strip_prefix ~prefix:jobs_prefix spec) with
-        | Some n when n >= 1 -> Some n
-        | _ ->
-            Printf.eprintf "bad --jobs value %S (want a positive integer)\n" spec;
-            exit 2)
-  in
-  (jobs, rest)
-
-let () =
+let main engine jobs output =
+  Option.iter Machine.Backend.set_default engine;
   Sched.Pool.with_pool ?jobs @@ fun pool ->
-  let started = Sys.time () in
-  out "# EXPERIMENTS — paper vs. measured\n\n";
-  out
-    "Generated by `dune exec bin/experiments.exe`.  Absolute numbers come \
-     from the repository's cycle-accurate VM, not the paper's Xeon D-1541 \
-     testbed; the claims to check are the *shapes*: orderings, rough \
-     factors, and which attacks succeed where.  See DESIGN.md for the \
-     substitutions.\n\n";
-
-  out "## E1 — Table I: randomness source rates\n\n";
-  out
-    "Paper: pseudo 3.4, AES-1 19.2, AES-10 92.8, RDRAND 265.6 \
-     cycles/invocation; pseudo offers no security, AES trades rounds for \
-     security, RDRAND is true-random but slow.\n\n";
-  let t1 = Harness.Randrate.run ~pool () in
-  out "%s\n" (Harness.Randrate.to_markdown t1);
-
-  out "## E2 — Figure 3: runtime overhead\n\n";
-  out
-    "Paper: pseudo from -2.6%% to +7.2%% (mean 0.9%%); AES-1 mean 3.3%%; \
-     AES-10 0.6-29%% (mean 10.3%%); RDRAND mean ~22%%; I/O-bound apps \
-     worst case 6%%.  Expected shape: RDRAND > AES-10 > AES-1 > pseudo on \
-     every row; call-dense benchmarks (gobmk) worst; loop-dominated \
-     (mcf, hmmer, libquantum) near zero.\n\n";
-  let fig3 = Harness.Overhead.run ~pool () in
-  out "%s\n" (Harness.Overhead.to_markdown fig3);
-  out "Worst I/O-bound overhead measured: %s (paper: 6%%).\n\n"
-    (Sutil.Texttable.fmt_pct fig3.io_worst);
-
-  out "## E3 — Figure 4: memory overhead (max RSS)\n\n";
-  out
-    "Paper: the P-BOX in read-only data drives RSS up most for the \
-     benchmarks with the most distinct stack formats (perlbench, \
-     h264ref), and those benchmarks' *performance* overhead is \
-     comparatively low.\n\n";
-  let fig4 = Harness.Memov.run ~pool () in
-  out "%s\n" (Harness.Memov.to_markdown fig4);
-
-  out "## E4 — §II-C: bypassing prior stack randomizations (librelp PoC)\n\n";
-  out
-    "Paper: the CVE-2018-1000140 DOP exploit defeats stack-base \
-     randomization, random padding, and static permutation (via binary \
-     analysis / disclosure / brute force); the non-linear snprintf gap \
-     sails over canaries.  Success rate per attempt (per *build* for the \
-     per-build defenses):\n\n";
-  let e4 = Harness.Security.bypass_prior ~pool () in
-  out "%s\n" (Harness.Security.to_markdown e4);
-
-  out "## E5 — §V-C: synthetic penetration tests\n\n";
-  out
-    "Paper: Smokestack stopped all direct and indirect overflow attacks \
-     from stack, data-segment and heap buffers; prior defenses did not.  \
-     (stack-base stops only the attacks needing *absolute* addresses; \
-     static-perm rows read as the fraction of builds exploitable.)\n\n";
-  let e5 = Harness.Security.pentest ~pool () in
-  out "%s\n" (Harness.Security.to_markdown e5);
-
-  out "## E6 — §V-C: real vulnerabilities\n\n";
-  out
-    "Paper: the Wireshark CVE-2014-2299 DOP exploit, the three ProFTPD \
-     CVE-2006-5815 exploits (private-key extraction through the pointer \
-     chain, bot simulation, memory-permission alteration), and the \
-     librelp PoC all succeed undefended and are all stopped by \
-     Smokestack (Wireshark via function-identifier detection).\n\n";
-  let e6 = Harness.Security.realvuln ~pool () in
-  out "%s\n" (Harness.Security.to_markdown e6);
-
-  out "## E7 — §III-E: P-BOX optimization ablation\n\n";
-  out
-    "Power-of-2 rows trade read-only bytes for a cheaper prologue (AND \
-     vs modulo); table sharing and rounding-up reclaim memory for free; \
-     the FID checks that replace the stack protector cost one extra \
-     permuted slot per function (larger tables) plus a cheap \
-     prologue/epilogue pair.\n\n";
-  let e7 = Harness.Ablation.run ~pool () in
-  out "%s\n" (Harness.Ablation.to_markdown e7);
-
-  out "## E8 — brute force under restart-after-crash\n\n";
-  out
-    "Paper threat model: finite attempts against a restarting service.  \
-     Prior defenses fall on the first attempt (or are fixed per build); \
-     Smokestack forces ~|permutation space| attempts and re-randomizes \
-     per invocation, with FID detections along the way.\n\n";
-  let e8 = Harness.Security.brute ~pool () in
-  out "%s\n" (Harness.Security.brute_to_markdown e8);
-
-  out "## E9 — entropy accounting (extension)\n\n";
-  out
-    "The measured brute-force rates should follow from the permutation \
-     space itself.  A librelp attempt succeeds when the attacker's guessed \
-     allNames-to-keyPtr DISTANCE equals the drawn one and the distance is \
-     physically reachable by the single snprintf gap jump; since guess and \
-     reality are drawn from the same distribution, the per-attempt success \
-     probability is the collision probability of the (reachable) distance \
-     distribution.  Alignment padding adds entropy; identical-shape slots \
-     and distance aliasing remove some — both paper-predicted effects, \
-     now with numbers.\n\n";
-  (let prog = Lazy.force Apps.Librelp.program in
-   let hardened = Smokestack.Harden.harden Smokestack.Config.default prog in
-   (* The exploit needs the guessed DISTANCE to match the drawn one (and
-      to be physically reachable): different (allNames, keyPtr) pairs
-      giving the same difference all work, so the right prediction is
-      the collision probability of the distance distribution restricted
-      to reachable distances. *)
-   let sample_offsets fname idx n seed =
-     let b = Option.get (Smokestack.Pbox.binding hardened.pbox fname) in
-     let dyn = Option.get (Smokestack.Pbox.dyn_of hardened.pbox b) in
-     let rng = Sutil.Simrng.create ~seed in
-     Array.init n (fun _ ->
-         (Smokestack.Runtime.dynamic_offsets_for_draw dyn
-            (Sutil.Simrng.next_u64 rng)).(idx))
-   in
-   let n = 8192 in
-   let callee = sample_offsets "relpTcpChkPeerName" 0 n 11L in
-   let caller = sample_offsets "relpTcpLstnInit" 2 n 12L in
-   (* slab gap from the binary, as the attacker computes it *)
-   let rows =
-     Attacks.Layout.chain hardened.prog
-       [ "main"; "relpTcpLstnInit"; "relpTcpChkPeerName" ]
-   in
-   let slab_gap =
-     Option.get
-       (Attacks.Layout.distance rows
-          ~from_:("relpTcpChkPeerName", "__ss_total")
-          ~to_:("relpTcpLstnInit", "__ss_total"))
-   in
-   let reachable d = d > 4096 && d - 2047 <= 4095 in
-   let dist_counts = Hashtbl.create 64 in
-   for i = 0 to n - 1 do
-     let d = slab_gap + caller.(i) - callee.(i) in
-     if reachable d then
-       Hashtbl.replace dist_counts d
-         (1 + Option.value ~default:0 (Hashtbl.find_opt dist_counts d))
-   done;
-   let predicted =
-     Hashtbl.fold
-       (fun _ c acc ->
-         let p = float_of_int c /. float_of_int n in
-         acc +. (p *. p))
-       dist_counts 0.
-   in
-   let applied =
-     Defenses.Defense.apply ~seed:3L
-       (Defenses.Defense.Smokestack Smokestack.Config.default)
-       prog
-   in
-   let n = 400 in
-   let hits = ref 0 in
-   for i = 0 to n - 1 do
-     match Apps.Librelp.attack_static applied ~seed:(Int64.of_int (40_000 + i)) with
-     | Attacks.Verdict.Success -> incr hits
-     | _ -> ()
-   done;
-   let measured = float_of_int !hits /. float_of_int n in
-   out
-     "| quantity | value |\n|---|---|\n| predicted per-attempt success \
-      (distance collision) | %.4f |\n| measured per-attempt success (%d \
-      trials) | %.4f |\n| predicted expected attempts | %.0f |\n| measured \
-      full-frame distinct layouts (callee) | %d |\n\n"
-     predicted n measured (1. /. predicted)
-     (let b =
-        Option.get (Smokestack.Pbox.binding hardened.pbox "relpTcpChkPeerName")
-      in
-      (Smokestack.Entropy_an.of_binding hardened.pbox b).distinct_layouts));
-
-  out "## E10 — state-disclosure prediction vs randomness scheme (extension)\n\n";
-  out
-    "Table I's security column, executed.  The attacker reads the pseudo \
-     generator's state word from VM data memory (the threat model grants \
-     full read access), inverts the xorshift to recover the draws that laid \
-     out the already-live frames, replicates the public layout decode, and \
-     delivers the librelp exploit within the same invocation.  The residual \
-     misses against `pseudo` are exploit physics (some layouts put the \
-     target beyond the single snprintf jump and the dispatcher grants four \
-     invocations per run); the prediction itself is exact.\n\n";
-  let e10 = Harness.Security.rng_security ~pool () in
-  out "%s\n" (Harness.Security.to_markdown e10);
-
-  out "## E11 — re-randomization interval (extension)\n\n";
-  out
-    "The paper randomizes every invocation and argues an attacker must \
-     \"reverse engineer a function frame and deliver a payload in the same \
-     invocation\".  This ablation relaxes that: the permutation index is \
-     redrawn only every n-th request, and the attacker runs a same-run \
-     probe-then-exploit (plant marker, disclose the live distance, exploit \
-     a later invocation of the same process — the attack that also kills \
-     every static defense).  Intervals below one request's draw count \
-     behave like the paper's design; larger windows re-open the attack up \
-     to the exploit's reach cap.\n\n";
-  let e11 = Harness.Security.rerandomization ~pool () in
-  out "%s\n" (Harness.Security.rerand_to_markdown e11);
-
-  out "## E12 — static DOP attack surface + differential validation (extension)\n\n";
-  out
-    "The static analyzer (lib/analysis) classifies every stack slot \
-     overflow-capable or safe, enumerates DOP pairs (same-frame, \
-     cross-frame, wild-write), and scores each pair's expected \
-     brute-force attempts per defense from the same collision model the \
-     entropy accounting uses.  Shapes to check: the memory-safe Progen \
-     programs report overflows only through escape imprecision; \
-     `none`/`stack-base`/`canary` leave relative distances fixed (1 \
-     attempt) except stack-base vs wild writes; Smokestack's expected \
-     attempts track the E9 entropy columns.  The differential half runs \
-     every dynamic exploit against the unhardened build and asserts its \
-     corrupted (buffer, victim) tuple appears among the statically \
-     reported pairs — the analyzer may over-approximate but must not \
-     miss a demonstrated attack.\n\n";
-  let e12 = Harness.Surface.run ~pool () in
-  out "%s\n" (Harness.Surface.to_markdown e12);
-  let e12b = Harness.Crossval.run ~pool () in
-  out "%s\n" (Harness.Crossval.to_markdown e12b);
-
-  out "## E13 — chaos: fault injection and graceful degradation (extension)\n\n";
-  out
-    "Seeded fault plans (site x trigger x behaviour; see DESIGN.md \
-     §11) injected into hardened runs of one SPEC kernel and one \
-     I/O request loop, each cell executed on both engines.  Shapes to \
-     check: every outcome is structured (no fault plan makes the VM \
-     raise); stuck-at/all-ones/biased sources are caught by the SP \
-     800-90B health tests and degrade RDRAND -> AES-10 (fail-secure); \
-     FID-argument corruption is caught by the XOR check; never-firing \
-     plans leave every observable bit-identical to the fault-free run \
-     (asserted); fail-open degradation to the memory-resident pseudo \
-     scheme collapses the brute-force cost to one attempt while \
-     fail-secure keeps the full permutation space.\n\n";
-  let e13 = Harness.Chaos.run ~pool () in
-  out "%s\n" (Harness.Chaos.to_markdown e13);
-
-  out "## E14 — selective hardening under the static validator (extension)\n\n";
-  out
-    "The static validator (lib/analysis/validate, DESIGN.md §12) proves \
-     the four Smokestack post-conditions — frame integrity, P-BOX \
-     soundness, index hygiene, FID pairing — over the hardened IR, and \
-     doubles as an elision oracle: functions whose every slot is \
-     provably overflow-safe and that join no DOP pair keep their \
-     original frames (one discarded randomness draw preserves the \
-     shuffle stream).  Shapes to check: the differential table is all \
-     'yes' — elision never changes an attack verdict or a Progen \
-     program's output — while the overhead table shows the payoff \
-     concentrated in call-dense benchmarks (gobmk, sjeng) and zero \
-     wherever nothing can be elided (the I/O request loops, whose \
-     buffers all join DOP pairs).\n\n";
-  let e14 = Harness.Selective.run ~pool () in
-  out "%s\n" (Harness.Selective.to_markdown e14);
-  let e14a = Harness.Crossval.run_selective ~pool () in
-  out "%s\n" (Harness.Crossval.selective_to_markdown e14a);
-
-  out "## E15 — hardened multi-tenant server runtime (extension)\n\n";
-  out
-    "The batch harnesses above probe one (defense, attack) cell at a \
-     time; lib/server runs the fleet the way the paper's threat model \
-     frames it — a long-lived service facing an adversarial client mix.  \
-     One hardened tenant per session app serves a deterministic schedule \
-     of benign request flows, batch-harness attack sessions and \
-     chaos-faulted flows, dispatched over the worker pool and replayed \
-     through a virtual-time FCFS admission queue with load shedding.  \
-     Shapes to check: the report is byte-identical at any --jobs and on \
-     either engine (every number derives from VM cycles); overload sheds \
-     sessions without dropping any; and every served attack session \
-     reproduces the batch harness's verdict exactly \
-     (batch-verdict mismatches = 0).\n\n";
-  let e15 = Harness.Serve.run ~pool () in
-  out "%s\n" (Harness.Serve.to_markdown e15);
-
-  out "## E16 — artifact store: warm replay and resumable campaigns (extension)\n\n";
-  out
-    "lib/store caches every execution's observables on disk, \
-     content-addressed on (source digest, hardening fingerprint, engine \
-     kind, seed), with atomic tmp+rename writes and quarantine-on-corruption \
-     (DESIGN.md §14).  A campaign over a Progen seed range consults the \
-     store before touching the VM, so a warm re-run — or a run resumed \
-     after a mid-campaign kill — replays cached observables and renders \
-     the byte-identical report.  Checked here: a cold campaign against a \
-     fresh store misses every key and a warm re-run hits every key, and \
-     both report digests (a hash over every observable of every program \
-     in seed order) are identical.\n\n";
-  (let rec rm_rf path =
-     if Sys.is_directory path then begin
-       Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-       Sys.rmdir path
-     end
-     else Sys.remove path
-   in
-   let dir =
-     Filename.concat
-       (Filename.get_temp_dir_name ())
-       (Printf.sprintf "smokestack-e16-store-%d" (Unix.getpid ()))
-   in
-   if Sys.file_exists dir then rm_rf dir;
-   let store = Store.Cache.open_disk dir in
-   let config =
-     Store.Campaign.config ~seed:1000L ~count:200
-       ~engine:(Machine.Backend.default ()).Machine.Backend.kind ()
-   in
-   let cold = Store.Campaign.run ~pool ~store config in
-   let cold_stats = Store.Cache.stats store in
-   Store.Cache.reset_stats store;
-   let warm = Store.Campaign.run ~pool ~store config in
-   let warm_stats = Store.Cache.stats store in
-   rm_rf dir;
-   out "```\n%s```\n\n" (Sutil.Texttable.render (Store.Campaign.report_table cold));
-   out
-     "| phase | hits | misses | writes | digest |\n|---|---|---|---|---|\n\
-      | cold | %d | %d | %d | %s |\n| warm | %d | %d | %d | %s |\n\n\
-      digests identical: %b\n\n"
-     cold_stats.Store.Cache.hits cold_stats.Store.Cache.misses
-     cold_stats.Store.Cache.writes cold.Store.Campaign.digest
-     warm_stats.Store.Cache.hits warm_stats.Store.Cache.misses
-     warm_stats.Store.Cache.writes warm.Store.Campaign.digest
-     (String.equal cold.Store.Campaign.digest warm.Store.Campaign.digest));
-
-  out "## E17 — automated DOP-attack compiler (extension)\n\n";
-  out
-    "lib/offense closes the offense loop: instead of the hand-written \
-     attack corpus, a chain planner classifies typed gadgets out of the \
-     static DOP-pair enumeration (E13) and the per-function victim \
-     analysis, learns arithmetic gadget semantics by probing the \
-     attacker's own unhardened replica on the reference engine, and \
-     compiles chain programs — direct branch flips, pointer re-aim \
-     writes, and double-and-add dispatcher loops — down to overflow \
-     payloads against each target's concrete frame layout.  Every chain \
-     then runs against the defense ladder (undefended, selective, full \
-     Smokestack).  Shapes to check: at least one synthesized chain lands \
-     on the undefended build and none land on full hardening; the \
-     brute-force entropy measured for the synthesized families sits next \
-     to the hand-written corpus number for the same program; and every \
-     chain that lands dynamically is grounded in statically enumerated \
-     DOP pairs over its own buffer (the E13 feedback loop, now over \
-     machine-generated attacks).  Input-free Progen programs expose no \
-     read_input-reachable overflow, so they honestly synthesize zero \
-     deliverable chains and appear only in the synthesis table.\n\n";
-  let e17 = Harness.Offense.run ~pool ~progen:10 () in
-  out "%s\n" (Harness.Offense.to_markdown e17);
-
-  out "## E18 — resilient server control plane (extension)\n\n";
-  out
-    "lib/server grows a control plane: session affinity ties every \
-     session to a stable client identity, per-client circuit breakers \
-     convert the restart-after-crash assumption into exponential \
-     virtual-time backoff (and quarantine for persistent offenders), \
-     WFQ priority classes (paying / standard / suspect) replace blind \
-     FCFS shedding, and sustained fault pressure flips the fleet into \
-     graceful degradation that starves suspects before paying traffic. \
-     Shapes to check: for at least one hand-written and one synthesized \
-     attack family the affinity-on brute-force cost is strictly higher \
-     than the anonymous-fleet cost (quarantine or imposed backoff), \
-     reported next to the Entropy_an prediction; under the fault storm \
-     the resilient cell admits no more attack sessions than the \
-     baseline while benign p99 stays within 10%%; and batch-verdict \
-     mismatches are zero in every cell — admission policy never changes \
-     what a session computes.\n\n";
-  let e18 = Harness.Resilience.run ~pool () in
-  out "%s\n" (Harness.Resilience.to_markdown e18);
-
-  out "## E19 — layout-leak cross-validation and the leak-guided attack (extension)\n\n";
-  out
-    "Analysis.Leakan tracks taint from the layout secrets (ss.rand \
-     draws, P-BOX rows, slot and slice addresses) through interprocedural \
-     flow summaries to observable sinks, classifies each flow (direct \
-     value, address disclosure, comparison oracle) and prices it in \
-     disclosed bits that degrade the E12 brute-force entropy.  E19 \
-     cross-validates the static verdict dynamically: every corpus program \
-     runs fully hardened under several entropy seeds with fixed input — \
-     output-visible leaks and seed-dependent outputs must coincide \
-     exactly.  On the disclosing stack-leaky target, the planner's leak \
-     guides drive the disclosure-guided brute walk next to the blind one; \
-     the measured guided attempts must sit within a factor of 3 of the \
-     degraded-entropy prediction corrected by the sampled \
-     layout-reachability factor, and far below the blind cost.  Shapes \
-     to check: zero static/dynamic disagreements, and the guided walk \
-     lands inside the bound while the blind walk exhausts its budget.\n\n";
-  let e19 = Harness.Leakcheck.run ~pool () in
-  out "%s\n" (Harness.Leakcheck.to_markdown e19);
-
+  let started = Unix.gettimeofday () in
+  let buf = Buffer.create 16384 in
+  Buffer.add_string buf Harness.Registry.preamble;
+  let violations =
+    List.concat_map
+      (fun (e : Harness.Registry.entry) ->
+        let o = e.run pool in
+        Buffer.add_string buf (Harness.Registry.section e o);
+        Harness.Registry.violations e o)
+      Harness.Registry.all
+  in
   (* stderr, not the report: the report must be byte-identical across
      --jobs values (and across hosts). *)
   let pstats = Sched.Pool.stats pool in
   Printf.eprintf
-    "report generated in %.1f s of CPU time; pool: %d jobs, %d retries, %d \
+    "report generated in %.1f s of wall time; pool: %d jobs, %d retries, %d \
      timeouts, peak queue %d\n"
-    (Sys.time () -. started)
-    pstats.Sched.Pool.jobs_run pstats.Sched.Pool.retries
-    pstats.Sched.Pool.timeouts pstats.Sched.Pool.peak_queue;
+    (Unix.gettimeofday () -. started)
+    pstats.jobs_run pstats.retries pstats.timeouts pstats.peak_queue;
+  (match output with
+  | None -> print_string (Buffer.contents buf)
+  | Some path ->
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc (Buffer.contents buf));
+      Printf.printf "wrote %s\n" path);
+  List.iter prerr_endline violations;
+  Harness.Registry.exit_code violations
 
-  match positional_args with
-  | [] -> print_string (Buffer.contents buf)
-  | [ path ] ->
-      let oc = open_out path in
-      output_string oc (Buffer.contents buf);
-      close_out oc;
-      Printf.printf "wrote %s\n" path
-  | _ ->
-      prerr_endline "usage: experiments [--engine=ENGINE] [OUTPUT.md]";
-      exit 2
+let engine =
+  let parse s =
+    match Machine.Backend.kind_of_string s with
+    | Some kind -> Ok kind
+    | None -> Error (`Msg (Printf.sprintf "unknown engine %S (ref, bytecode)" s))
+  in
+  let print fmt k = Format.pp_print_string fmt (Machine.Backend.kind_to_string k) in
+  Arg.(value & opt (some (conv (parse, print))) None & info [ "engine" ] ~docv:"ENGINE"
+         ~doc:"Execution engine for every experiment: $(b,ref) or $(b,bytecode).")
+
+let jobs =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "bad --jobs value %S (want a positive integer)" s))
+  in
+  Arg.(value & opt (some (conv (parse, Format.pp_print_int))) None & info [ "jobs" ] ~docv:"N"
+         ~doc:"Worker domains (default: the host's recommended count).")
+
+let output =
+  Arg.(value & pos 0 (some string) None & info [] ~docv:"OUTPUT.md"
+         ~doc:"Write the report here instead of stdout.")
+
+let () =
+  Harness.Registry.setup ();
+  let info = Cmd.info "experiments" ~doc:"Regenerate the paper-vs-measured report" in
+  let code = Cmd.eval' (Cmd.v info Term.(const main $ engine $ jobs $ output)) in
+  exit (if code = Cmd.Exit.cli_error then 2 else code)

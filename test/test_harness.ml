@@ -175,6 +175,59 @@ let test_str_replace () =
   Alcotest.(check string) "absent" "abc"
     (Harness.Str_replace.replace ~needle:"z" ~by:"X" "abc")
 
+(* ------------------------------------------------------------------ *)
+(* Experiment registry *)
+
+let test_registry_setup () =
+  Harness.Registry.setup ();
+  Alcotest.(check bool) "validator installed" true
+    (Smokestack.Harden.validator_installed ());
+  Alcotest.(check bool) "bytecode backend registered" true
+    (Option.is_some (Machine.Backend.find_opt Machine.Backend.Bytecode))
+
+let test_registry_failed_invariant () =
+  let e =
+    List.find (fun (e : Harness.Registry.entry) -> e.key = "analysis") Harness.Registry.all
+  in
+  let outcome invariants = { Harness.Registry.markdown = ""; bench = []; invariants } in
+  let v =
+    Harness.Registry.violations e
+      (outcome [ ("all_validated", false); ("held", true) ])
+  in
+  Alcotest.(check int) "one violation" 1 (List.length v);
+  let msg = List.hd v in
+  let contains sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1)) in
+    go 0
+  in
+  Alcotest.(check bool) ("names the entry: " ^ msg) true (contains "E12");
+  Alcotest.(check bool) ("names the predicate: " ^ msg) true (contains "all_validated");
+  Alcotest.(check bool) ("omits the held predicate: " ^ msg) false (contains "held");
+  Alcotest.(check int) "exit code on failure" 1 (Harness.Registry.exit_code v);
+  Alcotest.(check int) "exit code when all hold" 0
+    (Harness.Registry.exit_code
+       (Harness.Registry.violations e (outcome [ ("all_validated", true) ])))
+
+let test_registry_golden () =
+  let all = Harness.Registry.all in
+  Alcotest.(check (list string)) "E1..E19 in order"
+    (List.init 19 (fun i -> Printf.sprintf "E%d" (i + 1)))
+    (List.map (fun (e : Harness.Registry.entry) -> e.id) all);
+  let keys = List.map (fun (e : Harness.Registry.entry) -> e.key) all in
+  Alcotest.(check int) "bench keys unique" (List.length keys)
+    (List.length (List.sort_uniq String.compare keys));
+  let headings =
+    In_channel.with_open_bin "../EXPERIMENTS.md" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter_map (fun l ->
+           if String.starts_with ~prefix:"## " l then
+             Some (String.sub l 3 (String.length l - 3))
+           else None)
+  in
+  Alcotest.(check (list string)) "headings match EXPERIMENTS.md" headings
+    (List.map Harness.Registry.heading all)
+
 let () =
   Alcotest.run "harness"
     [
@@ -200,5 +253,12 @@ let () =
         [
           Alcotest.test_case "markdown" `Quick test_markdown_renderers;
           Alcotest.test_case "str_replace" `Quick test_str_replace;
+        ] );
+      ( "registry",
+        [
+          Alcotest.test_case "setup installs validator" `Quick test_registry_setup;
+          Alcotest.test_case "failed invariant exits 1" `Quick
+            test_registry_failed_invariant;
+          Alcotest.test_case "golden ids, keys and headings" `Quick test_registry_golden;
         ] );
     ]
