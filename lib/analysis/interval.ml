@@ -346,5 +346,3 @@ let pp fmt t =
   let b = function None -> "?" | Some v -> Int64.to_string v in
   if is_top t then Format.pp_print_string fmt "T"
   else Format.fprintf fmt "[%s,%s]" (b t.lo) (b t.hi)
-
-let to_string t = Format.asprintf "%a" pp t

@@ -31,7 +31,6 @@ val meet : t -> t -> t
 
 val add : t -> t -> t
 val sub : t -> t -> t
-val neg : t -> t
 val mul : t -> t -> t
 val sdiv : t -> t -> t
 val udiv : t -> t -> t
@@ -70,4 +69,3 @@ val contains : t -> lo:int64 -> hi:int64 -> bool
     Empty intervals are contained in everything. *)
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -60,11 +60,6 @@ val summary_degraded : t -> (string * float) list
 (** Like {!summary} but using each pair's leak-degraded attempts where
     available — the disclosure-aware attacker's cost. *)
 
-val to_table : t -> Sutil.Texttable.t
-(** Pair-level table (one row per scored pair). *)
-
-val funcs_table : t -> Sutil.Texttable.t
-
 val to_text : t -> string
 (** Full human-readable report (both tables plus per-slot detail). *)
 

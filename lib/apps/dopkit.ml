@@ -17,19 +17,6 @@ let binary_offsets prog ~func ~buffer ~vars =
           if List.exists Option.is_none resolved then None
           else Some (List.filter_map Fun.id resolved))
 
-let chain_offsets prog ~chain ~buffer ~vars =
-  let rows = Attacks.Layout.chain prog chain in
-  let resolved =
-    List.map
-      (fun (func, var) ->
-        Option.map
-          (fun d -> (var, d))
-          (Attacks.Layout.distance rows ~from_:buffer ~to_:(func, var)))
-      vars
-  in
-  if List.exists Option.is_none resolved then None
-  else Some (List.filter_map Fun.id resolved)
-
 let guess_table ~slots ~fid_slot ~seed =
   let slots = if fid_slot then slots @ [ ("__ss_fid", 8, 8) ] else slots in
   let n = List.length slots in

@@ -22,16 +22,6 @@ val binary_offsets :
 (** [None] when the binary doesn't reveal the buffer or any requested
     variable (the Smokestack case). *)
 
-val chain_offsets :
-  Ir.Prog.t ->
-  chain:string list ->
-  buffer:string * string ->
-  vars:(string * string) list ->
-  rel_layout option
-(** Cross-frame variant: [chain] is the call path from outermost to the
-    vulnerable function; [buffer] and [vars] are [(func, var)] pairs.
-    Returned names are the variable names. *)
-
 val guessed_offsets :
   slots:(string * int * int) list ->
   buffer:string ->

@@ -30,11 +30,6 @@
 val source : string
 val program : Ir.Prog.t Lazy.t
 
-val key_leak_marker : string
-val bot_marker : string
-(** Decimal of the attacker-chosen bot answer (0xB07B07). *)
-
-val memperm_marker : string
 val benign_chunks : string list
 
 val attack_key_extraction :

@@ -65,7 +65,4 @@ val apps : app list
 
 val find : string -> app option
 
-val attacks : (app * attack) list
-(** The eleven (app, attack) cases in registry order. *)
-
 val find_attack : string -> (app * attack) option

@@ -47,8 +47,5 @@ val find : string -> variant option
     output is layout-dependent and would break the deterministic
     pentest tables. *)
 
-val granted : string
-(** The success marker in program output. *)
-
 val benign_output : string
 (** What an unattacked run prints (["denied\n"]); used by tests. *)

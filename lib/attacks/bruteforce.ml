@@ -11,5 +11,3 @@ let run ~max_attempts attempt =
       else go (i + 1) (v :: acc)
   in
   go 0 []
-
-let expected_attempts ~space = float_of_int space

@@ -10,8 +10,3 @@ type result = {
 val run : max_attempts:int -> (int -> Verdict.t) -> result
 (** [run ~max_attempts attempt] calls [attempt i] for [i = 0, 1, ...]
     until it returns {!Verdict.Success} or the budget is exhausted. *)
-
-val expected_attempts : space:int -> float
-(** Mean attempts to hit a uniformly random 1-in-[space] layout with
-    independent per-invocation re-randomization (geometric
-    distribution): exactly [space]. *)

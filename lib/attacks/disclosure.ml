@@ -1,6 +1,4 @@
 let read (st : Machine.Exec.state) addr n = Machine.Memory.read_bytes st.mem addr n
-let read_u64 (st : Machine.Exec.state) addr = Machine.Memory.load st.mem ~width:8 addr
-let read_u32 (st : Machine.Exec.state) addr = Machine.Memory.load st.mem ~width:4 addr
 
 let find_bytes (st : Machine.Exec.state) ~base ~len needle =
   let hay = read st base len in

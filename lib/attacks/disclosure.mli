@@ -8,12 +8,6 @@
     defenses the layout learned in one probe run carries over to the
     exploit run; against Smokestack it expires with the invocation. *)
 
-val read : Machine.Exec.state -> int -> int -> string
-(** [read st addr n] — raw disclosure of any mapped bytes. *)
-
-val read_u64 : Machine.Exec.state -> int -> int64
-val read_u32 : Machine.Exec.state -> int -> int64
-
 val find_u64 : Machine.Exec.state -> base:int -> len:int -> int64 -> int list
 (** Offsets within [base, base+len) (8-byte stride 1 scan) where the
     64-bit little-endian value occurs. *)

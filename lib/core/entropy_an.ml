@@ -112,16 +112,3 @@ let of_binding (pbox : Pbox.t) (b : Pbox.binding) =
             offsets)
       in
       of_rows rows
-
-let pp fmt t =
-  Format.fprintf fmt
-    "@[<v>%d layout(s), %d distinct; whole-frame collision %.2e (expected \
-     brute-force attempts %.1f)@,"
-    t.rows t.distinct_layouts t.whole_frame_collision
-    t.expected_bruteforce_attempts;
-  List.iter
-    (fun s ->
-      Format.fprintf fmt "slot %d: %d offsets, collision %.3f@," s.orig_index
-        s.distinct_offsets s.collision_probability)
-    t.per_slot;
-  Format.fprintf fmt "@]"

@@ -42,5 +42,3 @@ val subset_collision : Permgen.table -> slots:int list -> float
 (** Probability that two independent draws agree on the offsets of all
     the given slots simultaneously — the chance a DOP payload crafted
     from one observed layout works against a fresh invocation. *)
-
-val pp : Format.formatter -> t -> unit

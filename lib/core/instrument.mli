@@ -22,21 +22,20 @@
 val effective_metas : Config.t -> Slots.t -> (int * int) array
 (** The [(size, alignment)] list handed to {!Pbox.build}: the static
     slots in program order, plus the trailing 8-byte FID slot when FID
-    checks are on.  {!run} relies on the same convention. *)
+    checks are on.  {!pass} relies on the same convention. *)
 
 val collect_metas :
   ?elided:string list -> Config.t -> Ir.Prog.t -> (string * (int * int) array) list
 (** [effective_metas] for every function in the program, skipping
     excluded and elided ones (neither gets a P-BOX binding). *)
 
-val run : ?elided:string list -> Config.t -> pbox:Pbox.t -> Ir.Prog.t -> unit
-(** Transforms the program in place.  Functions in [elided] (selective
-    hardening) receive the draw-preserving elision treatment instead of
-    the full instrumentation: their allocas stay put, the prologue
-    consumes one {!Abi.intr_rand} draw so the generator stream matches
-    full hardening exactly, and the {!Abi.smokestack_elided_attr}
-    attribute records the decision.  Raises [Invalid_argument] if a
-    fixed-size alloca appears outside an entry block (the front end
-    never emits those) or an elided function has a VLA. *)
-
 val pass : ?elided:string list -> Config.t -> pbox:Pbox.t -> Ir.Pass.t
+(** A module pass that transforms the program in place.  Functions in
+    [elided] (selective hardening) receive the draw-preserving elision
+    treatment instead of the full instrumentation: their allocas stay
+    put, the prologue consumes one {!Abi.intr_rand} draw so the
+    generator stream matches full hardening exactly, and the
+    {!Abi.smokestack_elided_attr} attribute records the decision.
+    Raises [Invalid_argument] if a fixed-size alloca appears outside an
+    entry block (the front end never emits those) or an elided function
+    has a VLA. *)

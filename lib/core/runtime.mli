@@ -40,9 +40,6 @@ val install :
     scheme routes draws through VM memory, bypassing any generator —
     RNG fault plans apply to the hardware-backed schemes only. *)
 
-val scheme_cost : Rng.Scheme.t -> float
-(** Cycles charged per {!Abi.intr_rand} draw (Table I). *)
-
 val dynamic_offsets_for_draw : Pbox.dyn_binding -> int64 -> int array
 (** The layout an oversized frame gets for a given {!Abi.intr_rand}
     draw — the deterministic decode the runtime performs at the

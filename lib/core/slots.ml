@@ -41,6 +41,3 @@ let discover (f : Ir.Func.t) =
 
 let meta t =
   Array.of_list (List.map (fun s -> (s.size, s.alignment)) t.static_slots)
-
-let total_static_bytes t =
-  List.fold_left (fun acc s -> acc + s.size) 0 t.static_slots

@@ -24,6 +24,3 @@ val discover : Ir.Func.t -> t
 val meta : t -> (int * int) array
 (** [(size, alignment)] per static slot, in program order — the
     permutation engine's input. *)
-
-val total_static_bytes : t -> int
-(** Sum of static slot sizes (no padding). *)

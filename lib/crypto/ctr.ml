@@ -79,4 +79,3 @@ let next_u64 t =
 
 let blocks_generated t = t.total_blocks
 let rekeys t = t.rekeys
-let rounds t = t.rounds

@@ -26,5 +26,3 @@ val blocks_generated : t -> int
 
 val rekeys : t -> int
 (** Number of rekey events so far. *)
-
-val rounds : t -> int

@@ -17,6 +17,3 @@ val pass : Ir.Pass.t
 val install : entropy:Crypto.Entropy.t -> Machine.Exec.state -> unit
 (** Registers the [canary.get] / [canary.fail] intrinsics with a fresh
     per-run guard value. *)
-
-val intr_get : string
-val intr_check : string

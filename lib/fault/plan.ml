@@ -48,28 +48,6 @@ let to_spec t =
 let family t =
   match t.site with Rng _ -> "rng" | Mem_flip _ -> "mem" | Intrinsic _ -> "intr"
 
-let describe t =
-  let site =
-    match t.site with
-    | Rng (Stuck_at v) -> Printf.sprintf "RNG stuck at 0x%Lx" v
-    | Rng All_ones -> "RNG stuck at all-ones"
-    | Rng (Bias_low k) -> Printf.sprintf "RNG low %d bit(s) forced to zero" k
-    | Rng (Latency c) -> Printf.sprintf "RNG latency spike (+%.0f cycles)" c
-    | Rng Unavailable -> "RNG source unavailable"
-    | Mem_flip { seg; offset; bit } ->
-        Printf.sprintf "flip bit %d of %s byte %d" bit (segment_name seg)
-          offset
-    | Intrinsic { name; xor } ->
-        Printf.sprintf "intrinsic %s XOR 0x%Lx" name xor
-  in
-  let trig =
-    match t.trigger with
-    | Never -> "never triggered"
-    | At n -> Printf.sprintf "from event %d" n
-    | Window { from_; until } -> Printf.sprintf "events %d..%d" from_ until
-  in
-  site ^ ", " ^ trig
-
 (* ---------------------------------------------------------------- *)
 (* Parsing                                                           *)
 

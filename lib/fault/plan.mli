@@ -71,6 +71,3 @@ val random : seed:int64 -> t
 
 val family : t -> string
 (** ["rng"], ["mem"] or ["intr"] — the injection-site family. *)
-
-val describe : t -> string
-(** One human-readable line. *)

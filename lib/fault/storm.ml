@@ -38,8 +38,3 @@ let rates_at t sid ~base =
 
 let storm_sessions t =
   List.fold_left (fun acc (a, b) -> acc + (b - a)) 0 t.bursts
-
-let describe t =
-  Printf.sprintf "%d bursts x %d sessions @ %d/%d" (List.length t.bursts)
-    (match t.bursts with (a, b) :: _ -> b - a | [] -> 0)
-    t.attack_pct t.chaos_pct

@@ -45,6 +45,3 @@ val rates_at : t -> int -> base:int * int -> int * int
 
 val storm_sessions : t -> int
 (** Total session indices covered by burst windows. *)
-
-val describe : t -> string
-(** One-line human summary, e.g. ["3 bursts x 150 sessions @ 35/30"]. *)

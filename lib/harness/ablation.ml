@@ -68,16 +68,3 @@ let table t =
         ])
     t.rows;
   tbl
-
-let to_markdown t =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    "| configuration | P-BOX bytes (all workloads) | gobmk cycles |\n|---|---|---|\n";
-  List.iter
-    (fun r ->
-      Buffer.add_string buf
-        (Printf.sprintf "| %s | %s | %.0f |\n" r.label
-           (Sutil.Texttable.fmt_bytes r.total_pbox_bytes)
-           r.gobmk_cycles))
-    t.rows;
-  Buffer.contents buf

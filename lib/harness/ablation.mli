@@ -27,4 +27,3 @@ val run : ?pool:Sched.Pool.t -> ?seed:int64 -> unit -> t
 (** One job per ablation configuration when [?pool] is parallel. *)
 
 val table : t -> Sutil.Texttable.t
-val to_markdown : t -> string

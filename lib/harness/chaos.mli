@@ -59,14 +59,6 @@ type t = {
   policy : policy_row list;
 }
 
-val default_plans : Fault.Plan.t list
-(** One plan per behaviour family plus two never-firing controls:
-    stuck-at, all-ones, biased low bits, latency spike, unavailable,
-    stack and data bit flips, FID-assert corruption. *)
-
-val default_workloads : string list
-(** [["mcf"; "proftpd-io"]] — one SPEC kernel, one I/O request loop. *)
-
 val run :
   ?pool:Sched.Pool.t ->
   ?workloads:string list ->

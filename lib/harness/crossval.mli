@@ -47,9 +47,6 @@ val to_markdown : t -> string
     keeps no dependency on [lib/attacks]; an unknown tag decodes to
     [None] and the whole cached list counts as a miss. *)
 
-val verdict_to_pair : Attacks.Verdict.t -> string * string
-val verdict_of_pair : string * string -> Attacks.Verdict.t option
-
 val cached_verdicts :
   ?store:Store.Cache.t ->
   source:string ->

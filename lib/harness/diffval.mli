@@ -18,31 +18,7 @@ type mismatch = {
 type report = { cases : int; mismatches : mismatch list }
 
 val ok : report -> bool
-val mismatch_to_string : mismatch -> string
 val report_to_string : report -> string
-
-val compare_exec :
-  case:string -> Store.Entry.exec -> Store.Entry.exec -> mismatch list
-(** Field-by-field comparison on the store's exec records — the common
-    representation of fresh and cache-served runs, so a cached leg is
-    compared by exactly the code path a fresh leg is. *)
-
-val compare_observables :
-  case:string ->
-  Machine.Exec.outcome * Machine.Exec.stats ->
-  Machine.Exec.outcome * Machine.Exec.stats ->
-  mismatch list
-(** {!compare_exec} on two fresh runs. *)
-
-val check_applied :
-  case:string ->
-  ?fuel:int ->
-  seed:int64 ->
-  chunks:string list ->
-  Defenses.Defense.applied ->
-  mismatch list
-(** One defense-applied program, both backends, fresh state each
-    (entropy derived from [seed], so both runs see identical draws). *)
 
 val check_apps : ?pool:Sched.Pool.t -> ?fuel:int -> unit -> report
 (** Every {!Apps.Spec.all} workload under both [No_defense] and the

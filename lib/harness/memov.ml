@@ -54,7 +54,7 @@ let table t =
           ("benchmark", Sutil.Texttable.Left);
           ("base RSS", Sutil.Texttable.Right);
           ("hardened RSS", Sutil.Texttable.Right);
-          ("P-BOX", Sutil.Texttable.Right);
+          ("P-BOX bytes", Sutil.Texttable.Right);
           ("overhead", Sutil.Texttable.Right);
         ]
   in
@@ -73,21 +73,3 @@ let table t =
   Sutil.Texttable.add_row tbl
     [ "mean"; ""; ""; ""; Sutil.Texttable.fmt_pct t.mean_pct ];
   tbl
-
-let to_markdown t =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    "| benchmark | base RSS | hardened RSS | P-BOX bytes | overhead |\n|---|---|---|---|---|\n";
-  List.iter
-    (fun r ->
-      Buffer.add_string buf
-        (Printf.sprintf "| %s | %s | %s | %s | %s |\n" r.workload
-           (Sutil.Texttable.fmt_bytes r.baseline_rss)
-           (Sutil.Texttable.fmt_bytes r.hardened_rss)
-           (Sutil.Texttable.fmt_bytes r.pbox_bytes)
-           (Sutil.Texttable.fmt_pct r.overhead_pct)))
-    t.rows;
-  Buffer.add_string buf
-    (Printf.sprintf "| **mean** | | | | %s |\n"
-       (Sutil.Texttable.fmt_pct t.mean_pct));
-  Buffer.contents buf

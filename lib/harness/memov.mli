@@ -17,11 +17,6 @@ type row = {
 
 type t = { rows : row list; mean_pct : float }
 
-val process_floor_bytes : int
-(** Loader/libc/runtime pages every real process carries (1 MiB here);
-    added to both sides so percentages sit on a real process's scale
-    while the numerator stays exactly the P-BOX pages. *)
-
 val run :
   ?pool:Sched.Pool.t ->
   ?workloads:Apps.Spec.workload list ->
@@ -32,4 +27,3 @@ val run :
     One job per workload when [?pool] is parallel. *)
 
 val table : t -> Sutil.Texttable.t
-val to_markdown : t -> string

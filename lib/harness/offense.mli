@@ -42,7 +42,8 @@ type chain_row = {
   ctname : string;
   chain : Dopc.Chain.t;
   cells : (string * Attacks.Verdict.t list) list;
-      (** per defense column, in {!defense_names} order *)
+      (** per defense column: [none], [smokestack-selective],
+          [smokestack-full] *)
 }
 
 type entropy_row = {
@@ -74,10 +75,6 @@ type t = {
   full_successes : int;  (** chains with >= 1 success, full hardening *)
   all_grounded : bool;  (** every landing chain is statically grounded *)
 }
-
-val defense_names : string list
-(** The three columns: ["none"], ["smokestack-selective"],
-    ["smokestack-full"]. *)
 
 val available_workloads : unit -> string list
 (** The built-in targets: the six {!Apps.Synth} variants plus the

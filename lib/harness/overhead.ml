@@ -114,24 +114,3 @@ let table t =
          (fun s -> Sutil.Texttable.fmt_pct (List.assoc s t.spec_means))
          Rng.Scheme.all);
   tbl
-
-let to_markdown t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    "| benchmark | pseudo | AES-1 | AES-10 | RDRAND |\n|---|---|---|---|---|\n";
-  List.iter
-    (fun r ->
-      Buffer.add_string buf
-        (Printf.sprintf "| %s | %s | %s | %s | %s |\n" r.workload
-           (Sutil.Texttable.fmt_pct (List.assoc Rng.Scheme.Pseudo r.by_scheme))
-           (Sutil.Texttable.fmt_pct (List.assoc Rng.Scheme.aes1 r.by_scheme))
-           (Sutil.Texttable.fmt_pct (List.assoc Rng.Scheme.aes10 r.by_scheme))
-           (Sutil.Texttable.fmt_pct (List.assoc Rng.Scheme.Rdrand r.by_scheme))))
-    t.rows;
-  Buffer.add_string buf
-    (Printf.sprintf "| **mean (SPEC)** | %s | %s | %s | %s |\n"
-       (Sutil.Texttable.fmt_pct (List.assoc Rng.Scheme.Pseudo t.spec_means))
-       (Sutil.Texttable.fmt_pct (List.assoc Rng.Scheme.aes1 t.spec_means))
-       (Sutil.Texttable.fmt_pct (List.assoc Rng.Scheme.aes10 t.spec_means))
-       (Sutil.Texttable.fmt_pct (List.assoc Rng.Scheme.Rdrand t.spec_means)));
-  Buffer.contents buf

@@ -27,4 +27,3 @@ val run :
     results are identical to the sequential default. *)
 
 val table : t -> Sutil.Texttable.t
-val to_markdown : t -> string

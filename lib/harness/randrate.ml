@@ -13,8 +13,9 @@ let paper_values =
 (* Draw through a minimal hardened program whose hot function does
    nothing but request a permutation index, so the measured rate is the
    intrinsic's own cost. *)
-let probe_src =
-  {|
+let probe_src draws =
+  Printf.sprintf
+    {|
 long sink = 0;
 
 void draw_once() {
@@ -25,19 +26,17 @@ void draw_once() {
 
 int main() {
   long i = 0;
-  while (i < DRAWS) {
+  while (i < %d) {
     draw_once();
     i += 1;
   }
   return 0;
 }
 |}
+    draws
 
 let measure ~draws ~seed scheme =
-  let src =
-    Str_replace.replace ~needle:"DRAWS" ~by:(string_of_int draws) probe_src
-  in
-  let prog = Minic.Driver.compile src in
+  let prog = Minic.Driver.compile (probe_src draws) in
   let run config =
     let hardened = Smokestack.Harden.harden ~seed:3L config prog in
     let entropy = Crypto.Entropy.create ~seed in
@@ -83,8 +82,8 @@ let table t =
         [
           ("source", Sutil.Texttable.Left);
           ("security", Sutil.Texttable.Left);
-          ("measured (cyc/draw)", Sutil.Texttable.Right);
-          ("paper (cyc/draw)", Sutil.Texttable.Right);
+          ("measured cyc/draw", Sutil.Texttable.Right);
+          ("paper cyc/draw", Sutil.Texttable.Right);
         ]
   in
   List.iter
@@ -99,18 +98,3 @@ let table t =
         ])
     t.rows;
   tbl
-
-let to_markdown t =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    "| source | security | measured cyc/draw | paper cyc/draw |\n|---|---|---|---|\n";
-  List.iter
-    (fun r ->
-      Buffer.add_string buf
-        (Printf.sprintf "| %s | %s | %.1f | %.1f |\n"
-           (Rng.Scheme.name r.scheme)
-           (Rng.Scheme.security_to_string r.security)
-           r.cycles_per_draw
-           (List.assoc (Rng.Scheme.name r.scheme) paper_values)))
-    t.rows;
-  Buffer.contents buf

@@ -20,4 +20,3 @@ val paper_values : (string * float) list
     pseudo 3.4, AES-1 19.2, AES-10 92.8, RDRAND 265.6. *)
 
 val table : t -> Sutil.Texttable.t
-val to_markdown : t -> string

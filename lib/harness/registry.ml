@@ -27,42 +27,41 @@ let verdict ok ~pass ~fail = if ok then pass else "FAILED - " ^ fail
 (* Runners                                                             *)
 
 let table1 pool =
-  let t = Randrate.run ~pool () in
-  outcome (md [ Randrate.to_markdown t ])
-    [ table "table1" "Table I: source of randomness (cycles per 64-bit draw)" (Randrate.table t) ]
+  let tbl = Randrate.table (Randrate.run ~pool ()) in
+  outcome (md [ Sutil.Texttable.to_markdown tbl ])
+    [ table "table1" "Table I: source of randomness (cycles per 64-bit draw)" tbl ]
 
 let fig3 pool =
   let t = Overhead.run ~pool () in
+  let tbl = Overhead.table t in
   let worst = Sutil.Texttable.fmt_pct t.io_worst in
   outcome
-    (md [ Overhead.to_markdown t ]
+    (md [ Sutil.Texttable.to_markdown tbl ]
     ^ Printf.sprintf "Worst I/O-bound overhead measured: %s (paper: 6%%).\n\n" worst)
     [
-      table "fig3" "Figure 3: % runtime overhead (SPEC-like + I/O workloads)" (Overhead.table t);
+      table "fig3" "Figure 3: % runtime overhead (SPEC-like + I/O workloads)" tbl;
       Line (Printf.sprintf "worst I/O-bound overhead: %s (paper: 6%% worst case)" worst);
     ]
 
 let fig4 pool =
-  let t = Memov.run ~pool () in
-  outcome (md [ Memov.to_markdown t ])
-    [ table "fig4" "Figure 4: % memory overhead (max-RSS proxy)" (Memov.table t) ]
+  let tbl = Memov.table (Memov.run ~pool ()) in
+  outcome (md [ Sutil.Texttable.to_markdown tbl ])
+    [ table "fig4" "Figure 4: % memory overhead (max-RSS proxy)" tbl ]
 
 let security name run pool =
   let t : Security.t = run pool in
-  outcome (md [ Security.to_markdown t ]) [ table name t.title (Security.table t) ]
+  let tbl = Security.table t in
+  outcome (md [ Sutil.Texttable.to_markdown tbl ]) [ table name t.title tbl ]
 
 let ablation pool =
-  let t = Ablation.run ~pool () in
-  outcome (md [ Ablation.to_markdown t ])
-    [ table "ablation" "E7: P-BOX optimization ablation" (Ablation.table t) ]
+  let tbl = Ablation.table (Ablation.run ~pool ()) in
+  outcome (md [ Sutil.Texttable.to_markdown tbl ])
+    [ table "ablation" "E7: P-BOX optimization ablation" tbl ]
 
 let brute pool =
-  let rows = Security.brute ~pool () in
-  outcome (md [ Security.brute_to_markdown rows ])
-    [
-      table "brute" "E8: brute-force attempts until the librelp exploit lands"
-        (Security.brute_table rows);
-    ]
+  let tbl = Security.brute_table (Security.brute ~pool ()) in
+  outcome (md [ Sutil.Texttable.to_markdown tbl ])
+    [ table "brute" "E8: brute-force attempts until the librelp exploit lands" tbl ]
 
 (* E9: the librelp exploit needs the guessed allNames-to-keyPtr
    DISTANCE to match the drawn one (and to be physically reachable):
@@ -132,20 +131,17 @@ let entropy (_ : Sched.Pool.t) =
   in
   let tbl = Sutil.Texttable.create ~columns:[ ("quantity", Left); ("value", Right) ] in
   List.iter (fun (k, v) -> Sutil.Texttable.add_row tbl [ k; v ]) rows;
-  outcome
-    ("| quantity | value |\n|---|---|\n"
-    ^ String.concat "" (List.map (fun (k, v) -> Printf.sprintf "| %s | %s |\n" k v) rows)
-    ^ "\n")
+  outcome (md [ Sutil.Texttable.to_markdown tbl ])
     [ table "entropy" "E9: librelp per-attempt success, entropy prediction vs measured" tbl ]
 
 let rerand pool =
-  let rows = Security.rerandomization ~pool () in
-  outcome (md [ Security.rerand_to_markdown rows ])
+  let tbl = Security.rerand_table (Security.rerandomization ~pool ()) in
+  outcome (md [ Sutil.Texttable.to_markdown tbl ])
     [
       table "rerand"
         "E11: same-run probe-then-exploit vs re-randomization interval (per-invocation is \
          the design point)"
-        (Security.rerand_table rows);
+        tbl;
     ]
 
 let analysis pool =
@@ -179,14 +175,22 @@ let chaos pool =
 
 let selective pool =
   let t = Selective.run ~pool () in
+  let tbl = Selective.table t in
   let cv = Crossval.run_selective ~pool () in
   outcome ~invariants:[ ("all_identical", cv.all_identical) ]
-    (md [ Selective.to_markdown t; Crossval.selective_to_markdown cv ])
+    (md
+       [
+         Sutil.Texttable.to_markdown tbl
+         ^ Printf.sprintf
+             "\nmean overhead saved by elision: %s; mean P-BOX bytes saved: %.1f%%\n"
+             (Sutil.Texttable.fmt_pct t.mean_delta) t.mean_pbox_saving_pct;
+         Crossval.selective_to_markdown cv;
+       ])
     [
       table "selective"
         "E14: selective hardening — overhead and P-BOX bytes, full vs validator-certified \
          elision"
-        (Selective.table t);
+        tbl;
       Line
         (Printf.sprintf "mean overhead saved: %s; mean P-BOX bytes saved: %.1f%%"
            (Sutil.Texttable.fmt_pct t.mean_delta) t.mean_pbox_saving_pct);
@@ -254,7 +258,11 @@ let campaign pool =
           ("digest", Left);
         ]
   in
-  let counters = Buffer.create 256 in
+  let counters =
+    Sutil.Texttable.create
+      ~columns:
+        [ ("phase", Left); ("hits", Right); ("misses", Right); ("writes", Right); ("digest", Left) ]
+  in
   List.iter
     (fun (label, wall, (st : Store.Cache.stats), (r : Store.Campaign.report)) ->
       let lookups = st.hits + st.misses in
@@ -267,15 +275,16 @@ let campaign pool =
             (if lookups = 0 then 0. else 100. *. float_of_int st.hits /. float_of_int lookups);
           r.digest;
         ];
-      Printf.bprintf counters "| %s | %d | %d | %d | %s |\n" label st.hits st.misses st.writes
-        r.digest)
+      Sutil.Texttable.add_row counters
+        [
+          label; string_of_int st.hits; string_of_int st.misses; string_of_int st.writes; r.digest;
+        ])
     [ c; w ];
   outcome ~invariants:[ ("cold digest = warm digest", identical) ]
     (Printf.sprintf
-       "```\n%s```\n\n| phase | hits | misses | writes | digest |\n|---|---|---|---|---|\n\
-        %s\ndigests identical: %b\n\n"
+       "```\n%s```\n\n%s\ndigests identical: %b\n\n"
        (Sutil.Texttable.render (Store.Campaign.report_table cold))
-       (Buffer.contents counters) identical)
+       (Sutil.Texttable.to_markdown counters) identical)
     [
       table "campaign"
         (Printf.sprintf

@@ -29,8 +29,6 @@ type config = {
   gap : float;  (** attacker craft+restart cost per attempt, cycles *)
 }
 
-val default : config
-
 type cost_row = {
   rtarget : string;
   rkind : string;  (** ["hand-written"] or ["synthesized <family> #id"] *)

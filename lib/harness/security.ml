@@ -208,18 +208,6 @@ let rerand_table rows =
     rows;
   tbl
 
-let rerand_to_markdown rows =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf
-    "| redraw interval (requests) | probe-then-exploit success |\n|---|---|\n";
-  List.iter
-    (fun r ->
-      Buffer.add_string buf
-        (Printf.sprintf "| %d | %.0f%% |\n" r.interval
-           (r.rr_success_rate *. 100.)))
-    rows;
-  Buffer.contents buf
-
 type brute_row = {
   bdefense : Defenses.Defense.t;
   attempts_to_success : int option;
@@ -280,33 +268,6 @@ let table t =
     names;
   tbl
 
-let to_markdown t =
-  let names = List.sort_uniq compare (List.map (fun c -> c.attack_name) t.cells) in
-  let ds = List.sort_uniq compare (List.map (fun c -> c.defense) t.cells) in
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    ("| attack | "
-    ^ String.concat " | " (List.map Defenses.Defense.name ds)
-    ^ " |\n|---|" ^ String.concat "" (List.map (fun _ -> "---|") ds) ^ "\n");
-  List.iter
-    (fun name ->
-      Buffer.add_string buf ("| " ^ name ^ " | ");
-      Buffer.add_string buf
-        (String.concat " | "
-           (List.map
-              (fun d ->
-                match
-                  List.find_opt
-                    (fun c -> c.attack_name = name && c.defense = d)
-                    t.cells
-                with
-                | Some c -> Printf.sprintf "%.0f%%" (c.success_rate *. 100.)
-                | None -> "-")
-              ds));
-      Buffer.add_string buf " |\n")
-    names;
-  Buffer.contents buf
-
 let brute_table rows =
   let tbl =
     Sutil.Texttable.create
@@ -329,19 +290,3 @@ let brute_table rows =
         ])
     rows;
   tbl
-
-let brute_to_markdown rows =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    "| defense | attempts to success | detections en route |\n|---|---|---|\n";
-  List.iter
-    (fun r ->
-      Buffer.add_string buf
-        (Printf.sprintf "| %s | %s | %d |\n"
-           (Defenses.Defense.name r.bdefense)
-           (match r.attempts_to_success with
-           | Some n -> string_of_int n
-           | None -> Printf.sprintf "> %d (gave up)" r.budget)
-           r.detected_along_the_way))
-    rows;
-  Buffer.contents buf

@@ -67,7 +67,6 @@ val rerandomization :
     larger re-opens the attack up to the exploit's reach cap. *)
 
 val rerand_table : rerand_row list -> Sutil.Texttable.t
-val rerand_to_markdown : rerand_row list -> string
 
 type brute_row = {
   bdefense : Defenses.Defense.t;
@@ -88,6 +87,4 @@ val brute :
     attempt's outcome gates the next. *)
 
 val table : t -> Sutil.Texttable.t
-val to_markdown : t -> string
 val brute_table : brute_row list -> Sutil.Texttable.t
-val brute_to_markdown : brute_row list -> string

@@ -120,37 +120,4 @@ let table t =
           Sutil.Texttable.fmt_pct (delta r);
         ])
     t.rows;
-  Sutil.Texttable.add_rule tbl;
-  Sutil.Texttable.add_row tbl
-    [
-      "mean";
-      "";
-      "";
-      "";
-      "";
-      "";
-      "";
-      Sutil.Texttable.fmt_pct t.mean_delta;
-    ];
   tbl
-
-let to_markdown t =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    "| benchmark | funcs | elided | pbox full | pbox sel | ovh full | ovh \
-     sel | delta |\n|---|---|---|---|---|---|---|---|\n";
-  List.iter
-    (fun r ->
-      Buffer.add_string b
-        (Printf.sprintf "| %s | %d | %d | %d | %d | %s | %s | %s |\n"
-           r.workload r.n_funcs r.n_elided r.pbox_full r.pbox_selective
-           (Sutil.Texttable.fmt_pct r.overhead_full)
-           (Sutil.Texttable.fmt_pct r.overhead_selective)
-           (Sutil.Texttable.fmt_pct (delta r))))
-    t.rows;
-  Buffer.add_string b
-    (Printf.sprintf
-       "\nmean overhead saved by elision: %s; mean P-BOX bytes saved: %.1f%%\n"
-       (Sutil.Texttable.fmt_pct t.mean_delta)
-       t.mean_pbox_saving_pct);
-  Buffer.contents b

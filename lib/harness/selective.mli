@@ -26,9 +26,6 @@ type t = {
   mean_pbox_saving_pct : float;
 }
 
-val delta : row -> float
-val pbox_saving_pct : row -> float
-
 val run :
   ?pool:Sched.Pool.t ->
   ?store:Store.Cache.t ->
@@ -44,4 +41,3 @@ val run :
     store. *)
 
 val table : t -> Sutil.Texttable.t
-val to_markdown : t -> string

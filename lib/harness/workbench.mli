@@ -1,11 +1,8 @@
 (** Running workloads under defenses, with the input chunking the
     I/O-bound applications expect (one network message per read). *)
 
-val chunk_size : int
-(** 48 bytes per [read_input] answer. *)
-
 val chunks_of_input : string -> string list
-(** Splits a workload's input string into [chunk_size]-byte messages
+(** Splits a workload's input string into 48-byte messages
     (empty input means no messages). *)
 
 val run :
@@ -26,12 +23,6 @@ val force_programs : Apps.Spec.workload list -> unit
     Experiment job builders call this before submitting to a
     {!Sched.Pool}: forcing the same lazy concurrently from two domains
     is undefined in OCaml 5, so the force must happen sequentially. *)
-
-val shared_store : Store.Cache.t
-(** The process-wide in-memory store backing {!baseline} and
-    {!smokestack_stats} when no [?store] is passed.  Pass a
-    {!Store.Cache.open_disk} store instead to persist workload stats
-    across processes. *)
 
 val baseline :
   ?backend:Machine.Backend.t ->

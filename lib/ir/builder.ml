@@ -9,15 +9,11 @@ let on func block =
   { func; block; label_counter = 0; terminated_blocks = Hashtbl.create 8 }
 
 let create func = on func (Func.add_block func ~label:"entry")
-let func t = t.func
-let current_block t = t.block
 
 let start_block t label =
   let b = Func.add_block t.func ~label in
   t.block <- b;
   b
-
-let switch_to t b = t.block <- b
 
 let fresh_label t base =
   t.label_counter <- t.label_counter + 1;

@@ -10,17 +10,10 @@ type t
 val create : Func.t -> t
 (** Builder positioned at a fresh entry block named ["entry"]. *)
 
-val on : Func.t -> Func.block -> t
-(** Builder positioned at an existing block. *)
-
-val func : t -> Func.t
-val current_block : t -> Func.block
-
 val start_block : t -> string -> Func.block
 (** Creates a block with the given label and moves the insertion point
     to it. *)
 
-val switch_to : t -> Func.block -> unit
 val fresh_label : t -> string -> string
 
 (** {1 Emitters} — each appends an instruction and returns its result

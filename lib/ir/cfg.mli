@@ -5,10 +5,6 @@
     successor/predecessor maps and a reverse-postorder block ordering
     (the order that makes forward dataflow converge fastest). *)
 
-val successors : Instr.terminator -> string list
-(** Labels a terminator can branch to ([Ret]/[Unreachable] have none).
-    [Cond_br] lists the true target first. *)
-
 type t = {
   blocks : Func.block array;  (** in reverse postorder from the entry *)
   index_of : (string, int) Hashtbl.t;  (** label -> index in [blocks] *)

@@ -10,5 +10,4 @@
     is only treated as constant between its definition and the next
     redefinition. *)
 
-val run : Prog.t -> Func.t -> unit
 val pass : Pass.t

@@ -9,5 +9,4 @@
     Calls and intrinsics are never removed.  Runs to a local
     fixpoint. *)
 
-val run : Prog.t -> Func.t -> unit
 val pass : Pass.t

@@ -77,8 +77,5 @@ val operands : t -> operand list
 (** All operands read by an instruction. *)
 
 val terminator_operands : terminator -> operand list
-val pp_operand : Format.formatter -> operand -> unit
 val pp : Format.formatter -> t -> unit
 val pp_terminator : Format.formatter -> terminator -> unit
-val binop_to_string : binop -> string
-val icmp_to_string : icmp -> string

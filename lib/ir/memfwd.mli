@@ -11,5 +11,4 @@
     locals out of memory in straight-line code — the [-O1] shape the
     paper's pipeline feeds to the Smokestack pass. *)
 
-val run : Prog.t -> Func.t -> unit
 val pass : Pass.t

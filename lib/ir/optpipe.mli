@@ -5,12 +5,9 @@
     in the LLVM pipeline — so Smokestack permutes the allocas that
     survive optimization. *)
 
-val passes : Pass.t list
-(** One round: [constfold; store-to-load-forwarding; dce;
-    simplify-cfg]. *)
-
 val optimize : ?max_rounds:int -> Prog.t -> unit
-(** Iterates {!passes} until a fixpoint (or [max_rounds], default 8),
+(** Iterates one round of [constfold; store-to-load-forwarding; dce;
+    simplify-cfg] until a fixpoint (or [max_rounds], default 8),
     verifying after each pass. *)
 
 val instr_count : Prog.t -> int

@@ -11,8 +11,6 @@ type t =
   | Function_pass of { name : string; run : Prog.t -> Func.t -> unit }
   | Module_pass of { name : string; run : Prog.t -> unit }
 
-val name : t -> string
-
 val run :
   ?verify:bool -> ?post:(Prog.t -> (unit, string) result) -> t list -> Prog.t -> unit
 (** Runs the pipeline in order.  With [verify] (default [true]) the

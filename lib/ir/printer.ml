@@ -27,5 +27,4 @@ let pp_prog fmt (p : Prog.t) =
   List.iter (pp_global fmt) p.globals;
   List.iter (fun f -> Format.fprintf fmt "@\n%a" pp_func f) p.funcs
 
-let func_to_string f = Format.asprintf "%a" pp_func f
 let prog_to_string p = Format.asprintf "%a" pp_prog p

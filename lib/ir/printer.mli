@@ -1,6 +1,3 @@
 (** Textual rendering of IR programs (LLVM-flavoured, for humans). *)
 
-val func_to_string : Func.t -> string
 val prog_to_string : Prog.t -> string
-val pp_func : Format.formatter -> Func.t -> unit
-val pp_prog : Format.formatter -> Prog.t -> unit

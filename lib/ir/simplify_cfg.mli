@@ -11,5 +11,4 @@
     machine and the Smokestack pass both assume the first block is the
     entry). *)
 
-val run : Prog.t -> Func.t -> unit
 val pass : Pass.t

@@ -50,16 +50,6 @@ let scalar_width t =
   if is_scalar t then size t
   else invalid_arg "Ir.Ty.scalar_width: aggregate type"
 
-let rec equal a b =
-  match (a, b) with
-  | I1, I1 | I8, I8 | I16, I16 | I32, I32 | I64, I64 | Ptr, Ptr -> true
-  | Array (ea, na), Array (eb, nb) -> na = nb && equal ea eb
-  | Struct { name = na; fields = fa }, Struct { name = nb; fields = fb } ->
-      String.equal na nb
-      && List.length fa = List.length fb
-      && List.for_all2 equal fa fb
-  | _ -> false
-
 let rec to_string = function
   | I1 -> "i1"
   | I8 -> "i8"
@@ -70,5 +60,4 @@ let rec to_string = function
   | Array (elt, n) -> Printf.sprintf "[%d x %s]" n (to_string elt)
   | Struct { name; _ } -> "%struct." ^ name
 
-let compare a b = String.compare (to_string a) (to_string b)
 let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -35,7 +35,5 @@ val scalar_width : t -> int
 (** Byte width of a scalar type. Raises [Invalid_argument] on
     aggregates. *)
 
-val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -144,12 +144,3 @@ let verify_func (p : Prog.t) (f : Func.t) =
   List.rev !errors
 
 let verify p = List.concat_map (verify_func p) p.funcs
-
-let verify_exn p =
-  match verify p with
-  | [] -> ()
-  | errors ->
-      let report =
-        String.concat "\n" (List.map (Format.asprintf "%a" pp_error) errors)
-      in
-      failwith (Printf.sprintf "IR verification failed:\n%s" report)

@@ -7,7 +7,6 @@
 type error = { func : string; block : string; message : string }
 
 val pp_error : Format.formatter -> error -> unit
-val verify_func : Prog.t -> Func.t -> error list
 
 val verify : Prog.t -> error list
 (** All errors across the program; empty means well-formed. Checks:
@@ -17,7 +16,3 @@ val verify : Prog.t -> error list
     definition), register indices are within [Func.reg_count], callees exist
     (function, extern, or intrinsic), load/store types are scalar,
     globals referenced exist, entry block is not a branch target. *)
-
-val verify_exn : Prog.t -> unit
-(** Raises [Failure] with a rendered report if {!verify} finds
-    errors. *)

@@ -72,7 +72,6 @@ let heap_base = 0x400000
 let stack_region_top = 0xd00000
 
 let default_stack_top = stack_region_top
-let default_heap_base = heap_base
 
 let input_string s =
   let pos = ref 0 in

@@ -75,7 +75,6 @@ type stats = {
   output : string;
 }
 
-val pp_outcome : Format.formatter -> outcome -> unit
 val outcome_to_string : outcome -> string
 
 exception Detect of string
@@ -92,9 +91,6 @@ exception Out_of_fuel
 val default_stack_top : int
 (** Initial stack pointer of every prepared state (no ASLR in the
     baseline VM — the determinism DOP attacks rely on). *)
-
-val default_heap_base : int
-(** First address the bump allocator hands out. *)
 
 (** {1 Address-space constants} — shared with alternative execution
     backends (see {!module:Backend}), which must charge the same

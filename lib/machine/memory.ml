@@ -167,8 +167,6 @@ let load t ~width addr =
   touch s (addr - s.base) width;
   Sutil.Bytecodec.get s.bytes ~width (addr - s.lo)
 
-let load_unchecked = load
-
 let store t ~width addr v =
   let s = locate t ~op:"store" addr width in
   if s.perm = Read_only then raise (Fault (Write_protected { addr }));

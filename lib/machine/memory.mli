@@ -54,14 +54,12 @@ val segment : t -> string -> segment
 (** Raises [Invalid_argument] for unknown names. *)
 
 val load : t -> width:int -> int -> int64
-(** Little-endian load, zero-extended. Raises {!exception:Fault}. *)
+(** Little-endian load, zero-extended.  Reads are permission-free (only
+    {!store} checks [Read_only]), so the attack framework's disclosure
+    primitive and diagnostics read any mapped memory through it.  Still
+    bounds-checked: raises {!exception:Fault}. *)
 
 val store : t -> width:int -> int -> int64 -> unit
-
-val load_unchecked : t -> width:int -> int -> int64
-(** Permission-free read used by the attack framework's disclosure
-    primitive (the attacker may read all mapped memory) and by
-    diagnostics.  Still bounds-checked. *)
 
 val read_bytes : t -> int -> int -> string
 (** [read_bytes t addr n]; checked like {!load}. *)

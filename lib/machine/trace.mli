@@ -36,8 +36,6 @@ val events : t -> event list
 val dropped : t -> int
 (** Events lost to the ring bound. *)
 
-val pp_event : Format.formatter -> event -> unit
-
 val render : ?limit:int -> t -> string
 (** Human-readable transcript (indented by call depth), most recent
     [limit] events (default all retained). *)

@@ -10,7 +10,6 @@ type t =
 
 let is_integer = function Char | Short | Int | Long -> true | _ -> false
 let is_pointer = function Ptr _ -> true | _ -> false
-let is_scalar t = is_integer t || is_pointer t
 
 let integer_width = function
   | Char -> 1
@@ -46,5 +45,3 @@ let rec to_string = function
   | Ptr t -> to_string t ^ "*"
   | Array (t, n) -> Printf.sprintf "%s[%d]" (to_string t) n
   | Struct s -> "struct " ^ s
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

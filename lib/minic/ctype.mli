@@ -17,9 +17,6 @@ type t =
 val is_integer : t -> bool
 val is_pointer : t -> bool
 
-val is_scalar : t -> bool
-(** integer or pointer *)
-
 val integer_width : t -> int
 (** Byte width of an integer type. Raises [Invalid_argument]
     otherwise. *)
@@ -29,4 +26,3 @@ val decay : t -> t
 
 val equal : t -> t -> bool
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

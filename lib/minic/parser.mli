@@ -14,5 +14,3 @@
 
 val parse : string -> Ast.program
 (** Lex and parse a full translation unit. *)
-
-val parse_tokens : Token.spanned array -> Ast.program

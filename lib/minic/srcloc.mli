@@ -3,7 +3,6 @@
 type t = { line : int; col : int }
 
 val dummy : t
-val pp : Format.formatter -> t -> unit
 
 exception Error of { loc : t; msg : string }
 

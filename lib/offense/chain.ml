@@ -64,9 +64,3 @@ let make ~family ~target ~func ~buffer ~slots ~steps ~goal ~pair_ids ~note =
   in
   { chain_id; family; target; func; buffer; slots; steps; goal; pair_ids;
     note }
-
-let describe t =
-  Printf.sprintf "%s #%s %s:%s %d step(s) -> %s"
-    (family_to_string t.family)
-    t.chain_id t.func t.buffer (List.length t.steps)
-    (goal_to_string t.goal)

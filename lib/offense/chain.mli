@@ -56,7 +56,6 @@ type t = {
   note : string;  (** one-line human rationale *)
 }
 
-val value_to_string : value -> string
 val goal_to_string : goal -> string
 val family_to_string : family -> string
 
@@ -73,6 +72,3 @@ val make :
   t
 (** Computes [chain_id] from the content (target, family, frame, steps,
     goal — not the note). *)
-
-val describe : t -> string
-(** e.g. ["aim-write #3f2a... serve:buff 1 step(s) -> flip auth=4919"]. *)

@@ -17,7 +17,7 @@ let run_chunks_probed ?backend ?fuel (applied : Defenses.Defense.applied)
     List.map
       (fun g ->
         ( g,
-          Machine.Memory.load_unchecked st.Machine.Exec.mem ~width:8
+          Machine.Memory.load st.Machine.Exec.mem ~width:8
             (Machine.Exec.global_addr st g) ))
       globals
   in
@@ -133,7 +133,7 @@ let run_chain_guided ?backend (applied : Defenses.Defense.applied)
             | None -> false
             | Some st -> (
                 match
-                  Machine.Memory.load_unchecked st.Machine.Exec.mem ~width:8
+                  Machine.Memory.load st.Machine.Exec.mem ~width:8
                     (Machine.Exec.global_addr st g)
                 with
                 | v -> v = c

@@ -21,8 +21,6 @@
 
 type op = Add | Sub | Mov
 
-val op_to_string : op -> string
-
 type kind =
   | Deliver
       (** write primitive: an overflow-capable buffer whose unbounded
@@ -51,8 +49,6 @@ type t = {
           [Deliver] collects every pair using the buffer, victim-side
           gadgets carry their own pair *)
 }
-
-val kind_to_string : kind -> string
 
 val v : kind -> func:string -> slot:string -> pair_ids:string list -> t
 (** Constructor computing [gid]; the planner uses it for probed

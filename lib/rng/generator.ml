@@ -16,7 +16,6 @@ exception Source_failed of string
 type tampered = Value of int64 | Unavailable
 
 type t = {
-  initial : Scheme.t;
   mutable scheme : Scheme.t;
   mutable kind : kind;
   mutable draws : int;
@@ -46,7 +45,6 @@ let make_kind ?seed_state ~rekey_interval ~entropy scheme =
 let create ?seed_state ?(rekey_interval = 65536) ?(policy = Fail_secure)
     ?(health = Health.default) scheme ~entropy =
   {
-    initial = scheme;
     scheme;
     kind = make_kind ?seed_state ~rekey_interval ~entropy scheme;
     draws = 0;
@@ -60,14 +58,10 @@ let create ?seed_state ?(rekey_interval = 65536) ?(policy = Fail_secure)
     degradations_rev = [];
   }
 
-let scheme t = t.initial
 let current_scheme t = t.scheme
-let policy t = t.policy
-let draws t = t.draws
 let degradations t = List.rev t.degradations_rev
 let set_on_degrade t f = t.on_degrade <- Some f
 let set_tamper t f = t.tamper <- Some f
-let clear_tamper t = t.tamper <- None
 
 (* The fallback chain.  A degraded source is abandoned for good, so the
    tamper hook (which models a defect of that physical source) is

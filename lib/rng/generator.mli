@@ -74,14 +74,9 @@ val create :
     [policy] defaults to [Fail_secure]; [health] to {!Health.default}
     (always on — the cutoffs are unreachable by a healthy source). *)
 
-val scheme : t -> Scheme.t
-(** The scheme the generator was created with. *)
-
 val current_scheme : t -> Scheme.t
-(** The scheme currently serving draws ([<> scheme t] after a
-    degradation). *)
-
-val policy : t -> policy
+(** The scheme currently serving draws: the one given to {!create}
+    until a degradation switches to a fallback. *)
 
 val next_u64 : t -> int64
 (** One 64-bit draw, screened by the health tests when the serving
@@ -89,8 +84,6 @@ val next_u64 : t -> int64
     on failure.  Raises
     {!exception:Source_failed} only under [Fail_secure] with the
     chain exhausted. *)
-
-val draws : t -> int
 
 val degradations : t -> degradation list
 (** Every degradation so far, oldest first. *)
@@ -104,8 +97,6 @@ val set_tamper : t -> (scheme:Scheme.t -> draw:int -> int64 -> tampered) -> unit
     health tests: it sees each raw draw (with the live scheme and the
     1-based draw index) and returns what the hardware "really"
     delivered.  Cleared automatically when the generator degrades. *)
-
-val clear_tamper : t -> unit
 
 val pseudo_state : t -> int64
 (** Current state word. Raises [Invalid_argument] when the current

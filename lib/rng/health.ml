@@ -4,7 +4,6 @@ let default = { rct_cutoff = 5; apt_window = 512; apt_cutoff = 20 }
 
 type t = {
   config : config;
-  mutable samples : int;
   (* RCT: current run of identical full-width samples *)
   mutable rct_last : int64;
   mutable rct_run : int;
@@ -22,7 +21,6 @@ let create ?(config = default) () =
     invalid_arg "Rng.Health.create: need 2 <= apt_cutoff <= apt_window";
   {
     config;
-    samples = 0;
     rct_last = 0L;
     rct_run = 0;
     apt_ref = -1;
@@ -32,20 +30,16 @@ let create ?(config = default) () =
   }
 
 let reset t =
-  t.samples <- 0;
   t.rct_run <- 0;
   t.apt_ref <- -1;
   t.apt_pos <- 0;
   t.apt_hits <- 0;
   t.failed <- None
 
-let samples t = t.samples
-
 let feed t v =
   match t.failed with
   | Some _ as f -> f
   | None ->
-      t.samples <- t.samples + 1;
       (* repetition count *)
       if t.rct_run > 0 && Int64.equal v t.rct_last then
         t.rct_run <- t.rct_run + 1

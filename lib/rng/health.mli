@@ -47,6 +47,3 @@ val feed : t -> int64 -> string option
 val reset : t -> unit
 (** Forget all history (used when a generator switches to a fallback
     source: the new source starts with a clean bill of health). *)
-
-val samples : t -> int
-(** Samples fed since creation or the last {!reset}. *)

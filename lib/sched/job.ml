@@ -8,6 +8,5 @@ let seeded ~root ~id f =
   let seed = Sutil.Simrng.split_seed ~root ~id in
   { id; seed; run = (fun () -> f ~seed) }
 
-let id t = t.id
 let seed t = t.seed
 let run t = t.run ()

@@ -29,7 +29,6 @@ val seeded : root:int64 -> id:string -> (seed:int64 -> 'a) -> 'a t
     {!Sutil.Simrng.split_seed}, so every job owns an independent
     deterministic stream no matter how the pool interleaves them. *)
 
-val id : _ t -> string
 val seed : _ t -> int64
 
 val run : 'a t -> 'a

@@ -1,6 +1,4 @@
-type 'a entry = { value : 'a; mutable count : int }
-
-type 'a t = { mutex : Mutex.t; table : (string, 'a entry) Hashtbl.t }
+type 'a t = { mutex : Mutex.t; table : (string, 'a) Hashtbl.t }
 
 let create () = { mutex = Mutex.create (); table = Hashtbl.create 16 }
 
@@ -11,25 +9,10 @@ let locked t f =
 let acquire t ~key ~build =
   locked t (fun () ->
       match Hashtbl.find_opt t.table key with
-      | Some e ->
-          e.count <- e.count + 1;
-          e.value
+      | Some value -> value
       | None ->
           (* building under the lock is deliberate: a second acquirer of
              the same key must wait for the one build, not start its own *)
           let value = build () in
-          Hashtbl.replace t.table key { value; count = 1 };
+          Hashtbl.replace t.table key value;
           value)
-
-let peek t ~key =
-  locked t (fun () ->
-      Option.map (fun e -> e.value) (Hashtbl.find_opt t.table key))
-
-let built t = locked t (fun () -> Hashtbl.length t.table)
-
-let leases t =
-  locked t (fun () ->
-      Hashtbl.fold (fun k e acc -> (k, e.count) :: acc) t.table []
-      |> List.sort (fun (a, _) (b, _) -> compare a b))
-
-let clear t = locked t (fun () -> Hashtbl.reset t.table)

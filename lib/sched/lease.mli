@@ -23,17 +23,4 @@ val create : unit -> 'a t
 
 val acquire : 'a t -> key:string -> build:(unit -> 'a) -> 'a
 (** [acquire t ~key ~build] returns the cached value for [key],
-    building and caching it first if absent.  Every call (hit or miss)
-    counts as one lease. *)
-
-val peek : 'a t -> key:string -> 'a option
-(** Cached value, if any; does not count as a lease. *)
-
-val built : 'a t -> int
-(** Number of distinct keys built so far. *)
-
-val leases : 'a t -> (string * int) list
-(** [(key, lease count)] pairs, sorted by key. *)
-
-val clear : 'a t -> unit
-(** Drop every cached value and counter (for tests). *)
+    building and caching it first if absent. *)

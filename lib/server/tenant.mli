@@ -19,9 +19,6 @@ type t = {
       (** keyed derivation from the fleet root and the tenant name *)
 }
 
-val make : root:int64 -> id:int -> defense:Defenses.Defense.t ->
-  Apps.Sessions.app -> t
-
 val fleet :
   ?defense:Defenses.Defense.t ->
   ?apps:Apps.Sessions.app list ->

@@ -33,12 +33,9 @@ type t
 
 exception Incompatible of string
 (** Raised by {!open_disk} when the directory exists but is not a
-    store (no manifest) or was written by a different
-    {!format_version}.  The message tells the user exactly which and
+    store (no manifest) or was written by a different on-disk format
+    version (the one recorded in [manifest.json]).  The message tells the user exactly which and
     what to do. *)
-
-val format_version : int
-(** On-disk format version recorded in [manifest.json]. *)
 
 val open_disk : string -> t
 (** Opens (creating directories and manifest as needed) a disk store

@@ -35,9 +35,6 @@ type exec = {
           hardened build and measured them *)
 }
 
-val exec_kind : string
-val exec_version : int
-
 val exec_of_run :
   ?pbox_bytes:int -> Machine.Exec.outcome * Machine.Exec.stats -> exec
 
@@ -50,15 +47,11 @@ val exec_of_entry : t -> exec option
 (** {2 Attack verdict lists} — [(tag, detail)] pairs so the store stays
     independent of [lib/attacks]; producers own the conversion. *)
 
-val verdicts_kind : string
-val verdicts_version : int
 val verdicts_entry : (string * string) list -> t
 val verdicts_of_entry : t -> (string * string) list option
 
 (** {2 Validator results} — rule violations as
     [(rule, func, row, detail)]. *)
 
-val validate_kind : string
-val validate_version : int
 val validate_entry : clean:bool -> (string * string * int option * string) list -> t
 val validate_of_entry : t -> (bool * (string * string * int option * string) list) option

@@ -24,15 +24,6 @@ type t = private {
   extra : string;  (** further determinism inputs, [""] if none *)
 }
 
-val v :
-  source:string ->
-  config:string ->
-  engine:Machine.Backend.kind ->
-  seed:int64 ->
-  ?extra:string ->
-  unit ->
-  t
-
 val of_source :
   source_text:string ->
   config:Smokestack.Config.t option ->

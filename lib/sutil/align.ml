@@ -21,5 +21,3 @@ let align_up off ~alignment =
 let align_down off ~alignment =
   check_alignment "align_down" alignment;
   off land lnot (alignment - 1)
-
-let padding off ~alignment = align_up off ~alignment - off

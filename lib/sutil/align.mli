@@ -23,7 +23,3 @@ val align_up : int -> alignment:int -> int
 val align_down : int -> alignment:int -> int
 (** [align_down off ~alignment] rounds [off] down to the previous
     multiple of [alignment]. *)
-
-val padding : int -> alignment:int -> int
-(** [padding off ~alignment] is the number of bytes needed to bring
-    [off] up to [alignment]; equal to [align_up off ~alignment - off]. *)

@@ -5,15 +5,6 @@
     bytes; values are represented as OCaml [int64] for full 64-bit
     loads/stores and [int] elsewhere. *)
 
-val get_u8 : Bytes.t -> int -> int
-val set_u8 : Bytes.t -> int -> int -> unit
-val get_u16 : Bytes.t -> int -> int
-val set_u16 : Bytes.t -> int -> int -> unit
-val get_u32 : Bytes.t -> int -> int
-val set_u32 : Bytes.t -> int -> int -> unit
-val get_i64 : Bytes.t -> int -> int64
-val set_i64 : Bytes.t -> int -> int64 -> unit
-
 val get : Bytes.t -> width:int -> int -> int64
 (** [get b ~width off] reads a [width]-byte little-endian value
     (zero-extended). [width] must be 1, 2, 4 or 8. *)

@@ -56,8 +56,6 @@ let lehmer_encode p =
     p;
   !idx
 
-let identity n = Array.init n Fun.id
-
 let invert p =
   if not (is_permutation p) then
     invalid_arg "Sutil.Fact.invert: not a permutation";

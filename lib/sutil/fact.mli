@@ -28,9 +28,6 @@ val is_permutation : int array -> bool
 (** [is_permutation a] is [true] iff [a] contains each of
     [0 .. length a - 1] exactly once. *)
 
-val identity : int -> int array
-(** [identity n] is the identity permutation of size [n]. *)
-
 val invert : int array -> int array
 (** [invert p] is the inverse permutation: [invert p.(i) = j] iff
     [p.(j) = i]. Raises [Invalid_argument] if [p] is not a

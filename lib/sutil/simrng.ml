@@ -42,8 +42,6 @@ let int t ~bound =
   go ()
 
 let bool t = Int64.logand (next_u64 t) 1L = 1L
-let byte t = Int64.to_int (Int64.logand (next_u64 t) 0xffL)
-let split t = create ~seed:(next_u64 t)
 
 let split_seed ~root ~id =
   (* SplitMix64 over (root, id): absorb each byte of the id as one
@@ -64,10 +62,3 @@ let shuffle t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let bytes t n =
-  let b = Bytes.create n in
-  for i = 0 to n - 1 do
-    Bytes.set b i (Char.chr (byte t))
-  done;
-  b

@@ -27,16 +27,11 @@ val int : t -> bound:int -> int
     positive. Uses rejection sampling, so the distribution is exact. *)
 
 val bool : t -> bool
-val byte : t -> int
-
-val split : t -> t
-(** [split t] derives a new, statistically independent generator and
-    advances [t]; used to give each experiment its own stream. *)
 
 val split_seed : root:int64 -> id:string -> int64
 (** [split_seed ~root ~id] is a SplitMix64-style keyed derivation: a
-    64-bit seed that depends only on the [(root, id)] pair.  Unlike
-    {!split} it consumes no shared stream, so parallel jobs (see
+    64-bit seed that depends only on the [(root, id)] pair.  It
+    consumes no shared stream, so parallel jobs (see
     {!Sched.Job.seeded}) can derive independent deterministic streams
     in any execution order. *)
 
@@ -45,6 +40,3 @@ val stream : root:int64 -> id:string -> t
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
-
-val bytes : t -> int -> Bytes.t
-(** [bytes t n] is [n] fresh random bytes. *)

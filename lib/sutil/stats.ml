@@ -13,21 +13,12 @@ let geomean l =
     l;
   exp (mean (List.map log l))
 
-let stddev l =
-  let l = require_nonempty "stddev" l in
-  let m = mean l in
-  sqrt (mean (List.map (fun x -> (x -. m) ** 2.) l))
-
 let median l =
   let l = require_nonempty "median" l in
   let a = Array.of_list l in
   Array.sort compare a;
   let n = Array.length a in
   if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
-
-let min_max l =
-  let l = require_nonempty "min_max" l in
-  (List.fold_left min infinity l, List.fold_left max neg_infinity l)
 
 let percent_overhead ~baseline ~measured =
   if baseline = 0. then invalid_arg "Sutil.Stats.percent_overhead: zero baseline";

@@ -6,11 +6,7 @@ val mean : float list -> float
 val geomean : float list -> float
 (** Geometric mean; inputs must be positive. *)
 
-val stddev : float list -> float
-(** Population standard deviation. *)
-
 val median : float list -> float
-val min_max : float list -> float * float
 
 val percent_overhead : baseline:float -> measured:float -> float
 (** [(measured - baseline) / baseline * 100.]; negative means speedup. *)

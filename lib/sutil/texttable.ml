@@ -55,6 +55,34 @@ let render t =
     rows;
   Buffer.contents buf
 
+(* A row after a rule is a summary row: its first cell goes bold. *)
+let to_markdown t =
+  let buf = Buffer.create 256 in
+  let line cells =
+    Buffer.add_char buf '|';
+    List.iter
+      (fun c ->
+        Buffer.add_string buf (if c = "" then " |" else " " ^ c ^ " |"))
+      cells;
+    Buffer.add_char buf '\n'
+  in
+  line (List.map fst t.columns);
+  Buffer.add_char buf '|';
+  List.iter (fun _ -> Buffer.add_string buf "---|") t.columns;
+  Buffer.add_char buf '\n';
+  let rec rows after_rule = function
+    | [] -> ()
+    | Rule :: rest -> rows true rest
+    | Cells (first :: cells) :: rest when after_rule ->
+        line (("**" ^ first ^ "**") :: cells);
+        rows false rest
+    | Cells cells :: rest ->
+        line cells;
+        rows false rest
+  in
+  rows false (List.rev t.rows);
+  Buffer.contents buf
+
 let columns t = List.map fst t.columns
 
 let row_cells t =

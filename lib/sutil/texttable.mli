@@ -22,11 +22,14 @@ val add_rule : t -> unit
 val render : t -> string
 (** Renders the table with a header rule and column padding. *)
 
+val to_markdown : t -> string
+(** Renders the table as a markdown pipe table: a [| h | … |] header, a
+    [|---|…|] separator and one line per row.  An empty cell renders as
+    [| |]; the first cell of a row that follows a rule renders in bold,
+    so a summary row under {!add_rule} reads [| **mean** | … |]. *)
+
 val columns : t -> string list
 (** Header cells, left to right. *)
-
-val row_cells : t -> string list list
-(** Data rows in display order (rules omitted). *)
 
 val to_json : ?title:string -> t -> Json.t
 (** Machine-readable form: [{"title"?, "columns": [...], "rows": [[...]]}].

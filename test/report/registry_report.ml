@@ -1,0 +1,73 @@
+(* Runs every Harness.Registry entry and compares its report section with
+   the same section of the committed EXPERIMENTS.md, so a moved headline
+   is blamed on its entry rather than on a whole-report diff.
+
+   Usage: registry_report.exe EXPERIMENTS.md
+   Exit codes: 0 every section matches, 1 a section differs (the first
+   such entry and its first differing line go to stderr). *)
+
+let find_from s ~from sub =
+  let n = String.length sub in
+  let rec go i =
+    if i + n > String.length s then None
+    else if String.sub s i n = sub then Some i
+    else go (i + 1)
+  in
+  go from
+
+(* The committed section of [e]: from its heading line to the next
+   entry's heading (or the end of the report). *)
+let committed_section report (e : Harness.Registry.entry) next =
+  let heading (e : Harness.Registry.entry) = "## " ^ Harness.Registry.heading e ^ "\n" in
+  match find_from report ~from:0 (heading e) with
+  | None -> None
+  | Some start ->
+      let stop =
+        match next with
+        | None -> Some (String.length report)
+        | Some n -> find_from report ~from:start (heading n)
+      in
+      Option.map (fun stop -> String.sub report start (stop - start)) stop
+
+let first_difference expected got =
+  let rec go i = function
+    | e :: es, g :: gs when String.equal e g -> go (i + 1) (es, gs)
+    | e :: _, g :: _ -> Printf.sprintf "section line %d:\n  committed: %s\n  generated: %s" i e g
+    | e :: _, [] -> Printf.sprintf "section line %d: committed has %S, generated ended" i e
+    | [], g :: _ -> Printf.sprintf "section line %d: generated has %S, committed ended" i g
+    | [], [] -> "no line differs"
+  in
+  go 1 (String.split_on_char '\n' expected, String.split_on_char '\n' got)
+
+let () =
+  let path =
+    match Sys.argv with
+    | [| _; path |] -> path
+    | _ ->
+        prerr_endline "usage: registry_report.exe EXPERIMENTS.md";
+        exit 2
+  in
+  let report = In_channel.with_open_bin path In_channel.input_all in
+  Harness.Registry.setup ();
+  if not (String.starts_with ~prefix:Harness.Registry.preamble report) then begin
+    prerr_endline "registry-report: the report preamble differs";
+    exit 1
+  end;
+  Sched.Pool.with_pool @@ fun pool ->
+  let rec check = function
+    | [] -> ()
+    | (e : Harness.Registry.entry) :: rest ->
+        let got = Harness.Registry.section e (e.run pool) in
+        (match committed_section report e (List.nth_opt rest 0) with
+        | Some expected when String.equal expected got -> ()
+        | Some expected ->
+            Printf.eprintf "registry-report: %s (%s) differs from %s, %s\n" e.id e.key path
+              (first_difference expected got);
+            exit 1
+        | None ->
+            Printf.eprintf "registry-report: %s (%s) has no section in %s\n" e.id e.key path;
+            exit 1);
+        Printf.printf "%s %s: matches\n%!" e.id e.key;
+        check rest
+  in
+  check Harness.Registry.all

@@ -164,16 +164,10 @@ let test_brute_shape () =
 let test_markdown_renderers () =
   let t1 = Harness.Randrate.run ~draws:2_000 () in
   Alcotest.(check bool) "randrate md" true
-    (String.length (Harness.Randrate.to_markdown t1) > 100);
+    (String.length (Sutil.Texttable.to_markdown (Harness.Randrate.table t1)) > 100);
   let e = Harness.Security.realvuln ~trials_per_cell:1 () in
   Alcotest.(check bool) "security md" true
-    (String.length (Harness.Security.to_markdown e) > 100)
-
-let test_str_replace () =
-  Alcotest.(check string) "replace" "aXbXc"
-    (Harness.Str_replace.replace ~needle:"-" ~by:"X" "a-b-c");
-  Alcotest.(check string) "absent" "abc"
-    (Harness.Str_replace.replace ~needle:"z" ~by:"X" "abc")
+    (String.length (Sutil.Texttable.to_markdown (Harness.Security.table e)) > 100)
 
 (* ------------------------------------------------------------------ *)
 (* Experiment registry *)
@@ -249,11 +243,7 @@ let () =
           Alcotest.test_case "pentest shape" `Slow test_pentest_shape;
           Alcotest.test_case "brute shape" `Slow test_brute_shape;
         ] );
-      ( "reporting",
-        [
-          Alcotest.test_case "markdown" `Quick test_markdown_renderers;
-          Alcotest.test_case "str_replace" `Quick test_str_replace;
-        ] );
+      ("reporting", [ Alcotest.test_case "markdown" `Quick test_markdown_renderers ]);
       ( "registry",
         [
           Alcotest.test_case "setup installs validator" `Quick test_registry_setup;

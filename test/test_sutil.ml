@@ -199,6 +199,33 @@ let test_texttable () =
   Alcotest.(check string) "bytes" "2.0 KiB" (Sutil.Texttable.fmt_bytes 2048);
   Alcotest.(check string) "pct" "+10.3%" (Sutil.Texttable.fmt_pct 10.3)
 
+(* Memov-shaped: a rule, then a summary row with empty cells. *)
+let test_texttable_markdown () =
+  let t =
+    Sutil.Texttable.create
+      ~columns:
+        Sutil.Texttable.
+          [
+            ("benchmark", Left);
+            ("base RSS", Right);
+            ("hardened RSS", Right);
+            ("P-BOX bytes", Right);
+            ("overhead", Right);
+          ]
+  in
+  Sutil.Texttable.add_row t [ "mcf"; "1.0 MiB"; "1.0 MiB"; "96 B"; "+0.0%" ];
+  Sutil.Texttable.add_rule t;
+  Sutil.Texttable.add_row t [ "mean"; ""; ""; ""; "+1.3%" ];
+  Alcotest.(check string) "pipe table"
+    "| benchmark | base RSS | hardened RSS | P-BOX bytes | overhead |\n\
+     |---|---|---|---|---|\n\
+     | mcf | 1.0 MiB | 1.0 MiB | 96 B | +0.0% |\n\
+     | **mean** | | | | +1.3% |\n"
+    (Sutil.Texttable.to_markdown t);
+  let empty = Sutil.Texttable.create ~columns:[ ("a", Sutil.Texttable.Left) ] in
+  Alcotest.(check string) "header only" "| a |\n|---|\n"
+    (Sutil.Texttable.to_markdown empty)
+
 (* ------------------------------------------------------------------ *)
 (* Json *)
 
@@ -338,6 +365,7 @@ let () =
         [
           Alcotest.test_case "stats" `Quick test_stats;
           Alcotest.test_case "texttable" `Quick test_texttable;
+          Alcotest.test_case "texttable markdown" `Quick test_texttable_markdown;
         ] );
       ( "json",
         [
