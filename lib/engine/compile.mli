@@ -2,51 +2,69 @@
 
     Flattens each {!Ir.Func.t} into a dense instruction array with every
     name pre-resolved: block labels become instruction indices, SSA
-    values become integer register slots, globals and function
-    references become immediate addresses/tokens, direct callees become
-    function indices, intrinsic names become slots into a per-run
-    closure table.  {!Interp} executes the result with no hashtable
-    lookups or list traversals on the hot path.
+    registers become slots of an unboxed frame, immediates, globals and
+    function references become constant slots of the function's frame
+    template, direct callees become function indices, intrinsic names
+    become slots into a per-run closure table, and each IR operator
+    becomes its own op.  {!Interp} executes the result with no hashtable
+    lookups, list traversals or boxed [int64]s on the hot path.
+
+    An operand is the byte offset of a native-endian 64-bit slot of the
+    frame: registers [\[0, nregs)], one sink slot (discarded results),
+    then the constants.
 
     Resolution failures never fail compilation: the reference
     interpreter only raises when a broken operand is actually
-    evaluated, so they compile to {!constructor:Strap} operands (or the
-    {!constructor:Otrap} op for branch targets) that replay the exact
-    reference exception at the exact evaluation point. *)
-
-type trap =
-  | Unknown_global of string
-  | Unknown_func_ref of string
-  | Unknown_callee of string
-  | Missing_label
-
-type src = Sreg of int | Simm of int64 | Strap of trap
+    evaluated, so an op that reads the operand unconditionally compiles
+    to {!constructor:Oraise}, which replays the exact reference
+    exception at the exact evaluation point, and a select arm or call
+    argument compiles to [lnot i], raising [traps.(i)] when read. *)
 
 type op =
-  | Obinop of { dst : int; cost : float; op : Ir.Instr.binop; lhs : src; rhs : src }
-  | Oicmp of { dst : int; op : Ir.Instr.icmp; lhs : src; rhs : src }
-  | Oselect of { dst : int; cond : src; if_true : src; if_false : src }
-  | Osext of { dst : int; width : int; value : src }
-  | Otrunc of { dst : int; width : int; value : src }
-  | Ogep of { dst : int; base : src; offset : int; index : src; scale : int }
-  | Oload of { dst : int; width : int; addr : src }
-  | Ostore of { width : int; value : src; addr : src }
-  | Oalloca of { dst : int; elt : int; align : int; count : src option }
-  | Ocall of { dst : int; fidx : int; args : src array }
-  | Obuiltin of { dst : int; name : string; args : src array }
-  | Ocall_unknown of { name : string; args : src array }
-  | Ocall_ind of { dst : int; callee : src; args : src array }
-  | Ointrinsic of { dst : int; slot : int; name : string; args : src array }
+  | Oadd of { dst : int; lhs : int; rhs : int }
+  | Osub of { dst : int; lhs : int; rhs : int }
+  | Omul of { dst : int; lhs : int; rhs : int }
+  | Osdiv of { dst : int; lhs : int; rhs : int }
+  | Oudiv of { dst : int; lhs : int; rhs : int }
+  | Osrem of { dst : int; lhs : int; rhs : int }
+  | Ourem of { dst : int; lhs : int; rhs : int }
+  | Oand of { dst : int; lhs : int; rhs : int }
+  | Oor of { dst : int; lhs : int; rhs : int }
+  | Oxor of { dst : int; lhs : int; rhs : int }
+  | Oshl of { dst : int; lhs : int; rhs : int }
+  | Olshr of { dst : int; lhs : int; rhs : int }
+  | Oashr of { dst : int; lhs : int; rhs : int }
+  | Oeq of { dst : int; lhs : int; rhs : int }
+  | One of { dst : int; lhs : int; rhs : int }
+  | Oslt of { dst : int; lhs : int; rhs : int }
+  | Osle of { dst : int; lhs : int; rhs : int }
+  | Osgt of { dst : int; lhs : int; rhs : int }
+  | Osge of { dst : int; lhs : int; rhs : int }
+  | Oult of { dst : int; lhs : int; rhs : int }
+  | Oule of { dst : int; lhs : int; rhs : int }
+  | Oselect of { dst : int; cond : int; if_true : int; if_false : int }
+  | Osext of { dst : int; shift : int; value : int }
+  | Otrunc of { dst : int; shift : int; value : int }
+  | Ogep of { dst : int; base : int; offset : int; index : int; scale : int }
+  | Oload of { dst : int; width : int; addr : int }
+  | Ostore of { width : int; value : int; addr : int }
+  | Oalloca of { dst : int; elt : int; align : int; count : int }
+  | Ocall of { dst : int; fidx : int; args : int array }
+  | Obuiltin of { dst : int; name : string; args : int array }
+  | Ocall_unknown of { name : string; args : int array }
+  | Ocall_ind of { dst : int; callee : int; args : int array }
+  | Ointrinsic of { dst : int; slot : int; name : string; args : int array }
   | Ojmp of int
-  | Ocondbr of { cond : src; if_true : int; if_false : int }
-  | Oret of src
+  | Ocondbr of { cond : int; if_true : int; if_false : int }
+  | Oret of int
   | Ounreachable of string
-  | Otrap
+  | Oraise of { counted : bool; cost : float; exn : exn }
 
 type bfunc = {
   fname : string;
-  param_regs : int array;
-  nregs : int;
+  params : int array;  (** frame offset of each parameter *)
+  frame : Bytes.t;  (** template: zero registers and sink, then constants *)
+  traps : exn array;
   code : op array;
   src_blocks : Ir.Func.block list;
   src_shape : (Ir.Instr.t list * Ir.Instr.terminator) array;

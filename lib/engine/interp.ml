@@ -9,6 +9,24 @@
    enforces this differentially; when editing here, keep every charge
    and side effect in the reference interpreter's order.
 
+   The loop allocates nothing per instruction.  Registers and constants
+   live in a [Bytes] frame read and written with the native-endian
+   64-bit primitives (operands are byte offsets, see Compile), each IR
+   operator has its own arm, loads and stores go straight between a
+   memory segment and a frame slot (Memory.load_to/store_from), and
+   [step] returns the frame offset of the return value, not the value.
+   Two rules keep it that way.  No arm may yield an already-boxed
+   int64: a call that is not inlined (Int64.unsigned_div, invalid_arg
+   used as a value, any function of another module) takes and returns
+   boxed int64s, and where the arms of a match yield an int64, one such
+   arm boxes every arm's result — so each arm stores its own result,
+   and the unsigned division below is spelled out.  And hot helpers
+   live in this module: the dev profile compiles with -opaque, so
+   nothing inlines across modules.  The [alloc] group of
+   test/test_engine.ml fails when an op's loop starts allocating.  A
+   call allocates its frame (one copy of the template); builtins and
+   intrinsics also get the [int64 array] their interface takes.
+
    Cycle accounting uses an unboxed one-element [floatarray]
    accumulator instead of charging the (boxed) [st.cycles] field per
    instruction.  Float addition is not associative, so charges are
@@ -49,319 +67,431 @@ let compiled_for (st : Exec.state) =
         p :: (if List.length !cache >= cache_cap then List.filteri (fun i _ -> i < cache_cap - 1) !cache else !cache);
       p
 
-let raise_trap = function
-  | Unknown_global g ->
-      invalid_arg (Printf.sprintf "Machine.Exec.global_addr: no global %s" g)
-  | Unknown_func_ref fn ->
-      raise
-        (Memory.Fault
-           (Memory.Misc (Printf.sprintf "unknown function reference %s" fn)))
-  | Unknown_callee c ->
-      raise
-        (Memory.Fault
-           (Memory.Misc (Printf.sprintf "call to unknown function %s" c)))
-  | Missing_label -> raise Not_found
+(* Unchecked frame slots: Compile emits only offsets inside the frame
+   (registers outside it become traps or the sink). *)
+external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-let[@inline] get regs = function
-  | Sreg r -> Array.unsafe_get regs r
-  | Simm i -> i
-  | Strap t -> raise_trap t
+(* Per-run context of the dispatch loop. *)
+type rt = {
+  st : Exec.state;
+  funcs : bfunc array;
+  impls : Exec.intrinsic option array;
+      (* intrinsic closures, linked lazily per run: registration happens
+         after prepare (and in principle during execution), and an
+         unregistered intrinsic must only fault when it executes *)
+  cyc : Float.Array.t;  (* the cycle accumulator, one element *)
+  mutable cur : string;  (* innermost function, for fault reports *)
+}
+
+let[@inline] charge rt c =
+  Float.Array.unsafe_set rt.cyc 0 (Float.Array.unsafe_get rt.cyc 0 +. c)
+
+let flush rt = rt.st.cycles <- Float.Array.unsafe_get rt.cyc 0
+let resync rt = Float.Array.unsafe_set rt.cyc 0 rt.st.cycles
+
+(* trace hooks are arbitrary closures that may inspect the state, so
+   they see an up-to-date [st.cycles] just like under the reference *)
+let emit_sync rt emit ev =
+  flush rt;
+  match emit ev with
+  | () -> resync rt
+  | exception e ->
+      resync rt;
+      raise e
+
+let[@inline] tick (st : Exec.state) =
+  st.instr_count <- st.instr_count + 1;
+  st.fuel <- st.fuel - 1;
+  if st.fuel <= 0 then raise Exec.Out_of_fuel
+
+let div_by_zero = Memory.Fault (Memory.Misc "division by zero")
+let[@inline] of_bool b = if b then 1L else 0L
+let[@inline] ult (a : int64) b =
+  Int64.sub a Int64.min_int < Int64.sub b Int64.min_int
+
+(* Int64.unsigned_div, inlined *)
+let[@inline] udiv n d =
+  if d < 0L then of_bool (not (ult n d))
+  else
+    let q = Int64.shift_left (Int64.div (Int64.shift_right_logical n 1) d) 1 in
+    if ult (Int64.sub n (Int64.mul q d)) d then q else Int64.succ q
+
+(* A select arm or call argument: [lnot i] is trap [i]. *)
+let[@inline] arg (bf : bfunc) frame o =
+  if o < 0 then raise (Array.unsafe_get bf.traps (lnot o)) else get frame o
+
+let read_args bf frame args =
+  let argv = Array.make (Array.length args) 0L in
+  for i = 0 to Array.length args - 1 do
+    Array.unsafe_set argv i (arg bf frame (Array.unsafe_get args i))
+  done;
+  argv
+
+(* The callee's frame with the arguments in its parameter slots.  Every
+   argument is read, in order, before the call is counted, as in the
+   reference; a count mismatch faults later, in [call_fn]. *)
+let enter bf frame args (callee : bfunc) =
+  let fr = Bytes.copy callee.frame in
+  let params = callee.params in
+  for i = 0 to Array.length args - 1 do
+    let v = arg bf frame (Array.unsafe_get args i) in
+    if i < Array.length params then set fr (Array.unsafe_get params i) v
+  done;
+  fr
+
+let intrinsic rt slot name =
+  match Array.unsafe_get rt.impls slot with
+  | Some fn -> fn
+  | None -> (
+      match Hashtbl.find_opt rt.st.intrinsics name with
+      | Some fn ->
+          rt.impls.(slot) <- Some fn;
+          fn
+      | None ->
+          raise
+            (Memory.Fault
+               (Memory.Misc (Printf.sprintf "unregistered intrinsic %s" name))))
+
+(* Runs [bf] on its prepared [frame]; returns the frame offset of the
+   return value. *)
+let rec call_fn rt (bf : bfunc) frame nargs =
+  let st = rt.st in
+  st.call_count <- st.call_count + 1;
+  st.depth <- st.depth + 1;
+  if st.depth > st.max_depth then st.max_depth <- st.depth;
+  charge rt Cost.call_overhead;
+  let caller = rt.cur in
+  rt.cur <- bf.fname;
+  (match st.on_event with
+  | Some emit ->
+      emit_sync rt emit
+        (Exec.Ev_call { func = bf.fname; depth = st.depth; sp = st.sp })
+  | None -> ());
+  let entry_sp = st.sp in
+  let nparams = Array.length bf.params in
+  if nargs <> nparams then
+    raise
+      (Memory.Fault
+         (Memory.Misc
+            (Printf.sprintf "call to %s with %d args, expected %d" bf.fname
+               nargs nparams)));
+  match step rt bf bf.code frame entry_sp 0 with
+  | ret ->
+      st.sp <- entry_sp;
+      st.depth <- st.depth - 1;
+      (match st.on_event with
+      | Some emit ->
+          emit_sync rt emit (Exec.Ev_return { func = bf.fname; depth = st.depth })
+      | None -> ());
+      rt.cur <- caller;
+      ret
+  | exception e ->
+      (* unwind bookkeeping but propagate, as the reference does *)
+      st.depth <- st.depth - 1;
+      raise e
+
+and step rt bf code frame entry_sp pc =
+  let st = rt.st in
+  match Array.unsafe_get code pc with
+  | Oadd { dst; lhs; rhs } ->
+      tick st;
+      charge rt Cost.alu;
+      set frame dst (Int64.add (get frame lhs) (get frame rhs));
+      step rt bf code frame entry_sp (pc + 1)
+  | Osub { dst; lhs; rhs } ->
+      tick st;
+      charge rt Cost.alu;
+      set frame dst (Int64.sub (get frame lhs) (get frame rhs));
+      step rt bf code frame entry_sp (pc + 1)
+  | Omul { dst; lhs; rhs } ->
+      tick st;
+      charge rt Cost.alu;
+      set frame dst (Int64.mul (get frame lhs) (get frame rhs));
+      step rt bf code frame entry_sp (pc + 1)
+  | Osdiv { dst; lhs; rhs } ->
+      tick st;
+      charge rt Cost.div;
+      let b = get frame rhs in
+      if b = 0L then raise div_by_zero;
+      set frame dst (Int64.div (get frame lhs) b);
+      step rt bf code frame entry_sp (pc + 1)
+  | Oudiv { dst; lhs; rhs } ->
+      tick st;
+      charge rt Cost.div;
+      let b = get frame rhs in
+      if b = 0L then raise div_by_zero;
+      set frame dst (udiv (get frame lhs) b);
+      step rt bf code frame entry_sp (pc + 1)
+  | Osrem { dst; lhs; rhs } ->
+      tick st;
+      charge rt Cost.div;
+      let b = get frame rhs in
+      if b = 0L then raise div_by_zero;
+      set frame dst (Int64.rem (get frame lhs) b);
+      step rt bf code frame entry_sp (pc + 1)
+  | Ourem { dst; lhs; rhs } ->
+      tick st;
+      charge rt Cost.div;
+      let b = get frame rhs in
+      if b = 0L then raise div_by_zero;
+      let a = get frame lhs in
+      set frame dst (Int64.sub a (Int64.mul (udiv a b) b));
+      step rt bf code frame entry_sp (pc + 1)
+  | Oand { dst; lhs; rhs } ->
+      tick st;
+      charge rt Cost.alu;
+      set frame dst (Int64.logand (get frame lhs) (get frame rhs));
+      step rt bf code frame entry_sp (pc + 1)
+  | Oor { dst; lhs; rhs } ->
+      tick st;
+      charge rt Cost.alu;
+      set frame dst (Int64.logor (get frame lhs) (get frame rhs));
+      step rt bf code frame entry_sp (pc + 1)
+  | Oxor { dst; lhs; rhs } ->
+      tick st;
+      charge rt Cost.alu;
+      set frame dst (Int64.logxor (get frame lhs) (get frame rhs));
+      step rt bf code frame entry_sp (pc + 1)
+  | Oshl { dst; lhs; rhs } ->
+      tick st;
+      charge rt Cost.alu;
+      set frame dst
+        (Int64.shift_left (get frame lhs) (Int64.to_int (get frame rhs) land 63));
+      step rt bf code frame entry_sp (pc + 1)
+  | Olshr { dst; lhs; rhs } ->
+      tick st;
+      charge rt Cost.alu;
+      set frame dst
+        (Int64.shift_right_logical (get frame lhs)
+           (Int64.to_int (get frame rhs) land 63));
+      step rt bf code frame entry_sp (pc + 1)
+  | Oashr { dst; lhs; rhs } ->
+      tick st;
+      charge rt Cost.alu;
+      set frame dst
+        (Int64.shift_right (get frame lhs) (Int64.to_int (get frame rhs) land 63));
+      step rt bf code frame entry_sp (pc + 1)
+  | Oeq { dst; lhs; rhs } ->
+      tick st;
+      charge rt Cost.alu;
+      set frame dst (of_bool (get frame lhs = get frame rhs));
+      step rt bf code frame entry_sp (pc + 1)
+  | One { dst; lhs; rhs } ->
+      tick st;
+      charge rt Cost.alu;
+      set frame dst (of_bool (get frame lhs <> get frame rhs));
+      step rt bf code frame entry_sp (pc + 1)
+  | Oslt { dst; lhs; rhs } ->
+      tick st;
+      charge rt Cost.alu;
+      set frame dst (of_bool (get frame lhs < get frame rhs));
+      step rt bf code frame entry_sp (pc + 1)
+  | Osle { dst; lhs; rhs } ->
+      tick st;
+      charge rt Cost.alu;
+      set frame dst (of_bool (get frame lhs <= get frame rhs));
+      step rt bf code frame entry_sp (pc + 1)
+  | Osgt { dst; lhs; rhs } ->
+      tick st;
+      charge rt Cost.alu;
+      set frame dst (of_bool (get frame lhs > get frame rhs));
+      step rt bf code frame entry_sp (pc + 1)
+  | Osge { dst; lhs; rhs } ->
+      tick st;
+      charge rt Cost.alu;
+      set frame dst (of_bool (get frame lhs >= get frame rhs));
+      step rt bf code frame entry_sp (pc + 1)
+  | Oult { dst; lhs; rhs } ->
+      tick st;
+      charge rt Cost.alu;
+      set frame dst (of_bool (ult (get frame lhs) (get frame rhs)));
+      step rt bf code frame entry_sp (pc + 1)
+  | Oule { dst; lhs; rhs } ->
+      tick st;
+      charge rt Cost.alu;
+      set frame dst (of_bool (not (ult (get frame rhs) (get frame lhs))));
+      step rt bf code frame entry_sp (pc + 1)
+  | Oselect { dst; cond; if_true; if_false } ->
+      tick st;
+      charge rt Cost.alu;
+      (* the non-taken arm is never read, as in the reference *)
+      set frame dst
+        (arg bf frame (if get frame cond = 0L then if_false else if_true));
+      step rt bf code frame entry_sp (pc + 1)
+  | Osext { dst; shift; value } ->
+      tick st;
+      charge rt Cost.alu;
+      set frame dst (Int64.shift_right (Int64.shift_left (get frame value) shift) shift);
+      step rt bf code frame entry_sp (pc + 1)
+  | Otrunc { dst; shift; value } ->
+      tick st;
+      charge rt Cost.alu;
+      set frame dst
+        (Int64.shift_right_logical (Int64.shift_left (get frame value) shift) shift);
+      step rt bf code frame entry_sp (pc + 1)
+  | Ogep { dst; base; offset; index; scale } ->
+      tick st;
+      charge rt Cost.alu;
+      set frame dst
+        (Int64.add
+           (Int64.add (get frame base) (Int64.of_int offset))
+           (Int64.mul (get frame index) (Int64.of_int scale)));
+      step rt bf code frame entry_sp (pc + 1)
+  | Oload { dst; width; addr } ->
+      tick st;
+      let a = Int64.to_int (get frame addr) in
+      charge rt
+        (if a >= Exec.rodata_base && a < Exec.data_base then Cost.load_rodata
+         else Cost.load);
+      Memory.load_to st.mem ~width a frame dst;
+      step rt bf code frame entry_sp (pc + 1)
+  | Ostore { width; value; addr } ->
+      tick st;
+      charge rt Cost.store;
+      Memory.store_from st.mem ~width (Int64.to_int (get frame addr)) frame value;
+      step rt bf code frame entry_sp (pc + 1)
+  | Oalloca { dst; elt; align; count } ->
+      tick st;
+      let n = get frame count in
+      if n < 0L || n > 0x10000000L then
+        raise (Memory.Fault (Memory.Misc "VLA length out of range"));
+      let bytes = elt * Int64.to_int n in
+      let new_sp = Sutil.Align.align_down (st.sp - bytes) ~alignment:align in
+      if new_sp < st.stack_limit then
+        raise (Memory.Fault (Memory.Stack_overflow { sp = st.sp; need = bytes }));
+      st.sp <- new_sp;
+      if entry_sp - new_sp > st.max_frame_bytes then
+        st.max_frame_bytes <- entry_sp - new_sp;
+      charge rt Cost.alloca;
+      set frame dst (Int64.of_int new_sp);
+      step rt bf code frame entry_sp (pc + 1)
+  | Ocall { dst; fidx; args } ->
+      tick st;
+      let callee = Array.unsafe_get rt.funcs fidx in
+      let fr = enter bf frame args callee in
+      let ret = call_fn rt callee fr (Array.length args) in
+      set frame dst (get fr ret);
+      step rt bf code frame entry_sp (pc + 1)
+  | Obuiltin { dst; name; args } ->
+      tick st;
+      let argv = read_args bf frame args in
+      flush rt;
+      let r =
+        match Exec.run_builtin st name argv with
+        | r ->
+            resync rt;
+            r
+        | exception e ->
+            resync rt;
+            raise e
+      in
+      set frame dst (match r with Some v -> v | None -> 0L);
+      step rt bf code frame entry_sp (pc + 1)
+  | Ocall_unknown { name; args } ->
+      tick st;
+      ignore (read_args bf frame args);
+      raise
+        (Memory.Fault
+           (Memory.Misc (Printf.sprintf "call to unknown function %s" name)))
+  | Ocall_ind { dst; callee; args } ->
+      tick st;
+      let target = Int64.to_int (get frame callee) in
+      let rel = target - Compile.token_base in
+      if rel >= 0 && rel land 15 = 0 && rel asr 4 < Array.length rt.funcs then begin
+        let callee = Array.unsafe_get rt.funcs (rel asr 4) in
+        let fr = enter bf frame args callee in
+        let ret = call_fn rt callee fr (Array.length args) in
+        set frame dst (get fr ret);
+        step rt bf code frame entry_sp (pc + 1)
+      end
+      else
+        raise
+          (Memory.Fault
+             (Memory.Misc
+                (Printf.sprintf "indirect call to non-function address 0x%x"
+                   target)))
+  | Ointrinsic { dst; slot; name; args } ->
+      tick st;
+      charge rt Cost.intrinsic_base;
+      let fn = intrinsic rt slot name in
+      let argv = read_args bf frame args in
+      flush rt;
+      let result =
+        match fn st argv with
+        | r ->
+            resync rt;
+            r
+        | exception e ->
+            resync rt;
+            raise e
+      in
+      (match st.on_event with
+      | Some emit -> emit_sync rt emit (Exec.Ev_intrinsic { name; result })
+      | None -> ());
+      set frame dst (match result with Some v -> v | None -> 0L);
+      step rt bf code frame entry_sp (pc + 1)
+  | Ojmp t ->
+      charge rt Cost.branch;
+      step rt bf code frame entry_sp t
+  | Ocondbr { cond; if_true; if_false } ->
+      charge rt Cost.cond_branch;
+      step rt bf code frame entry_sp
+        (if get frame cond = 0L then if_false else if_true)
+  | Oret v ->
+      charge rt Cost.branch;
+      v
+  | Ounreachable fname ->
+      raise (Memory.Fault (Memory.Misc ("unreachable executed in " ^ fname)))
+  | Oraise { counted; cost; exn } ->
+      if counted then tick st;
+      if cost > 0. then charge rt cost;
+      raise exn
 
 let run ?(fuel = 200_000_000) ?(entry = "main") ?(args = []) (st : Exec.state) =
   st.fuel <- fuel;
   let prog = compiled_for st in
-  (* Intrinsic closures are linked lazily per run: registration happens
-     after prepare (and in principle during execution), and an
-     unregistered intrinsic must only fault when it executes. *)
-  let impls : Exec.intrinsic option array =
-    Array.make (Array.length prog.intrinsic_names) None
-  in
-  let funcs = prog.funcs in
-  let nfuncs = Array.length funcs in
-  let cur = ref entry in
-  let cyc = Float.Array.make 1 st.cycles in
-  let[@inline] charge c =
-    Float.Array.unsafe_set cyc 0 (Float.Array.unsafe_get cyc 0 +. c)
-  in
-  let flush () = st.cycles <- Float.Array.unsafe_get cyc 0 in
-  let resync () = Float.Array.unsafe_set cyc 0 st.cycles in
-  (* trace hooks are arbitrary closures that may inspect the state, so
-     they see an up-to-date [st.cycles] just like under the reference *)
-  let emit_sync emit ev =
-    flush ();
-    match emit ev with
-    | () -> resync ()
-    | exception e ->
-        resync ();
-        raise e
-  in
-  let rec call_fn (bf : bfunc) (argv : int64 array) : int64 =
-    st.call_count <- st.call_count + 1;
-    st.depth <- st.depth + 1;
-    if st.depth > st.max_depth then st.max_depth <- st.depth;
-    charge Cost.call_overhead;
-    let caller = !cur in
-    cur := bf.fname;
-    (match st.on_event with
-    | Some emit ->
-        emit_sync emit
-          (Exec.Ev_call { func = bf.fname; depth = st.depth; sp = st.sp })
-    | None -> ());
-    let entry_sp = st.sp in
-    let regs = Array.make bf.nregs 0L in
-    let nparams = Array.length bf.param_regs in
-    if Array.length argv <> nparams then
-      raise
-        (Memory.Fault
-           (Memory.Misc
-              (Printf.sprintf "call to %s with %d args, expected %d" bf.fname
-                 (Array.length argv) nparams)));
-    for i = 0 to nparams - 1 do
-      regs.(bf.param_regs.(i)) <- argv.(i)
-    done;
-    let code = bf.code in
-    let getv args = Array.map (fun s -> get regs s) args in
-    let rec step pc =
-      match Array.unsafe_get code pc with
-      | Obinop { dst; cost; op; lhs; rhs } ->
-          st.instr_count <- st.instr_count + 1;
-          st.fuel <- st.fuel - 1;
-          if st.fuel <= 0 then raise Exec.Out_of_fuel;
-          charge cost;
-          (* reference operand order: rhs, then lhs *)
-          let b = get regs rhs in
-          let a = get regs lhs in
-          regs.(dst) <- Exec.eval_binop op a b;
-          step (pc + 1)
-      | Oicmp { dst; op; lhs; rhs } ->
-          st.instr_count <- st.instr_count + 1;
-          st.fuel <- st.fuel - 1;
-          if st.fuel <= 0 then raise Exec.Out_of_fuel;
-          charge Cost.alu;
-          let b = get regs rhs in
-          let a = get regs lhs in
-          regs.(dst) <- Exec.eval_icmp op a b;
-          step (pc + 1)
-      | Oselect { dst; cond; if_true; if_false } ->
-          st.instr_count <- st.instr_count + 1;
-          st.fuel <- st.fuel - 1;
-          if st.fuel <= 0 then raise Exec.Out_of_fuel;
-          charge Cost.alu;
-          (* the non-taken arm is never evaluated, as in the reference *)
-          regs.(dst) <-
-            (if Int64.equal (get regs cond) 0L then get regs if_false
-             else get regs if_true);
-          step (pc + 1)
-      | Osext { dst; width; value } ->
-          st.instr_count <- st.instr_count + 1;
-          st.fuel <- st.fuel - 1;
-          if st.fuel <= 0 then raise Exec.Out_of_fuel;
-          charge Cost.alu;
-          regs.(dst) <- Sutil.Bytecodec.sext ~width (get regs value);
-          step (pc + 1)
-      | Otrunc { dst; width; value } ->
-          st.instr_count <- st.instr_count + 1;
-          st.fuel <- st.fuel - 1;
-          if st.fuel <= 0 then raise Exec.Out_of_fuel;
-          charge Cost.alu;
-          regs.(dst) <- Sutil.Bytecodec.zext ~width (get regs value);
-          step (pc + 1)
-      | Ogep { dst; base; offset; index; scale } ->
-          st.instr_count <- st.instr_count + 1;
-          st.fuel <- st.fuel - 1;
-          if st.fuel <= 0 then raise Exec.Out_of_fuel;
-          charge Cost.alu;
-          let idx = Int64.mul (get regs index) (Int64.of_int scale) in
-          regs.(dst) <-
-            Int64.add (Int64.add (get regs base) (Int64.of_int offset)) idx;
-          step (pc + 1)
-      | Oload { dst; width; addr } ->
-          st.instr_count <- st.instr_count + 1;
-          st.fuel <- st.fuel - 1;
-          if st.fuel <= 0 then raise Exec.Out_of_fuel;
-          let a = Int64.to_int (get regs addr) in
-          charge
-            (if a >= Exec.rodata_base && a < Exec.data_base then
-               Cost.load_rodata
-             else Cost.load);
-          regs.(dst) <- Memory.load st.mem ~width a;
-          step (pc + 1)
-      | Ostore { width; value; addr } ->
-          st.instr_count <- st.instr_count + 1;
-          st.fuel <- st.fuel - 1;
-          if st.fuel <= 0 then raise Exec.Out_of_fuel;
-          charge Cost.store;
-          (* reference operand order: value, then addr *)
-          let v = get regs value in
-          Memory.store st.mem ~width (Int64.to_int (get regs addr)) v;
-          step (pc + 1)
-      | Oalloca { dst; elt; align; count } ->
-          st.instr_count <- st.instr_count + 1;
-          st.fuel <- st.fuel - 1;
-          if st.fuel <= 0 then raise Exec.Out_of_fuel;
-          let n =
-            match count with
-            | None -> 1
-            | Some c ->
-                let v = get regs c in
-                if Int64.compare v 0L < 0 || Int64.compare v 0x10000000L > 0
-                then
-                  raise (Memory.Fault (Memory.Misc "VLA length out of range"))
-                else Int64.to_int v
-          in
-          let bytes = elt * n in
-          let new_sp = Sutil.Align.align_down (st.sp - bytes) ~alignment:align in
-          if new_sp < st.stack_limit then
-            raise
-              (Memory.Fault (Memory.Stack_overflow { sp = st.sp; need = bytes }));
-          st.sp <- new_sp;
-          if entry_sp - new_sp > st.max_frame_bytes then
-            st.max_frame_bytes <- entry_sp - new_sp;
-          charge Cost.alloca;
-          regs.(dst) <- Int64.of_int new_sp;
-          step (pc + 1)
-      | Ocall { dst; fidx; args } ->
-          st.instr_count <- st.instr_count + 1;
-          st.fuel <- st.fuel - 1;
-          if st.fuel <= 0 then raise Exec.Out_of_fuel;
-          let r = call_fn (Array.unsafe_get funcs fidx) (getv args) in
-          if dst >= 0 then regs.(dst) <- r;
-          step (pc + 1)
-      | Obuiltin { dst; name; args } ->
-          st.instr_count <- st.instr_count + 1;
-          st.fuel <- st.fuel - 1;
-          if st.fuel <= 0 then raise Exec.Out_of_fuel;
-          let argv = getv args in
-          flush ();
-          let r =
-            match Exec.run_builtin st name argv with
-            | r ->
-                resync ();
-                r
-            | exception e ->
-                resync ();
-                raise e
-          in
-          if dst >= 0 then
-            regs.(dst) <- (match r with Some v -> v | None -> 0L);
-          step (pc + 1)
-      | Ocall_unknown { name; args } ->
-          st.instr_count <- st.instr_count + 1;
-          st.fuel <- st.fuel - 1;
-          if st.fuel <= 0 then raise Exec.Out_of_fuel;
-          ignore (getv args);
-          raise
-            (Memory.Fault
-               (Memory.Misc (Printf.sprintf "call to unknown function %s" name)))
-      | Ocall_ind { dst; callee; args } ->
-          st.instr_count <- st.instr_count + 1;
-          st.fuel <- st.fuel - 1;
-          if st.fuel <= 0 then raise Exec.Out_of_fuel;
-          let target = Int64.to_int (get regs callee) in
-          let rel = target - Compile.token_base in
-          if rel >= 0 && rel land 15 = 0 && rel asr 4 < nfuncs then begin
-            let r = call_fn (Array.unsafe_get funcs (rel asr 4)) (getv args) in
-            if dst >= 0 then regs.(dst) <- r;
-            step (pc + 1)
-          end
-          else
-            raise
-              (Memory.Fault
-                 (Memory.Misc
-                    (Printf.sprintf "indirect call to non-function address 0x%x"
-                       target)))
-      | Ointrinsic { dst; slot; name; args } ->
-          st.instr_count <- st.instr_count + 1;
-          st.fuel <- st.fuel - 1;
-          if st.fuel <= 0 then raise Exec.Out_of_fuel;
-          charge Cost.intrinsic_base;
-          let fn =
-            match Array.unsafe_get impls slot with
-            | Some fn -> fn
-            | None -> (
-                match Hashtbl.find_opt st.intrinsics name with
-                | Some fn ->
-                    impls.(slot) <- Some fn;
-                    fn
-                | None ->
-                    raise
-                      (Memory.Fault
-                         (Memory.Misc
-                            (Printf.sprintf "unregistered intrinsic %s" name))))
-          in
-          let argv = getv args in
-          flush ();
-          let result =
-            match fn st argv with
-            | r ->
-                resync ();
-                r
-            | exception e ->
-                resync ();
-                raise e
-          in
-          (match st.on_event with
-          | Some emit -> emit_sync emit (Exec.Ev_intrinsic { name; result })
-          | None -> ());
-          if dst >= 0 then
-            regs.(dst) <- (match result with Some v -> v | None -> 0L);
-          step (pc + 1)
-      | Ojmp t ->
-          charge Cost.branch;
-          step t
-      | Ocondbr { cond; if_true; if_false } ->
-          charge Cost.cond_branch;
-          step (if Int64.equal (get regs cond) 0L then if_false else if_true)
-      | Oret v ->
-          charge Cost.branch;
-          get regs v
-      | Ounreachable fname ->
-          raise
-            (Memory.Fault (Memory.Misc ("unreachable executed in " ^ fname)))
-      | Otrap -> raise Not_found
-    in
-    match step 0 with
-    | result ->
-        st.sp <- entry_sp;
-        st.depth <- st.depth - 1;
-        (match st.on_event with
-        | Some emit ->
-            emit_sync emit (Exec.Ev_return { func = bf.fname; depth = st.depth })
-        | None -> ());
-        cur := caller;
-        result
-    | exception e ->
-        (* unwind bookkeeping but propagate, as the reference does *)
-        st.depth <- st.depth - 1;
-        raise e
+  let rt =
+    {
+      st;
+      funcs = prog.funcs;
+      impls = Array.make (Array.length prog.intrinsic_names) None;
+      cyc = Float.Array.make 1 st.cycles;
+      cur = entry;
+    }
   in
   let outcome =
     match Hashtbl.find_opt prog.index entry with
     | None ->
         Exec.Fault { fault = Memory.Misc ("no entry function " ^ entry); func = "-" }
     | Some fidx -> (
-        match call_fn funcs.(fidx) (Array.of_list args) with
-        | v ->
-            flush ();
-            Exec.Exit v
+        let bf = prog.funcs.(fidx) in
+        let frame = Bytes.copy bf.frame in
+        List.iteri
+          (fun i v -> if i < Array.length bf.params then set frame bf.params.(i) v)
+          args;
+        match call_fn rt bf frame (List.length args) with
+        | ret ->
+            flush rt;
+            Exec.Exit (get frame ret)
         | exception Exec.Exit_program code ->
-            flush ();
+            flush rt;
             Exec.Exit code
         | exception Memory.Fault fault ->
-            flush ();
+            flush rt;
             (match st.on_event with
             | Some emit ->
                 emit (Exec.Ev_fault { detail = Memory.fault_to_string fault })
             | None -> ());
-            Exec.Fault { fault; func = !cur }
+            Exec.Fault { fault; func = rt.cur }
         | exception Exec.Detect reason ->
-            flush ();
+            flush rt;
             (match st.on_event with
             | Some emit -> emit (Exec.Ev_detected { reason })
             | None -> ());
-            Exec.Detected { reason; func = !cur }
+            Exec.Detected { reason; func = rt.cur }
         | exception Exec.Out_of_fuel ->
-            flush ();
+            flush rt;
             Exec.Fuel_exhausted)
   in
   (outcome, Exec.stats_of_state st)

@@ -4,7 +4,8 @@
     bytecode (cached per program, {e per domain} — the MRU cache lives
     in domain-local storage, so concurrent {!Sched.Pool} jobs never
     share or invalidate each other's compiled images) and executing a
-    flat dispatch loop over mutable [int64] register frames.  Preserves the reference
+    flat dispatch loop over unboxed [Bytes] register frames that
+    allocates nothing per instruction.  Preserves the reference
     interpreter's full observable contract — identical outcomes, program
     output, cycle/instruction/call accounting, memory faults, detection
     events and trace emission — which [test/test_engine.ml] checks

@@ -137,11 +137,6 @@ val run_builtin : state -> string -> int64 array -> int64 option
     Raises {!exception:Exit_program} for [exit] and
     {!Memory.Fault} for [abort] or unknown names. *)
 
-val eval_binop : Ir.Instr.binop -> int64 -> int64 -> int64
-(** Shared arithmetic, including the division-by-zero fault. *)
-
-val eval_icmp : Ir.Instr.icmp -> int64 -> int64 -> int64
-
 val stats_of_state : state -> stats
 (** Snapshot of the accounting fields, as {!run} returns them. *)
 

@@ -123,38 +123,38 @@ let materialize s addr size =
     s.bytes <- bytes
   end
 
+(* Slow path of [locate], run on every switch between segments: find the
+   segment that contains the access, cache it, and grow its window if
+   the access falls outside.  A top-level function rather than a local
+   closure, so a switch allocates nothing. *)
+let rec scan t ~op addr size i =
+  let segs = t.segs in
+  if i >= Array.length segs then raise (Fault (Out_of_bounds { addr; size; op }))
+  else
+    let s = Array.unsafe_get segs i in
+    (* segments are disjoint, so containment of [addr] identifies the
+       unique candidate; an access that starts inside a segment but
+       overruns its extent is out of bounds *)
+    if addr >= s.base && addr + size <= s.base + s.size then begin
+      t.last <- i;
+      if addr < s.lo || addr + size > s.lo + Bytes.length s.bytes then
+        materialize s addr size;
+      s
+    end
+    else scan t ~op addr size (i + 1)
+
 (* Hot path for every load/store: no closures, no [option] allocation,
    and a one-element cache of the last segment hit (accesses cluster on
    the stack or one data segment, so the cache almost always hits and
-   skips the linear scan).  The cache test is against the window, so a
-   hit needs no materialization; growth happens only in the scan, which
-   runs on every switch between segments and so tests the window before
-   calling out. *)
+   skips the scan).  The cache test is against the window, so a hit
+   needs no materialization; growth happens only in the scan, which
+   tests the window before calling out. *)
 let locate t ~op addr size =
   (match t.on_access with Some f -> f () | None -> ());
   if addr = 0 then raise (Fault Null_dereference);
-  let segs = t.segs in
-  let s = Array.unsafe_get segs t.last in
+  let s = Array.unsafe_get t.segs t.last in
   if addr >= s.lo && addr + size <= s.lo + Bytes.length s.bytes then s
-  else begin
-    let n = Array.length segs in
-    let rec scan i =
-      if i >= n then raise (Fault (Out_of_bounds { addr; size; op }))
-      else
-        let s = Array.unsafe_get segs i in
-        (* segments are disjoint, so containment of [addr] identifies
-           the unique candidate; an access that starts inside a segment
-           but overruns its extent is out of bounds *)
-        if addr >= s.base && addr + size <= s.base + s.size then begin
-          t.last <- i;
-          if addr < s.lo || addr + size > s.lo + Bytes.length s.bytes then
-            materialize s addr size;
-          s
-        end
-        else scan (i + 1)
-    in
-    scan 0
-  end
+  else scan t ~op addr size 0
 
 let touch s off size =
   let first = off / page_size and last = (off + size - 1) / page_size in
@@ -167,11 +167,46 @@ let load t ~width addr =
   touch s (addr - s.base) width;
   Sutil.Bytecodec.get s.bytes ~width (addr - s.lo)
 
-let store t ~width addr v =
+let bad_width fn width =
+  invalid_arg (Printf.sprintf "Sutil.Bytecodec.%s: bad width %d" fn width)
+
+(* [load] with Sutil.Bytecodec.get spelled out (same reads, same
+   exceptions) and one frame store per arm: a match whose arms yield an
+   int64 boxes every arm's result as soon as one arm is a call, and the
+   bad-width arm is one. *)
+let load_to t ~width addr frame off =
+  let s = locate t ~op:"load" addr width in
+  touch s (addr - s.base) width;
+  let b = s.bytes and i = addr - s.lo in
+  match width with
+  | 1 -> Bytes.set_int64_ne frame off (Int64.of_int (Bytes.get_uint8 b i))
+  | 2 -> Bytes.set_int64_ne frame off (Int64.of_int (Bytes.get_uint16_le b i))
+  | 4 ->
+      Bytes.set_int64_ne frame off
+        (Int64.of_int (Int32.to_int (Bytes.get_int32_le b i) land 0xffffffff))
+  | 8 -> Bytes.set_int64_ne frame off (Bytes.get_int64_le b i)
+  | _ -> bad_width "get" width
+
+let locate_store t ~width addr =
   let s = locate t ~op:"store" addr width in
   if s.perm = Read_only then raise (Fault (Write_protected { addr }));
   touch s (addr - s.base) width;
+  s
+
+let store t ~width addr v =
+  let s = locate_store t ~width addr in
   Sutil.Bytecodec.set s.bytes ~width (addr - s.lo) v
+
+(* [store] with Sutil.Bytecodec.set spelled out *)
+let store_from t ~width addr frame off =
+  let s = locate_store t ~width addr in
+  let b = s.bytes and i = addr - s.lo and v = Bytes.get_int64_ne frame off in
+  match width with
+  | 1 -> Bytes.set_uint8 b i (Int64.to_int v land 0xff)
+  | 2 -> Bytes.set_uint16_le b i (Int64.to_int v land 0xffff)
+  | 4 -> Bytes.set_int32_le b i (Int32.of_int (Int64.to_int v land 0xffffffff))
+  | 8 -> Bytes.set_int64_le b i v
+  | _ -> bad_width "set" width
 
 let read_bytes t addr n =
   if n = 0 then ""

@@ -61,6 +61,16 @@ val load : t -> width:int -> int -> int64
 
 val store : t -> width:int -> int -> int64 -> unit
 
+val load_to : t -> width:int -> int -> Bytes.t -> int -> unit
+(** [load_to t ~width addr frame off] is {!load} with the value written
+    to the native-endian 64-bit slot of [frame] at byte offset [off]
+    instead of returned, so the value is never boxed.  Same checks and
+    faults as {!load}. *)
+
+val store_from : t -> width:int -> int -> Bytes.t -> int -> unit
+(** [store_from t ~width addr frame off] is {!store} of the value in the
+    native-endian 64-bit slot of [frame] at byte offset [off]. *)
+
 val read_bytes : t -> int -> int -> string
 (** [read_bytes t addr n]; checked like {!load}. *)
 

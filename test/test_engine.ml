@@ -8,7 +8,8 @@
    cost arithmetic on hand-built IR, targeted parity cases for every
    divergence-prone path (faults, traps, fuel, detection, laziness),
    and seeded differential fuzzing plus the full application matrix via
-   Harness.Diffval. *)
+   Harness.Diffval.  A fourth group gates the engine's speed contract:
+   its dispatch loop allocates nothing per instruction. *)
 
 let ref_backend = Machine.Backend.reference
 let bc_backend = Engine.Backend.backend
@@ -403,6 +404,313 @@ int main() { print_int(helper(2) + helper(5)); return 0; }
   in
   check_identical "trace events" traces
 
+(* Hand-built [main]: [body] emits into the entry block and returns the
+   operand [main] returns. *)
+let main_prog ?(setup = fun _ -> ()) body =
+  let prog = Ir.Prog.create () in
+  setup prog;
+  let f = Ir.Func.create ~name:"main" ~params:[] ~returns:(Some Ir.Ty.I64) in
+  let b = Ir.Builder.create f in
+  let r = body b in
+  Ir.Builder.ret b (Some r);
+  Ir.Prog.add_func prog f;
+  prog
+
+(* Outcome and stats, or the message of the exception a broken operand
+   raises out of [run]. *)
+let run_prog prog =
+  List.map
+    (fun (label, (bk : Machine.Backend.t)) ->
+      ( label,
+        match bk.run (Machine.Exec.prepare prog) with
+        | r -> Ok r
+        | exception Invalid_argument m -> Error m ))
+    both
+
+let expect_fault what msg results =
+  List.iter
+    (fun (label, r) ->
+      match r with
+      | Ok (Machine.Exec.Fault { fault = Machine.Memory.Misc m; _ }, _) ->
+          Alcotest.(check string) (label ^ ": " ^ what) msg m
+      | Ok (o, _) ->
+          Alcotest.failf "%s: %s: expected fault, got %s" label what
+            (Machine.Exec.outcome_to_string o)
+      | Error m ->
+          Alcotest.failf "%s: %s: expected fault, got Invalid_argument %s"
+            label what m)
+    results;
+  check_identical what results
+
+(* Two unresolvable operands: the reference reads a binop's rhs before
+   its lhs, so the rhs's fault must win over the lhs's exception. *)
+let test_parity_binop_rhs_trap_first () =
+  expect_fault "rhs error wins" "unknown function reference no_such_fn"
+    (run_prog
+       (main_prog (fun b ->
+            Ir.Instr.Reg
+              (Ir.Builder.binop b Ir.Instr.Add (Ir.Instr.Global "no_such_global")
+                 (Ir.Instr.Func_ref "no_such_fn")))))
+
+(* ... and a store's value before its address. *)
+let test_parity_store_value_trap_first () =
+  expect_fault "value error wins" "unknown function reference no_such_fn"
+    (run_prog
+       (main_prog (fun b ->
+            Ir.Builder.store b Ir.Ty.I64 ~value:(Ir.Instr.Func_ref "no_such_fn")
+              ~addr:(Ir.Instr.Global "no_such_global");
+            Ir.Instr.Imm 0L)))
+
+let edge_values = [ 0L; 1L; -1L; Int64.min_int; Int64.max_int; 63L; 64L ]
+
+let test_parity_operator_edges () =
+  let pairs =
+    List.concat_map (fun a -> List.map (fun b -> (a, b)) edge_values) edge_values
+  in
+  let case what emit =
+    List.iter
+      (fun (a, b) ->
+        let what = Printf.sprintf "%s %Ld %Ld" what a b in
+        let results =
+          run_prog
+            (main_prog (fun bd ->
+                 Ir.Instr.Reg (emit bd (Ir.Instr.Imm a) (Ir.Instr.Imm b))))
+        in
+        check_identical what results)
+      pairs
+  in
+  let open Ir.Instr in
+  List.iter
+    (fun (name, op) -> case name (fun bd -> Ir.Builder.binop bd op))
+    [
+      ("add", Add); ("sub", Sub); ("mul", Mul); ("sdiv", Sdiv); ("udiv", Udiv);
+      ("srem", Srem); ("urem", Urem); ("and", And); ("or", Or); ("xor", Xor);
+      ("shl", Shl); ("lshr", Lshr); ("ashr", Ashr);
+    ];
+  List.iter
+    (fun (name, op) -> case name (fun bd -> Ir.Builder.icmp bd op))
+    [
+      ("eq", Eq); ("ne", Ne); ("slt", Slt); ("sle", Sle); ("sgt", Sgt);
+      ("sge", Sge); ("ult", Ult); ("ule", Ule);
+    ];
+  List.iter
+    (fun op ->
+      expect_fault "division by zero" "division by zero"
+        (run_prog
+           (main_prog (fun bd ->
+                Reg (Ir.Builder.binop bd op (Imm 7L) (Imm 0L))))))
+    [ Sdiv; Udiv; Srem; Urem ]
+
+let test_parity_casts () =
+  List.iter
+    (fun width ->
+      List.iter
+        (fun v ->
+          List.iter
+            (fun (name, emit) ->
+              check_identical
+                (Printf.sprintf "%s width %d of %Ld" name width v)
+                (run_prog
+                   (main_prog (fun b ->
+                        Ir.Instr.Reg (emit b ~width (Ir.Instr.Imm v))))))
+            [ ("sext", Ir.Builder.sext); ("trunc", Ir.Builder.trunc) ])
+        (0x80L :: 0x7fffL :: 0x80000000L :: 0x123456789abcdefL :: edge_values))
+    [ 1; 2; 4; 8 ]
+
+(* Loads and stores at every width, alternating between the stack, a
+   writable global, the heap and rodata, so the segment cache misses on
+   every access; the exit code hashes every loaded value. *)
+let test_parity_segment_widths () =
+  let setup prog =
+    Ir.Prog.add_global prog ~name:"data" ~ty:(Ir.Ty.Array (Ir.Ty.I8, 64))
+      ~writable:true ();
+    Ir.Prog.add_global prog ~name:"ro" ~ty:(Ir.Ty.Array (Ir.Ty.I8, 16))
+      ~init:"\x81\x82\x83\x84\x85\x86\x87\x88\xf1\xf2\xf3\xf4\xf5\xf6\xf7\xf8"
+      ~writable:false ();
+    Ir.Prog.add_extern prog "malloc"
+  in
+  let prog =
+    main_prog ~setup (fun b ->
+        let open Ir.Instr in
+        let stack = Reg (Ir.Builder.alloca b (Ir.Ty.Array (Ir.Ty.I8, 64))) in
+        let heap =
+          match Ir.Builder.call b ~result:true "malloc" [ Imm 64L ] with
+          | Some r -> Reg r
+          | None -> assert false
+        in
+        let segs = [ stack; Global "data"; heap ] in
+        let acc = ref (Imm 0L) in
+        let fold v =
+          let m = Ir.Builder.binop b Mul !acc (Imm 31L) in
+          acc := Reg (Ir.Builder.binop b Add (Reg m) (Reg v))
+        in
+        List.iteri
+          (fun k ty ->
+            let value = Imm (Int64.mul 0x0102030405060708L (Int64.of_int (k + 0x71))) in
+            List.iteri
+              (fun j base ->
+                let addr = Reg (Ir.Builder.gep b base ~offset:(8 * j)) in
+                Ir.Builder.store b ty ~value ~addr;
+                fold (Ir.Builder.load b ty addr);
+                fold (Ir.Builder.load b Ir.Ty.I64 addr);
+                fold (Ir.Builder.load b ty (Global "ro")))
+              (segs @ List.rev segs))
+          [ Ir.Ty.I8; Ir.Ty.I16; Ir.Ty.I32; Ir.Ty.I64 ];
+        !acc)
+  in
+  let results = run_prog prog in
+  List.iter
+    (fun (label, r) ->
+      match r with
+      | Ok (Machine.Exec.Exit _, _) -> ()
+      | _ -> Alcotest.failf "%s: expected a clean exit" label)
+    results;
+  check_identical "segment widths" results
+
+(* Registers outside the reference's [int64 array] frame fail its bounds
+   check: a read when the operand is evaluated, a write once the
+   instruction has run (after the callee returns, for a call), a
+   parameter right after the callee's arity check. *)
+let test_parity_registers_outside_frame () =
+  let open Ir.Instr in
+  let func ?(params = []) name instrs term =
+    let f = Ir.Func.create ~name ~params ~returns:(Some Ir.Ty.I64) in
+    f.blocks <- [ { Ir.Func.label = "entry"; instrs; term } ];
+    f
+  in
+  let prog funcs =
+    let p = Ir.Prog.create () in
+    List.iter (Ir.Prog.add_func p) funcs;
+    p
+  in
+  let three = func "three" [] (Ret (Some (Imm 3L))) in
+  let cases =
+    [
+      ("read", prog [ func "main" [] (Ret (Some (Reg 7))) ]);
+      ( "write",
+        prog
+          [
+            func "main"
+              [ Binop { dst = 50; op = Add; lhs = Imm 1L; rhs = Imm 2L } ]
+              (Ret (Some (Imm 0L)));
+          ] );
+      ( "call result",
+        prog
+          [
+            func "main" [ Call { dst = Some 50; callee = "three"; args = [] } ]
+              (Ret (Some (Imm 0L)));
+            three;
+          ] );
+      ( "parameter",
+        prog
+          [
+            func "main"
+              [ Call { dst = None; callee = "f"; args = [ Imm 5L ] } ]
+              (Ret (Some (Imm 0L)));
+            func ~params:[ (-1, Ir.Ty.I64) ] "f" [] (Ret (Some (Imm 0L)));
+          ] );
+    ]
+  in
+  List.iter
+    (fun (what, p) ->
+      check_identical what
+        (List.map
+           (fun (label, (bk : Machine.Backend.t)) ->
+             let st = Machine.Exec.prepare p in
+             match bk.run st with
+             | _ -> Alcotest.failf "%s: %s: expected Invalid_argument" label what
+             | exception Invalid_argument m ->
+                 (label, (m, st.instr_count, st.call_count, st.max_depth)))
+           both))
+    cases
+
+(* ------------------------------------------------------------------ *)
+(* Allocation gate *)
+
+(* A call-free loop of 5000 iterations whose body is the loop counter
+   [i] and one op under test, plus the counter's load, add, store,
+   compare and branch.  A boxed int64 is 24 bytes, so one boxing arm
+   puts its loop far above the gate of 1 byte per instruction. *)
+let alloc_loop_prog body =
+  let prog = Ir.Prog.create () in
+  Ir.Prog.add_global prog ~name:"g" ~ty:(Ir.Ty.Array (Ir.Ty.I8, 64)) ~writable:true ();
+  let f = Ir.Func.create ~name:"main" ~params:[] ~returns:(Some Ir.Ty.I64) in
+  let b = Ir.Builder.create f in
+  let open Ir.Instr in
+  let buf = Reg (Ir.Builder.alloca b (Ir.Ty.Array (Ir.Ty.I8, 64))) in
+  let slot = Reg (Ir.Builder.alloca b Ir.Ty.I64) in
+  Ir.Builder.store b Ir.Ty.I64 ~value:(Imm 0L) ~addr:slot;
+  Ir.Builder.br b "loop";
+  let _ = Ir.Builder.start_block b "loop" in
+  let i = Reg (Ir.Builder.load b Ir.Ty.I64 slot) in
+  body b ~buf i;
+  let next = Reg (Ir.Builder.binop b Add i (Imm 1L)) in
+  Ir.Builder.store b Ir.Ty.I64 ~value:next ~addr:slot;
+  let more = Ir.Builder.icmp b Slt next (Imm 5000L) in
+  Ir.Builder.cond_br b (Reg more) ~if_true:"loop" ~if_false:"done";
+  let _ = Ir.Builder.start_block b "done" in
+  Ir.Builder.ret b (Some i);
+  Ir.Prog.add_func prog f;
+  prog
+
+let alloc_bodies =
+  let open Ir.Instr in
+  let emit f b ~buf:_ i = ignore (f b i) in
+  List.map
+    (fun op -> ("binop", emit (fun b i -> Ir.Builder.binop b op i (Imm 3L))))
+    [ Add; Sub; Mul; Sdiv; Udiv; Srem; Urem; And; Or; Xor; Shl; Lshr; Ashr ]
+  @ List.map
+      (fun op -> ("icmp", emit (fun b i -> Ir.Builder.icmp b op i (Imm 100L))))
+      [ Eq; Ne; Slt; Sle; Sgt; Sge; Ult; Ule ]
+  @ [
+      ("select", emit (fun b i -> Ir.Builder.select b i (Imm 5L) i));
+      ("gep", emit (fun b i -> Ir.Builder.gep_idx b i ~offset:8 ~index:i ~scale:4));
+    ]
+  @ List.concat_map
+      (fun width ->
+        [
+          ("sext", emit (fun b i -> Ir.Builder.sext b ~width i));
+          ("trunc", emit (fun b i -> Ir.Builder.trunc b ~width i));
+        ])
+      [ 1; 2; 4 ]
+  @ List.concat_map
+      (fun ty ->
+        List.map
+          (fun seg ->
+            ( "load/store",
+              fun b ~buf i ->
+                let base = if seg = "stack" then buf else Global seg in
+                let idx = Reg (Ir.Builder.binop b And i (Imm 7L)) in
+                let addr =
+                  Reg (Ir.Builder.gep_idx b base ~offset:0 ~index:idx ~scale:8)
+                in
+                Ir.Builder.store b ty ~value:i ~addr;
+                ignore (Ir.Builder.load b ty addr) ))
+          [ "stack"; "g" ])
+      [ Ir.Ty.I8; Ir.Ty.I16; Ir.Ty.I32; Ir.Ty.I64 ]
+
+let test_alloc_gate () =
+  List.iteri
+    (fun k (what, body) ->
+      let prog = alloc_loop_prog body in
+      (* the first run compiles and caches the image; measure the second *)
+      let _ = bc_backend.run ~fuel:100 (Machine.Exec.prepare prog) in
+      let st = Machine.Exec.prepare prog in
+      let before = Gc.minor_words () in
+      let outcome, stats = bc_backend.run st in
+      let bytes = (Gc.minor_words () -. before) *. float_of_int (Sys.word_size / 8) in
+      (match outcome with
+      | Machine.Exec.Exit _ -> ()
+      | o ->
+          Alcotest.failf "%s loop %d did not exit: %s" what k
+            (Machine.Exec.outcome_to_string o));
+      let per_instr = bytes /. float_of_int stats.instr_count in
+      if per_instr >= 1. then
+        Alcotest.failf "%s loop %d: %.2f bytes allocated per instruction" what k
+          per_instr;
+      check_identical (Printf.sprintf "%s loop %d" what k) (run_prog prog))
+    alloc_bodies
+
 (* ------------------------------------------------------------------ *)
 (* Backend registry *)
 
@@ -481,6 +789,17 @@ let () =
           Alcotest.test_case "select arms stay lazy" `Quick
             test_parity_select_lazy_arms;
           Alcotest.test_case "trace events" `Quick test_parity_trace_events;
+          Alcotest.test_case "binop reads rhs first" `Quick
+            test_parity_binop_rhs_trap_first;
+          Alcotest.test_case "store reads value first" `Quick
+            test_parity_store_value_trap_first;
+          Alcotest.test_case "operator edge values" `Quick
+            test_parity_operator_edges;
+          Alcotest.test_case "sext/trunc widths" `Quick test_parity_casts;
+          Alcotest.test_case "load/store widths across segments" `Quick
+            test_parity_segment_widths;
+          Alcotest.test_case "registers outside the frame" `Quick
+            test_parity_registers_outside_frame;
         ] );
       ( "backend",
         [ Alcotest.test_case "registry" `Quick test_backend_registry ] );
@@ -489,4 +808,6 @@ let () =
           Alcotest.test_case "50 progen programs" `Slow test_diffval_progen;
           Alcotest.test_case "application matrix" `Slow test_diffval_apps;
         ] );
+      ( "alloc",
+        [ Alcotest.test_case "loops allocate nothing" `Quick test_alloc_gate ] );
     ]

@@ -204,6 +204,8 @@ let model_layout =
 type mem_op =
   | Load of int * int
   | Store of int * int * int64
+  | Load_to of int * int
+  | Store_from of int * int * int64
   | Read of int * int
   | Write of int * string
   | Write_protected of int * string
@@ -213,6 +215,8 @@ type mem_op =
 let show_op = function
   | Load (w, a) -> Printf.sprintf "load%d 0x%x" w a
   | Store (w, a, v) -> Printf.sprintf "store%d 0x%x %Ld" w a v
+  | Load_to (w, a) -> Printf.sprintf "load_to%d 0x%x" w a
+  | Store_from (w, a, v) -> Printf.sprintf "store_from%d 0x%x %Ld" w a v
   | Read (a, n) -> Printf.sprintf "read 0x%x %d" a n
   | Write (a, s) -> Printf.sprintf "write 0x%x (%d bytes)" a (String.length s)
   | Write_protected (a, s) ->
@@ -252,6 +256,8 @@ let gen_mem_op =
     [
       (3, map2 (fun w a -> Load (w, a)) width gen_addr);
       (3, map3 (fun w a v -> Store (w, a, v)) width gen_addr int64);
+      (2, map2 (fun w a -> Load_to (w, a)) width gen_addr);
+      (2, map3 (fun w a v -> Store_from (w, a, v)) width gen_addr int64);
       (1, map2 (fun a n -> Read (a, n)) gen_addr len);
       (2, map2 (fun a s -> Write (a, s)) gen_addr str);
       (1, map2 (fun a s -> Write_protected (a, s)) gen_addr str);
@@ -275,6 +281,16 @@ let show_result = function
 let apply_real m = function
   | Load (w, a) -> observe (fun () -> Int64.to_string (M.load m ~width:w a))
   | Store (w, a, v) -> observe (fun () -> M.store m ~width:w a v; "")
+  | Load_to (w, a) ->
+      (* through a slot in the middle of a frame *)
+      let frame = Bytes.make 24 '\xa5' in
+      observe (fun () ->
+          M.load_to m ~width:w a frame 8;
+          Int64.to_string (Bytes.get_int64_ne frame 8))
+  | Store_from (w, a, v) ->
+      let frame = Bytes.make 24 '\xa5' in
+      Bytes.set_int64_ne frame 8 v;
+      observe (fun () -> M.store_from m ~width:w a frame 8; "")
   | Read (a, n) -> observe (fun () -> M.read_bytes m a n)
   | Write (a, s) -> observe (fun () -> M.write_bytes m a s; "")
   | Write_protected (a, s) -> observe (fun () -> M.write_protected m a s; "")
@@ -282,8 +298,10 @@ let apply_real m = function
   | Flip (a, bit) -> observe (fun () -> M.flip_bit m ~addr:a ~bit; "")
 
 let apply_model e = function
-  | Load (w, a) -> observe (fun () -> Int64.to_string (Eager.load e ~width:w a))
-  | Store (w, a, v) -> observe (fun () -> Eager.store e ~width:w a v; "")
+  | Load (w, a) | Load_to (w, a) ->
+      observe (fun () -> Int64.to_string (Eager.load e ~width:w a))
+  | Store (w, a, v) | Store_from (w, a, v) ->
+      observe (fun () -> Eager.store e ~width:w a v; "")
   | Read (a, n) -> observe (fun () -> Eager.read_bytes e a n)
   | Write (a, s) -> observe (fun () -> Eager.write_bytes_perm ~check:true e a s; "")
   | Write_protected (a, s) ->
