@@ -511,7 +511,8 @@ let all =
       campaign
       "lib/store caches every execution's observables on disk, \
        content-addressed on (source digest, hardening fingerprint, engine \
-       kind, seed), with atomic tmp+rename writes and quarantine-on-corruption \
+       kind, seed), with digest-verified appends to a segment log and \
+       quarantine-on-corruption \
        (DESIGN.md §14).  A campaign over a Progen seed range consults the \
        store before touching the VM, so a warm re-run — or a run resumed \
        after a mid-campaign kill — replays cached observables and renders \

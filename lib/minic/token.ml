@@ -22,17 +22,16 @@ type t =
 
 type spanned = { tok : t; loc : Srcloc.t }
 
-let keywords =
-  [
-    ("char", Kw_char); ("short", Kw_short); ("int", Kw_int); ("long", Kw_long);
-    ("void", Kw_void); ("struct", Kw_struct); ("if", Kw_if); ("else", Kw_else);
-    ("while", Kw_while); ("for", Kw_for); ("do", Kw_do); ("return", Kw_return);
-    ("switch", Kw_switch); ("case", Kw_case); ("default", Kw_default);
-    ("break", Kw_break); ("continue", Kw_continue); ("sizeof", Kw_sizeof);
-    ("const", Kw_const); ("extern", Kw_extern);
-  ]
-
-let keyword_of_string s = List.assoc_opt s keywords
+let keyword_of_string = function
+  | "char" -> Some Kw_char | "short" -> Some Kw_short | "int" -> Some Kw_int
+  | "long" -> Some Kw_long | "void" -> Some Kw_void | "struct" -> Some Kw_struct
+  | "if" -> Some Kw_if | "else" -> Some Kw_else | "while" -> Some Kw_while
+  | "for" -> Some Kw_for | "do" -> Some Kw_do | "return" -> Some Kw_return
+  | "switch" -> Some Kw_switch | "case" -> Some Kw_case
+  | "default" -> Some Kw_default | "break" -> Some Kw_break
+  | "continue" -> Some Kw_continue | "sizeof" -> Some Kw_sizeof
+  | "const" -> Some Kw_const | "extern" -> Some Kw_extern
+  | _ -> None
 
 let to_string = function
   | Int_lit i -> Int64.to_string i

@@ -57,6 +57,68 @@ let test_lexer_errors () =
   | _ -> Alcotest.fail "expected lex error"
   | exception Minic.Srcloc.Error _ -> ())
 
+(* Every Apps.Spec source and 200 Progen programs, lexed: the digest of
+   their [(tok, loc)] streams pins the lexer's output token by token. *)
+let lexer_golden_sources () =
+  List.map (fun (w : Apps.Spec.workload) -> w.source) Apps.Spec.all
+  @ List.of_seq (Seq.map snd (Minic.Progen.range ~seed:1L 200))
+
+let token_stream_digest sources =
+  let buf = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun src ->
+      Array.iter
+        (fun { Minic.Token.tok; loc } ->
+          Printf.bprintf buf "%d:%d %s\n" loc.Minic.Srcloc.line loc.col
+            (Minic.Token.to_string tok))
+        (Minic.Lexer.tokenize src))
+    sources;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_lexer_golden_streams () =
+  Alcotest.(check string)
+    "token-stream digest" "27c759fd171949f2801d200c2a735734"
+    (token_stream_digest (lexer_golden_sources ()))
+
+(* Each error's message and location, and the token count of the inputs
+   that must lex: a NUL byte is an unexpected character outside string
+   and character literals, and an ordinary byte inside them. *)
+let lex_error src =
+  match Minic.Lexer.tokenize src with
+  | toks -> Printf.sprintf "ok %d tokens" (Array.length toks)
+  | exception (Minic.Srcloc.Error _ as e) -> Option.get (Minic.Srcloc.to_string e)
+
+let test_lexer_error_cases () =
+  List.iter
+    (fun (src, expected) ->
+      Alcotest.(check string) (Printf.sprintf "%S" src) expected (lex_error src))
+    [
+      ("int a;\000", "minic error at 1:7: unexpected character '\\000'");
+      ("\000", "minic error at 1:1: unexpected character '\\000'");
+      ("int a; /* abc", "minic error at 1:8: unterminated block comment");
+      ("/*", "minic error at 1:1: unterminated block comment");
+      ("/* x *", "minic error at 1:1: unterminated block comment");
+      ("\"abc", "minic error at 1:1: unterminated string literal");
+      ("\"ab\\", "minic error at 1:1: bad escape sequence");
+      ("'a", "minic error at 1:1: unterminated character literal");
+      ("'", "minic error at 1:1: unterminated character literal");
+      ("'\\", "minic error at 1:1: bad escape sequence");
+      ("'ab'", "minic error at 1:1: unterminated character literal");
+      ("'\\q'", "minic error at 1:1: bad escape sequence");
+      ("\"a\\qb\"", "minic error at 1:1: bad escape sequence");
+      ("'\\x'", "minic error at 1:1: bad \\x escape");
+      ("\"\\xg\"", "minic error at 1:1: bad \\x escape");
+      ("\n  x = \"a\nb", "minic error at 2:7: unterminated string literal");
+      ("\"a\000b\" /* \000 */ // \000", "ok 2 tokens");
+      ("'\000'", "ok 2 tokens");
+      ("x // tail", "ok 2 tokens");
+      ("0x", "minic error at 1:1: bad integer literal 0x");
+      ("99999999999999999999", "minic error at 1:1: bad integer literal 99999999999999999999");
+      ("a @", "minic error at 1:3: unexpected character '@'");
+      ("\t$", "minic error at 1:2: unexpected character '$'");
+      ("0xfg", "ok 3 tokens");
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Execution semantics *)
 
@@ -636,6 +698,9 @@ let () =
           Alcotest.test_case "tokens" `Quick test_lexer_tokens;
           Alcotest.test_case "positions" `Quick test_lexer_positions;
           Alcotest.test_case "errors" `Quick test_lexer_errors;
+          Alcotest.test_case "golden token streams" `Quick
+            test_lexer_golden_streams;
+          Alcotest.test_case "error cases" `Quick test_lexer_error_cases;
         ] );
       ("semantics", semantics);
       ("edge-cases", edge_cases);

@@ -1,6 +1,7 @@
 (* Tests for the artifact store (lib/store): content-addressed keys,
    versioned entry codecs with bit-exact floats, the crash-safe disk
-   backend (atomic writes, corruption quarantined as a miss), and the
+   backend (an append-only log of digest-checked records, corruption
+   quarantined as a miss, torn tails ignored), and the
    campaign runner's headline invariants — warm replay and resume both
    render byte-identical reports. *)
 
@@ -209,26 +210,51 @@ let test_disk_survives_reopen () =
         sample_exec
         (Option.get (Entry.exec_of_entry e))
 
-let object_path root key =
-  let id = Key.id key in
-  Filename.concat
-    (Filename.concat (Filename.concat root "objects") (String.sub id 0 2))
-    (id ^ ".json")
+(* The log layout, read back independently of Store.Cache: segment
+   paths in name order, and a segment's complete records as
+   [(offset, header, body)] plus the count of bytes after the last. *)
+
+let header_len = 77
+
+let segments root =
+  let log = Filename.concat root "log" in
+  Sys.readdir log |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".log")
+  |> List.sort String.compare
+  |> List.map (Filename.concat log)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path data =
+  Out_channel.with_open_bin path (fun oc -> output_string oc data)
+
+let records data =
+  let n = String.length data in
+  let rec go pos acc =
+    if pos + header_len > n then (List.rev acc, n - pos)
+    else
+      let header = String.sub data pos header_len in
+      let len = int_of_string (String.sub header 33 10) in
+      if pos + header_len + len > n then (List.rev acc, n - pos)
+      else
+        go (pos + header_len + len)
+          ((pos, header, String.sub data (pos + header_len) len) :: acc)
+  in
+  go 0 []
+
+let only_segment root =
+  match segments root with
+  | [ seg ] -> seg
+  | segs -> Alcotest.failf "expected one segment, found %d" (List.length segs)
 
 let truncate_file path len =
-  let ic = open_in_bin path in
-  let keep = min len (in_channel_length ic) in
-  let prefix = really_input_string ic keep in
-  close_in ic;
-  let oc = open_out_bin path in
-  output_string oc prefix;
-  close_out oc
+  write_file path (String.sub (read_file path) 0 len)
 
 let test_corrupt_entry_is_quarantined_miss () =
   with_disk_store @@ fun store dir ->
   let key = base_key () in
   Cache.put store key (Entry.exec_entry sample_exec);
-  truncate_file (object_path dir key) 17;
+  truncate_file (only_segment dir) 17;
   Cache.reset_stats store;
   Alcotest.(check bool)
     "truncated entry is a miss, not a crash" true
@@ -237,33 +263,38 @@ let test_corrupt_entry_is_quarantined_miss () =
   Alcotest.(check int) "counted as miss" 1 s.Cache.misses;
   Alcotest.(check int) "counted as eviction" 1 s.Cache.evicted;
   Alcotest.(check bool)
-    "offending file moved aside" false
-    (Sys.file_exists (object_path dir key));
+    "offending record no longer indexed: a plain miss, no second eviction"
+    true
+    (Option.is_none (Cache.find store key)
+    && (Cache.stats store).Cache.evicted = 1);
   Alcotest.(check bool)
     "quarantine holds it" true
     (Array.length (Sys.readdir (Filename.concat dir "quarantine")) > 0);
   (* the caller recomputes and overwrites; the store heals *)
   Cache.put store key (Entry.exec_entry sample_exec);
-  Alcotest.(check bool) "healed" true (Option.is_some (Cache.find store key))
+  Alcotest.(check bool) "healed" true (Option.is_some (Cache.find store key));
+  Alcotest.(check bool)
+    "healed for a reopened handle" true
+    (Option.is_some (Cache.find (Cache.open_disk dir) key))
 
 let test_key_echo_mismatch_is_miss () =
   with_disk_store @@ fun store dir ->
   let key = base_key () and other = base_key ~extra:"other" () in
   Cache.put store key (Entry.exec_entry sample_exec);
-  (* graft key's entry file onto other's address: a hash collision or a
-     hand-copied file must never serve the wrong key *)
-  let dst = object_path dir other in
-  let dstdir = Filename.dirname dst in
-  if not (Sys.file_exists dstdir) then Sys.mkdir dstdir 0o755;
-  let ic = open_in_bin (object_path dir key) in
-  let body = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let oc = open_out_bin dst in
-  output_string oc body;
-  close_out oc;
+  (* graft key's record onto other's id, digest intact: a hash collision
+     or a hand-copied record must never serve the wrong key *)
+  let header, body =
+    match records (read_file (only_segment dir)) with
+    | [ (_, h, b) ], 0 -> (h, b)
+    | _ -> Alcotest.fail "expected exactly one complete record"
+  in
+  write_file
+    (Filename.concat (Filename.concat dir "log") "graft.log")
+    (Key.id other ^ String.sub header 32 (header_len - 32) ^ body);
   Alcotest.(check bool)
     "foreign entry degraded to a miss" true
-    (Option.is_none (Cache.find store other))
+    (Option.is_none (Cache.find store other));
+  Alcotest.(check int) "counted as eviction" 1 (Cache.stats store).Cache.evicted
 
 let test_incompatible_manifest_version () =
   let dir = fresh_dir () in
@@ -315,13 +346,209 @@ let test_concurrent_writers () =
         (Option.is_some (Cache.find store key)))
     (shared :: keys);
   Alcotest.(check bool)
-    "no torn temp files left behind" true
+    "no partial record left behind" true
     (match Cache.root store with
     | None -> false
     | Some root ->
-        Array.for_all
-          (fun f -> not (Filename.check_suffix f ".tmp"))
-          (Sys.readdir (Filename.concat root "objects")))
+        List.for_all
+          (fun seg ->
+            let recs, rest = records (read_file seg) in
+            rest = 0
+            && List.for_all
+                 (fun (_, h, b) ->
+                   String.sub h 44 32 = Digest.to_hex (Digest.string b))
+                 recs)
+          (segments root))
+
+let keys n = List.init n (fun i -> base_key ~seed:(Int64.of_int (100 + i)) ())
+let put_all store = List.iter (fun k -> Cache.put store k (Entry.exec_entry sample_exec))
+let found store k = Option.is_some (Cache.find store k)
+
+(* A kill -9 mid-put leaves the last record cut at any byte: earlier
+   records still hit, the torn one misses, and the writer's next put
+   starts a fresh segment instead of appending behind the torn tail. *)
+let test_torn_tail_every_offset () =
+  let k0, k1, k2 = match keys 3 with [ a; b; c ] -> (a, b, c) | _ -> assert false in
+  let seg_len, last =
+    with_disk_store @@ fun store dir ->
+    put_all store [ k0; k1; k2 ];
+    let data = read_file (only_segment dir) in
+    match records data with
+    | [ _; _; (off, _, _) ], 0 -> (String.length data, off)
+    | _ -> Alcotest.fail "expected three complete records"
+  in
+  for cut = last to seg_len - 1 do
+    with_disk_store @@ fun writer dir ->
+    put_all writer [ k0; k1; k2 ];
+    let seg = only_segment dir in
+    truncate_file seg cut;
+    let msg what = Printf.sprintf "cut at %d: %s" cut what in
+    let reader = Cache.open_disk dir in
+    Alcotest.(check bool) (msg "first record hits") true (found reader k0);
+    Alcotest.(check bool) (msg "second record hits") true (found reader k1);
+    Alcotest.(check bool) (msg "torn record misses") false (found reader k2);
+    Alcotest.(check int) (msg "torn tail is not an eviction") 0
+      (Cache.stats reader).Cache.evicted;
+    Cache.put writer k2 (Entry.exec_entry sample_exec);
+    Alcotest.(check int) (msg "torn segment left as it was") cut
+      (String.length (read_file seg));
+    Alcotest.(check int) (msg "put landed in a fresh segment") 2
+      (List.length (segments dir));
+    Alcotest.(check bool) (msg "a reopen finds it") true
+      (found (Cache.open_disk dir) k2);
+    Alcotest.(check bool) (msg "the old reader finds it") true (found reader k2)
+  done
+
+let test_taken_segment_name_not_appended () =
+  with_disk_store @@ fun store dir ->
+  (* the name a fresh handle picks first, already taken by a torn record
+     of a process that had this pid before *)
+  let taken =
+    Filename.concat (Filename.concat dir "log")
+      (Printf.sprintf "%d.0.log" (Unix.getpid ()))
+  in
+  let torn = String.make 40 'f' in
+  write_file taken torn;
+  let key = base_key () in
+  Cache.put store key (Entry.exec_entry sample_exec);
+  Alcotest.(check string) "taken segment untouched" torn (read_file taken);
+  Alcotest.(check int) "put made its own segment" 2 (List.length (segments dir));
+  Alcotest.(check bool) "a reopen finds it" true (found (Cache.open_disk dir) key)
+
+(* A digest-failing copy of an id must not hide a valid copy of the same
+   id in another segment, whichever of the two is scanned first. *)
+let test_corrupt_copy_never_shadows () =
+  let key = base_key () in
+  let good =
+    with_disk_store @@ fun store dir ->
+    Cache.put store key (Entry.exec_entry sample_exec);
+    read_file (only_segment dir)
+  in
+  let bad = String.mapi (fun i c -> if i = String.length good - 3 then 'X' else c) good in
+  List.iter
+    (fun (first, second, order) ->
+      with_disk_store @@ fun _ dir ->
+      let log = Filename.concat dir "log" in
+      write_file (Filename.concat log "a.log") first;
+      write_file (Filename.concat log "b.log") second;
+      let store = Cache.open_disk dir in
+      Alcotest.(check bool) (order ^ ": valid copy served") true (found store key);
+      let reopened = Cache.open_disk dir in
+      Alcotest.(check bool) (order ^ ": again from a reopen") true (found reopened key);
+      Alcotest.(check int) (order ^ ": no eviction from the reopen") 0
+        (Cache.stats reopened).Cache.evicted)
+    [ (bad, good, "corrupt first"); (good, bad, "valid first") ]
+
+let test_put_visible_to_earlier_handle () =
+  with_disk_store @@ fun early dir ->
+  let key = base_key () in
+  Alcotest.(check bool) "cold" false (Cache.mem early key);
+  Cache.put (Cache.open_disk dir) key (Entry.exec_entry sample_exec);
+  Alcotest.(check bool) "mem sees another handle's put" true (Cache.mem early key);
+  Alcotest.(check bool) "find serves it" true (found early key)
+
+let test_v1_store_refused () =
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  Sys.mkdir dir 0o755;
+  write_file (Filename.concat dir "manifest.json") "{\"smokestack-store\": 1}\n";
+  match Cache.open_disk dir with
+  | _ -> Alcotest.fail "a version-1 store opened without complaint"
+  | exception Cache.Incompatible msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%S names versions 1 and 2" msg)
+        true
+        (contains_substring msg "version 1" && contains_substring msg "version 2")
+
+(* Handles are dropped without a close, so no call may leave a
+   descriptor open.  Every putting handle adds a segment that the next
+   open scans, so the 1000 cycles are spread over ten stores. *)
+let test_no_descriptor_leak () =
+  let fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let key = base_key () in
+  let before = fds () in
+  for _ = 1 to 10 do
+    with_disk_store @@ fun _ dir ->
+    for _ = 1 to 100 do
+      let store = Cache.open_disk dir in
+      Cache.put store key (Entry.exec_entry sample_exec);
+      ignore (Cache.find store key)
+    done
+  done;
+  Alcotest.(check int) "open descriptors unchanged" before (fds ())
+
+(* A record whose header no longer names the id it was indexed under
+   (rewritten after the scan) is a miss, even though its body would
+   pass every other check. *)
+let test_header_id_checked () =
+  with_disk_store @@ fun store dir ->
+  let key = base_key () and other = base_key ~extra:"other" () in
+  Cache.put store key (Entry.exec_entry sample_exec);
+  let seg = only_segment dir in
+  let data = read_file seg in
+  write_file seg (Key.id other ^ String.sub data 32 (String.length data - 32));
+  Alcotest.(check bool) "renamed record is a miss" false (found store key);
+  Alcotest.(check int) "counted as eviction" 1 (Cache.stats store).Cache.evicted
+
+(* A record that fails its digest is quarantined once: handles opened
+   after the eviction skip it, even while it stays in the segment ahead
+   of the re-put copy. *)
+let test_bit_flip_healed_for_later_handles () =
+  with_disk_store @@ fun store dir ->
+  let key = base_key () in
+  Cache.put store key (Entry.exec_entry sample_exec);
+  let seg = only_segment dir in
+  let data = read_file seg in
+  let flip = String.length data - 3 in
+  write_file seg
+    (String.mapi (fun i c -> if i = flip then Char.chr (Char.code c lxor 1) else c) data);
+  Alcotest.(check bool) "bit-flipped record is a miss" false (found store key);
+  Alcotest.(check int) "counted as eviction" 1 (Cache.stats store).Cache.evicted;
+  Cache.put store key (Entry.exec_entry sample_exec);
+  for n = 1 to 3 do
+    let reopened = Cache.open_disk dir in
+    let msg what = Printf.sprintf "reopen %d: %s" n what in
+    Alcotest.(check bool) (msg "re-put copy served") true (found reopened key);
+    Alcotest.(check int) (msg "no eviction") 0 (Cache.stats reopened).Cache.evicted
+  done;
+  Alcotest.(check int) "one quarantined copy" 1
+    (Array.length (Sys.readdir (Filename.concat dir "quarantine")))
+
+(* A pid no process has: the highest one that [kill 0] reports as
+   absent. *)
+let dead_pid () =
+  let pid_max =
+    try int_of_string (String.trim (read_file "/proc/sys/kernel/pid_max"))
+    with _ -> 32768
+  in
+  let rec go pid =
+    match Unix.kill pid 0 with
+    | () -> go (pid - 1)
+    | exception Unix.Unix_error (Unix.ESRCH, _, _) -> pid
+    | exception Unix.Unix_error _ -> go (pid - 1)
+  in
+  go (pid_max - 1)
+
+(* A segment left by a process that has exited is read in full, by a
+   handle opened before it appeared and by a later one, torn tail and
+   all. *)
+let test_exited_writer_segment_read () =
+  let k0, k1 = match keys 2 with [ a; b ] -> (a, b) | _ -> assert false in
+  let data =
+    with_disk_store @@ fun store dir ->
+    put_all store [ k0; k1 ];
+    read_file (only_segment dir)
+  in
+  with_disk_store @@ fun early dir ->
+  Alcotest.(check bool) "cold" false (found early k0);
+  write_file
+    (Filename.concat (Filename.concat dir "log") (Printf.sprintf "%d.0.log" (dead_pid ())))
+    (data ^ String.sub data 0 50);
+  List.iter
+    (fun (who, store) ->
+      Alcotest.(check bool) (who ^ ": first record") true (found store k0);
+      Alcotest.(check bool) (who ^ ": second record") true (found store k1))
+    [ ("earlier handle", early); ("later handle", Cache.open_disk dir) ]
 
 (* ------------------------------------------------------------------ *)
 (* Campaigns: warm replay and resume *)
@@ -461,6 +688,23 @@ let () =
             test_foreign_directory_rejected;
           Alcotest.test_case "concurrent writers jobs=8" `Quick
             test_concurrent_writers;
+          Alcotest.test_case "torn tail at every offset" `Quick
+            test_torn_tail_every_offset;
+          Alcotest.test_case "taken segment name not appended to" `Quick
+            test_taken_segment_name_not_appended;
+          Alcotest.test_case "corrupt copy never shadows a valid one" `Quick
+            test_corrupt_copy_never_shadows;
+          Alcotest.test_case "put visible to an earlier handle" `Quick
+            test_put_visible_to_earlier_handle;
+          Alcotest.test_case "version-1 store refused" `Quick
+            test_v1_store_refused;
+          Alcotest.test_case "no descriptor leak over 1000 cycles" `Quick
+            test_no_descriptor_leak;
+          Alcotest.test_case "header id checked" `Quick test_header_id_checked;
+          Alcotest.test_case "bit flip healed for later handles" `Quick
+            test_bit_flip_healed_for_later_handles;
+          Alcotest.test_case "segment of an exited writer read" `Quick
+            test_exited_writer_segment_read;
         ] );
       ( "campaign",
         [
