@@ -32,6 +32,8 @@ type t = {
   config : Config.t;
 }
 
+let row_stride (e : entry) = 4 * Array.length e.canon_meta
+
 (* Canonical order: descending (size, alignment).  Any deterministic
    order works; descending keeps big buffers first, which also gives the
    shared tables a stable visual layout in dumps. *)
@@ -191,33 +193,38 @@ let build ?(seed = 1L) ?(elided = []) (config : Config.t) funcs =
           List.iter (bind_into ~entry_index ~entry ~dummy:0) members)
     groups;
   (* Serialize: tables back to back, u32 little-endian, wrapping rows
-     for the power-of-2 materialization. *)
-  let buf = Buffer.create 4096 in
-  let put_u32 v =
-    Buffer.add_char buf (Char.chr (v land 0xff));
-    Buffer.add_char buf (Char.chr ((v lsr 8) land 0xff));
-    Buffer.add_char buf (Char.chr ((v lsr 16) land 0xff));
-    Buffer.add_char buf (Char.chr ((v lsr 24) land 0xff))
+     for the power-of-2 materialization.  A table every user of which
+     was elided never gets read: its rows are skipped.  The entry itself
+     stays (indices into [entries] were already handed out), pointing at
+     offset 0 of a region it does not own — harmless, since nothing is
+     bound to it. *)
+  let entries = Array.of_list !entries in
+  let serialized (e : entry) = e.users <> [] in
+  let blob =
+    Bytes.create
+      (Array.fold_left
+         (fun acc e ->
+           if serialized e then acc + (e.rows_materialized * row_stride e) else acc)
+         0 entries)
   in
+  let pos = ref 0 in
   let entries =
-    Array.of_list
-      (List.map
-         (fun e ->
-           (* A table every user of which was elided never gets read:
-              skip its rows.  The entry itself stays (indices into
-              [entries] were already handed out), pointing at offset 0
-              of a region it does not own — harmless, since nothing is
-              bound to it. *)
-           if e.users = [] then { e with byte_offset = 0 }
-           else begin
-             let byte_offset = Buffer.length buf in
-             let real_rows = Array.length e.table.offsets in
-             for r = 0 to e.rows_materialized - 1 do
-               Array.iter put_u32 e.table.offsets.(r mod real_rows)
-             done;
-             { e with byte_offset }
-           end)
-         !entries)
+    Array.map
+      (fun e ->
+        if not (serialized e) then { e with byte_offset = 0 }
+        else begin
+          let byte_offset = !pos in
+          let real_rows = Array.length e.table.offsets in
+          for r = 0 to e.rows_materialized - 1 do
+            Array.iter
+              (fun v ->
+                Bytes.set_int32_le blob !pos (Int32.of_int v);
+                pos := !pos + 4)
+              e.table.offsets.(r mod real_rows)
+          done;
+          { e with byte_offset }
+        end)
+      entries
   in
   (* Dynamic bindings for oversized frames. *)
   let dynamic =
@@ -246,7 +253,7 @@ let build ?(seed = 1L) ?(elided = []) (config : Config.t) funcs =
            })
          dynamic)
   in
-  { entries; dyns; bindings; blob = Buffer.contents buf; config }
+  { entries; dyns; bindings; blob = Bytes.unsafe_to_string blob; config }
 
 let binding t fname = Hashtbl.find_opt t.bindings fname
 
@@ -261,7 +268,6 @@ let dyn_of t b =
   | Exhaustive _ -> None
 
 let blob_bytes t = String.length t.blob
-let row_stride (e : entry) = 4 * Array.length e.canon_meta
 
 let max_total t b =
   match b.mode with

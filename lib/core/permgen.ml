@@ -4,22 +4,51 @@ type table = {
   max_total : int;
 }
 
-(* One row of Algorithm 1: place the allocations in the [p]-th
-   lexical-order permutation, aligning each as it is placed, and record
-   each allocation's offset indexed by its ORIGINAL position. *)
+(* Place the allocations in the order [order], aligning each as it is
+   placed; record each allocation's offset in [indexes], indexed by its
+   ORIGINAL position, and return the bytes the layout consumes. *)
+let place meta (order : int array) (indexes : int array) =
+  let ind = ref 0 in
+  for k = 0 to Array.length order - 1 do
+    let e = order.(k) in
+    let size, alignment = meta.(e) in
+    ind := Sutil.Align.align_up !ind ~alignment;
+    indexes.(e) <- !ind;
+    ind := !ind + size
+  done;
+  !ind
+
+(* One row of Algorithm 1: the [p]-th lexical-order permutation,
+   decoded from [p] as the paper's PERMUTE procedure does. *)
 let row_for_index meta p =
   let n = Array.length meta in
-  let order = Sutil.Fact.lehmer_decode ~n p in
   let indexes = Array.make n 0 in
-  let ind = ref 0 in
-  Array.iter
-    (fun e ->
-      let size, alignment = meta.(e) in
-      ind := Sutil.Align.align_up !ind ~alignment;
-      indexes.(e) <- !ind;
-      ind := !ind + size)
-    order;
-  (indexes, !ind)
+  let total = place meta (Sutil.Fact.lehmer_decode ~n p) indexes in
+  (indexes, total)
+
+(* Step [a] in place to the next permutation in lexical order; [a] must
+   not be the last one (descending). *)
+let next_permutation (a : int array) =
+  let i = ref (Array.length a - 2) in
+  while a.(!i) > a.(!i + 1) do
+    decr i
+  done;
+  let j = ref (Array.length a - 1) in
+  while a.(!j) < a.(!i) do
+    decr j
+  done;
+  let swap x y =
+    let t = a.(x) in
+    a.(x) <- a.(y);
+    a.(y) <- t
+  in
+  swap !i !j;
+  let lo = ref (!i + 1) and hi = ref (Array.length a - 1) in
+  while !lo < !hi do
+    swap !lo !hi;
+    incr lo;
+    decr hi
+  done
 
 let generate ?shuffle meta =
   let n = Array.length meta in
@@ -32,23 +61,27 @@ let generate ?shuffle meta =
         invalid_arg "Smokestack.Permgen.generate: alignment not a power of two")
     meta;
   let rows = Sutil.Fact.factorial n in
+  (* The rows are shuffled to break lexical adjacency: the shuffled
+     table's row [k] is lexical row [shuffled.(k)], so lexical row [p]
+     is written straight to row [slot.(p)]. *)
+  let slot =
+    let shuffled = Array.init rows Fun.id in
+    Option.iter (fun rng -> Sutil.Simrng.shuffle rng shuffled) shuffle;
+    Sutil.Fact.invert shuffled
+  in
   let offsets = Array.make rows [||] in
   let totals = Array.make rows 0 in
+  (* Algorithm 1 fixes which permutation each row holds, not how to
+     enumerate them: stepping one order array through lexical order
+     gives row [p] the permutation [row_for_index] decodes from [p],
+     without decoding each index afresh. *)
+  let order = Array.init n Fun.id in
   for p = 0 to rows - 1 do
-    let indexes, total = row_for_index meta p in
-    offsets.(p) <- indexes;
-    totals.(p) <- total
+    if p > 0 then next_permutation order;
+    let indexes = Array.make n 0 in
+    totals.(slot.(p)) <- place meta order indexes;
+    offsets.(slot.(p)) <- indexes
   done;
-  (* Shuffle rows in tandem to break lexical adjacency. *)
-  (match shuffle with
-  | Some rng ->
-      let order = Array.init rows Fun.id in
-      Sutil.Simrng.shuffle rng order;
-      let offsets' = Array.map (fun i -> offsets.(i)) order in
-      let totals' = Array.map (fun i -> totals.(i)) order in
-      Array.blit offsets' 0 offsets 0 rows;
-      Array.blit totals' 0 totals 0 rows
-  | None -> ());
   let max_total = Array.fold_left max 0 totals in
   { offsets; totals; max_total }
 

@@ -30,9 +30,10 @@ val generate : ?shuffle:Sutil.Simrng.t -> (int * int) array -> table
 
 val row_for_index : (int * int) array -> int -> int array * int
 (** [row_for_index meta p] computes just the [p]-th lexical-order row
-    and its total — the on-demand variant used for frames too large to
-    materialize (and by the property tests as an oracle against
-    {!generate}). *)
+    and its total by the paper's Lehmer decoding of [p] — the oracle
+    the property tests check {!generate}'s rows against ({!generate}
+    steps through lexical order with an in-place next-permutation
+    instead of decoding each row). *)
 
 val layout_valid : (int * int) array -> int array -> bool
 (** [layout_valid meta row] checks the defining invariants of a row:

@@ -87,16 +87,6 @@ let line pseed (e : Entry.exec) =
     s.instr_count s.call_count s.max_depth s.max_frame_bytes s.rss_bytes
     (Hash.hex s.output)
 
-let take_chunk n seq =
-  let rec go n seq acc =
-    if n = 0 then (List.rev acc, seq)
-    else
-      match seq () with
-      | Seq.Nil -> (List.rev acc, Seq.empty)
-      | Seq.Cons (x, rest) -> go (n - 1) rest (x :: acc)
-  in
-  go n seq []
-
 let run ?(pool = Sched.Pool.sequential) ~store cfg =
   let backend = Machine.Backend.find cfg.engine in
   let shard = max 1 cfg.shard in
@@ -122,24 +112,29 @@ let run ?(pool = Sched.Pool.sequential) ~store cfg =
     Buffer.add_string buf (line pseed exec);
     Buffer.add_char buf '\n'
   in
-  let rec waves seq =
-    match take_chunk shard seq with
-    | [], _ -> ()
-    | chunk, rest ->
-        let jobs =
-          List.map
-            (fun (pseed, source) ->
-              Sched.Job.v
-                ~id:(Printf.sprintf "campaign/%Ld" pseed)
-                ~seed:pseed
-                (fun () -> lookup_or_execute cfg backend store pseed source))
-            chunk
-        in
-        let results = Sched.Pool.run_all pool jobs in
-        List.iter2 (fun (pseed, _) exec -> fold pseed exec) chunk results;
-        waves rest
+  (* Each job generates its own source from its seed, so generation
+     runs on the pool too; folding in seed order keeps the digest
+     independent of where and when a job ran. *)
+  let rec waves first =
+    let n = min shard (cfg.count - first) in
+    if n > 0 then begin
+      let pseeds = List.init n (fun i -> Int64.add cfg.seed (Int64.of_int (first + i))) in
+      let jobs =
+        List.map
+          (fun pseed ->
+            Sched.Job.v
+              ~id:(Printf.sprintf "campaign/%Ld" pseed)
+              ~seed:pseed
+              (fun () ->
+                lookup_or_execute cfg backend store pseed
+                  (Minic.Progen.generate ~seed:pseed)))
+          pseeds
+      in
+      List.iter2 fold pseeds (Sched.Pool.run_all pool jobs);
+      waves (first + n)
+    end
   in
-  waves (Minic.Progen.range ~seed:cfg.seed cfg.count);
+  waves 0;
   {
     programs = cfg.count;
     exited_zero = !exited_zero;

@@ -62,7 +62,8 @@ type report = {
 
 val run : ?pool:Sched.Pool.t -> store:Cache.t -> config -> report
 (** Executes the campaign against [store].  Work is submitted in waves
-    of [config.shard] jobs; results are folded in submission (= seed)
+    of [config.shard] jobs, each of which generates its own Progen
+    source from its seed; results are folded in submission (= seed)
     order, so the rolling digest never depends on completion order.
     Raises [Failure] if [config.engine]'s backend is not linked. *)
 

@@ -1,4 +1,10 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The xoshiro256 state s0..s3 as four little-endian words of one
+   [Bytes]: reading and writing a word in place keeps the int64 values
+   unboxed, where four mutable [int64] fields would box each update. *)
+type t = Bytes.t
+
+let get t i = Bytes.get_int64_le t (8 * i)
+let set t i v = Bytes.set_int64_le t (8 * i) v
 
 let splitmix_next state =
   let z = Int64.add !state 0x9E3779B97F4A7C15L in
@@ -9,37 +15,37 @@ let splitmix_next state =
 
 let create ~seed =
   let st = ref seed in
-  let s0 = splitmix_next st in
-  let s1 = splitmix_next st in
-  let s2 = splitmix_next st in
-  let s3 = splitmix_next st in
-  { s0; s1; s2; s3 }
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    set t i (splitmix_next st)
+  done;
+  t
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
 let next_u64 t =
-  let result = Int64.mul (rotl (Int64.mul t.s1 5L) 7) 9L in
-  let tmp = Int64.shift_left t.s1 17 in
-  t.s2 <- Int64.logxor t.s2 t.s0;
-  t.s3 <- Int64.logxor t.s3 t.s1;
-  t.s1 <- Int64.logxor t.s1 t.s2;
-  t.s0 <- Int64.logxor t.s0 t.s3;
-  t.s2 <- Int64.logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get t 0 and s1 = get t 1 and s2 = get t 2 and s3 = get t 3 in
+  let result = Int64.mul (rotl (Int64.mul s1 5L) 7) 9L in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  set t 0 (Int64.logxor s0 s3);
+  set t 1 (Int64.logxor s1 s2);
+  set t 2 (Int64.logxor s2 (Int64.shift_left s1 17));
+  set t 3 (rotl s3 45);
   result
 
 let int t ~bound =
   if bound <= 0 then invalid_arg "Sutil.Simrng.int: non-positive bound";
   (* Rejection sampling over the top 62 bits to avoid modulo bias. *)
   let mask = 0x3FFFFFFFFFFFFFFFL in
-  let limit = Int64.sub mask (Int64.rem mask (Int64.of_int bound)) in
-  let rec go () =
-    let v = Int64.logand (next_u64 t) mask in
-    if Int64.unsigned_compare v limit >= 0 then go ()
-    else Int64.to_int (Int64.rem v (Int64.of_int bound))
-  in
-  go ()
+  let b = Int64.of_int bound in
+  let limit = Int64.sub mask (Int64.rem mask b) in
+  let v = ref (Int64.logand (next_u64 t) mask) in
+  while Int64.unsigned_compare !v limit >= 0 do
+    v := Int64.logand (next_u64 t) mask
+  done;
+  Int64.to_int (Int64.rem !v b)
 
 let bool t = Int64.logand (next_u64 t) 1L = 1L
 

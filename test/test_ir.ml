@@ -419,6 +419,81 @@ let test_optimizer_interacts_with_smokestack () =
   Alcotest.(check bool) "optimized P-BOX is smaller" true
     (Smokestack.Harden.pbox_bytes p2 < Smokestack.Harden.pbox_bytes p1)
 
+(* Differential check of the linear-time verifier against the old
+   verifier kept in [Verifier_ref]: identical error lists, order
+   included, over Progen programs, their hardened forms, and random
+   mutations of both that break them in the ways the verifier looks
+   for. *)
+let mutate rng (p : Ir.Prog.t) =
+  let pick l = List.nth l (Sutil.Simrng.int rng ~bound:(List.length l)) in
+  let f = pick p.funcs in
+  match f.blocks with
+  | [] -> ()
+  | entry :: _ -> (
+      let b = pick f.blocks in
+      let target () =
+        match Sutil.Simrng.int rng ~bound:3 with
+        | 0 -> entry.label
+        | 1 -> (pick f.blocks).label
+        | _ -> "nowhere"
+      in
+      match Sutil.Simrng.int rng ~bound:4 with
+      | 0 ->
+          (* drop an instruction *)
+          let n = List.length b.instrs in
+          if n > 0 then begin
+            let k = Sutil.Simrng.int rng ~bound:n in
+            b.instrs <- List.filteri (fun i _ -> i <> k) b.instrs
+          end
+      | 1 -> b.instrs <- List.rev b.instrs
+      | 2 -> (
+          (* retarget the terminator *)
+          match b.term with
+          | Ir.Instr.Cond_br c ->
+              b.term <-
+                (if Sutil.Simrng.bool rng then
+                   Ir.Instr.Cond_br { c with if_true = target () }
+                 else Ir.Instr.Cond_br { c with if_false = target () })
+          | _ -> b.term <- Ir.Instr.Br (target ()))
+      | _ ->
+          (* drop a whole block: its labels dangle, its defs vanish *)
+          f.blocks <- List.filter (fun b' -> b' != b) f.blocks)
+
+(* The errors [p] verifies with, failing the property unless the
+   reference model reports the same list. *)
+let verifier_errors p =
+  let ours = List.map (Format.asprintf "%a" Ir.Verifier.pp_error) (Ir.Verifier.verify p) in
+  let reference =
+    List.map (Format.asprintf "%a" Verifier_ref.pp_error) (Verifier_ref.verify p)
+  in
+  if ours <> reference then
+    QCheck2.Test.fail_reportf "verifier disagrees:@.ours:@.%s@.reference:@.%s"
+      (String.concat "\n" ours) (String.concat "\n" reference);
+  ours
+
+let prop_verifier_matches_reference =
+  QCheck2.Test.make ~count:200 ~name:"verifier matches reference model"
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let prog = Minic.Driver.compile (Minic.Progen.generate ~seed:(Int64.of_int seed)) in
+      let hardened =
+        (Smokestack.Harden.harden ~validate:false Smokestack.Config.default prog).prog
+      in
+      let rng = Sutil.Simrng.create ~seed:(Int64.of_int seed) in
+      List.iter
+        (fun base ->
+          if verifier_errors base <> [] then
+            QCheck2.Test.fail_report "unmutated program has verifier errors";
+          for _ = 1 to 10 do
+            let m = Ir.Prog.copy base in
+            for _ = 0 to Sutil.Simrng.int rng ~bound:3 do
+              mutate rng m
+            done;
+            ignore (verifier_errors m)
+          done)
+        [ prog; hardened ];
+      true)
+
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -448,6 +523,7 @@ let () =
             test_verifier_accepts_def_dominating_loop_use;
           Alcotest.test_case "diamond idom" `Quick test_cfg_diamond_idom;
           Alcotest.test_case "loop idom" `Quick test_cfg_loop_idom;
+          qt prop_verifier_matches_reference;
         ] );
       ( "opt",
         [

@@ -530,6 +530,57 @@ let test_config_validation () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected rejection of 11 AES rounds"
 
+(* MD5 of every workload's P-BOX blob hardened at seed 5, pinned from
+   the Lehmer-decoding table generator: the enumeration and the
+   serialization may change, the bytes may not. *)
+let test_pbox_blob_golden () =
+  let check cname cfg expected =
+    List.iter2
+      (fun (w : Apps.Spec.workload) (name, md5) ->
+        Alcotest.(check string) (cname ^ " " ^ name) w.wname name;
+        let h = Smokestack.Harden.harden ~seed:5L cfg (Lazy.force w.program) in
+        Alcotest.(check string)
+          (cname ^ " " ^ name ^ " blob")
+          md5
+          (Digest.to_hex (Digest.string h.pbox.blob)))
+      Apps.Spec.all expected
+  in
+  check "default" Smokestack.Config.default
+    [
+      ("perlbench", "b03f3eb999f6f019da59db48c51367ce");
+      ("bzip2", "35757cb88fb16ad224e05715e066cdc1");
+      ("gcc", "0e2f7b2afd2a7e3bbf3c35c4e32ab9f5");
+      ("mcf", "35757cb88fb16ad224e05715e066cdc1");
+      ("gobmk", "d6c22faa7ba423d741d3cc6ccb746418");
+      ("hmmer", "35757cb88fb16ad224e05715e066cdc1");
+      ("sjeng", "40f3d026883c291fe3adc34edb9b76df");
+      ("libquantum", "35757cb88fb16ad224e05715e066cdc1");
+      ("h264ref", "f07fb891e2805369b16101ba97ff0f0d");
+      ("omnetpp", "c6e06d3992a92e424cdacaf7eed4db83");
+      ("astar", "a90458dde39332505082acd610207bb3");
+      ("xalancbmk", "b03f3eb999f6f019da59db48c51367ce");
+      ("proftpd-io", "bc75c8b16adb59ee4d6cc24db10d77d2");
+      ("wireshark-io", "53d65a53339fcd2036ce7b3a0753e14b");
+    ];
+  check "unshared exact-rows"
+    { Smokestack.Config.default with pow2_pbox = false; share_tables = false }
+    [
+      ("perlbench", "9acf7c0e530bbe9e41c5ffe55eb84cf9");
+      ("bzip2", "296deeb4f144e48110d03ab06fd713d0");
+      ("gcc", "0c1915e10b7da11aa4c43e57deeb83fd");
+      ("mcf", "4cfffa538b7fec8b1864b4d44bcdeccc");
+      ("gobmk", "d02b6269c2c0ab41a46daa1f01e853bc");
+      ("hmmer", "4cfffa538b7fec8b1864b4d44bcdeccc");
+      ("sjeng", "6b47c417dc96d5a70d0c5faacea20640");
+      ("libquantum", "4cfffa538b7fec8b1864b4d44bcdeccc");
+      ("h264ref", "3d1f3b2b3d68074b070446eeb9f115b0");
+      ("omnetpp", "0e15992a4776d95b150476b7bb4d0300");
+      ("astar", "d1193e0895ed7c098afe3f94a6e95f84");
+      ("xalancbmk", "ee11245b87391e6cabe0aa9415129b02");
+      ("proftpd-io", "b67beabb0c473c85597b61a966cfae40");
+      ("wireshark-io", "38358a9478db3f31cdcb957b410989a2");
+    ]
+
 let () =
   Alcotest.run "smokestack"
     [
@@ -556,6 +607,7 @@ let () =
           Alcotest.test_case "dynamic for large frames" `Quick
             test_pbox_dynamic_for_large_frames;
           qt prop_pbox_lookup_rows_valid;
+          Alcotest.test_case "blob golden (apps)" `Quick test_pbox_blob_golden;
         ] );
       ( "instrument+runtime",
         [

@@ -602,6 +602,20 @@ let test_campaign_remaining () =
   ignore (Campaign.run ~store full);
   Alcotest.(check int) "nothing remains warm" 0 (Campaign.remaining ~store full)
 
+(* Pinned from the build that generated sources in the calling domain:
+   where and how the campaign compiles, hardens and runs its programs
+   may change, its digest may not. *)
+let test_campaign_hardened_digest_pinned () =
+  let cfg =
+    Campaign.config ~seed:4200L ~harden:Smokestack.Config.default ~count:50 ()
+  in
+  let pinned = "4df81f0f752af6e6ac60f124fe67e8f4" in
+  Alcotest.(check string) "sequential" pinned
+    (Campaign.run ~store:(Cache.in_memory ()) cfg).Campaign.digest;
+  Alcotest.(check string) "jobs=4" pinned
+    (Sched.Pool.with_pool ~jobs:4 @@ fun pool ->
+     (Campaign.run ~pool ~store:(Cache.in_memory ()) cfg).Campaign.digest)
+
 (* The resume property: killing a campaign after any prefix of the work
    and re-running over the same store yields the digest of an
    uninterrupted run.  A [count = k] run over a shared store is exactly
@@ -716,6 +730,8 @@ let () =
             test_campaign_remaining;
           Alcotest.test_case "resume property" `Quick
             test_campaign_resume_property;
+          Alcotest.test_case "hardened digest pinned" `Quick
+            test_campaign_hardened_digest_pinned;
         ] );
       ( "workbench",
         [

@@ -170,6 +170,61 @@ let test_simrng_distribution () =
     (fun i c -> check_bool (Printf.sprintf "bucket %d populated" i) true (c > 800))
     buckets
 
+(* Streams pinned from the boxed-field implementation: the state
+   representation may change, the outputs may not. *)
+let test_simrng_golden () =
+  let draws seed =
+    let r = Sutil.Simrng.create ~seed in
+    List.init 4 (fun _ -> Sutil.Simrng.next_u64 r)
+  in
+  Alcotest.(check (list int64)) "next_u64 seed 0"
+    [ -7355399402456485196L; -4652746763540216534L; 1900383378846508768L;
+      7684712102626143532L ]
+    (draws 0L);
+  Alcotest.(check (list int64)) "next_u64 seed 42"
+    [ 1546998764402558742L; 6990951692964543102L; -5902157311460992607L;
+      -1389169964527427423L ]
+    (draws 42L);
+  Alcotest.(check (list int64)) "next_u64 seed -1"
+    [ -8118546653352383224L; -4290065566684577747L; -9088772293754075490L;
+      -4655159067405239249L ]
+    (draws (-1L));
+  let r = Sutil.Simrng.create ~seed:42L in
+  let b = Buffer.create 20_000 in
+  for _ = 1 to 1000 do
+    Buffer.add_string b (Int64.to_string (Sutil.Simrng.next_u64 r));
+    Buffer.add_char b ' '
+  done;
+  Alcotest.(check string) "1000 draws at seed 42" "8352b5fb731a33d591690578f2000f19"
+    (Digest.to_hex (Digest.string (Buffer.contents b)));
+  let r = Sutil.Simrng.create ~seed:7L in
+  Alcotest.(check (list int)) "int draws"
+    [ 0; 0; 0; 3; 2; 9; 716; 342843868; 2835384949472265504; 4; 0; 3 ]
+    (List.map
+       (fun bound -> Sutil.Simrng.int r ~bound)
+       [ 1; 2; 3; 7; 10; 100; 1000; 1 lsl 30; max_int; 5; 5; 5 ]);
+  let r = Sutil.Simrng.create ~seed:9L in
+  let a = Array.init 20 Fun.id in
+  Sutil.Simrng.shuffle r a;
+  Alcotest.(check (array int)) "shuffle"
+    [| 14; 3; 15; 12; 7; 8; 19; 9; 13; 4; 2; 1; 16; 11; 10; 18; 6; 17; 5; 0 |]
+    a;
+  Alcotest.(check (list bool)) "bool after shuffle"
+    [ true; true; true; true; true; true; true; false ]
+    (List.init 8 (fun _ -> Sutil.Simrng.bool r));
+  List.iter
+    (fun (root, id, want) ->
+      Alcotest.(check int64)
+        (Printf.sprintf "split_seed %Ld %S" root id)
+        want
+        (Sutil.Simrng.split_seed ~root ~id))
+    [
+      (1L, "campaign/1", 6903260497242669011L);
+      (0L, "", -2152535657050944081L);
+      (-1L, "abc", -4105532289465807989L);
+      (1000L, "E16/progen/1042", -967849105310834141L);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Stats / Texttable *)
 
@@ -360,6 +415,7 @@ let () =
           Alcotest.test_case "distribution" `Quick test_simrng_distribution;
           qt prop_simrng_int_bounds;
           qt prop_shuffle_permutes;
+          Alcotest.test_case "golden streams" `Quick test_simrng_golden;
         ] );
       ( "stats+texttable",
         [
