@@ -39,6 +39,11 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* Every --json PATH emitter: one indented document plus a newline. *)
+let write_json path doc =
+  Out_channel.with_open_text path (fun oc ->
+      Sutil.Json.doc_to_channel ~indent:true oc doc)
+
 let compile ?optimize path =
   match Minic.Driver.compile_result ?optimize (read_file path) with
   | Ok prog -> prog
@@ -189,13 +194,6 @@ let run_cmd =
     let policy =
       if fail_open then Rng.Generator.Fail_open else Rng.Generator.Fail_secure
     in
-    let degr_str (d : Rng.Generator.degradation) =
-      Printf.sprintf "%s->%s"
-        (Rng.Scheme.name d.from_scheme)
-        (match d.to_scheme with
-        | Some s -> Rng.Scheme.name s
-        | None -> "ABORT")
-    in
     (* One self-contained run; returns everything to print so that
        multi-seed runs can execute as pool jobs and still emit output in
        seed order. *)
@@ -232,7 +230,8 @@ let run_cmd =
               | Some g when Rng.Generator.degradations g <> [] ->
                   " degraded: "
                   ^ String.concat ", "
-                      (List.map degr_str (Rng.Generator.degradations g))
+                      (List.map Rng.Generator.degradation_to_string
+                         (Rng.Generator.degradations g))
               | _ -> ""))
           armed
       in
@@ -479,15 +478,9 @@ let analyze_cmd =
           usage_fail "analyze: need a FILE, --workload NAME or --progen SEED"
     in
     let report = Analysis.Report.analyze_prog ~name ~score:(not no_score) prog in
-    (match json_path with
-    | Some path ->
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () ->
-            Sutil.Json.doc_to_channel ~indent:true oc
-              (Analysis.Report.to_json report))
-    | None -> ());
+    Option.iter
+      (fun path -> write_json path (Analysis.Report.to_json report))
+      json_path;
     if leaks then begin
       (* leak-focused view: just the disclosure flows and their cost *)
       let lk = report.Analysis.Report.leakage in
@@ -634,59 +627,33 @@ let lint_cmd =
       List.filter (fun (_, st) -> match st with `Missed _ -> true | _ -> false)
         mutants
     in
-    (match json_path with
-    | Some path ->
+    Option.iter
+      (fun path ->
         let module J = Sutil.Json in
-        let violation_json (v : Analysis.Validate.violation) =
-          J.Obj
-            [
-              ("rule", J.String (Analysis.Validate.rule_to_string v.rule));
-              ("func", J.String v.func);
-              ("row", match v.row with Some r -> J.Int r | None -> J.Null);
-              ("detail", J.String v.detail);
-            ]
+        let mutations =
+          List.map
+            (fun (m, st) ->
+              let status, detail =
+                match st with
+                | `Inapplicable -> ("inapplicable", "")
+                | `Caught d -> ("caught", d)
+                | `Missed d -> ("missed", d)
+              in
+              J.Obj
+                [
+                  ("mutation", J.String (Analysis.Validate.mutation_to_string m));
+                  ("status", J.String status);
+                  ("detail", J.String detail);
+                ])
+            mutants
         in
-        let base =
-          [
-            ("program", J.String name);
-            ("clean", J.Bool (violations = [] && leak_violations = []));
-            ("violations", J.List (List.map violation_json violations));
-          ]
-          @
-          if not leaks then []
-          else [ ("leaks", J.List (List.map violation_json leak_violations)) ]
-        in
-        let fields =
-          if mutants = [] then base
-          else
-            base
-            @ [
-                ( "mutations",
-                  J.List
-                    (List.map
-                       (fun (m, st) ->
-                         let status, detail =
-                           match st with
-                           | `Inapplicable -> ("inapplicable", "")
-                           | `Caught d -> ("caught", d)
-                           | `Missed d -> ("missed", d)
-                         in
-                         J.Obj
-                           [
-                             ( "mutation",
-                               J.String (Analysis.Validate.mutation_to_string m)
-                             );
-                             ("status", J.String status);
-                             ("detail", J.String detail);
-                           ])
-                       mutants) );
-              ]
-        in
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> J.doc_to_channel ~indent:true oc (J.Obj fields))
-    | None -> ());
+        write_json path
+          (Analysis.Validate.report_json
+             ?leaks:(if leaks then Some leak_violations else None)
+             ~extra:
+               (if mutants = [] then [] else [ ("mutations", J.List mutations) ])
+             ~name violations))
+      json_path;
     List.iter
       (fun v ->
         Printf.printf "violation: %s\n" (Analysis.Validate.violation_to_string v))
@@ -865,38 +832,34 @@ let serve_cmd =
     if show_tenants then
       Sutil.Texttable.print ~title:"per-tenant service and security"
         (Harness.Serve.tenant_table t);
-    (match json_path with
-    | Some path ->
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () ->
-            (* the table fields are deterministic; "tenants" embeds the
-               per-tenant breakdown so dashboards need not re-parse the
-               text table; "pool" carries this run's scheduler counters
-               (host-dependent, asserted on by CI's saturation checks) *)
-            let doc =
-              match
-                Sutil.Texttable.to_json
-                  ~title:"server runtime — mixed benign+attack traffic"
-                  (Harness.Serve.summary_table t)
-              with
-              | Sutil.Json.Obj fields ->
-                  Sutil.Json.Obj
-                    (fields
-                    @ [ ("tenants",
-                          Sutil.Texttable.to_json
-                            (Harness.Serve.tenant_table t)) ]
-                    @ (if classes then
-                         [ ("classes",
-                             Sutil.Texttable.to_json
-                               (Harness.Serve.class_table t)) ]
-                       else [])
-                    @ [ ("pool", Sched.Pool.stats_to_json stats) ])
-              | other -> other
-            in
-            Sutil.Json.doc_to_channel ~indent:true oc doc)
-    | None -> ());
+    Option.iter
+      (fun path ->
+        (* the table fields are deterministic; "tenants" embeds the
+           per-tenant breakdown so dashboards need not re-parse the
+           text table; "pool" carries this run's scheduler counters
+           (host-dependent, asserted on by CI's saturation checks) *)
+        let doc =
+          match
+            Sutil.Texttable.to_json
+              ~title:"server runtime — mixed benign+attack traffic"
+              (Harness.Serve.summary_table t)
+          with
+          | Sutil.Json.Obj fields ->
+              Sutil.Json.Obj
+                (fields
+                @ [ ("tenants",
+                      Sutil.Texttable.to_json
+                        (Harness.Serve.tenant_table t)) ]
+                @ (if classes then
+                     [ ("classes",
+                         Sutil.Texttable.to_json
+                           (Harness.Serve.class_table t)) ]
+                   else [])
+                @ [ ("pool", Sched.Pool.stats_to_json stats) ])
+          | other -> other
+        in
+        write_json path doc)
+      json_path;
     (* host-dependent numbers go to stderr, never into the report *)
     Printf.eprintf
       "serve: %.1f s wall; pool: %d jobs, %d retries, %d timeouts, peak queue %d\n"
@@ -1072,24 +1035,20 @@ let campaign_cmd =
            (Machine.Backend.kind_to_string engine)
            (if harden then ", hardened" else ""))
       (Store.Campaign.report_table report);
-    (match json_path with
-    | Some path ->
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () ->
-            (* "report" and "digest" are deterministic; "store" and
-               "pool" are this run's counters and may differ between a
-               cold and a warm invocation *)
-            Sutil.Json.doc_to_channel ~indent:true oc
-              (Sutil.Json.Obj
-                 [
-                   ("report", Store.Campaign.report_to_json report);
-                   ("digest", Sutil.Json.String report.Store.Campaign.digest);
-                   ("store", Store.Cache.stats_to_json store_stats);
-                   ("pool", Sched.Pool.stats_to_json pool_stats);
-                 ]))
-    | None -> ());
+    Option.iter
+      (fun path ->
+        (* "report" and "digest" are deterministic; "store" and
+           "pool" are this run's counters and may differ between a
+           cold and a warm invocation *)
+        write_json path
+          (Sutil.Json.Obj
+             [
+               ("report", Store.Campaign.report_to_json report);
+               ("digest", Sutil.Json.String report.Store.Campaign.digest);
+               ("store", Store.Cache.stats_to_json store_stats);
+               ("pool", Sched.Pool.stats_to_json pool_stats);
+             ]))
+      json_path;
     (* host-dependent numbers go to stderr, never into the report *)
     Printf.eprintf
       "campaign: %.1f s wall, %.0f program(s)/s; store: %d hit(s), %d \
@@ -1250,49 +1209,38 @@ let attack_cmd =
         Some g
       end
     in
-    (match json_path with
-    | Some path ->
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () ->
-            (* the four tables and the summary are deterministic at any
-               --jobs, engine and store temperature; "pool" carries this
-               run's scheduler counters (host-dependent) *)
-            let module J = Sutil.Json in
-            J.doc_to_channel ~indent:true oc
-              (J.Obj
-                 ([
-                   ( "synthesis",
-                     Sutil.Texttable.to_json (Harness.Offense.synth_table t) );
-                   ( "chains",
-                     Sutil.Texttable.to_json (Harness.Offense.chain_table t) );
-                   ( "entropy",
-                     Sutil.Texttable.to_json (Harness.Offense.entropy_table t)
-                   );
-                   ( "feedback",
-                     Sutil.Texttable.to_json (Harness.Offense.feedback_table t)
-                   );
-                   ( "summary",
-                     J.Obj
-                       [
-                         ( "landed_unhardened",
-                           J.Int t.Harness.Offense.landed_unhardened );
-                         ("full_successes", J.Int t.Harness.Offense.full_successes);
-                         ("all_grounded", J.Bool t.Harness.Offense.all_grounded);
-                         ("trials", J.Int t.Harness.Offense.trials);
-                       ] );
-                 ]
-                 @
-                 match guided with
-                 | None -> []
-                 | Some g ->
-                     [
-                       ( "leak_guided",
-                         Sutil.Texttable.to_json
-                           (Harness.Leakcheck.guided_only_table g) );
-                     ])))
-    | None -> ());
+    Option.iter
+      (fun path ->
+        (* the four tables and the summary are deterministic at any
+           --jobs, engine and store temperature *)
+        let module J = Sutil.Json in
+        write_json path
+          (J.Obj
+             ([
+                ("synthesis", Sutil.Texttable.to_json (Harness.Offense.synth_table t));
+                ("chains", Sutil.Texttable.to_json (Harness.Offense.chain_table t));
+                ( "entropy",
+                  Sutil.Texttable.to_json (Harness.Offense.entropy_table t) );
+                ( "feedback",
+                  Sutil.Texttable.to_json (Harness.Offense.feedback_table t) );
+                ( "summary",
+                  J.Obj
+                    [
+                      ("landed_unhardened", J.Int t.Harness.Offense.landed_unhardened);
+                      ("full_successes", J.Int t.Harness.Offense.full_successes);
+                      ("all_grounded", J.Bool t.Harness.Offense.all_grounded);
+                      ("trials", J.Int t.Harness.Offense.trials);
+                    ] );
+              ]
+             @
+             match guided with
+             | None -> []
+             | Some g ->
+                 [
+                   ( "leak_guided",
+                     Sutil.Texttable.to_json (Harness.Leakcheck.guided_only_table g) );
+                 ])))
+      json_path;
     (* host-dependent numbers go to stderr, never into the report *)
     Printf.eprintf "attack: %.1f s wall; pool: %d jobs, peak queue %d\n" wall
       pool_stats.Sched.Pool.jobs_run pool_stats.Sched.Pool.peak_queue;

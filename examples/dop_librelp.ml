@@ -75,8 +75,8 @@ let () =
       prog
   in
   let result =
-    Attacks.Bruteforce.run ~max_attempts:300 (fun i ->
-        Apps.Librelp.attack_static applied ~seed:(Int64.of_int (4000 + i)))
+    Attacks.Bruteforce.run ~seed0:4000 ~max_attempts:300 (fun seed ->
+        Apps.Librelp.attack_static applied ~seed:(Int64.of_int seed))
   in
   pf "  %s after %d attempt(s): %s"
     (if result.succeeded then "first success" else "no success")

@@ -1066,28 +1066,25 @@ let mutate ~seed mutation (t : Harden.t) =
 (* JSON rendering (CLI / CI)                                           *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let violation_to_json v =
-  Printf.sprintf "{\"rule\":\"%s\",\"func\":\"%s\",\"row\":%s,\"detail\":\"%s\"}"
-    (rule_to_string v.rule) (json_escape v.func)
-    (match v.row with Some r -> string_of_int r | None -> "null")
-    (json_escape v.detail)
+  Sutil.Json.(
+    Obj
+      [
+        ("rule", String (rule_to_string v.rule));
+        ("func", String v.func);
+        ("row", match v.row with Some r -> Int r | None -> Null);
+        ("detail", String v.detail);
+      ])
 
-let report_json ~name violations =
-  Printf.sprintf "{\"program\":\"%s\",\"clean\":%b,\"violations\":[%s]}"
-    (json_escape name)
-    (violations = [])
-    (String.concat "," (List.map violation_to_json violations))
+let report_json ?leaks ?(extra = []) ~name violations =
+  let vlist vs = Sutil.Json.List (List.map violation_to_json vs) in
+  Sutil.Json.Obj
+    ([
+       ("program", Sutil.Json.String name);
+       ( "clean",
+         Sutil.Json.Bool
+           (violations = [] && Option.value ~default:[] leaks = []) );
+       ("violations", vlist violations);
+     ]
+    @ (match leaks with None -> [] | Some ls -> [ ("leaks", vlist ls) ])
+    @ extra)

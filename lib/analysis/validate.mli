@@ -108,7 +108,16 @@ val mutate :
 
 (** {2 JSON} *)
 
-val violation_to_json : violation -> string
+val violation_to_json : violation -> Sutil.Json.t
+(** [{"rule": ..., "func": ..., "row": int or null, "detail": ...}]. *)
 
-val report_json : name:string -> violation list -> string
-(** [{"program": ..., "clean": bool, "violations": [...]}]. *)
+val report_json :
+  ?leaks:violation list ->
+  ?extra:(string * Sutil.Json.t) list ->
+  name:string ->
+  violation list ->
+  Sutil.Json.t
+(** [{"program": ..., "clean": bool, "violations": [...]}], then
+    ["leaks"] when [leaks] is given (clean then also requires it
+    empty), then the [extra] fields — what [smokestackc lint --json]
+    writes. *)

@@ -112,3 +112,9 @@ let of_binding (pbox : Pbox.t) (b : Pbox.binding) =
             offsets)
       in
       of_rows rows
+
+let attempts_to_string a =
+  if a = infinity then "-"
+  else if a >= 1e6 then Printf.sprintf "%.2e" a
+  else if Float.is_integer a then Printf.sprintf "%.0f" a
+  else Printf.sprintf "%.1f" a

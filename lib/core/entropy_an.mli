@@ -30,6 +30,11 @@ type t = {
       (** 1 / whole-frame collision — the E8 prediction *)
 }
 
+val attempts_to_string : float -> string
+(** An expected attempt count for a table cell: ["-"] for [infinity]
+    (no successful draw at all), [%.2e] from a million up, else a whole
+    number or one decimal. *)
+
 val of_table : Permgen.table -> t
 (** Analysis over an explicit table (unshuffled or shuffled alike). *)
 

@@ -48,11 +48,6 @@ let default_plans =
 
 let default_workloads = [ "mcf"; "proftpd-io" ]
 
-let degr_str (d : Rng.Generator.degradation) =
-  Printf.sprintf "%s->%s"
-    (Rng.Scheme.name d.from_scheme)
-    (match d.to_scheme with Some s -> Rng.Scheme.name s | None -> "ABORT")
-
 (* Everything a run exposes; two runs with equal [obs] are
    observationally identical. *)
 type obs = {
@@ -98,7 +93,9 @@ let observe ?plan ~policy ~scheme ~backend ~seed (w : Apps.Spec.workload) =
     o_cycles = stats.Machine.Exec.cycles;
     o_instrs = stats.Machine.Exec.instr_count;
     o_fired = (match armed with Some a -> Fault.Inject.fired a | None -> 0);
-    o_degr = List.map degr_str (Rng.Generator.degradations gen);
+    o_degr =
+      List.map Rng.Generator.degradation_to_string
+        (Rng.Generator.degradations gen);
   }
 
 let scheme_for (plan : Fault.Plan.t) =
@@ -238,11 +235,6 @@ let run ?(pool = Sched.Pool.sequential) ?(workloads = default_workloads)
     policy;
   }
 
-let fmt_attempts a =
-  if a >= 1e6 then Printf.sprintf "%.2e" a
-  else if Float.is_integer a then Printf.sprintf "%.0f" a
-  else Printf.sprintf "%.1f" a
-
 let table t =
   let tbl =
     Sutil.Texttable.create
@@ -300,7 +292,7 @@ let policy_table t =
           (match p.pdegradations with
           | [] -> "-"
           | ds -> String.concat "," ds);
-          fmt_attempts p.pscore;
+          Smokestack.Entropy_an.attempts_to_string p.pscore;
         ])
     t.policy;
   tbl

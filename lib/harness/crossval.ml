@@ -120,33 +120,26 @@ let verdict_of_pair = function
   | "no-effect", _ -> Some Attacks.Verdict.No_effect
   | _ -> None
 
+let verdicts_of_entry e =
+  Option.bind (Store.Entry.verdicts_of_entry e) (fun pairs ->
+      List.fold_right
+        (fun p acc ->
+          match (verdict_of_pair p, acc) with
+          | Some v, Some vs -> Some (v :: vs)
+          | _ -> None)
+        pairs (Some []))
+
 let cached_verdicts ?store ~source ~config ~extra thunk =
   match store with
   | None -> thunk ()
-  | Some store -> (
-      let key =
-        Store.Key.of_source ~source_text:source ~config
-          ~engine:(Machine.Backend.default ()).Machine.Backend.kind ~seed:17L
-          ~extra ()
-      in
-      let cached =
-        match
-          Option.bind (Store.Cache.find store key) Store.Entry.verdicts_of_entry
-        with
-        | Some pairs ->
-            let vs = List.map verdict_of_pair pairs in
-            if List.for_all Option.is_some vs then
-              Some (List.filter_map Fun.id vs)
-            else None
-        | None -> None
-      in
-      match cached with
-      | Some verdicts -> verdicts
-      | None ->
-          let verdicts = thunk () in
-          Store.Cache.put store key
-            (Store.Entry.verdicts_entry (List.map verdict_to_pair verdicts));
-          verdicts)
+  | Some store ->
+      Store.Cache.memo store
+        (Store.Key.of_source ~source_text:source ~config
+           ~engine:(Machine.Backend.default ()).Machine.Backend.kind ~seed:17L
+           ~extra ())
+        ~encode:(fun vs ->
+          Store.Entry.verdicts_entry (List.map verdict_to_pair vs))
+        ~decode:verdicts_of_entry thunk
 
 let run ?(pool = Sched.Pool.sequential) ?store ?(trials = 6) () =
   let cases = cases () in
@@ -280,23 +273,15 @@ let run_selective ?(pool = Sched.Pool.sequential) ?store ?(trials = 6)
               in
               match store with
               | None -> fresh ()
-              | Some store -> (
-                  let key =
-                    Store.Key.of_source ~source_text:psource
-                      ~config:(config_of d)
-                      ~engine:
-                        (Machine.Backend.default ()).Machine.Backend.kind
-                      ~seed:7L ~extra:"selective;chunks=;hseed=3" ()
-                  in
-                  match
-                    Option.bind (Store.Cache.find store key)
-                      Store.Entry.exec_of_entry
-                  with
-                  | Some exec -> exec
-                  | None ->
-                      let exec = fresh () in
-                      Store.Cache.put store key (Store.Entry.exec_entry exec);
-                      exec)
+              | Some store ->
+                  Store.Cache.memo store
+                    (Store.Key.of_source ~source_text:psource
+                       ~config:(config_of d)
+                       ~engine:
+                         (Machine.Backend.default ()).Machine.Backend.kind
+                       ~seed:7L ~extra:"selective;chunks=;hseed=3" ())
+                    ~encode:Store.Entry.exec_entry
+                    ~decode:Store.Entry.exec_of_entry fresh
             in
             let ef = run_under full and es = run_under sel in
             let identical =

@@ -54,8 +54,9 @@ val cached_verdicts :
   extra:string ->
   (unit -> Attacks.Verdict.t list) ->
   Attacks.Verdict.t list
-(** Serve a verdict list from the store when warm, else run the thunk
-    and record it.  The key is content-addressed on the program source,
+(** {!Store.Cache.memo} of a verdict list (just the thunk without a
+    store): served from the store when warm, else run and recorded.
+    The key is content-addressed on the program source,
     the hardening config, the default engine kind and [extra] (which
     must carry every further determinism input: case name, trial count,
     seeds). *)

@@ -114,26 +114,17 @@ let check_progen ?(pool = Sched.Pool.sequential) ?store ?(fuel = 2_000_000)
                     in
                     match store with
                     | None -> fresh ()
-                    | Some store -> (
+                    | Some store ->
                         (* each engine gets its own key: the store must
                            never launder one engine's observables into
                            the other's leg of the comparison *)
-                        let key =
-                          Store.Key.of_source ~source_text:source ~config:None
-                            ~engine:backend.kind ~seed:0L
-                            ~extra:(Printf.sprintf "diffval;fuel=%d" fuel)
-                            ()
-                        in
-                        match
-                          Option.bind (Store.Cache.find store key)
-                            Store.Entry.exec_of_entry
-                        with
-                        | Some exec -> exec
-                        | None ->
-                            let exec = fresh () in
-                            Store.Cache.put store key
-                              (Store.Entry.exec_entry exec);
-                            exec)
+                        Store.Cache.memo store
+                          (Store.Key.of_source ~source_text:source
+                             ~config:None ~engine:backend.kind ~seed:0L
+                             ~extra:(Printf.sprintf "diffval;fuel=%d" fuel)
+                             ())
+                          ~encode:Store.Entry.exec_entry
+                          ~decode:Store.Entry.exec_of_entry fresh
                   in
                   compare_exec ~case (leg reference) (leg bytecode)))
             (List.of_seq (Minic.Progen.range ~seed count))))

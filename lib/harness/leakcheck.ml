@@ -125,12 +125,6 @@ let check_program entry ~seeds =
 (* ------------------------------------------------------------------ *)
 (* Guided attack vs the degraded-entropy prediction *)
 
-let attempts_of ~budget verdicts =
-  let n = List.length verdicts in
-  if n > 0 && n <= budget && List.nth verdicts (n - 1) = Attacks.Verdict.Success
-  then Some n
-  else None
-
 (* The fraction of drawn layouts that place every chain-written slot
    above the buffer — a forward overflow cannot reach below it.  This
    is exploit physics, not guessing entropy: the disclosure tells the
@@ -202,11 +196,6 @@ let reach_factor prog (chain : Dopc.Chain.t) =
                       else float_of_int n /. float_of_int !ok
                   | _ -> 1.))))
 
-let strong_goal (c : Dopc.Chain.t) =
-  match c.goal with
-  | Dopc.Chain.Flip_global _ | Dopc.Chain.Output_contains _ -> true
-  | Dopc.Chain.Output_differs -> false
-
 let guided_measurement ~budget ~walks () =
   match Apps.Synth.find "stack-leaky" with
   | None -> None
@@ -224,7 +213,8 @@ let guided_measurement ~budget ~walks () =
       let _, chains = Dopc.Plan.synthesize ~target:"stack-leaky" prog in
       match
         List.find_opt
-          (fun c -> strong_goal c && Dopc.Plan.guide_for guides c <> None)
+          (fun c ->
+            Dopc.Chain.strong_goal c && Dopc.Plan.guide_for guides c <> None)
           chains
       with
       | None -> None
@@ -232,11 +222,12 @@ let guided_measurement ~budget ~walks () =
           let guide = Option.get (Dopc.Plan.guide_for guides chain) in
           let applied = Defenses.Defense.apply ~seed:3L full_config prog in
           let blind_attempts =
-            attempts_of ~budget (Dopc.Exec.brute applied chain ~budget ~seed0:0)
+            Attacks.Bruteforce.attempts_to_success
+              (Dopc.Exec.brute applied chain ~budget ~seed0:0)
           in
           let guided_attempts =
             List.init walks (fun w ->
-                attempts_of ~budget
+                Attacks.Bruteforce.attempts_to_success
                   (Dopc.Exec.brute_guided applied chain
                      ~disclosed:guide.Dopc.Plan.disclosed ~budget
                      ~seed0:(1000 * (w + 1))))

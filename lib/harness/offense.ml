@@ -89,31 +89,7 @@ let builtin_targets () =
 
 let available_workloads () = List.map (fun t -> t.name) (builtin_targets ())
 
-let strong_goal (c : Dopc.Chain.t) =
-  match c.goal with
-  | Dopc.Chain.Flip_global _ | Dopc.Chain.Output_contains _ -> true
-  | Dopc.Chain.Output_differs -> false
-
 let has_success = List.exists (( = ) Attacks.Verdict.Success)
-
-(* Restart-after-crash brute force of a hand-written corpus attack:
-   same seed walk as Dopc.Exec.brute so the two columns compare
-   like for like. *)
-let brute_hand attack applied ~budget =
-  let rec go i acc =
-    if i >= budget then List.rev acc
-    else
-      let v = attack applied ~seed:(Int64.of_int i) in
-      let acc = v :: acc in
-      if v = Attacks.Verdict.Success then List.rev acc else go (i + 1) acc
-  in
-  go 0 []
-
-let attempts_of ~budget verdicts =
-  let n = List.length verdicts in
-  if n > 0 && n <= budget && List.nth verdicts (n - 1) = Attacks.Verdict.Success
-  then Some n
-  else None
 
 let run ?(pool = Sched.Pool.sequential) ?store ?(trials = 6)
     ?(brute_budget = 600) ?(max_chains = 8) ?workloads ?(progen = 0)
@@ -205,7 +181,7 @@ let run ?(pool = Sched.Pool.sequential) ?store ?(trials = 6)
                let erows =
                  match
                    List.find_opt
-                     (fun r -> strong_goal r.chain && landed r)
+                     (fun r -> Dopc.Chain.strong_goal r.chain && landed r)
                      crows
                  with
                  | None -> []
@@ -229,7 +205,8 @@ let run ?(pool = Sched.Pool.sequential) ?store ?(trials = 6)
                              (Dopc.Chain.family_to_string r.chain.family)
                              r.chain.chain_id;
                          attempts =
-                           attempts_of ~budget:brute_budget synth_verdicts;
+                           Attacks.Bruteforce.attempts_to_success
+                             synth_verdicts;
                          ebudget = brute_budget;
                        }
                      in
@@ -245,15 +222,20 @@ let run ?(pool = Sched.Pool.sequential) ?store ?(trials = 6)
                                     "offense;brute-hand;budget=%d;seed0=0;hseed=3"
                                     brute_budget)
                                (fun () ->
-                                 brute_hand attack (Lazy.force full_applied)
-                                   ~budget:brute_budget)
+                                 (* same seed walk as Dopc.Exec.brute, so
+                                    the two columns compare like for like *)
+                                 let applied = Lazy.force full_applied in
+                                 (Attacks.Bruteforce.run
+                                    ~max_attempts:brute_budget (fun seed ->
+                                      attack applied ~seed:(Int64.of_int seed)))
+                                   .verdicts)
                            in
                            [
                              {
                                etname = tgt.name;
                                ekind = "hand-written";
                                attempts =
-                                 attempts_of ~budget:brute_budget verdicts;
+                                 Attacks.Bruteforce.attempts_to_success verdicts;
                                ebudget = brute_budget;
                              };
                            ]

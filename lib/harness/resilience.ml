@@ -86,23 +86,6 @@ type t = {
   mismatches : int;
 }
 
-(* Same restart-after-crash walk as Harness.Offense.brute_hand, so the
-   hand-written and synthesized columns compare like for like. *)
-let brute_hand attack applied ~budget =
-  let rec go i acc =
-    if i >= budget then List.rev acc
-    else
-      let v = attack applied ~seed:(Int64.of_int i) in
-      let acc = v :: acc in
-      if v = Attacks.Verdict.Success then List.rev acc else go (i + 1) acc
-  in
-  go 0 []
-
-let strong_goal (c : Dopc.Chain.t) =
-  match c.goal with
-  | Dopc.Chain.Flip_global _ | Dopc.Chain.Output_contains _ -> true
-  | Dopc.Chain.Output_differs -> false
-
 (* Strictly-higher comparison of the two cost walks.  A finite on-cost
    is compared numerically; quarantine or budget exhaustion on the
    affinity side beats any finite off-cost; an off-cost that itself
@@ -182,7 +165,12 @@ let cost_corpus ~pool ?store config =
                           "resilience;brute-hand;budget=%d;seed0=0;hseed=3"
                           config.budget)
                      (fun () ->
-                       brute_hand v.attack applied ~budget:config.budget)
+                       (* the walk Harness.Offense brute forces the
+                          hand-written attacks with *)
+                       (Attacks.Bruteforce.run ~max_attempts:config.budget
+                          (fun seed ->
+                            v.attack applied ~seed:(Int64.of_int seed)))
+                         .verdicts)
                  in
                  mk ~kind:"hand-written" ~func:hand_func verdicts
                in
@@ -190,7 +178,7 @@ let cost_corpus ~pool ?store config =
                  let _, chains =
                    Dopc.Plan.synthesize ~max_chains:4 ~target:v.vname prog
                  in
-                 match List.find_opt strong_goal chains with
+                 match List.find_opt Dopc.Chain.strong_goal chains with
                  | None -> []
                  | Some chain ->
                      let verdicts =

@@ -225,14 +225,13 @@ let brute ?(pool = Sched.Pool.sequential) ?(max_attempts = 400)
            (fun () ->
              let applied = Defenses.Defense.apply ~seed:build_seed d prog in
              let result =
-               Attacks.Bruteforce.run ~max_attempts (fun i ->
-                   Apps.Librelp.attack_static applied
-                     ~seed:(Int64.of_int (5000 + i)))
+               Attacks.Bruteforce.run ~seed0:5000 ~max_attempts (fun seed ->
+                   Apps.Librelp.attack_static applied ~seed:(Int64.of_int seed))
              in
              {
                bdefense = d;
                attempts_to_success =
-                 (if result.succeeded then Some result.attempts else None);
+                 Attacks.Bruteforce.attempts_to_success result.verdicts;
                budget = max_attempts;
                detected_along_the_way =
                  List.length

@@ -158,34 +158,21 @@ let run ?(pool = Sched.Pool.sequential) ?store ?(progen = 4) ?(score = true) ()
                  }
                in
                match (store, source) with
-               | Some store, Some source -> (
+               | Some store, Some source ->
                    (* static analysis: no execution engine or run seed
                       is involved, so those key fields are pinned *)
-                   let key =
-                     Store.Key.of_source ~source_text:source ~config:None
-                       ~engine:Machine.Backend.Reference ~seed:0L
-                       ~extra:(Printf.sprintf "surface;score=%b" score)
-                       ()
-                   in
-                   match
-                     Option.bind (Store.Cache.find store key)
-                       (row_of_entry ~pname ~pkind)
-                   with
-                   | Some row -> row
-                   | None ->
-                       let row = analyze () in
-                       Store.Cache.put store key (row_entry row);
-                       row)
+                   Store.Cache.memo store
+                     (Store.Key.of_source ~source_text:source ~config:None
+                        ~engine:Machine.Backend.Reference ~seed:0L
+                        ~extra:(Printf.sprintf "surface;score=%b" score)
+                        ())
+                     ~encode:row_entry
+                     ~decode:(row_of_entry ~pname ~pkind)
+                     analyze
                | _ -> analyze ()))
          programs)
   in
   { rows; defense_names = (if score then Analysis.Score.defense_names else []) }
-
-let fmt_attempts a =
-  if a = infinity then "-"
-  else if a >= 1e6 then Printf.sprintf "%.2e" a
-  else if Float.is_integer a then Printf.sprintf "%.0f" a
-  else Printf.sprintf "%.1f" a
 
 let table t =
   let tbl =
@@ -222,7 +209,7 @@ let table t =
         @ List.map
             (fun d ->
               match List.assoc_opt d r.easiest with
-              | Some a -> fmt_attempts a
+              | Some a -> Smokestack.Entropy_an.attempts_to_string a
               | None -> "-")
             t.defense_names))
     t.rows;

@@ -38,7 +38,8 @@ let force_programs workloads =
    Cache, so parallel Sched jobs share the memo; the run itself happens
    unlocked, and since stats are deterministic per key, two jobs racing
    on a miss waste one run but can never produce a wrong or
-   order-dependent answer. *)
+   order-dependent answer.  Only clean [run]s are ever stored (run
+   raises otherwise), so a cached entry never masks a workload crash. *)
 let shared_store = Store.Cache.in_memory ()
 
 let workbench_key ~config ~backend ~seed (w : Apps.Spec.workload) =
@@ -48,22 +49,6 @@ let workbench_key ~config ~backend ~seed (w : Apps.Spec.workload) =
       (Printf.sprintf "workbench;input=%s;hseed=3" (Store.Hash.hex w.input))
     ()
 
-(* Look up an exec entry, or run [thunk] and record its result.  Only
-   clean [run]s are ever stored (run raises otherwise), so a cached
-   entry never masks a workload crash. *)
-let cached_exec ~store ~key thunk =
-  let cached =
-    match Store.Cache.find store key with
-    | Some e -> Store.Entry.exec_of_entry e
-    | None -> None
-  in
-  match cached with
-  | Some exec -> exec
-  | None ->
-      let exec = thunk () in
-      Store.Cache.put store key (Store.Entry.exec_entry exec);
-      exec
-
 let baseline ?backend ?(store = shared_store) ?(seed = 1L)
     (w : Apps.Spec.workload) =
   let backend =
@@ -71,7 +56,8 @@ let baseline ?backend ?(store = shared_store) ?(seed = 1L)
   in
   let key = workbench_key ~config:None ~backend ~seed w in
   let exec =
-    cached_exec ~store ~key (fun () ->
+    Store.Cache.memo store key ~encode:Store.Entry.exec_entry
+      ~decode:Store.Entry.exec_of_entry (fun () ->
         let applied =
           Defenses.Defense.apply Defenses.Defense.No_defense
             (Lazy.force w.program)
@@ -87,7 +73,8 @@ let smokestack_stats ?backend ?(store = shared_store) ?(seed = 1L) config
   in
   let key = workbench_key ~config:(Some config) ~backend ~seed w in
   let exec =
-    cached_exec ~store ~key (fun () ->
+    Store.Cache.memo store key ~encode:Store.Entry.exec_entry
+      ~decode:Store.Entry.exec_of_entry (fun () ->
         let applied =
           Defenses.Defense.apply ~seed:3L
             (Defenses.Defense.Smokestack config)

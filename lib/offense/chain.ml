@@ -32,6 +32,11 @@ let goal_to_string = function
   | Output_contains m -> Printf.sprintf "output has %S" m
   | Output_differs -> "output differs"
 
+let strong_goal c =
+  match c.goal with
+  | Flip_global _ | Output_contains _ -> true
+  | Output_differs -> false
+
 let family_to_string = function
   | Direct_flip -> "direct-flip"
   | Aim_write -> "aim-write"

@@ -57,6 +57,12 @@ type t = {
 }
 
 val goal_to_string : goal -> string
+
+val strong_goal : t -> bool
+(** The chain's goal is semantically checkable ({!Flip_global} or
+    {!Output_contains}), not the weak {!Output_differs} witness — the
+    chains the brute-force entropy measurements use. *)
+
 val family_to_string : family -> string
 
 val make :

@@ -158,28 +158,16 @@ let run_chain_guided ?backend (applied : Defenses.Defense.applied)
       Attacks.Verdict.classify outcome ~goal_met
 
 let brute_guided ?backend applied chain ~disclosed ~budget ~seed0 =
-  let rec go i acc =
-    if i >= budget then List.rev acc
-    else
-      let v =
-        run_chain_guided ?backend applied chain ~disclosed
-          ~seed:(Int64.of_int (seed0 + i))
-      in
-      let acc = v :: acc in
-      if v = Attacks.Verdict.Success then List.rev acc else go (i + 1) acc
-  in
-  go 0 []
+  (Attacks.Bruteforce.run ~seed0 ~max_attempts:budget (fun seed ->
+       run_chain_guided ?backend applied chain ~disclosed
+         ~seed:(Int64.of_int seed)))
+    .verdicts
 
 let trials ?backend applied chain ~n ~seed0 =
   List.init n (fun i ->
       run_chain ?backend applied chain ~seed:(Int64.of_int (seed0 + (1000 * i))))
 
 let brute ?backend applied chain ~budget ~seed0 =
-  let rec go i acc =
-    if i >= budget then List.rev acc
-    else
-      let v = run_chain ?backend applied chain ~seed:(Int64.of_int (seed0 + i)) in
-      let acc = v :: acc in
-      if v = Attacks.Verdict.Success then List.rev acc else go (i + 1) acc
-  in
-  go 0 []
+  (Attacks.Bruteforce.run ~seed0 ~max_attempts:budget (fun seed ->
+       run_chain ?backend applied chain ~seed:(Int64.of_int seed)))
+    .verdicts

@@ -81,8 +81,8 @@ val brute :
   budget:int ->
   seed0:int ->
   Attacks.Verdict.t list
-(** Restart-after-crash brute force: attempts with seeds [seed0 + i]
-    until the first success or the budget is spent.  Returns every
-    attempt's verdict (the list length is the attempts consumed);
-    [attempts-to-success] is the index of the first
-    {!Attacks.Verdict.Success} plus one. *)
+(** Restart-after-crash brute force: {!Attacks.Bruteforce.run} over
+    seeds [seed0 + i], stopping at the first success or when the budget
+    is spent.  Returns every attempt's verdict (the list length is the
+    attempts consumed); {!Attacks.Bruteforce.attempts_to_success} turns
+    it into attempts-to-success. *)

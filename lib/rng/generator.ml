@@ -58,6 +58,10 @@ let create ?seed_state ?(rekey_interval = 65536) ?(policy = Fail_secure)
     degradations_rev = [];
   }
 
+let degradation_to_string d =
+  Printf.sprintf "%s->%s" (Scheme.name d.from_scheme)
+    (match d.to_scheme with Some s -> Scheme.name s | None -> "ABORT")
+
 let current_scheme t = t.scheme
 let degradations t = List.rev t.degradations_rev
 let set_on_degrade t f = t.on_degrade <- Some f

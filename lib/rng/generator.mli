@@ -50,6 +50,9 @@ type degradation = {
   reason : string;
 }
 
+val degradation_to_string : degradation -> string
+(** ["RDRAND->AES-10"], or ["AES-10->ABORT"] for a fail-secure abort. *)
+
 exception Source_failed of string
 (** Raised by {!next_u64} when a [Fail_secure] generator has no
     fallback left.  The Smokestack runtime turns it into

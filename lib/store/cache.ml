@@ -447,36 +447,51 @@ let quarantine d id seg off bytes =
 let hit t = locked t (fun () -> t.hits <- t.hits + 1)
 let miss t = locked t (fun () -> t.misses <- t.misses + 1)
 
-let find_disk t d key id =
+let record id key entry =
+  let body = J.to_string (Entry.to_json ~key entry) ^ "\n" in
+  header id body ^ body
+
+(* The first copy of [key] that reads back whole and that [decode]
+   accepts.  A copy failing either is set aside like corruption:
+   quarantined, its slot dropped, [evicted] bumped, the next copy
+   tried. *)
+let find_disk t d key id decode =
   let p = id_prefix id in
   let rec attempt () =
     let l = locate t d p in
     if l < 0 then None
     else
-      let seg = d.segs.(Index.seg_of l) in
-      match read_record seg.path (Index.off_of l) id key with
-      | Ok e -> Some e
-      | Error bytes ->
-          quarantine d id seg (Index.off_of l) bytes;
-          locked t (fun () ->
-              Index.drop d.index p l;
-              t.evicted <- t.evicted + 1);
-          attempt ()
+      let seg = d.segs.(Index.seg_of l) and off = Index.off_of l in
+      let reject bytes =
+        quarantine d id seg off bytes;
+        locked t (fun () ->
+            Index.drop d.index p l;
+            t.evicted <- t.evicted + 1);
+        attempt ()
+      in
+      match read_record seg.path off id key with
+      | Ok e -> (
+          match decode e with
+          | Some _ as v -> v
+          | None -> reject (Bytes.of_string (record id key e)))
+      | Error bytes -> reject bytes
   in
   attempt ()
 
-let find t key =
+let find_as t key decode =
   let id = Key.id key in
   let found =
     match t.backend with
     | Memory tbl -> (
         match locked t (fun () -> Hashtbl.find_opt tbl id) with
-        | Some (k, e) when Key.equal k key -> Some e
+        | Some (k, e) when Key.equal k key -> decode e
         | _ -> None)
-    | Disk d -> find_disk t d key id
+    | Disk d -> find_disk t d key id decode
   in
   (match found with Some _ -> hit t | None -> miss t);
   found
+
+let find t key = find_as t key Option.some
 
 let mem t key =
   let id = Key.id key in
@@ -542,10 +557,17 @@ let put t key entry =
   (match t.backend with
   | Memory tbl -> locked t (fun () -> Hashtbl.replace tbl id (key, entry))
   | Disk d ->
-      let body = J.to_string (Entry.to_json ~key entry) ^ "\n" in
-      let record = header id body ^ body in
+      let record = record id key entry in
       locked t (fun () -> append d id record));
   locked t (fun () -> t.writes <- t.writes + 1)
+
+let memo t key ~encode ~decode thunk =
+  match find_as t key decode with
+  | Some v -> v
+  | None ->
+      let v = thunk () in
+      put t key (encode v);
+      v
 
 let stats t =
   locked t (fun () ->

@@ -44,9 +44,11 @@
     {e miss}: the record is copied to [quarantine/], the [evicted]
     counter bumped, its index slot dropped (another copy of the id, if
     any, is tried next), and the caller recomputes and appends.  Later
-    handles do not index a record [quarantine/] holds.  A
-    truncated or bit-flipped store can cost recomputation, never a
-    crash and never a wrong answer. *)
+    handles do not index a record [quarantine/] holds.  {!memo} treats
+    a record its decoder rejects (another entry kind or version) the
+    same way, so the recomputed entry replaces it for later handles
+    too.  A truncated or bit-flipped store can cost recomputation,
+    never a crash and never a wrong answer. *)
 
 type t
 
@@ -77,6 +79,22 @@ val mem : t -> Key.t -> bool
 
 val put : t -> Key.t -> Entry.t -> unit
 (** Insert (or deterministically overwrite); bumps [writes]. *)
+
+val memo :
+  t ->
+  Key.t ->
+  encode:('a -> Entry.t) ->
+  decode:(Entry.t -> 'a option) ->
+  (unit -> 'a) ->
+  'a
+(** [memo t key ~encode ~decode thunk] is the one cache-or-compute
+    step: {!find} [key] and [decode] the entry; on a miss, or an entry
+    that does not decode (a miss too, and quarantined on disk), run
+    [thunk], {!put} its [encode]d result and return it.  The thunk
+    runs outside the store's lock, so two domains racing on one key
+    may both compute (entries are deterministic functions of their
+    key, so either copy serves).  If [thunk] raises, nothing is
+    stored. *)
 
 type stats = { hits : int; misses : int; writes : int; evicted : int }
 

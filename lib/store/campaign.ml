@@ -55,20 +55,6 @@ let execute cfg backend pseed source =
   in
   Entry.exec_of_run ?pbox_bytes ((backend : Machine.Backend.t).run ~fuel:cfg.fuel st)
 
-let lookup_or_execute cfg backend store pseed source =
-  let key = key_of cfg source in
-  let cached =
-    match Cache.find store key with
-    | Some e -> Entry.exec_of_entry e
-    | None -> None
-  in
-  match cached with
-  | Some exec -> exec
-  | None ->
-      let exec = execute cfg backend pseed source in
-      Cache.put store key (Entry.exec_entry exec);
-      exec
-
 let classify (e : Entry.exec) =
   match e.exit_code with
   | Some 0L -> `Exit_zero
@@ -126,8 +112,10 @@ let run ?(pool = Sched.Pool.sequential) ~store cfg =
               ~id:(Printf.sprintf "campaign/%Ld" pseed)
               ~seed:pseed
               (fun () ->
-                lookup_or_execute cfg backend store pseed
-                  (Minic.Progen.generate ~seed:pseed)))
+                let source = Minic.Progen.generate ~seed:pseed in
+                Cache.memo store (key_of cfg source) ~encode:Entry.exec_entry
+                  ~decode:Entry.exec_of_entry (fun () ->
+                    execute cfg backend pseed source)))
           pseeds
       in
       List.iter2 fold pseeds (Sched.Pool.run_all pool jobs);

@@ -200,6 +200,39 @@ let test_bruteforce_driver () =
   Alcotest.(check bool) "failed" false r2.succeeded;
   Alcotest.(check int) "budget exhausted" 5 r2.attempts
 
+let test_attempts_to_success () =
+  let open Attacks.Verdict in
+  let a = Attacks.Bruteforce.attempts_to_success in
+  Alcotest.(check (option int)) "empty" None (a []);
+  Alcotest.(check (option int)) "no success" None
+    (a [ No_effect; Crashed "x"; Detected "y" ]);
+  Alcotest.(check (option int)) "success at index 0" (Some 1) (a [ Success ]);
+  Alcotest.(check (option int)) "success at the last index" (Some 3)
+    (a [ Crashed "x"; No_effect; Success ]);
+  let r =
+    Attacks.Bruteforce.run ~max_attempts:10 (fun i ->
+        if i = 6 then Success else No_effect)
+  in
+  Alcotest.(check (option int)) "agrees with run" (Some r.attempts)
+    (a r.verdicts)
+
+let test_bruteforce_seeds () =
+  let seen = ref [] in
+  let walk ?seed0 ~max_attempts hit =
+    seen := [];
+    ignore
+      (Attacks.Bruteforce.run ?seed0 ~max_attempts (fun s ->
+           seen := s :: !seen;
+           if s = hit then Attacks.Verdict.Success else Attacks.Verdict.No_effect))
+  in
+  walk ~max_attempts:4 (-1);
+  Alcotest.(check (list int)) "default seeds 0.." [ 0; 1; 2; 3 ] (List.rev !seen);
+  walk ~seed0:5000 ~max_attempts:10 5002;
+  Alcotest.(check (list int)) "seed0 + i, stopping at the success"
+    [ 5000; 5001; 5002 ] (List.rev !seen);
+  walk ~seed0:7 ~max_attempts:0 7;
+  Alcotest.(check (list int)) "zero budget tries nothing" [] !seen
+
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -225,5 +258,9 @@ let () =
         [
           Alcotest.test_case "classification" `Quick test_verdict_classification;
           Alcotest.test_case "brute force driver" `Quick test_bruteforce_driver;
+          Alcotest.test_case "brute force attempts to success" `Quick
+            test_attempts_to_success;
+          Alcotest.test_case "brute force seed walk" `Quick
+            test_bruteforce_seeds;
         ] );
     ]

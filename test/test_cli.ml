@@ -404,6 +404,36 @@ let test_campaign_rejects_broken_store () =
     "diagnostic says it is not a store" true
     (contains output "manifest")
 
+(* The attack compiler's store path: every verdict list goes through
+   Store.Cache.memo, so a warm re-run must serve every cell from the
+   store (nothing appended to the log) and print the same report. *)
+let attack_small dir =
+  [
+    "attack"; "--workload"; "stack-direct"; "--trials"; "2"; "--budget"; "40";
+    "--chains"; "4"; "--jobs"; "1"; "--store"; dir;
+  ]
+
+let log_bytes dir =
+  let log = Filename.concat dir "log" in
+  Array.fold_left
+    (fun acc f -> acc + (Unix.stat (Filename.concat log f)).Unix.st_size)
+    0 (Sys.readdir log)
+
+let test_attack_cold_then_warm_identical () =
+  with_store_dir @@ fun dir ->
+  let cold = run_cli_stdout (attack_small dir) in
+  check_code "cold attack" 0 cold;
+  let written = log_bytes dir in
+  Alcotest.(check bool) "cold run filled the store" true (written > 0);
+  let warm = run_cli_stdout (attack_small dir) in
+  check_code "warm attack" 0 warm;
+  Alcotest.(check bool) "both brute-force walks ran" true
+    (contains (snd cold) "synthesized dispatch-loop"
+    && contains (snd cold) "stack-direct  hand-written");
+  Alcotest.(check string) "warm stdout byte-identical to cold" (snd cold)
+    (snd warm);
+  Alcotest.(check int) "warm run appended nothing" written (log_bytes dir)
+
 let () =
   Alcotest.run "cli"
     [
@@ -451,5 +481,10 @@ let () =
           Alcotest.test_case "usage errors" `Quick test_campaign_usage_errors;
           Alcotest.test_case "broken store diagnostics" `Quick
             test_campaign_rejects_broken_store;
+        ] );
+      ( "attack",
+        [
+          Alcotest.test_case "cold then warm identical" `Quick
+            test_attack_cold_then_warm_identical;
         ] );
     ]

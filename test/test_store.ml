@@ -666,6 +666,70 @@ let test_workbench_stats_store_independent () =
     (Int64.bits_of_float h2.Machine.Exec.cycles);
   Alcotest.(check int) "pbox bytes identical" p1 p2
 
+(* ------------------------------------------------------------------ *)
+(* Cache.memo: the one find-decode-put sequence, on both backends *)
+
+(* [f store reopen]: [reopen ()] is a later handle on the same store *)
+let on_both_backends f =
+  let mem = Cache.in_memory () in
+  f mem (fun () -> mem);
+  with_disk_store (fun store dir -> f store (fun () -> Cache.open_disk dir))
+
+let memo_verdicts store key calls v =
+  Cache.memo store key ~encode:Entry.verdicts_entry
+    ~decode:Entry.verdicts_of_entry (fun () ->
+      incr calls;
+      v)
+
+let test_memo_miss () =
+  on_both_backends (fun store _ ->
+      let key = base_key ~extra:"memo-miss" () and calls = ref 0 in
+      let v = [ ("success", "") ] in
+      Alcotest.(check bool) "returns the thunk's value" true
+        (memo_verdicts store key calls v = v);
+      Alcotest.(check int) "thunk ran once" 1 !calls;
+      Alcotest.(check int) "one put" 1 (Cache.stats store).writes;
+      Alcotest.(check bool) "stored encoded" true
+        (Option.bind (Cache.find store key) Entry.verdicts_of_entry = Some v))
+
+let test_memo_hit () =
+  on_both_backends (fun store _ ->
+      let key = base_key ~extra:"memo-hit" () and calls = ref 0 in
+      let v = [ ("crashed", "x") ] in
+      ignore (memo_verdicts store key calls v);
+      Alcotest.(check bool) "serves the stored value" true
+        (memo_verdicts store key calls [ ("no-effect", "") ] = v);
+      Alcotest.(check int) "thunk not called on a hit" 1 !calls;
+      Alcotest.(check int) "no second put" 1 (Cache.stats store).writes)
+
+let test_memo_undecodable () =
+  on_both_backends (fun store reopen ->
+      let key = base_key ~extra:"memo-undecodable" () and calls = ref 0 in
+      Cache.put store key (Entry.make ~kind:"other" ~version:1 Sutil.Json.Null);
+      let v = [ ("detected", "fid") ] in
+      Alcotest.(check bool) "recomputed" true
+        (memo_verdicts store key calls v = v);
+      Alcotest.(check int) "thunk ran" 1 !calls;
+      Alcotest.(check bool) "overwritten" true
+        (Option.bind (Cache.find store key) Entry.verdicts_of_entry = Some v);
+      Alcotest.(check bool) "next call hits" true
+        (memo_verdicts store key calls [] = v);
+      Alcotest.(check bool) "a later handle hits too" true
+        (memo_verdicts (reopen ()) key calls [] = v);
+      Alcotest.(check int) "no further run" 1 !calls)
+
+let test_memo_raise () =
+  on_both_backends (fun store _ ->
+      let key = base_key ~extra:"memo-raise" () in
+      (match
+         Cache.memo store key ~encode:Entry.verdicts_entry
+           ~decode:Entry.verdicts_of_entry (fun () -> failwith "boom")
+       with
+      | _ -> Alcotest.fail "the thunk's exception must propagate"
+      | exception Failure _ -> ());
+      Alcotest.(check int) "no put" 0 (Cache.stats store).writes;
+      Alcotest.(check bool) "nothing stored" false (Cache.mem store key))
+
 let () =
   Alcotest.run "store"
     [
@@ -737,5 +801,15 @@ let () =
         [
           Alcotest.test_case "stats independent of store instance" `Quick
             test_workbench_stats_store_independent;
+        ] );
+      ( "memo",
+        [
+          Alcotest.test_case "miss computes once and puts" `Quick
+            test_memo_miss;
+          Alcotest.test_case "hit skips the thunk" `Quick test_memo_hit;
+          Alcotest.test_case "undecodable entry recomputed and overwritten"
+            `Quick test_memo_undecodable;
+          Alcotest.test_case "raising thunk stores nothing" `Quick
+            test_memo_raise;
         ] );
     ]

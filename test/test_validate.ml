@@ -303,11 +303,11 @@ let test_json_rendering () =
       detail = "overlap";
     }
   in
-  let json = Validate.violation_to_json v in
+  let json = Sutil.Json.to_string (Validate.violation_to_json v) in
   Alcotest.(check bool)
     "escapes and fields present" true
     (json = "{\"rule\":\"pbox-soundness\",\"func\":\"f\\\"1\",\"row\":3,\"detail\":\"overlap\"}");
-  let report = Validate.report_json ~name:"w" [] in
+  let report = Sutil.Json.to_string (Validate.report_json ~name:"w" []) in
   Alcotest.(check bool)
     "clean report" true
     (report = "{\"program\":\"w\",\"clean\":true,\"violations\":[]}");
