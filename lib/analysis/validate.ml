@@ -390,10 +390,10 @@ let check_instrumented (add : adder) (config : Config.t)
           if ret_blocks <> [] then
             fail Fid_pairing "no prologue store of the XORed FID"
       | Some store_label ->
-          let store_idx = Hashtbl.find cfg.index_of store_label in
+          let store_idx = Ir.Cfg.index_of cfg store_label in
           List.iter
             (fun (b : Ir.Func.block) ->
-              let bi = Hashtbl.find cfg.index_of b.label in
+              let bi = Ir.Cfg.index_of cfg b.label in
               if not (Ir.Cfg.dominates ~idom store_idx bi) then
                 fail Fid_pairing
                   (Printf.sprintf

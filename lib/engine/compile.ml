@@ -328,6 +328,15 @@ let compile_instr fc (i : Ir.Instr.t) : op =
    instruction has run, as [regs.(dst) <- v] does in the reference. *)
 let bad_write = Oraise { counted = false; cost = 0.; exn = bad_register }
 
+(* The shared target of branches to labels that do not exist. *)
+let missing_label = Oraise { counted = false; cost = 0.; exn = Not_found }
+
+(* Fills a code array until its ops are written.  All its fields are
+   constants, so it is statically allocated and never young: an
+   [Array.make] of a young value longer than [Max_young_wosize] would
+   first force a minor collection. *)
+let filler = Ojmp 0
+
 let writes_outside fc i =
   match Ir.Instr.defined_reg i with Some r -> not (in_frame fc r) | None -> false
 
@@ -376,8 +385,8 @@ let compile_func g (f : Ir.Func.t) : bfunc =
       (Bool.to_int prologue) f.blocks
   in
   let target l = Option.value (Hashtbl.find_opt starts l) ~default:len in
-  let missing_label = Oraise { counted = false; cost = 0.; exn = Not_found } in
-  let code = Array.make (len + 1) missing_label in
+  let code = Array.make (len + 1) filler in
+  code.(len) <- missing_label;
   let pos = ref 0 in
   let emit op =
     code.(!pos) <- op;

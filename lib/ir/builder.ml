@@ -1,25 +1,54 @@
+(* Appending to an immutable list copies it, so instructions collect
+   newest-first in [pending] and reach [block.instrs] in one append per
+   block: when the block is terminated or the builder moves on to a new
+   one.  [entry_pending] does the same for allocas added to the entry
+   block while the insertion point is elsewhere. *)
 type t = {
   func : Func.t;
+  entry : Func.block;
   mutable block : Func.block;
+  mutable pending : Instr.t list;
+  mutable entry_pending : Instr.t list;
+  mutable terminated : bool;
   mutable label_counter : int;
-  terminated_blocks : (string, unit) Hashtbl.t;
 }
 
-let on func block =
-  { func; block; label_counter = 0; terminated_blocks = Hashtbl.create 8 }
+let create func =
+  let entry = Func.add_block func ~label:"entry" in
+  {
+    func;
+    entry;
+    block = entry;
+    pending = [];
+    entry_pending = [];
+    terminated = false;
+    label_counter = 0;
+  }
 
-let create func = on func (Func.add_block func ~label:"entry")
+let publish t =
+  (match t.pending with
+  | [] -> ()
+  | rev ->
+      t.block.instrs <- t.block.instrs @ List.rev rev;
+      t.pending <- []);
+  match t.entry_pending with
+  | [] -> ()
+  | rev ->
+      t.entry.instrs <- t.entry.instrs @ List.rev rev;
+      t.entry_pending <- []
 
 let start_block t label =
+  publish t;
   let b = Func.add_block t.func ~label in
   t.block <- b;
+  t.terminated <- false;
   b
 
 let fresh_label t base =
   t.label_counter <- t.label_counter + 1;
   Printf.sprintf "%s.%d" base t.label_counter
 
-let emit t i = t.block.instrs <- t.block.instrs @ [ i ]
+let emit t i = t.pending <- i :: t.pending
 
 let emit_def t mk =
   let dst = Func.fresh_reg t.func in
@@ -28,6 +57,12 @@ let emit_def t mk =
 
 let alloca t ?(name = "") ty =
   emit_def t (fun dst -> Instr.Alloca { dst; ty; count = None; name })
+
+let alloca_entry t ?(name = "") ty =
+  let dst = Func.fresh_reg t.func in
+  let i = Instr.Alloca { dst; ty; count = None; name } in
+  if t.block == t.entry then emit t i else t.entry_pending <- i :: t.entry_pending;
+  dst
 
 let alloca_vla t ?(name = "") ty ~count =
   emit_def t (fun dst -> Instr.Alloca { dst; ty; count = Some count; name })
@@ -71,11 +106,12 @@ let intrinsic t ?(result = false) name args =
   call_like t ~result (fun dst -> Instr.Intrinsic { dst; name; args })
 
 let set_term t term =
-  if Hashtbl.mem t.terminated_blocks t.block.label then
+  if t.terminated then
     invalid_arg
       (Printf.sprintf "Ir.Builder: block %s already terminated" t.block.label);
-  Hashtbl.add t.terminated_blocks t.block.label ();
-  t.block.term <- term
+  t.terminated <- true;
+  t.block.term <- term;
+  publish t
 
 let ret t v = set_term t (Instr.Ret v)
 let br t label = set_term t (Instr.Br label)
@@ -83,4 +119,4 @@ let br t label = set_term t (Instr.Br label)
 let cond_br t cond ~if_true ~if_false =
   set_term t (Instr.Cond_br { cond; if_true; if_false })
 
-let terminated t = Hashtbl.mem t.terminated_blocks t.block.label
+let terminated t = t.terminated

@@ -3,7 +3,11 @@
     A builder holds a current insertion block within a function; every
     emit-style call appends there and returns the defined register (if
     any).  The MiniC lowering and the hand-built app models both
-    construct IR through this interface. *)
+    construct IR through this interface.
+
+    Appending is O(1): emitted instructions reach the block's [instrs]
+    together, when its terminator is set or {!start_block} moves the
+    builder on. *)
 
 type t
 
@@ -20,6 +24,12 @@ val fresh_label : t -> string -> string
     register. *)
 
 val alloca : t -> ?name:string -> Ty.t -> Instr.reg
+val alloca_entry : t -> ?name:string -> Ty.t -> Instr.reg
+(** Like {!alloca}, but appended to the end of the function's entry
+    block wherever the insertion point is: storage for any local,
+    wherever it is declared, is claimed at function entry (the clang
+    [-O0] shape, which lets the Smokestack pass see the whole frame). *)
+
 val alloca_vla : t -> ?name:string -> Ty.t -> count:Instr.operand -> Instr.reg
 val load : t -> Ty.t -> Instr.operand -> Instr.reg
 val store : t -> Ty.t -> value:Instr.operand -> addr:Instr.operand -> unit

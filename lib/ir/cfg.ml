@@ -1,49 +1,76 @@
-let successors = function
-  | Instr.Ret _ | Instr.Unreachable -> []
-  | Instr.Br l -> [ l ]
-  | Instr.Cond_br { if_true; if_false; _ } ->
-      if if_true = if_false then [ if_true ] else [ if_true; if_false ]
-
 type t = {
   blocks : Func.block array;
-  index_of : (string, int) Hashtbl.t;
-  succ : int list array;
   pred : int list array;
+  position : (string, int) Hashtbl.t;
+  rpo : int array;
 }
 
+(* Index in [blocks] of the block labelled [l], or -1. *)
+let index position rpo l =
+  match Hashtbl.find position l with j -> rpo.(j) | exception Not_found -> -1
+
+(* Depth-first from the entry.  [rpo.(j)] is -1 until block [j] is
+   visited, -2 while it is on the stack, then its postorder number
+   ([n] counts them). *)
+let rec dfs position (all : Func.block array) rpo n label =
+  match Hashtbl.find position label with
+  | exception Not_found -> ()
+  | j ->
+      if rpo.(j) = -1 then begin
+        rpo.(j) <- -2;
+        (match all.(j).term with
+        | Instr.Br l -> dfs position all rpo n l
+        | Instr.Cond_br { if_true; if_false; _ } ->
+            dfs position all rpo n if_true;
+            dfs position all rpo n if_false
+        | Instr.Ret _ | Instr.Unreachable -> ());
+        rpo.(j) <- !n;
+        incr n
+      end
+
 let of_func (f : Func.t) =
-  let by_label = Hashtbl.create 16 in
-  List.iter (fun (b : Func.block) -> Hashtbl.replace by_label b.label b) f.blocks;
-  (* depth-first postorder from the entry, then reverse *)
-  let visited = Hashtbl.create 16 in
-  let post = ref [] in
-  let rec dfs label =
-    if not (Hashtbl.mem visited label) then begin
-      Hashtbl.add visited label ();
-      match Hashtbl.find_opt by_label label with
-      | None -> ()
-      | Some b ->
-          List.iter dfs (successors b.term);
-          post := b :: !post
+  let all = Array.of_list f.blocks in
+  let nall = Array.length all in
+  (* [find] returns the last of duplicate labels *)
+  let position = Hashtbl.create nall in
+  for j = 0 to nall - 1 do
+    Hashtbl.add position all.(j).label j
+  done;
+  let rpo = Array.make nall (-1) in
+  let n = ref 0 in
+  if nall > 0 then dfs position all rpo n all.(0).label;
+  let n = !n in
+  (* postorder numbers become reverse-postorder indices *)
+  let blocks = Array.sub all 0 n in
+  for j = 0 to nall - 1 do
+    if rpo.(j) >= 0 then begin
+      rpo.(j) <- n - 1 - rpo.(j);
+      blocks.(rpo.(j)) <- all.(j)
     end
-  in
-  (match f.blocks with [] -> () | entry :: _ -> dfs entry.label);
-  let blocks = Array.of_list !post in
-  let index_of = Hashtbl.create 16 in
-  Array.iteri (fun i (b : Func.block) -> Hashtbl.replace index_of b.label i) blocks;
-  let n = Array.length blocks in
-  let succ = Array.make n [] in
+  done;
+  (* Edges to missing labels are dropped, and a [Cond_br] with equal
+     targets is one edge.  Walking the sources downwards leaves every
+     predecessor list in increasing order. *)
   let pred = Array.make n [] in
-  Array.iteri
-    (fun i (b : Func.block) ->
-      let ss =
-        List.filter_map (fun l -> Hashtbl.find_opt index_of l) (successors b.term)
-      in
-      succ.(i) <- ss;
-      List.iter (fun s -> pred.(s) <- i :: pred.(s)) ss)
-    blocks;
-  Array.iteri (fun i ps -> pred.(i) <- List.rev ps) pred;
-  { blocks; index_of; succ; pred }
+  let edge i s = if s >= 0 then pred.(s) <- i :: pred.(s) in
+  for i = n - 1 downto 0 do
+    match blocks.(i).term with
+    | Instr.Br l -> edge i (index position rpo l)
+    | Instr.Cond_br { if_true; if_false; _ } ->
+        edge i (index position rpo if_true);
+        if not (String.equal if_true if_false) then edge i (index position rpo if_false)
+    | Instr.Ret _ | Instr.Unreachable -> ()
+  done;
+  { blocks; pred; position; rpo }
+
+let index_of t label =
+  let i = t.rpo.(Hashtbl.find t.position label) in
+  if i < 0 then raise Not_found else i
+
+let rec intersect idom b1 b2 =
+  if b1 > b2 then intersect idom idom.(b1) b2
+  else if b2 > b1 then intersect idom b1 idom.(b2)
+  else b1
 
 (* Immediate dominators, Cooper–Harvey–Kennedy over the RPO ordering
    [blocks] already provides.  The intersection walks rely on the
@@ -53,31 +80,21 @@ let idom t =
   let n = Array.length t.blocks in
   let idom = Array.make n (-1) in
   if n > 0 then idom.(0) <- 0;
-  let intersect b1 b2 =
-    let f1 = ref b1 and f2 = ref b2 in
-    while !f1 <> !f2 do
-      while !f1 > !f2 do
-        f1 := idom.(!f1)
-      done;
-      while !f2 > !f1 do
-        f2 := idom.(!f2)
-      done
-    done;
-    !f1
+  let rec meet d = function
+    | [] -> d
+    | p :: rest ->
+        if idom.(p) < 0 then meet d rest
+        else meet (if d < 0 then p else intersect idom d p) rest
   in
   let changed = ref true in
   while !changed do
     changed := false;
     for i = 1 to n - 1 do
-      let processed = List.filter (fun p -> idom.(p) >= 0) t.pred.(i) in
-      match processed with
-      | [] -> ()
-      | p :: rest ->
-          let d = List.fold_left intersect p rest in
-          if idom.(i) <> d then begin
-            idom.(i) <- d;
-            changed := true
-          end
+      let d = meet (-1) t.pred.(i) in
+      if d >= 0 && idom.(i) <> d then begin
+        idom.(i) <- d;
+        changed := true
+      end
     done
   done;
   idom

@@ -2,20 +2,27 @@
 
     Small, allocation-light helpers shared by the verifier-style
     dataflow passes and the static DOP analyzer ([lib/analysis]):
-    successor/predecessor maps and a reverse-postorder block ordering
-    (the order that makes forward dataflow converge fastest). *)
+    predecessor maps and a reverse-postorder block ordering (the order
+    that makes forward dataflow converge fastest). *)
 
 type t = {
   blocks : Func.block array;  (** in reverse postorder from the entry *)
-  index_of : (string, int) Hashtbl.t;  (** label -> index in [blocks] *)
-  succ : int list array;  (** successor indices per block *)
-  pred : int list array;  (** predecessor indices per block *)
+  pred : int list array;  (** predecessor indices per block, ascending *)
+  position : (string, int) Hashtbl.t;
+      (** label -> position in the function's block list (the last of
+          duplicate labels wins) *)
+  rpo : int array;
+      (** position -> index in [blocks], [-1] for an unreachable block *)
 }
 
 val of_func : Func.t -> t
 (** Builds the CFG reachable from the entry block.  Unreachable blocks
     are dropped (they cannot contribute stores).  Edge targets that name
     missing blocks are ignored, matching the verifier's leniency. *)
+
+val index_of : t -> string -> int
+(** Index in [blocks] of the block with this label.  Raises [Not_found]
+    if no reachable block has it. *)
 
 val idom : t -> int array
 (** Immediate-dominator tree (Cooper–Harvey–Kennedy over the RPO

@@ -61,6 +61,49 @@ let defined_reg = function
   | Store _ -> None
   | Call { dst; _ } | Call_ind { dst; _ } | Intrinsic { dst; _ } -> dst
 
+let dst = function
+  | Alloca { dst; _ }
+  | Load { dst; _ }
+  | Gep { dst; _ }
+  | Binop { dst; _ }
+  | Icmp { dst; _ }
+  | Select { dst; _ }
+  | Sext { dst; _ }
+  | Trunc { dst; _ } ->
+      dst
+  | Store _ -> -1
+  | Call { dst; _ } | Call_ind { dst; _ } | Intrinsic { dst; _ } -> (
+      match dst with Some r -> r | None -> -1)
+
+let rec iter_list f x = function
+  | [] -> ()
+  | o :: rest ->
+      f x o;
+      iter_list f x rest
+
+let iter_operands f x = function
+  | Alloca { count = Some c; _ } -> f x c
+  | Alloca { count = None; _ } -> ()
+  | Load { addr; _ } -> f x addr
+  | Store { value; addr; _ } ->
+      f x value;
+      f x addr
+  | Gep { base; index; _ } -> (
+      f x base;
+      match index with Some (i, _) -> f x i | None -> ())
+  | Binop { lhs; rhs; _ } | Icmp { lhs; rhs; _ } ->
+      f x lhs;
+      f x rhs
+  | Select { cond; if_true; if_false; _ } ->
+      f x cond;
+      f x if_true;
+      f x if_false
+  | Sext { value; _ } | Trunc { value; _ } -> f x value
+  | Call { args; _ } | Intrinsic { args; _ } -> iter_list f x args
+  | Call_ind { callee; args; _ } ->
+      f x callee;
+      iter_list f x args
+
 let operands = function
   | Alloca { count; _ } -> Option.to_list count
   | Load { addr; _ } -> [ addr ]

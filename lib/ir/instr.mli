@@ -73,8 +73,15 @@ type terminator =
 val defined_reg : t -> reg option
 (** The register an instruction defines, if any. *)
 
+val dst : t -> reg
+(** [r] when [defined_reg i = Some r], else [-1]; allocates nothing. *)
+
 val operands : t -> operand list
 (** All operands read by an instruction. *)
+
+val iter_operands : ('a -> operand -> unit) -> 'a -> t -> unit
+(** [iter_operands f x i] calls [f x] on each of {!operands}[ i], in
+    order, without building the list. *)
 
 val terminator_operands : terminator -> operand list
 val pp : Format.formatter -> t -> unit

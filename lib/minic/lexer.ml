@@ -203,14 +203,23 @@ let lex_token c l =
   | ':' -> one c Token.Colon
   | ch -> Srcloc.error l "unexpected character %C" ch
 
+(* All fields constant, so statically allocated and never young:
+   [Array.make] (and [Array.of_list], with the list's first token) of
+   a young value longer than [Max_young_wosize] first forces a minor
+   collection, which under OCaml 5 stops every domain. *)
+let filler = { Token.tok = Token.Eof; loc = { Srcloc.line = 0; col = 0 } }
+
 let tokenize src =
   let c = { src; len = String.length src; pos = 0; line = 1; col = 1 } in
-  let rec go acc =
+  let rec go n acc =
     skip_trivia c;
     let l = loc c in
-    if at_end c then { Token.tok = Token.Eof; loc = l } :: acc
+    if at_end c then (n + 1, { Token.tok = Token.Eof; loc = l } :: acc)
     else
       let tok = lex_token c l in
-      go ({ Token.tok; loc = l } :: acc)
+      go (n + 1) ({ Token.tok; loc = l } :: acc)
   in
-  Array.of_list (List.rev (go []))
+  let n, rev = go 0 [] in
+  let toks = Array.make n filler in
+  List.iteri (fun i t -> toks.(n - 1 - i) <- t) rev;
+  toks

@@ -33,9 +33,7 @@ type binding = { addr : Ir.Instr.operand; bty : Ctype.t }
 type fenv = {
   genv : genv;
   b : Ir.Builder.t;
-  func : Ir.Func.t;
   fret : Ctype.t;
-  entry : Ir.Func.block;
   mutable scopes : (string * binding) list list;
   mutable loops : (string * string option) list;
       (* (break target, continue target — [None] inside a switch that is
@@ -102,20 +100,11 @@ let push_scope fe = fe.scopes <- [] :: fe.scopes
 let pop_scope fe =
   match fe.scopes with _ :: rest -> fe.scopes <- rest | [] -> assert false
 
-(* Entry-block alloca: storage for any local, wherever it is declared,
-   is claimed at function entry (clang -O0 shape; required for the
-   Smokestack pass to see the whole frame). *)
-let entry_alloca fe ty name =
-  let r = Ir.Func.fresh_reg fe.func in
-  fe.entry.instrs <-
-    fe.entry.instrs @ [ Ir.Instr.Alloca { dst = r; ty; count = None; name } ];
-  r
-
 let scratch_addr fe =
   match fe.scratch with
   | Some r -> Ir.Instr.Reg r
   | None ->
-      let r = entry_alloca fe Ir.Ty.I64 "__sc_tmp" in
+      let r = Ir.Builder.alloca_entry fe.b ~name:"__sc_tmp" Ir.Ty.I64 in
       fe.scratch <- Some r;
       Ir.Instr.Reg r
 
@@ -518,7 +507,7 @@ let rec lower_stmt fe (st : Ast.stmt) =
   | Ast.Seq body -> lower_stmts fe body
   | Ast.Decl { dname; dty; vla_len = None; init } ->
       let ity = ir_ty fe.genv loc dty in
-      let r = entry_alloca fe ity dname in
+      let r = Ir.Builder.alloca_entry fe.b ~name:dname ity in
       define_var fe loc dname { addr = Ir.Instr.Reg r; bty = dty };
       (match init with
       | Some e ->
@@ -742,9 +731,7 @@ let lower_func genv (f : Ast.func) =
     {
       genv;
       b;
-      func;
       fret = f.ret;
-      entry = Ir.Func.entry func;
       scopes = [ [] ];
       loops = [];
       scratch = None;
@@ -755,7 +742,7 @@ let lower_func genv (f : Ast.func) =
   List.iter
     (fun (i, name, ty) ->
       let ty = Ctype.decay ty in
-      let r = entry_alloca fe (ir_ty genv f.floc ty) name in
+      let r = Ir.Builder.alloca_entry fe.b ~name (ir_ty genv f.floc ty) in
       Ir.Builder.store fe.b (ir_ty genv f.floc ty) ~value:(Ir.Instr.Reg i)
         ~addr:(Ir.Instr.Reg r);
       define_var fe f.floc name { addr = Ir.Instr.Reg r; bty = ty })
@@ -785,7 +772,10 @@ let lower (program : Ast.program) : Ir.Prog.t =
       Hashtbl.replace genv.funcs name (params, ret);
       Ir.Prog.add_extern genv.prog name)
     builtins;
-  (* Pass 1: collect structs, signatures, globals. *)
+  (* Pass 1: collect structs, signatures, globals.  A name defined
+     twice is a diagnostic here, not an [Invalid_argument] from
+     [Ir.Prog] later. *)
+  let defined = Hashtbl.create 16 in
   List.iter
     (fun top ->
       match top with
@@ -794,9 +784,15 @@ let lower (program : Ast.program) : Ir.Prog.t =
           Hashtbl.replace genv.funcs ename (Some eparams, eret);
           Ir.Prog.add_extern genv.prog ename
       | Ast.Func_def f ->
+          if Hashtbl.mem defined f.fname then
+            Srcloc.error f.floc "redefinition of function %s" f.fname;
+          Hashtbl.add defined f.fname ();
           Hashtbl.replace genv.funcs f.fname
             (Some (List.map snd f.params), f.ret)
-      | Ast.Global { gname; gty; _ } -> Hashtbl.replace genv.globals gname gty)
+      | Ast.Global { gname; gty; _ } ->
+          if Hashtbl.mem genv.globals gname then
+            Srcloc.error Srcloc.dummy "redefinition of global %s" gname;
+          Hashtbl.replace genv.globals gname gty)
     program;
   (* Pass 2: emit globals then function bodies. *)
   List.iter

@@ -711,6 +711,92 @@ let test_alloc_gate () =
       check_identical (Printf.sprintf "%s loop %d" what k) (run_prog prog))
     alloc_bodies
 
+(* The IR verifier runs twice per compiled program, after lowering and
+   after hardening, so it must not allocate per instruction: under 24
+   bytes per IR instruction (terminators included) over 200 Progen
+   programs in both forms.  Every array it makes for these programs is
+   below [Max_young_wosize], so the minor heap sees all of it. *)
+let test_verifier_alloc () =
+  let progs =
+    List.concat_map
+      (fun (_, src) ->
+        let prog = compile src in
+        [ prog; (Smokestack.Harden.harden ~seed:3L ~validate:false
+                   Smokestack.Config.default prog).prog ])
+      (List.of_seq (Minic.Progen.range ~seed:1L 200))
+  in
+  let instrs =
+    List.fold_left
+      (fun n (p : Ir.Prog.t) ->
+        List.fold_left
+          (fun n (f : Ir.Func.t) ->
+            List.fold_left
+              (fun n (b : Ir.Func.block) -> n + 1 + List.length b.instrs)
+              n f.blocks)
+          n p.funcs)
+      0 progs
+  in
+  let before = Gc.minor_words () in
+  let errors = List.concat_map Ir.Verifier.verify progs in
+  let bytes = (Gc.minor_words () -. before) *. float_of_int (Sys.word_size / 8) in
+  Alcotest.(check int) "programs verify" 0 (List.length errors);
+  let per_instr = bytes /. float_of_int instrs in
+  if per_instr >= 24. then
+    Alcotest.failf "verifier: %.1f bytes allocated per IR instruction" per_instr
+
+(* ------------------------------------------------------------------ *)
+(* Forced minor collections *)
+
+(* [Array.make] of more than [Max_young_wosize] (256) words with a young
+   initial value first runs a minor collection, and under OCaml 5 that
+   stops every domain of the pool.  [Array.of_list] and [Array.init] do
+   the same with their first element.  The runtime counts each such
+   collection as EV_C_FORCE_MINOR_MAKE_VECT; [f] gets a [poll] to call
+   often enough that the event ring cannot overflow. *)
+let forced_minor_collections f =
+  let forced = ref 0 and lost = ref 0 in
+  let callbacks =
+    Runtime_events.Callbacks.create
+      ~runtime_counter:(fun _ _ counter _ ->
+        if counter = Runtime_events.EV_C_FORCE_MINOR_MAKE_VECT then incr forced)
+      ~lost_events:(fun _ n -> lost := !lost + n)
+      ()
+  in
+  Runtime_events.start ();
+  let cursor = Runtime_events.create_cursor None in
+  let poll () = ignore (Runtime_events.read_poll cursor callbacks None) in
+  poll ();
+  forced := 0;
+  f poll;
+  poll ();
+  Runtime_events.free_cursor cursor;
+  Runtime_events.pause ();
+  if !lost > 0 then Alcotest.failf "%d runtime events lost" !lost;
+  !forced
+
+(* Parse, lower, harden, prepare and run on the bytecode engine: the
+   14 corpus programs and 50 Progen programs, none of which may force
+   a collection. *)
+let test_no_forced_minor () =
+  let sources =
+    List.map (fun (w : Apps.Spec.workload) -> w.source) Apps.Spec.all
+    @ List.of_seq (Seq.map snd (Minic.Progen.range ~seed:1L 50))
+  in
+  let forced =
+    forced_minor_collections (fun poll ->
+        List.iteri
+          (fun i src ->
+            let hardened =
+              Smokestack.Harden.harden ~seed:3L ~validate:false
+                Smokestack.Config.default (compile src)
+            in
+            let entropy = Crypto.Entropy.create ~seed:(Int64.of_int i) in
+            ignore (bc_backend.run (Smokestack.Harden.prepare ~entropy hardened));
+            poll ())
+          sources)
+  in
+  Alcotest.(check int) "forced minor collections" 0 forced
+
 (* ------------------------------------------------------------------ *)
 (* Backend registry *)
 
@@ -809,5 +895,14 @@ let () =
           Alcotest.test_case "application matrix" `Slow test_diffval_apps;
         ] );
       ( "alloc",
-        [ Alcotest.test_case "loops allocate nothing" `Quick test_alloc_gate ] );
+        [
+          Alcotest.test_case "loops allocate nothing" `Quick test_alloc_gate;
+          Alcotest.test_case "verifier allocation per instruction" `Quick
+            test_verifier_alloc;
+        ] );
+      ( "forced-minor",
+        [
+          Alcotest.test_case "compile path forces no minor collection" `Quick
+            test_no_forced_minor;
+        ] );
     ]

@@ -164,7 +164,7 @@ let diamond_func () =
 let test_cfg_diamond_idom () =
   let cfg = Ir.Cfg.of_func (diamond_func ()) in
   let idom = Ir.Cfg.idom cfg in
-  let at label = Hashtbl.find cfg.Ir.Cfg.index_of label in
+  let at label = Ir.Cfg.index_of cfg label in
   check_int "entry is its own idom" (at "entry") idom.(at "entry");
   check_int "t's idom is entry" (at "entry") idom.(at "t");
   check_int "f's idom is entry" (at "entry") idom.(at "f");
@@ -191,7 +191,7 @@ let test_cfg_loop_idom () =
   Ir.Prog.add_func (Ir.Prog.create ()) f;
   let cfg = Ir.Cfg.of_func f in
   let idom = Ir.Cfg.idom cfg in
-  let at label = Hashtbl.find cfg.Ir.Cfg.index_of label in
+  let at label = Ir.Cfg.index_of cfg label in
   check_int "head's idom is entry" (at "entry") idom.(at "head");
   check_int "body's idom is head" (at "head") idom.(at "body");
   check_int "exit's idom is head" (at "head") idom.(at "exit");

@@ -59,7 +59,7 @@ let test_lexer_errors () =
 
 (* Every Apps.Spec source and 200 Progen programs, lexed: the digest of
    their [(tok, loc)] streams pins the lexer's output token by token. *)
-let lexer_golden_sources () =
+let golden_sources () =
   List.map (fun (w : Apps.Spec.workload) -> w.source) Apps.Spec.all
   @ List.of_seq (Seq.map snd (Minic.Progen.range ~seed:1L 200))
 
@@ -78,7 +78,7 @@ let token_stream_digest sources =
 let test_lexer_golden_streams () =
   Alcotest.(check string)
     "token-stream digest" "27c759fd171949f2801d200c2a735734"
-    (token_stream_digest (lexer_golden_sources ()))
+    (token_stream_digest (golden_sources ()))
 
 (* Each error's message and location, and the token count of the inputs
    that must lex: a NUL byte is an unexpected character outside string
@@ -602,6 +602,11 @@ let diagnostics =
     expect_error "continue in bare switch"
       "int main() { switch (1) { case 1: continue; } return 0; }"
       "continue outside";
+    expect_error "global defined twice" "long g; long g; int main() { return 0; }"
+      "redefinition of global g";
+    expect_error "function defined twice"
+      "int f() { return 1; } int f() { return 2; } int main() { return 0; }"
+      "redefinition of function f";
   ]
 
 (* void-call-result case: our checker reports this via the verifier
@@ -690,6 +695,48 @@ let test_progen_locals_shape () =
         prog.Ir.Prog.funcs)
     [ 1L; 2L; 3L; 4L; 5L; 42L; 9001L ]
 
+(* The same sources, lowered: the digest of their printed IR pins the
+   instruction order of every lowering path, entry-block allocas
+   included. *)
+let test_lowered_ir_golden () =
+  let buf = Buffer.create (1 lsl 22) in
+  List.iter
+    (fun src -> Buffer.add_string buf (Ir.Printer.prog_to_string (Minic.Driver.compile src)))
+    (golden_sources ());
+  Alcotest.(check string)
+    "lowered-IR digest" "7938423b12c70b6d914bbac76131e292"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* The exit-code contract under malformed input: a Progen source with 1
+   to 4 bytes substituted either compiles or is rejected with a
+   diagnostic; no other exception escapes the front end. *)
+let mutant_sources = Array.of_seq (Seq.map snd (Minic.Progen.range ~seed:7L 64))
+
+(* Mostly bytes MiniC uses, so mutants get past the lexer into the
+   parser and the lowering; any byte otherwise. *)
+let mutant_byte =
+  QCheck2.Gen.(
+    frequency
+      [ (1, char); (3, oneofl (List.of_seq (String.to_seq "(){}[];,+-*/%&|^~!<>=?:.'\"\\0x19az_ \n"))) ])
+
+let mutate (k, subs) =
+  let b = Bytes.of_string mutant_sources.(k) in
+  List.iter (fun (pos, c) -> Bytes.set b pos c) subs;
+  Bytes.to_string b
+
+let prop_mutants_keep_contract =
+  QCheck2.Test.make ~count:4000 ~name:"mutated sources compile or diagnose"
+    ~print:(fun (k, subs) ->
+      Printf.sprintf "source %d, substitutions %s" k
+        (String.concat "; " (List.map (fun (pos, c) -> Printf.sprintf "%d:%C" pos c) subs)))
+    QCheck2.Gen.(
+      let* k = int_bound (Array.length mutant_sources - 1) in
+      let len = String.length mutant_sources.(k) in
+      let+ subs = list_size (int_range 1 4) (pair (int_bound (len - 1)) mutant_byte) in
+      (k, subs))
+    (fun mutant ->
+      match Minic.Driver.compile_result (mutate mutant) with Ok _ | Error _ -> true)
+
 let () =
   Alcotest.run "minic"
     [
@@ -709,10 +756,12 @@ let () =
         [
           Alcotest.test_case "builtins in sync" `Quick test_builtins_in_sync;
           Alcotest.test_case "verified IR" `Quick test_verified_ir;
+          Alcotest.test_case "lowered IR golden" `Quick test_lowered_ir_golden;
         ] );
       ( "progen",
         [
           Alcotest.test_case "determinism" `Quick test_progen_determinism;
           Alcotest.test_case "locals shape" `Quick test_progen_locals_shape;
         ] );
+      ("robustness", [ QCheck_alcotest.to_alcotest prop_mutants_keep_contract ]);
     ]

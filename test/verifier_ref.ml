@@ -49,7 +49,7 @@ let defined_at_entry (f : Func.t) =
   for i = 1 to n - 1 do
     at_entry.(i) <- IntSet.union at_entry.(idom.(i)) defs_in.(idom.(i))
   done;
-  fun label -> at_entry.(Hashtbl.find cfg.index_of label)
+  fun label -> at_entry.(Cfg.index_of cfg label)
 
 let verify_func (p : Prog.t) (f : Func.t) =
   let errors = ref [] in
