@@ -20,9 +20,10 @@ let config ?(seed = 1000L) ?(exec_seed = 7L) ?harden
    future knob can't silently alias entries. *)
 let harden_seed = 3L
 
-let key_of cfg source =
-  Key.of_source ~source_text:source ~config:cfg.harden ~engine:cfg.engine
-    ~seed:cfg.exec_seed
+(* The campaign's key function: everything but the source is rendered
+   once per call of [key_of], so each program costs one source hash. *)
+let key_of cfg =
+  Key.for_sources ~config:cfg.harden ~engine:cfg.engine ~seed:cfg.exec_seed
     ~extra:(Printf.sprintf "campaign;fuel=%d;hseed=%Ld" cfg.fuel harden_seed)
     ()
 
@@ -75,6 +76,7 @@ let line pseed (e : Entry.exec) =
 
 let run ?(pool = Sched.Pool.sequential) ~store cfg =
   let backend = Machine.Backend.find cfg.engine in
+  let key_of = key_of cfg in
   let shard = max 1 cfg.shard in
   let buf = Buffer.create (96 * max 16 cfg.count) in
   let exited_zero = ref 0
@@ -113,7 +115,7 @@ let run ?(pool = Sched.Pool.sequential) ~store cfg =
               ~seed:pseed
               (fun () ->
                 let source = Minic.Progen.generate ~seed:pseed in
-                Cache.memo store (key_of cfg source) ~encode:Entry.exec_entry
+                Cache.memo store (key_of source) ~encode:Entry.exec_entry
                   ~decode:Entry.exec_of_entry (fun () ->
                     execute cfg backend pseed source)))
           pseeds
@@ -137,9 +139,10 @@ let run ?(pool = Sched.Pool.sequential) ~store cfg =
   }
 
 let remaining ~store cfg =
+  let key_of = key_of cfg in
   Seq.fold_left
     (fun acc (_, source) ->
-      if Cache.mem store (key_of cfg source) then acc else acc + 1)
+      if Cache.mem store (key_of source) then acc else acc + 1)
     0
     (Minic.Progen.range ~seed:cfg.seed cfg.count)
 

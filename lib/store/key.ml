@@ -6,16 +6,17 @@ type t = {
   extra : string;
 }
 
-let v ~source ~config ~engine ~seed ?(extra = "") () =
-  { source; config; engine = Machine.Backend.kind_to_string engine; seed; extra }
-
-let of_source ~source_text ~config ~engine ~seed ?extra () =
+let for_sources ~config ~engine ~seed ?(extra = "") () =
   let config =
     match config with
     | None -> "none"
     | Some c -> Smokestack.Config.fingerprint c
   in
-  v ~source:(Hash.hex source_text) ~config ~engine ~seed ?extra ()
+  let engine = Machine.Backend.kind_to_string engine in
+  fun source_text -> { source = Hash.hex source_text; config; engine; seed; extra }
+
+let of_source ~source_text ~config ~engine ~seed ?extra () =
+  for_sources ~config ~engine ~seed ?extra () source_text
 
 let to_string k =
   Printf.sprintf "src=%s cfg=%s eng=%s seed=%Ld extra=%s" k.source k.config

@@ -35,6 +35,20 @@ val of_source :
 (** Hashes the raw source text and fingerprints the config ([None] =
     unhardened, rendered ["none"]). *)
 
+val for_sources :
+  config:Smokestack.Config.t option ->
+  engine:Machine.Backend.kind ->
+  seed:int64 ->
+  ?extra:string ->
+  unit ->
+  string ->
+  t
+(** [for_sources ~config ~engine ~seed ?extra ()] renders the config
+    fingerprint once; the function it returns hashes only each source
+    text.  [of_source ~source_text ...] is
+    [for_sources ... () source_text]: a batch over one configuration
+    gets the same keys without re-rendering the config per source. *)
+
 val to_string : t -> string
 (** Stable one-line rendering (diagnostics and the entry-file echo). *)
 

@@ -114,7 +114,7 @@ let of_string_exn s =
   let n = String.length s in
   let pos = ref 0 in
   let error msg = raise (Parse_error (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
+  let at c = !pos < n && Char.equal (String.unsafe_get s !pos) c in
   let advance () = incr pos in
   let skip_ws () =
     while
@@ -123,11 +123,7 @@ let of_string_exn s =
       advance ()
     done
   in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> error (Printf.sprintf "expected %C" c)
-  in
+  let expect c = if at c then advance () else error (Printf.sprintf "expected %C" c) in
   let literal word v =
     let l = String.length word in
     if !pos + l <= n && String.sub s !pos l = word then begin
@@ -163,16 +159,34 @@ let of_string_exn s =
       Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
     end
   in
+  (* Moves [pos] to the next quote or backslash, or to the end. *)
+  let skip_plain () =
+    while
+      !pos < n && (match String.unsafe_get s !pos with '"' | '\\' -> false | _ -> true)
+    do
+      advance ()
+    done
+  in
+  (* A string without escapes is one [String.sub]; otherwise each run of
+     plain bytes between escapes is copied whole. *)
   let parse_string () =
     expect '"';
-    let buf = Buffer.create 16 in
-    let rec loop () =
-      if !pos >= n then error "unterminated string";
-      let c = s.[!pos] in
+    let start = !pos in
+    skip_plain ();
+    if at '"' then begin
       advance ();
-      match c with
-      | '"' -> Buffer.contents buf
-      | '\\' -> (
+      String.sub s start (!pos - 1 - start)
+    end
+    else begin
+      let buf = Buffer.create (16 + !pos - start) in
+      Buffer.add_substring buf s start (!pos - start);
+      (* [pos] is at a quote, a backslash or the end *)
+      let rec loop () =
+        if !pos >= n then error "unterminated string";
+        let c = s.[!pos] in
+        advance ();
+        if c = '"' then Buffer.contents buf
+        else begin
           if !pos >= n then error "unterminated escape";
           let e = s.[!pos] in
           advance ();
@@ -206,10 +220,14 @@ let of_string_exn s =
               in
               add_utf8 buf cp
           | _ -> error "bad escape");
-          loop ())
-      | c -> Buffer.add_char buf c; loop ()
-    in
-    loop ()
+          let from = !pos in
+          skip_plain ();
+          Buffer.add_substring buf s from (!pos - from);
+          loop ()
+        end
+      in
+      loop ()
+    end
   in
   let parse_number () =
     let start = !pos in
@@ -231,23 +249,23 @@ let of_string_exn s =
   in
   let rec parse_value () =
     skip_ws ();
-    match peek () with
-    | None -> error "unexpected end of input"
-    | Some '"' -> String (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some '[' ->
+    if !pos >= n then error "unexpected end of input";
+    match s.[!pos] with
+    | '"' -> String (parse_string ())
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | '[' ->
         advance ();
         skip_ws ();
-        if peek () = Some ']' then begin
+        if at ']' then begin
           advance ();
           List []
         end
         else begin
           let items = ref [ parse_value () ] in
           skip_ws ();
-          while peek () = Some ',' do
+          while at ',' do
             advance ();
             items := parse_value () :: !items;
             skip_ws ()
@@ -255,10 +273,10 @@ let of_string_exn s =
           expect ']';
           List (List.rev !items)
         end
-    | Some '{' ->
+    | '{' ->
         advance ();
         skip_ws ();
-        if peek () = Some '}' then begin
+        if at '}' then begin
           advance ();
           Obj []
         end
@@ -273,7 +291,7 @@ let of_string_exn s =
           in
           let fields = ref [ field () ] in
           skip_ws ();
-          while peek () = Some ',' do
+          while at ',' do
             advance ();
             fields := field () :: !fields;
             skip_ws ()
@@ -281,8 +299,8 @@ let of_string_exn s =
           expect '}';
           Obj (List.rev !fields)
         end
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some c -> error (Printf.sprintf "unexpected %C" c)
+    | '-' | '0' .. '9' -> parse_number ()
+    | c -> error (Printf.sprintf "unexpected %C" c)
   in
   let v = parse_value () in
   skip_ws ();

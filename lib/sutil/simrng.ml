@@ -22,9 +22,11 @@ let create ~seed =
   t
 
 let copy = Bytes.copy
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let next_u64 t =
+(* [@inline] so that [int] gets the result unboxed: a draw allocates
+   nothing. *)
+let[@inline] next_u64 t =
   let s0 = get t 0 and s1 = get t 1 and s2 = get t 2 and s3 = get t 3 in
   let result = Int64.mul (rotl (Int64.mul s1 5L) 7) 9L in
   let s2 = Int64.logxor s2 s0 in
@@ -35,17 +37,19 @@ let next_u64 t =
   set t 3 (rotl s3 45);
   result
 
+(* The low 62 bits of a draw: a non-negative native int. *)
+let next_62 t = Int64.to_int (Int64.logand (next_u64 t) 0x3FFF_FFFF_FFFF_FFFFL)
+
 let int t ~bound =
   if bound <= 0 then invalid_arg "Sutil.Simrng.int: non-positive bound";
-  (* Rejection sampling over the top 62 bits to avoid modulo bias. *)
-  let mask = 0x3FFFFFFFFFFFFFFFL in
-  let b = Int64.of_int bound in
-  let limit = Int64.sub mask (Int64.rem mask b) in
-  let v = ref (Int64.logand (next_u64 t) mask) in
-  while Int64.unsigned_compare !v limit >= 0 do
-    v := Int64.logand (next_u64 t) mask
+  (* Rejection sampling over the low 62 bits ([max_int] is 2^62 - 1)
+     to avoid modulo bias. *)
+  let limit = max_int - (max_int mod bound) in
+  let v = ref (next_62 t) in
+  while !v >= limit do
+    v := next_62 t
   done;
-  Int64.to_int (Int64.rem !v b)
+  !v mod bound
 
 let bool t = Int64.logand (next_u64 t) 1L = 1L
 

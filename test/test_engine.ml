@@ -744,6 +744,38 @@ let test_verifier_alloc () =
   if per_instr >= 24. then
     Alcotest.failf "verifier: %.1f bytes allocated per IR instruction" per_instr
 
+(* Words allocated per call of [f] over [n] calls: minor and major
+   heap together, so a block too large for the minor heap counts too. *)
+let words_per_call n f =
+  let before = Gc.allocated_bytes () in
+  for i = 0 to n - 1 do
+    ignore (Sys.opaque_identity (f i))
+  done;
+  (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+  /. float_of_int n
+
+(* A warm campaign replay compiles nothing, so generating each source
+   is most of its cost: under 4,000 words per program over 600 seeds
+   (the [Printf]-based generator took about 9,500). *)
+let test_progen_alloc () =
+  let words =
+    words_per_call 600 (fun i ->
+        Minic.Progen.generate ~seed:(Int64.of_int (1000 + i)))
+  in
+  if words >= 4000. then
+    Alcotest.failf "Progen: %.0f words allocated per program" words
+
+(* A Simrng draw allocates nothing; 100k draws leave room only for the
+   measurement's own boxed float. *)
+let test_simrng_alloc () =
+  let rng = Sutil.Simrng.create ~seed:42L in
+  let words =
+    words_per_call 100_000 (fun i ->
+        Sutil.Simrng.int rng ~bound:(1 + (i land 1023)))
+  in
+  if words *. 100_000. > 8. then
+    Alcotest.failf "Simrng.int: %.4f words allocated per draw" words
+
 (* ------------------------------------------------------------------ *)
 (* Forced minor collections *)
 
@@ -899,6 +931,10 @@ let () =
           Alcotest.test_case "loops allocate nothing" `Quick test_alloc_gate;
           Alcotest.test_case "verifier allocation per instruction" `Quick
             test_verifier_alloc;
+          Alcotest.test_case "progen allocation per program" `Quick
+            test_progen_alloc;
+          Alcotest.test_case "simrng draws allocate nothing" `Quick
+            test_simrng_alloc;
         ] );
       ( "forced-minor",
         [

@@ -669,6 +669,38 @@ let test_progen_determinism () =
     (Minic.Progen.generate_many ~seed:55L 5)
     (Minic.Progen.generate_many ~seed:55L 5)
 
+(* The tree-printed generator against the [Printf] original it replaced
+   (test/progen_ref.ml, verbatim), in both shapes: consecutive ranges at
+   the seed bases the repository's corpora start from — the campaign
+   CLI and E16 (1000), the test corpora (1), crossval (100), the attack
+   surface (9001) and the perf benchmark's campaigns (seed roots 1 and
+   7) — plus random 64-bit seeds. *)
+let progen_matches_ref seed =
+  String.equal (Minic.Progen.generate ~seed) (Progen_ref.generate ~seed)
+  && String.equal
+       (Minic.Progen.generate_leaky ~seed)
+       (Progen_ref.generate_leaky ~seed)
+
+let test_progen_matches_ref_ranges () =
+  let perf_base root =
+    Int64.logand
+      (Sutil.Simrng.split_seed ~root ~id:"campaign/progen")
+      0xFFFF_FFFFL
+  in
+  List.iter
+    (fun base ->
+      for i = 0 to 2_999 do
+        let seed = Int64.add base (Int64.of_int i) in
+        if not (progen_matches_ref seed) then
+          Alcotest.failf "seed %Ld: Progen differs from the reference" seed
+      done)
+    [ 1000L; 1L; 100L; 9001L; perf_base 1L; perf_base 7L ]
+
+let prop_progen_matches_ref =
+  QCheck2.Test.make ~count:4000
+    ~name:"Progen matches the reference on random seeds"
+    ~print:Int64.to_string QCheck2.Gen.int64 progen_matches_ref
+
 let test_progen_locals_shape () =
   List.iter
     (fun seed ->
@@ -762,6 +794,9 @@ let () =
         [
           Alcotest.test_case "determinism" `Quick test_progen_determinism;
           Alcotest.test_case "locals shape" `Quick test_progen_locals_shape;
+          Alcotest.test_case "matches reference on seed ranges" `Quick
+            test_progen_matches_ref_ranges;
+          QCheck_alcotest.to_alcotest prop_progen_matches_ref;
         ] );
       ("robustness", [ QCheck_alcotest.to_alcotest prop_mutants_keep_contract ]);
     ]

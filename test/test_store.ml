@@ -616,6 +616,50 @@ let test_campaign_hardened_digest_pinned () =
     (Sched.Pool.with_pool ~jobs:4 @@ fun pool ->
      (Campaign.run ~pool ~store:(Cache.in_memory ()) cfg).Campaign.digest)
 
+(* Every record a cold campaign appends reads back through [find] as
+   the entry computed for it: records come in seed order, each keyed as
+   [Key.of_source] keys its program's source, and the entry [find]
+   decodes re-renders to the record's body byte for byte and equals
+   what an in-memory run of the same campaign computed. *)
+let test_campaign_log_reads_back () =
+  with_disk_store @@ fun store dir ->
+  let cfg = campaign_config () in
+  ignore (Campaign.run ~store cfg);
+  let computed = Cache.in_memory () in
+  ignore (Campaign.run ~store:computed cfg);
+  let bodies =
+    List.concat_map
+      (fun seg ->
+        List.map (fun (_, _, body) -> body) (fst (records (read_file seg))))
+      (segments dir)
+  in
+  let keys =
+    List.map
+      (fun (_, source_text) ->
+        Key.of_source ~source_text ~config:None ~engine:cfg.engine
+          ~seed:cfg.exec_seed
+          ~extra:(Printf.sprintf "campaign;fuel=%d;hseed=3" cfg.fuel)
+          ())
+      (List.of_seq (Minic.Progen.range ~seed:cfg.seed campaign_n))
+  in
+  Alcotest.(check int) "one record per program" campaign_n (List.length bodies);
+  let render key e = Sutil.Json.to_string (Entry.to_json ~key e) ^ "\n" in
+  List.iteri
+    (fun i (key, body) ->
+      let what = Printf.sprintf "record %d" i in
+      (match Result.map Entry.of_json (Sutil.Json.of_string body) with
+      | Ok (Some (k, _)) ->
+          Alcotest.(check string) (what ^ " key") (Key.to_string key)
+            (Key.to_string k)
+      | _ -> Alcotest.failf "%s does not parse" what);
+      match (Cache.find store key, Cache.find computed key) with
+      | Some e, Some c ->
+          Alcotest.(check string) (what ^ " read back") body (render key e);
+          Alcotest.(check string) (what ^ " as computed") (render key c)
+            (render key e)
+      | _ -> Alcotest.failf "%s not found" what)
+    (List.combine keys bodies)
+
 (* The resume property: killing a campaign after any prefix of the work
    and re-running over the same store yields the digest of an
    uninterrupted run.  A [count = k] run over a shared store is exactly
@@ -796,6 +840,8 @@ let () =
             test_campaign_resume_property;
           Alcotest.test_case "hardened digest pinned" `Quick
             test_campaign_hardened_digest_pinned;
+          Alcotest.test_case "cold log reads back through find" `Quick
+            test_campaign_log_reads_back;
         ] );
       ( "workbench",
         [

@@ -381,6 +381,46 @@ let test_json_doc_to_channel_appends_newline () =
   | Ok v -> Alcotest.(check bool) "and still parses" true (v = gnarly_doc)
   | Error e -> Alcotest.failf "parse failed: %s" e
 
+(* A string without escapes is taken whole; one with escapes is copied
+   run by run between them.  Both paths, their seams, and the error
+   texts (byte offsets included) the byte-at-a-time parser gave. *)
+let test_json_string_runs () =
+  let parse s =
+    match Sutil.Json.of_string s with
+    | Ok (Sutil.Json.String v) -> v
+    | Ok _ -> Alcotest.fail "expected a string"
+    | Error e -> Alcotest.failf "parse of %S failed: %s" s e
+  in
+  Alcotest.(check string) "escape after a long plain prefix"
+    "plain prefix past sixteen bytes \xc3\xa9\n\"end"
+    (parse "\"plain prefix past sixteen bytes \xc3\xa9\\n\\\"end\"");
+  Alcotest.(check string) "escaped quote first" "\"x" (parse {|"\"x"|});
+  Alcotest.(check string) "escape last" "ab\\" (parse {|"ab\\"|});
+  Alcotest.(check string) "empty" "" (parse {|""|});
+  Alcotest.(check string) "raw control and UTF-8 bytes"
+    "a\x01\x1f\tb\xc3\xa9\xf0\x9f\x98\x80"
+    (parse "\"a\x01\x1f\tb\xc3\xa9\xf0\x9f\x98\x80\"");
+  Alcotest.(check (list (pair string string))) "object keys and values"
+    [ ("k", "v"); ("", "\u{e9}") ]
+    (match Sutil.Json.of_string {|{"k":"v","":"\u00e9"}|} with
+    | Ok (Sutil.Json.Obj fields) ->
+        List.map
+          (fun (k, v) -> (k, Option.get (Sutil.Json.to_str_opt v)))
+          fields
+    | _ -> Alcotest.fail "expected an object");
+  let error s =
+    match Sutil.Json.of_string s with
+    | Ok _ -> Alcotest.failf "%S parsed" s
+    | Error e -> e
+  in
+  Alcotest.(check string) "unterminated plain string"
+    "unterminated string at byte 12" (error {|{"k":"abcdef|});
+  Alcotest.(check string) "unterminated after an escape"
+    "unterminated string at byte 6" (error {|"a\nbc|});
+  Alcotest.(check string) "unterminated escape"
+    "unterminated escape at byte 33"
+    (error {|"plain prefix past sixteen bytes\|})
+
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -433,5 +473,7 @@ let () =
             test_json_to_channel_matches_to_string;
           Alcotest.test_case "doc_to_channel appends newline" `Quick
             test_json_doc_to_channel_appends_newline;
+          Alcotest.test_case "string runs and their errors" `Quick
+            test_json_string_runs;
         ] );
     ]
