@@ -13,12 +13,15 @@ let default =
 
 type t = {
   config : config;
-  tenants : Server.Tenant.t list;
-  scheduled : int * int * int;  (** (benign, attack, chaos) in the schedule *)
-  dispatch : Server.Dispatch.t;
+  fleet : int;
+  scheduled : int * int * int;
   summary : Server.Metrics.summary;
+  by_tenant : Sutil.Texttable.t;
+  by_class : Sutil.Texttable.t;
 }
 
+(* Only the report leaves [run]: the tenants, their prepared instances
+   and the per-session outcomes die with it. *)
 let run ?pool ?backend ?(config = default) () =
   let tenants =
     Server.Tenant.fleet ~defense:config.defense ~root:config.traffic.root ()
@@ -29,15 +32,16 @@ let run ?pool ?backend ?(config = default) () =
   in
   {
     config;
-    tenants;
+    fleet = List.length tenants;
     scheduled = Server.Traffic.census specs;
-    dispatch;
     summary = Server.Metrics.of_dispatch dispatch;
+    by_tenant = Server.Metrics.tenant_table tenants dispatch;
+    by_class = Server.Metrics.class_table dispatch;
   }
 
 let summary_table t = Server.Metrics.table t.summary
-let tenant_table t = Server.Metrics.tenant_table t.tenants t.dispatch
-let class_table t = Server.Metrics.class_table t.dispatch
+let tenant_table t = t.by_tenant
+let class_table t = t.by_class
 
 let to_markdown t =
   let b = Buffer.create 2048 in
@@ -48,7 +52,7 @@ let to_markdown t =
     (Printf.sprintf
        "%d sessions over %d tenants (defense: %s): %d benign, %d attack, %d \
         chaos; %d virtual handlers, queue capacity %d.\n\n"
-       t.summary.Server.Metrics.sessions (List.length t.tenants)
+       t.summary.Server.Metrics.sessions t.fleet
        (Defenses.Defense.name t.config.defense)
        benign attack chaos t.config.dispatch.Server.Dispatch.virtual_workers
        t.config.dispatch.Server.Dispatch.queue_capacity);

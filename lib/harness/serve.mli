@@ -26,11 +26,15 @@ val default : config
 
 type t = {
   config : config;
-  tenants : Server.Tenant.t list;
+  fleet : int;  (** tenants in the fleet *)
   scheduled : int * int * int;  (** (benign, attack, chaos) scheduled *)
-  dispatch : Server.Dispatch.t;
   summary : Server.Metrics.summary;
+  by_tenant : Sutil.Texttable.t;  (** {!tenant_table} *)
+  by_class : Sutil.Texttable.t;  (** {!class_table} *)
 }
+(** The report of one run, and nothing else: the tenants, their
+    prepared instances and the per-session outcomes are not kept, so a
+    result stays a few KB however many sessions ran. *)
 
 val run :
   ?pool:Sched.Pool.t ->

@@ -70,21 +70,69 @@ type t = {
    started on an idle handler, enqueued, or shed.  The wait queue is
    FCFS or weighted-fair (SCFQ: each enqueue stamps a finish tag
    [max(vclock, class tag) + service/weight]; dequeues take the lowest
-   tag and advance the virtual clock to it), and under WFQ a full queue
-   sheds by class: an arrival that outranks the lowest-class queued
-   session evicts it instead of being refused.
+   (tag, seq) and advance the virtual clock to it), and under WFQ a
+   full queue sheds by class: an arrival that outranks the lowest-class
+   queued session evicts it instead of being refused.
+
+   The queue is one FIFO per class.  Inside a class, tags never fall
+   as [seq] rises: the FCFS tag is [seq] itself, and a WFQ tag is the
+   class's previous tag, or the larger virtual clock, plus a
+   non-negative service share.  So each FIFO is already in (tag, seq)
+   order: the next session to start is the least of the three heads,
+   and the eviction victim (lowest class, latest tag first) is the tail
+   of the lowest-ranked non-empty class.  Every queue operation is
+   constant time.
 
    Everything is computed from (arrival, service_cycles, verdict)
    triples — all bit-identical across engines and pool widths — so the
    admission decisions, breaker state, latencies and throughput are
    too. *)
 
+(* A growable ring buffer: a deque with amortized constant-time push at
+   the back and pop at either end ([Stdlib.Queue] cannot pop its back).
+   The capacity stays a power of two, so indices wrap with a mask. *)
+module Ring = struct
+  type 'a t = { mutable buf : 'a array; mutable head : int; mutable len : int }
+
+  let create () = { buf = [||]; head = 0; len = 0 }
+  let length r = r.len
+  let is_empty r = r.len = 0
+  let slot r i = (r.head + i) land (Array.length r.buf - 1)
+
+  let push r x =
+    let cap = Array.length r.buf in
+    if r.len = cap then begin
+      let buf = Array.make (max 16 (2 * cap)) x in
+      for i = 0 to r.len - 1 do
+        buf.(i) <- r.buf.(slot r i)
+      done;
+      r.buf <- buf;
+      r.head <- 0
+    end;
+    r.buf.(slot r r.len) <- x;
+    r.len <- r.len + 1
+
+  (* callers check [is_empty] first *)
+  let front r = r.buf.(r.head)
+
+  let pop_front r =
+    let x = r.buf.(r.head) in
+    r.head <- slot r 1;
+    r.len <- r.len - 1;
+    x
+
+  let pop_back r =
+    r.len <- r.len - 1;
+    r.buf.(slot r r.len)
+end
+
 type entry = {
   e_outcome : Session.outcome;
   e_cls : Policy.cls;
   e_seq : int;
   e_tag : float;  (* SCFQ finish tag (Wfq); enqueue sequence (Fcfs) *)
-  s : served option ref;  (* filled at start time, admission order kept *)
+  mutable e_finish : float;  (* set once, when a handler starts it *)
+  mutable e_served : served option;  (* [None] until started *)
 }
 
 let cls_of policy (o : Session.outcome) =
@@ -97,19 +145,30 @@ let cls_of policy (o : Session.outcome) =
   else if o.Session.spec.Session.paying then Policy.Paying
   else Policy.Standard
 
+(* (finish, seq) order of busy handlers, without polymorphic compare *)
+let finishes_before a b =
+  a.e_finish < b.e_finish || (a.e_finish = b.e_finish && a.e_seq < b.e_seq)
+
+(* (tag, seq) order of queued sessions *)
+let tagged_before a b =
+  a.e_tag < b.e_tag || (a.e_tag = b.e_tag && a.e_seq < b.e_seq)
+
 let admit ?(dropped = []) cfg outcomes =
   let workers = max 1 cfg.virtual_workers in
   let policy = Option.map Policy.create cfg.policy in
+  let wfq = match cfg.discipline with Wfq -> true | Fcfs -> false in
   let wp, ws, wu = cfg.weights in
   let weight = function
     | Policy.Paying -> float_of_int (max 1 wp)
     | Policy.Standard -> float_of_int (max 1 ws)
     | Policy.Suspect -> float_of_int (max 1 wu)
   in
-  (* busy handlers: (finish, seq, entry), ascending by (finish, seq) *)
-  let busy = ref [] in
+  (* busy handlers, sorted by descending (finish, seq): the next to
+     finish is last; allocated at the first start *)
+  let busy = ref [||] in
   let nbusy = ref 0 in
-  let queue = ref [] in
+  (* the wait queue: one FIFO per class, indexed by [Policy.cls_rank] *)
+  let fifos = Array.init 3 (fun _ -> Ring.create ()) in
   let nqueue = ref 0 in
   let order = ref [] in  (* admitted entries, admission order (reversed) *)
   let shed = ref [] in
@@ -117,82 +176,68 @@ let admit ?(dropped = []) cfg outcomes =
   let seq = ref 0 in
   let vclock = ref 0. in
   let class_tag = [| 0.; 0.; 0. |] in
-  let fail_times = ref [] in
+  let fail_times = Ring.create () in  (* failed completions, by finish *)
   let peak_open = ref 0 in
   let makespan = ref 0. in
   let degraded_arrivals = ref 0 in
-  let next_seq () =
-    incr seq;
-    !seq
-  in
-  let rec insert_busy x = function
-    | [] -> [ x ]
-    | ((f, s, _) as y) :: rest ->
-        let fx, sx, _ = x in
-        if (fx, sx) < (f, s) then x :: y :: rest else y :: insert_busy x rest
-  in
   let start_session ~at e =
     let finish = at +. e.e_outcome.Session.service_cycles in
-    busy := insert_busy (finish, e.e_seq, e) !busy;
+    e.e_finish <- finish;
+    e.e_served <-
+      Some { outcome = e.e_outcome; start = at; finish; cls = e.e_cls };
+    if Array.length !busy = 0 then busy := Array.make workers e;
+    let b = !busy in
+    let i = ref !nbusy in
+    while !i > 0 && finishes_before b.(!i - 1) e do
+      b.(!i) <- b.(!i - 1);
+      decr i
+    done;
+    b.(!i) <- e;
     incr nbusy;
-    e.s := Some { outcome = e.e_outcome; start = at; finish; cls = e.e_cls };
     if finish > !makespan then makespan := finish
   in
-  let enqueue ~svc e =
-    let e =
-      match cfg.discipline with
-      | Fcfs -> { e with e_tag = float_of_int e.e_seq }
-      | Wfq ->
-          let i = 2 - Policy.cls_rank e.e_cls in
-          let tag =
-            Float.max !vclock class_tag.(i) +. (svc /. weight e.e_cls)
-          in
-          class_tag.(i) <- tag;
-          { e with e_tag = tag }
-    in
-    let rec ins = function
-      | [] -> [ e ]
-      | y :: rest ->
-          if (e.e_tag, e.e_seq) < (y.e_tag, y.e_seq) then e :: y :: rest
-          else y :: ins rest
-    in
-    queue := ins !queue;
+  let tag_of ~svc ~seq cls =
+    if not wfq then float_of_int seq
+    else
+      let i = Policy.cls_rank cls in
+      let tag = Float.max !vclock class_tag.(i) +. (svc /. weight cls) in
+      class_tag.(i) <- tag;
+      tag
+  in
+  let enqueue e =
+    Ring.push fifos.(Policy.cls_rank e.e_cls) e;
     incr nqueue
   in
   let dequeue () =
-    match !queue with
-    | [] -> None
-    | e :: rest ->
-        queue := rest;
-        decr nqueue;
-        if cfg.discipline = Wfq then vclock := e.e_tag;
-        Some e
+    let best = ref (-1) in
+    for i = 0 to 2 do
+      let q = fifos.(i) in
+      if
+        (not (Ring.is_empty q))
+        && (!best < 0 || tagged_before (Ring.front q) (Ring.front fifos.(!best)))
+      then best := i
+    done;
+    if !best < 0 then None
+    else begin
+      let e = Ring.pop_front fifos.(!best) in
+      decr nqueue;
+      if wfq then vclock := e.e_tag;
+      Some e
+    end
   in
   (* evict the lowest-ranked queued session, latest-served first among
-     equals; only strictly lower-ranked sessions are eviction fodder *)
+     equals: the tail of the lowest-ranked non-empty class; only
+     strictly lower-ranked sessions are eviction fodder *)
   let evict_below cls =
-    let victim =
-      List.fold_left
-        (fun acc e ->
-          if Policy.cls_rank e.e_cls >= Policy.cls_rank cls then acc
-          else
-            match acc with
-            | None -> Some e
-            | Some v ->
-                if
-                  Policy.cls_rank e.e_cls < Policy.cls_rank v.e_cls
-                  || Policy.cls_rank e.e_cls = Policy.cls_rank v.e_cls
-                     && (e.e_tag, e.e_seq) > (v.e_tag, v.e_seq)
-                then Some e
-                else acc)
-        None !queue
-    in
-    match victim with
-    | None -> None
-    | Some v ->
-        queue := List.filter (fun e -> e.e_seq <> v.e_seq) !queue;
+    let rec scan i =
+      if i >= Policy.cls_rank cls then None
+      else if Ring.is_empty fifos.(i) then scan (i + 1)
+      else begin
         decr nqueue;
-        Some v
+        Some (Ring.pop_back fifos.(i))
+      end
+    in
+    scan 0
   in
   let record_completion finish (e : entry) =
     let failure = Policy.failure_verdict e.e_outcome.Session.verdict in
@@ -201,27 +246,37 @@ let admit ?(dropped = []) cfg outcomes =
         Policy.observe p ~client:e.e_outcome.Session.spec.Session.client
           ~now:finish ~failure
     | None -> ());
-    if failure && cfg.degradation <> None then
-      fail_times := finish :: !fail_times
+    match cfg.degradation with
+    | Some _ when failure -> Ring.push fail_times finish
+    | _ -> ()
   in
   let rec advance t =
-    match !busy with
-    | (finish, _, e) :: rest when finish <= t ->
-        busy := rest;
+    if !nbusy > 0 then begin
+      let e = !busy.(!nbusy - 1) in
+      let finish = e.e_finish in
+      if finish <= t then begin
         decr nbusy;
         record_completion finish e;
         (match dequeue () with
         | Some q -> start_session ~at:finish q
         | None -> ());
         advance t
-    | _ -> ()
+      end
+    end
   in
+  (* completions are recorded in finish order and arrivals come in time
+     order, so the failures that left the window are at the front *)
   let degraded_at t =
     match cfg.degradation with
     | None -> false
     | Some d ->
-        fail_times := List.filter (fun f -> f > t -. d.window) !fail_times;
-        List.length !fail_times >= d.storm_failures
+        while
+          (not (Ring.is_empty fail_times))
+          && Ring.front fail_times <= t -. d.window
+        do
+          ignore (Ring.pop_front fail_times)
+        done;
+        Ring.length fail_times >= d.storm_failures
   in
   let class_capacity ~degraded d cls =
     if not degraded then cfg.queue_capacity
@@ -249,35 +304,36 @@ let admit ?(dropped = []) cfg outcomes =
       | Policy.Reject_backoff _ -> rejected := (o, Backoff) :: !rejected
       | Policy.Admit ->
           let cls = cls_of policy o in
-          let e =
-            {
-              e_outcome = o;
-              e_cls = cls;
-              e_seq = next_seq ();
-              e_tag = 0.;
-              s = ref None;
-            }
-          in
-          if !nbusy < workers then begin
+          incr seq;
+          let admitted ~tag =
+            let e =
+              {
+                e_outcome = o;
+                e_cls = cls;
+                e_seq = !seq;
+                e_tag = tag;
+                e_finish = 0.;
+                e_served = None;
+              }
+            in
             order := e :: !order;
-            start_session ~at:t e
-          end
+            e
+          in
+          let svc = o.Session.service_cycles in
+          if !nbusy < workers then start_session ~at:t (admitted ~tag:0.)
           else begin
             let cap =
               match cfg.degradation with
               | Some d -> class_capacity ~degraded d cls
               | None -> cfg.queue_capacity
             in
-            if !nqueue < cap then begin
-              order := e :: !order;
-              enqueue ~svc:o.Session.service_cycles e
-            end
-            else if cfg.discipline = Wfq then
+            if !nqueue < cap then
+              enqueue (admitted ~tag:(tag_of ~svc ~seq:!seq cls))
+            else if wfq then
               match evict_below cls with
               | Some v ->
                   shed := (v.e_outcome, v.e_cls) :: !shed;
-                  order := e :: !order;
-                  enqueue ~svc:o.Session.service_cycles e
+                  enqueue (admitted ~tag:(tag_of ~svc ~seq:!seq cls))
               | None -> shed := (o, cls) :: !shed
             else shed := (o, cls) :: !shed
           end);
@@ -285,14 +341,13 @@ let admit ?(dropped = []) cfg outcomes =
       if open_now > !peak_open then peak_open := open_now)
     outcomes;
   advance Float.infinity;
+  (* [order] is reversed, so prepending restores admission order;
+     entries evicted from the queue never started and are already
+     recorded as shed *)
   let served =
-    List.rev !order
-    |> List.filter_map (fun e ->
-           match !(e.s) with
-           | Some s -> Some s
-           | None ->
-               (* evicted from the queue: already recorded as shed *)
-               None)
+    List.fold_left
+      (fun acc e -> match e.e_served with Some s -> s :: acc | None -> acc)
+      [] !order
   in
   {
     served;

@@ -17,9 +17,13 @@
       Arrivals are screened by the optional per-client {!Policy}
       (circuit-breaker rejections never reach the queue), classified
       (paying / standard / suspect), and queued FCFS or weighted-fair
-      (SCFQ finish tags over [weights]).  A full queue sheds: blindly
-      under FCFS, by class under WFQ (an arrival that outranks the
-      lowest-ranked queued session evicts it).  Under sustained fault
+      (SCFQ finish tags over [weights]).  The queue is one FIFO per
+      class: tags never fall inside a class, so the next session is the
+      least (tag, seq) of the three heads and every queue operation is
+      constant time.  A full queue sheds: blindly under FCFS, by class
+      under WFQ (an arrival that outranks the lowest-ranked queued
+      session evicts it: the tail of that class's FIFO, its latest
+      tag).  Under sustained fault
       pressure ([degradation]: at least [storm_failures] failed
       completions inside the trailing [window]) the fleet degrades —
       suspect arrivals are no longer queued at all and standard ones

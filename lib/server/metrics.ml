@@ -48,6 +48,9 @@ let percentile sorted q =
    a property of the host and goes to stderr, never into the report. *)
 let ghz = 1e9
 
+let succeeded (o : Session.outcome) =
+  match o.Session.verdict with Attacks.Verdict.Success -> true | _ -> false
+
 let of_dispatch (d : Dispatch.t) =
   let executed =
     List.map (fun (s : Dispatch.served) -> s.Dispatch.outcome) d.Dispatch.served
@@ -62,7 +65,7 @@ let of_dispatch (d : Dispatch.t) =
   let sojourns =
     Array.of_list (List.map Dispatch.sojourn d.Dispatch.served)
   in
-  Array.sort compare sojourns;
+  Array.sort Float.compare sojourns;
   let served = List.length d.Dispatch.served in
   let shed = List.length d.Dispatch.shed in
   let rejected = List.length d.Dispatch.rejected in
@@ -112,21 +115,20 @@ let of_dispatch (d : Dispatch.t) =
         d.Dispatch.served
       + count (fun (o, _) -> kind_is "attack" o) d.Dispatch.shed;
     detected = count Session.detected attacks_x;
-    successes =
-      count
-        (fun (o : Session.outcome) -> o.Session.verdict = Attacks.Verdict.Success)
-        attacks_x;
+    successes = count succeeded attacks_x;
     detection_rate =
       (if attacks_x = [] then 0.
        else
          float_of_int (count Session.detected attacks_x)
          /. float_of_int (List.length attacks_x));
     batch_checked =
-      count (fun (o : Session.outcome) -> o.Session.batch_match <> None)
+      count
+        (fun (o : Session.outcome) -> Option.is_some o.Session.batch_match)
         executed;
     batch_mismatches =
       count
-        (fun (o : Session.outcome) -> o.Session.batch_match = Some false)
+        (fun (o : Session.outcome) ->
+          match o.Session.batch_match with Some false -> true | _ -> false)
         executed;
     chaos_fired = sumi (fun (o : Session.outcome) -> o.Session.fired) executed;
     peak_open = d.Dispatch.peak_open;
@@ -206,20 +208,24 @@ let class_table (d : Dispatch.t) =
             ("mean wait", Right);
           ]
   in
+  let same_cls a b = Policy.cls_rank a = Policy.cls_rank b in
   List.iter
     (fun cls ->
       let served =
-        List.filter (fun (s : Dispatch.served) -> s.Dispatch.cls = cls)
+        List.filter
+          (fun (s : Dispatch.served) -> same_cls s.Dispatch.cls cls)
           d.Dispatch.served
       in
-      let shed = List.filter (fun (_, c) -> c = cls) d.Dispatch.shed in
+      let shed = List.filter (fun (_, c) -> same_cls c cls) d.Dispatch.shed in
       (* breaker rejections are by construction suspect-class: only a
          client with failure history has a non-closed breaker *)
       let rejected =
-        if cls = Policy.Suspect then List.length d.Dispatch.rejected else 0
+        match cls with
+        | Policy.Suspect -> List.length d.Dispatch.rejected
+        | Policy.Paying | Policy.Standard -> 0
       in
       let sojourns = Array.of_list (List.map Dispatch.sojourn served) in
-      Array.sort compare sojourns;
+      Array.sort Float.compare sojourns;
       let n = List.length served in
       let mean_wait =
         if n = 0 then 0.
@@ -241,6 +247,15 @@ let class_table (d : Dispatch.t) =
     [ Policy.Paying; Policy.Standard; Policy.Suspect ];
   tbl
 
+type tenant_counts = {
+  mutable t_served : int;
+  mutable t_shed : int;
+  mutable t_requests : int;
+  mutable t_attacks : int;
+  mutable t_detected : int;
+  mutable t_success : int;
+}
+
 let tenant_table tenants (d : Dispatch.t) =
   let tbl =
     Sutil.Texttable.create
@@ -257,52 +272,55 @@ let tenant_table tenants (d : Dispatch.t) =
             ("success", Right);
           ]
   in
+  (* one pass over the sessions into per-tenant counters *)
+  let counts = Hashtbl.create 16 in
   List.iter
     (fun (t : Tenant.t) ->
-      let mine (o : Session.outcome) =
-        o.Session.spec.Session.tenant.Tenant.id = t.Tenant.id
-      in
-      let served =
-        List.filter
-          (fun (s : Dispatch.served) -> mine s.Dispatch.outcome)
-          d.Dispatch.served
-      in
-      let shed_mine =
-        List.filter (fun (o, _) -> mine o) d.Dispatch.shed |> List.map fst
-      in
-      let executed =
-        List.map (fun (s : Dispatch.served) -> s.Dispatch.outcome) served
-        @ shed_mine
-        @ (List.filter (fun (o, _) -> mine o) d.Dispatch.rejected
-          |> List.map fst)
-      in
-      let attacks =
-        List.filter
-          (fun (o : Session.outcome) ->
-            match o.Session.spec.Session.kind with
-            | Session.Attack _ -> true
-            | _ -> false)
-          executed
-      in
+      Hashtbl.replace counts t.Tenant.id
+        {
+          t_served = 0;
+          t_shed = 0;
+          t_requests = 0;
+          t_attacks = 0;
+          t_detected = 0;
+          t_success = 0;
+        })
+    tenants;
+  let tally (o : Session.outcome) f =
+    match Hashtbl.find_opt counts o.Session.spec.Session.tenant.Tenant.id with
+    | None -> ()
+    | Some c ->
+        f c;
+        (match o.Session.spec.Session.kind with
+        | Session.Attack _ ->
+            c.t_attacks <- c.t_attacks + 1;
+            if Session.detected o then c.t_detected <- c.t_detected + 1;
+            if succeeded o then c.t_success <- c.t_success + 1
+        | Session.Benign _ | Session.Chaotic _ -> ())
+  in
+  List.iter
+    (fun (s : Dispatch.served) ->
+      let o = s.Dispatch.outcome in
+      tally o (fun c ->
+          c.t_served <- c.t_served + 1;
+          c.t_requests <- c.t_requests + o.Session.requests))
+    d.Dispatch.served;
+  List.iter (fun (o, _) -> tally o (fun c -> c.t_shed <- c.t_shed + 1))
+    d.Dispatch.shed;
+  List.iter (fun (o, _) -> tally o ignore) d.Dispatch.rejected;
+  List.iter
+    (fun (t : Tenant.t) ->
+      let c = Hashtbl.find counts t.Tenant.id in
       Sutil.Texttable.add_row tbl
         [
           t.Tenant.name;
           Defenses.Defense.name t.Tenant.defense;
-          string_of_int (List.length served);
-          string_of_int (List.length shed_mine);
-          string_of_int
-            (List.fold_left
-               (fun acc (s : Dispatch.served) ->
-                 acc + s.Dispatch.outcome.Session.requests)
-               0 served);
-          string_of_int (List.length attacks);
-          string_of_int (List.length (List.filter Session.detected attacks));
-          string_of_int
-            (List.length
-               (List.filter
-                  (fun (o : Session.outcome) ->
-                    o.Session.verdict = Attacks.Verdict.Success)
-                  attacks));
+          string_of_int c.t_served;
+          string_of_int c.t_shed;
+          string_of_int c.t_requests;
+          string_of_int c.t_attacks;
+          string_of_int c.t_detected;
+          string_of_int c.t_success;
         ])
     tenants;
   tbl

@@ -848,6 +848,219 @@ let test_policy_replay_identical_across_engines_and_widths () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Admission against the reference model (test/dispatch_ref.ml, the
+   sorted-list queue the per-class FIFOs replaced), the size of a serve
+   result, and the allocation of one admission replay *)
+
+(* Real outcomes with every kind of traffic: attacks and chaos for the
+   breakers and the degradation window, repeat clients for affinity, a
+   storm for failure bursts.  Executed once; each case rescales their
+   service times, which moves the load from idle to overload. *)
+let mixed_outcomes =
+  lazy
+    (let root = 29L in
+     let tenants = Server.Tenant.fleet ~apps:small_apps ~root () in
+     let traffic =
+       {
+         Server.Traffic.default with
+         sessions = 320;
+         root;
+         mean_gap = 400;
+         attackers = 3;
+         clients = 24;
+         attack_pct = 25;
+         chaos_pct = 15;
+         storm = Some (Fault.Storm.plan ~root ~sessions:320 ~burst_len:40 ());
+       }
+     in
+     let specs = Server.Traffic.generate traffic tenants in
+     Array.of_list (fst (Server.Dispatch.execute tenants specs)))
+
+type admission_case = {
+  cfg : Server.Dispatch.config;
+  scale : float;  (* service-time factor *)
+  prefix : int;  (* outcomes replayed *)
+}
+
+let gen_admission_case =
+  let open QCheck2.Gen in
+  let* virtual_workers = int_range 1 20 in
+  let* queue_capacity = int_range 0 60 in
+  let* discipline = oneofl Server.Dispatch.[ Fcfs; Wfq ] in
+  let* weights = triple (int_range 0 8) (int_range 0 8) (int_range 0 8) in
+  let* policy =
+    opt
+      (let* affinity = bool in
+       let* failures = int_range 1 3 in
+       let* base_backoff = float_range 100. 200_000. in
+       let* factor = float_range 1. 3. in
+       let* max_trips = int_range 0 3 in
+       return
+         {
+           Server.Policy.affinity;
+           breaker =
+             {
+               Server.Policy.failures;
+               base_backoff;
+               factor;
+               max_backoff = 5e6;
+               max_trips;
+             };
+         })
+  in
+  let* degradation =
+    opt
+      (* whole cycles, like arrivals and finishes, so that a failure
+         can sit exactly on the window's edge *)
+      (let* window = map float_of_int (int_range 1_000 500_000) in
+       let* storm_failures = int_range 1 10 in
+       let* reserve = float_range 0. 1. in
+       return { Server.Dispatch.window; storm_failures; reserve })
+  in
+  let* scale = map (fun e -> 10. ** e) (float_range (-2.) 1.5) in
+  let* prefix = int_range 1 320 in
+  return
+    {
+      cfg =
+        {
+          Server.Dispatch.default with
+          Server.Dispatch.virtual_workers;
+          queue_capacity;
+          discipline;
+          weights;
+          policy;
+          degradation;
+        };
+      scale;
+      prefix;
+    }
+
+let print_admission_case c =
+  let d = c.cfg in
+  let wp, ws, wu = d.Server.Dispatch.weights in
+  Printf.sprintf
+    "workers=%d capacity=%d %s weights=%d/%d/%d policy=%s degradation=%s \
+     scale=%g prefix=%d"
+    d.Server.Dispatch.virtual_workers d.queue_capacity
+    (match d.discipline with Fcfs -> "fcfs" | Wfq -> "wfq")
+    wp ws wu
+    (match d.policy with
+    | None -> "off"
+    | Some p ->
+        let b = p.Server.Policy.breaker in
+        Printf.sprintf "affinity=%b,failures=%d,base=%g,factor=%g,trips=%d"
+          p.affinity b.failures b.base_backoff b.factor b.max_trips)
+    (match d.degradation with
+    | None -> "off"
+    | Some g ->
+        Printf.sprintf "window=%g,storm=%d,reserve=%g" g.window
+          g.storm_failures g.reserve)
+    c.scale c.prefix
+
+let sid_of (o : Server.Session.outcome) = o.spec.Server.Session.sid
+
+(* everything admission decides, in the order it reports it *)
+let admission_view (d : Server.Dispatch.t) =
+  ( List.map
+      (fun (s : Server.Dispatch.served) ->
+        (sid_of s.outcome, s.start, s.finish, s.cls))
+      d.served,
+    List.map (fun (o, c) -> (sid_of o, c)) d.shed,
+    List.map (fun (o, r) -> (sid_of o, r)) d.rejected,
+    (d.peak_open, d.makespan, d.degraded, d.policy) )
+
+let test_admit_matches_reference () =
+  let outcomes = Lazy.force mixed_outcomes in
+  let evictions = ref 0 and rejections = ref 0 and degraded = ref 0 in
+  let agrees c =
+    let replay =
+      List.init c.prefix (fun i ->
+          let o = outcomes.(i) in
+          {
+            o with
+            Server.Session.service_cycles =
+              Float.max 1. (Float.round (o.Server.Session.service_cycles *. c.scale));
+          })
+    in
+    let d = Server.Dispatch.admit c.cfg replay in
+    (* an entry shed after a later arrival was shed was evicted from the
+       queue: a refusal sheds the arrival itself *)
+    ignore
+      (List.fold_left
+         (fun latest (o, _) ->
+           if sid_of o < latest then incr evictions;
+           max latest (sid_of o))
+         (-1) d.shed);
+    rejections := !rejections + List.length d.rejected;
+    degraded := !degraded + d.degraded;
+    admission_view d = admission_view (Dispatch_ref.admit c.cfg replay)
+  in
+  QCheck2.Test.check_exn
+    ~rand:(Random.State.make [| 23 |])
+    (QCheck2.Test.make ~count:1500 ~name:"admit matches the reference"
+       ~print:print_admission_case gen_admission_case agrees);
+  Alcotest.(check bool) "cases reach WFQ evictions" true (!evictions > 0);
+  Alcotest.(check bool) "cases reach breaker rejections" true
+    (!rejections > 0);
+  Alcotest.(check bool) "cases reach degraded arrivals" true (!degraded > 0)
+
+let test_degradation_window_edge () =
+  (* one failure finishing at 10 and a 20-cycle window: an arrival at
+     29 still sees it, an arrival at exactly 30 does not *)
+  let cfg =
+    {
+      Server.Dispatch.default with
+      Server.Dispatch.degradation =
+        Some { Server.Dispatch.window = 20.; storm_failures = 1; reserve = 0.5 };
+    }
+  in
+  let at arrival =
+    [
+      mk_outcome ~sid:0 ~client:1 ~paying:false ~arrival:0. ~svc:10.
+        ~verdict:crash;
+      mk_outcome ~sid:1 ~client:2 ~paying:false ~arrival ~svc:10. ~verdict:ok;
+    ]
+  in
+  List.iter
+    (fun (arrival, degraded) ->
+      let d = Server.Dispatch.admit cfg (at arrival) in
+      Alcotest.(check int)
+        (Printf.sprintf "degraded arrivals, second at %.0f" arrival)
+        degraded d.Server.Dispatch.degraded;
+      Alcotest.(check bool) "same as the reference" true
+        (admission_view d = admission_view (Dispatch_ref.admit cfg (at arrival))))
+    [ (29., 1); (30., 0) ]
+
+let test_serve_result_is_small () =
+  let t = Harness.Serve.run ~backend:bc_backend () in
+  let bytes = Obj.reachable_words (Obj.repr t) * (Sys.word_size / 8) in
+  Alcotest.(check int) "default schedule ran" 1300
+    t.Harness.Serve.summary.Server.Metrics.sessions;
+  if bytes >= 16 * 1024 then
+    Alcotest.failf "a default serve result holds %d bytes (bound 16 KiB)"
+      bytes
+
+let test_admit_allocation_per_session () =
+  let tenants = Server.Tenant.fleet ~root:Server.Traffic.default.root () in
+  let specs = Server.Traffic.generate Server.Traffic.default tenants in
+  let executed, _ = Server.Dispatch.execute ~backend:bc_backend tenants specs in
+  (* the heap counters are exact only right after a minor collection *)
+  let words () =
+    Gc.minor ();
+    Gc.allocated_bytes () /. float_of_int (Sys.word_size / 8)
+  in
+  let before = words () in
+  let d = Server.Dispatch.admit Server.Dispatch.default executed in
+  let per_session =
+    (words () -. before) /. float_of_int (List.length executed)
+  in
+  Alcotest.(check bool) "default schedule queues" true
+    (d.Server.Dispatch.peak_open > Server.Dispatch.default.virtual_workers);
+  if per_session >= 64. then
+    Alcotest.failf "admit allocates %.1f words per session (bound 64)"
+      per_session
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "server"
@@ -911,5 +1124,16 @@ let () =
             test_policy_replay_identical_across_engines_and_widths;
           Alcotest.test_case "full E15 report" `Quick
             test_full_harness_report_identical;
+        ] );
+      ( "admission",
+        [
+          Alcotest.test_case "matches reference on random configs" `Quick
+            test_admit_matches_reference;
+          Alcotest.test_case "serve result keeps only its report" `Quick
+            test_serve_result_is_small;
+          Alcotest.test_case "admit allocation per session" `Quick
+            test_admit_allocation_per_session;
+          Alcotest.test_case "degradation window edge" `Quick
+            test_degradation_window_edge;
         ] );
     ]

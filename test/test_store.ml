@@ -53,6 +53,35 @@ let test_key_deterministic () =
   Alcotest.(check string) "same rendering" (Key.to_string k1)
     (Key.to_string k2)
 
+(* Ids must stay byte-identical across releases, or every stored record
+   becomes a miss: pinned digests, plus the length-prefixed framing
+   checked against a plain [Buffer] rendering of it. *)
+let test_key_ids_pinned () =
+  Alcotest.(check string) "base key id" "2a13bb42c1cfa3e688c1b0b47904ad31"
+    (Key.id (base_key ()));
+  let framed parts =
+    let b = Buffer.create 16 in
+    List.iter
+      (fun p ->
+        Buffer.add_string b (string_of_int (String.length p));
+        Buffer.add_char b ':';
+        Buffer.add_string b p)
+      parts;
+    Digest.to_hex (Digest.string (Buffer.contents b))
+  in
+  let parts =
+    [ ""; String.make 9 'a'; String.make 10 'b'; String.make 100 'c';
+      String.make 1000 'd' ]
+  in
+  Alcotest.(check string) "parts digest" "76c86b6ceef1358821a8f0bb6d39a973"
+    (Store.Hash.hex_of_parts parts);
+  List.iter
+    (fun parts ->
+      Alcotest.(check string) "framing" (framed parts)
+        (Store.Hash.hex_of_parts parts))
+    [ []; [ "" ]; [ ""; "" ]; [ "ab"; "c" ]; [ "a"; "bc" ]; parts;
+      List.init 12 (fun i -> String.make (i * i * 7) 'x') ]
+
 let test_key_distinct_per_field () =
   let variants =
     [
@@ -783,6 +812,7 @@ let () =
           Alcotest.test_case "distinct per field" `Quick
             test_key_distinct_per_field;
           Alcotest.test_case "json round-trip" `Quick test_key_json_roundtrip;
+          Alcotest.test_case "ids pinned" `Quick test_key_ids_pinned;
         ] );
       ( "entry",
         [
