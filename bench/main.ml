@@ -1,44 +1,19 @@
-(* Benchmark harness: prints every paper table and figure (Table I,
-   Figure 3, Figure 4, the §II-C bypass study, the §V-C penetration
-   tests and real-vulnerability studies, the §III-E ablation and the
-   E9–E19 extensions) from the Harness.Registry entries, plus two
-   wall-clock benchmarks of the OCaml implementation itself: one
-   Bechamel micro-benchmark per artifact (micro) and the
-   reference-vs-bytecode engine comparison (engine).
+(* Wall-clock benchmarks of the OCaml implementation itself: one
+   Bechamel micro-benchmark per paper artifact (micro) and the
+   reference-vs-bytecode engine comparison (engine).  The paper tables
+   and figures are bin/experiments.exe's.
 
    Usage:
-     dune exec bench/main.exe              # everything
-     dune exec bench/main.exe -- fig3      # one experiment
-     dune exec bench/main.exe -- table1 fig4 micro
-     dune exec bench/main.exe -- --jobs=8 fig3
-   Keys: the Harness.Registry bench keys, then micro and engine
-   (--help lists them).
+     dune exec bench/main.exe                  # both
+     dune exec bench/main.exe -- engine        # one
+     dune exec bench/main.exe -- --json DIR micro
 
-   --jobs=N runs each paper-table experiment's cells on N domains;
-   tables are identical for every N.  The wall-clock benchmarks (micro,
-   engine, and campaign's timing columns) vary run to run; micro and
-   engine always run sequentially — parallel neighbours would perturb
-   their timings.
-
-   Exit codes: 0 every headline invariant holds, 1 one failed (named on
-   stderr, after every table is printed), 2 usage error. *)
+   --json DIR also writes each table as DIR/BENCH_<name>.json.  Both
+   benches run sequentially (parallel neighbours would perturb their
+   timings), and their numbers vary run to run.  Exit codes: 0, or 2 on
+   a usage error. *)
 
 open Cmdliner
-
-let say fmt = Printf.printf (fmt ^^ "\n%!")
-
-(* --json DIR: besides printing, dump every table as BENCH_<name>.json
-   (one file per table, Texttable.to_json form) for machine
-   consumption — CI diffs, plotting scripts. *)
-let emit ~json ?title ~name tbl =
-  Sutil.Texttable.print ?title tbl;
-  match json with
-  | None -> ()
-  | Some dir ->
-      let path = Filename.concat dir (Printf.sprintf "BENCH_%s.json" name) in
-      Out_channel.with_open_text path (fun oc ->
-          Sutil.Json.doc_to_channel ~indent:true oc (Sutil.Texttable.to_json ?title tbl));
-      say "wrote %s" path
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per table/figure           *)
@@ -109,9 +84,8 @@ let micro_tests () =
       fig3_probe; fig4_pbox; sec_attempt; permgen; aes; aes1;
     ]
 
-let run_micro ~json =
+let run_micro () =
   let open Bechamel in
-  say "Bechamel micro-benchmarks (wall-clock per iteration):";
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
@@ -143,12 +117,12 @@ let run_micro ~json =
       in
       Sutil.Texttable.add_row tbl [ name; cell ])
     (List.sort compare rows);
-  emit ~json ~name:"micro" tbl
+  [ Harness.Output.table "micro" "Bechamel micro-benchmarks (wall-clock per iteration)" tbl ]
 
 (* ------------------------------------------------------------------ *)
 (* Engine micro-benchmark: reference interpreter vs bytecode engine     *)
 
-let run_engine ~json =
+let run_engine () =
   let reps = 3 in
   let time_backend (backend : Machine.Backend.t)
       (applied : Defenses.Defense.applied) (w : Apps.Spec.workload) =
@@ -211,78 +185,47 @@ let run_engine ~json =
         tref /. tbc)
       Apps.Spec.spec
   in
-  emit ~json ~name:"engine"
-    ~title:
-      "Engine: instruction throughput, reference interpreter vs bytecode \
-       engine (unhardened workloads; median of 3 monotonic-clock runs), \
-       and the bytecode engine's wall-time cost of Smokestack AES-10"
-    tbl;
-  say "geomean speedup: %.2fx, best: %.2fx (identical observables on every run \
-       — see `dune runtest` and Harness.Diffval)"
-    (exp
-       (List.fold_left (fun a s -> a +. log s) 0. speedups
-       /. float_of_int (List.length speedups)))
-    (List.fold_left Float.max 0. speedups)
+  [
+    Harness.Output.table "engine"
+      "Engine: instruction throughput, reference interpreter vs bytecode engine (unhardened \
+       workloads; median of 3 monotonic-clock runs), and the bytecode engine's wall-time cost \
+       of Smokestack AES-10"
+      tbl;
+    Harness.Output.text
+      "geomean speedup: %.2fx, best: %.2fx (identical observables on every run — see `dune \
+       runtest` and Harness.Diffval)"
+      (exp
+         (List.fold_left (fun a s -> a +. log s) 0. speedups
+         /. float_of_int (List.length speedups)))
+      (List.fold_left Float.max 0. speedups);
+  ]
 
 (* ------------------------------------------------------------------ *)
 
-(* Registry entries by bench key, then the wall-clock benches. *)
-let benches =
-  List.map
-    (fun (e : Harness.Registry.entry) ->
-      ( e.key,
-        fun ~json pool ->
-          let o = e.run pool in
-          List.iter
-            (function
-              | Harness.Registry.Table { name; title; table } -> emit ~json ~title ~name table
-              | Line l -> say "%s" l)
-            o.bench;
-          Harness.Registry.violations e o ))
-    Harness.Registry.all
-  @ [
-      ("micro", fun ~json _ -> run_micro ~json; []);
-      ("engine", fun ~json _ -> run_engine ~json; []);
-    ]
+let benches = [ ("micro", run_micro); ("engine", run_engine) ]
 
-let main jobs json keys =
+let main json runs =
   Option.iter (fun dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755) json;
-  let keys = if keys = [] then List.map fst benches else keys in
-  Sched.Pool.with_pool ?jobs @@ fun pool ->
-  let violations =
-    List.concat_map
-      (fun key ->
-        say "== %s ==" key;
-        let t0 = Unix.gettimeofday () in
-        let v = (List.assoc key benches) ~json pool in
-        Printf.eprintf "%s: %.1f s wall\n%!" key (Unix.gettimeofday () -. t0);
-        say "";
-        v)
-      keys
-  in
-  List.iter prerr_endline violations;
-  Harness.Registry.exit_code violations
-
-let jobs =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "bad --jobs value %S (want a positive integer)" s))
-  in
-  Arg.(value & opt (some (conv (parse, Format.pp_print_int))) None & info [ "jobs" ] ~docv:"N"
-         ~doc:"Worker domains for the paper tables (default: the host's recommended count).")
+  List.iter
+    (fun run ->
+      let out = run () in
+      print_string (Harness.Output.to_markdown out);
+      flush stdout;
+      Option.iter (fun dir -> Harness.Output.write_json ~dir out) json)
+    (if runs = [] then List.map snd benches else runs)
 
 let json =
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"DIR"
          ~doc:"Also write every table as $(i,DIR)/BENCH_<name>.json.")
 
-let keys =
-  let key = Arg.enum (List.map (fun (k, _) -> (k, k)) benches) in
+let runs =
   let doc = "Benchmarks to run (default: all): " ^ String.concat ", " (List.map fst benches) in
-  Arg.(value & pos_all key [] & info [] ~docv:"KEY" ~doc)
+  Arg.(value & pos_all (enum benches) [] & info [] ~docv:"KEY" ~doc)
 
+(* Registry.setup installs the validator that Harden runs, so the
+   hardening timed here is the one the experiments run. *)
 let () =
   Harness.Registry.setup ();
-  let info = Cmd.info "bench" ~doc:"Print the paper tables and the wall-clock benchmarks" in
-  let code = Cmd.eval' (Cmd.v info Term.(const main $ jobs $ json $ keys)) in
+  let info = Cmd.info "bench" ~doc:"Wall-clock benchmarks of the implementation" in
+  let code = Cmd.eval (Cmd.v info Term.(const main $ json $ runs)) in
   exit (if code = Cmd.Exit.cli_error then 2 else code)

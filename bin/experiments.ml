@@ -1,32 +1,37 @@
 (* experiments — regenerate EXPERIMENTS.md from live runs.
 
    Usage: dune exec bin/experiments.exe
-            [-- [--engine=ENGINE] [--jobs=N] OUTPUT.md]
-   Writes the full paper-vs-measured report (defaults to stdout), one
-   section per Harness.Registry entry.  --engine=bytecode runs every
-   experiment on the compiled engine (differentially validated against
-   the reference; see DESIGN.md).  --jobs=N fans experiment cells out
-   over N domains; the report is byte-identical for every N (results
-   merge in submission order).
+            [-- [--engine=ENGINE] [--jobs=N] [--json DIR] [KEY ...]]
+   Prints the paper-vs-measured report on stdout, one section per
+   Harness.Registry entry (default: all of them, in report order; the
+   keys select entries, e.g. `table1 fig3`).  --json DIR also writes
+   every table of the selected entries as DIR/BENCH_<name>.json.
+   --engine=bytecode runs every experiment on the compiled engine
+   (differentially validated against the reference; see DESIGN.md).
+   --jobs=N fans experiment cells out over N domains; the report is
+   byte-identical for every N (results merge in submission order).
 
    Exit codes: 0 every headline invariant holds, 1 one failed (named on
    stderr, after the report is written), 2 usage error. *)
 
 open Cmdliner
 
-let main engine jobs output =
+let main engine jobs json entries =
   Option.iter Machine.Backend.set_default engine;
+  Option.iter (fun dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755) json;
+  let entries = if entries = [] then Harness.Registry.all else entries in
   Sched.Pool.with_pool ?jobs @@ fun pool ->
   let started = Unix.gettimeofday () in
-  let buf = Buffer.create 16384 in
-  Buffer.add_string buf Harness.Registry.preamble;
+  print_string Harness.Registry.preamble;
   let violations =
     List.concat_map
       (fun (e : Harness.Registry.entry) ->
         let o = e.run pool in
-        Buffer.add_string buf (Harness.Registry.section e o);
+        print_string (Harness.Registry.section e o);
+        flush stdout;
+        Option.iter (fun dir -> Harness.Output.write_json ~dir o.output) json;
         Harness.Registry.violations e o)
-      Harness.Registry.all
+      entries
   in
   (* stderr, not the report: the report must be byte-identical across
      --jobs values (and across hosts). *)
@@ -36,11 +41,6 @@ let main engine jobs output =
      timeouts, peak queue %d\n"
     (Unix.gettimeofday () -. started)
     pstats.jobs_run pstats.retries pstats.timeouts pstats.peak_queue;
-  (match output with
-  | None -> print_string (Buffer.contents buf)
-  | Some path ->
-      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc (Buffer.contents buf));
-      Printf.printf "wrote %s\n" path);
   List.iter prerr_endline violations;
   Harness.Registry.exit_code violations
 
@@ -63,12 +63,17 @@ let jobs =
   Arg.(value & opt (some (conv (parse, Format.pp_print_int))) None & info [ "jobs" ] ~docv:"N"
          ~doc:"Worker domains (default: the host's recommended count).")
 
-let output =
-  Arg.(value & pos 0 (some string) None & info [] ~docv:"OUTPUT.md"
-         ~doc:"Write the report here instead of stdout.")
+let json =
+  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"DIR"
+         ~doc:"Also write every table as $(i,DIR)/BENCH_<name>.json.")
+
+let entries =
+  let keyed = List.map (fun (e : Harness.Registry.entry) -> (e.key, e)) Harness.Registry.all in
+  let doc = "Experiments to run (default: all): " ^ String.concat ", " (List.map fst keyed) in
+  Arg.(value & pos_all (enum keyed) [] & info [] ~docv:"KEY" ~doc)
 
 let () =
   Harness.Registry.setup ();
   let info = Cmd.info "experiments" ~doc:"Regenerate the paper-vs-measured report" in
-  let code = Cmd.eval' (Cmd.v info Term.(const main $ engine $ jobs $ output)) in
+  let code = Cmd.eval' (Cmd.v info Term.(const main $ engine $ jobs $ json $ entries)) in
   exit (if code = Cmd.Exit.cli_error then 2 else code)

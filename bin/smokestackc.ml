@@ -116,9 +116,14 @@ let engine_arg =
            identical observable behaviour, several times faster)")
 
 let jobs_arg =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "bad --jobs value %S (want a positive integer)" s))
+  in
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (conv (parse, Format.pp_print_int))) None
     & info [ "jobs" ] ~docv:"N"
         ~doc:
           "Worker domains for multi-seed runs (default: the host's \
@@ -178,9 +183,6 @@ let run_cmd =
   let action file harden scheme seed input no_fid optimize trace engine jobs
       seeds chaos fail_open timeout =
     if seeds < 1 then usage_fail "run: --seeds must be >= 1";
-    (match jobs with
-    | Some j when j < 1 -> usage_fail "run: --jobs must be >= 1"
-    | _ -> ());
     (match timeout with
     | Some t when t <= 0. -> usage_fail "run: --timeout must be positive"
     | _ -> ());
@@ -758,9 +760,6 @@ let serve_cmd =
     if mean_gap < 1 then usage_fail "serve: --mean-gap must be >= 1";
     if workers < 1 then usage_fail "serve: --workers must be >= 1";
     if capacity < 1 then usage_fail "serve: --capacity must be >= 1";
-    (match jobs with
-    | Some j when j < 1 -> usage_fail "serve: --jobs must be >= 1"
-    | _ -> ());
     (match timeout with
     | Some t when t <= 0. -> usage_fail "serve: --timeout must be positive"
     | _ -> ());
@@ -985,9 +984,6 @@ let campaign_cmd =
       engine fuel jobs json_path =
     if progen < 1 then usage_fail "campaign: --progen must be >= 1";
     if fuel < 1 then usage_fail "campaign: --fuel must be >= 1";
-    (match jobs with
-    | Some j when j < 1 -> usage_fail "campaign: --jobs must be >= 1"
-    | _ -> ());
     if String.equal store_dir "" then
       usage_fail "campaign: --store must name a directory";
     if
@@ -1131,9 +1127,6 @@ let attack_cmd =
     if chains < 1 then usage_fail "attack: --chains must be >= 1";
     if trials < 1 then usage_fail "attack: --trials must be >= 1";
     if budget < 1 then usage_fail "attack: --budget must be >= 1";
-    (match jobs with
-    | Some j when j < 1 -> usage_fail "attack: --jobs must be >= 1"
-    | _ -> ());
     (* chain synthesis probes on the reference engine regardless; the
        process default decides what executes the attacks (and is part
        of every store key) *)

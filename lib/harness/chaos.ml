@@ -297,15 +297,12 @@ let policy_table t =
     t.policy;
   tbl
 
-let to_markdown t =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    "E13: chaos — seeded fault injection across workloads and engines\n\n";
-  Buffer.add_string b (Sutil.Texttable.render (table t));
-  Buffer.add_string b
-    (Printf.sprintf "\ndetection: %d/%d corrupting fired plans caught (%.1f%%)\n"
-       t.caught t.corrupting_fired (100. *. t.detection_rate));
-  Buffer.add_string b
-    "\nfail-secure vs fail-open (rng:ones@1, RDRAND source):\n\n";
-  Buffer.add_string b (Sutil.Texttable.render (policy_table t));
-  Buffer.contents b
+let output t =
+  [
+    Output.table "chaos" "E13: chaos — seeded fault injection across workloads and engines"
+      (table t);
+    Output.text "detection: %d/%d corrupting fired plans caught (%.1f%%)" t.caught
+      t.corrupting_fired (100. *. t.detection_rate);
+    Output.table "chaos_policy" "fail-secure vs fail-open (rng:ones@1, RDRAND source):"
+      (policy_table t);
+  ]

@@ -73,4 +73,5 @@ val run :
 
 val table : t -> Sutil.Texttable.t
 val policy_table : t -> Sutil.Texttable.t
-val to_markdown : t -> string
+val output : t -> Output.t
+(** The E13 tables ([chaos], [chaos_policy]) and the detection line. *)

@@ -328,14 +328,14 @@ let selective_table t =
     t.srows;
   tbl
 
-let selective_to_markdown t =
-  let b = Buffer.create 512 in
-  Buffer.add_string b
-    "E14a: selective-hardening differential (attack verdicts and Progen \
-     output bit-identical to full hardening)\n\n";
-  Buffer.add_string b (Sutil.Texttable.render (selective_table t));
-  Buffer.add_string b (Printf.sprintf "\nall identical: %b\n" t.all_identical);
-  Buffer.contents b
+let selective_output t =
+  [
+    Output.table "selective_diff"
+      "E14a: selective-hardening differential (attack verdicts and Progen output bit-identical \
+       to full hardening)"
+      (selective_table t);
+    Output.text "all identical: %b" t.all_identical;
+  ]
 
 let table t =
   let tbl =
@@ -363,11 +363,9 @@ let table t =
     t.rows;
   tbl
 
-let to_markdown t =
-  let b = Buffer.create 512 in
-  Buffer.add_string b
-    "E12b: differential validation (dynamic attack => static DOP pair)\n\n";
-  Buffer.add_string b (Sutil.Texttable.render (table t));
-  Buffer.add_string b
-    (Printf.sprintf "\nall validated: %b\n" t.all_validated);
-  Buffer.contents b
+let output t =
+  [
+    Output.table "crossval" "E12b: differential validation (dynamic attack => static DOP pair)"
+      (table t);
+    Output.text "all validated: %b" t.all_validated;
+  ]

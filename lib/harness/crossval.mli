@@ -39,7 +39,8 @@ val run : ?pool:Sched.Pool.t -> ?store:Store.Cache.t -> ?trials:int -> unit -> t
     identically. *)
 
 val table : t -> Sutil.Texttable.t
-val to_markdown : t -> string
+val output : t -> Output.t
+(** The E12b table ([crossval]) and its verdict line. *)
 
 (** {2 Store plumbing shared with the offense harness}
 
@@ -94,4 +95,5 @@ val run_selective :
     from the store when present. *)
 
 val selective_table : selective_t -> Sutil.Texttable.t
-val selective_to_markdown : selective_t -> string
+val selective_output : selective_t -> Output.t
+(** The E14a table ([selective_diff]) and its verdict line. *)

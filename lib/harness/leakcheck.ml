@@ -373,13 +373,10 @@ let guided_run ?(budget = 600) ?(walks = 5) () =
   Analysis.Validate.install ();
   guided_measurement ~budget ~walks ()
 
-let to_markdown t =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "E19: static vs dynamic layout-leak cross-validation\n\n";
-  Buffer.add_string b (Sutil.Texttable.render (table t));
-  Buffer.add_string b
-    (Printf.sprintf "\nstatic/dynamic disagreements: %d\n" t.disagreements);
-  Buffer.add_string b
-    "\nE19: leak-guided attack vs degraded-entropy prediction\n\n";
-  Buffer.add_string b (Sutil.Texttable.render (guided_table t));
-  Buffer.contents b
+let output t =
+  [
+    Output.table "leaks" "E19: static vs dynamic layout-leak cross-validation" (table t);
+    Output.text "static/dynamic disagreements: %d" t.disagreements;
+    Output.table "leaks_guided" "E19: leak-guided attack vs degraded-entropy prediction"
+      (guided_table t);
+  ]

@@ -100,4 +100,6 @@ val guided_only_table : guided option -> Sutil.Texttable.t
 (** {!guided_table} over a bare measurement, for callers holding a
     {!guided_run} result rather than a full {!t}. *)
 
-val to_markdown : t -> string
+val output : t -> Output.t
+(** The E19 tables ([leaks], [leaks_guided]) and the disagreement
+    count. *)

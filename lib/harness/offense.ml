@@ -423,23 +423,18 @@ let feedback_table t =
     t.frows;
   tbl
 
-let to_markdown t =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    "E17: automated DOP-attack compiler — synthesis summary\n\n";
-  Buffer.add_string b (Sutil.Texttable.render (synth_table t));
-  Buffer.add_string b
-    "\nE17: per-chain survival (successes/trials per defense)\n\n";
-  Buffer.add_string b (Sutil.Texttable.render (chain_table t));
-  Buffer.add_string b
-    "\nE17: brute-force entropy under full hardening, synthesized vs \
-     hand-written\n\n";
-  Buffer.add_string b (Sutil.Texttable.render (entropy_table t));
-  Buffer.add_string b "\nE17: static grounding of landing chains\n\n";
-  Buffer.add_string b (Sutil.Texttable.render (feedback_table t));
-  Buffer.add_string b
-    (Printf.sprintf
-       "\nchains landing undefended: %d; full-hardening successes: %d; all \
-        landing chains grounded: %b\n"
-       t.landed_unhardened t.full_successes t.all_grounded);
-  Buffer.contents b
+let output t =
+  [
+    Output.table "offense_synth" "E17: automated DOP-attack compiler — synthesis summary"
+      (synth_table t);
+    Output.table "offense" "E17: per-chain survival (successes/trials per defense)"
+      (chain_table t);
+    Output.table "offense_entropy"
+      "E17: brute-force entropy under full hardening, synthesized vs hand-written"
+      (entropy_table t);
+    Output.table "offense_feedback" "E17: static grounding of landing chains" (feedback_table t);
+    Output.text
+      "chains landing undefended: %d; full-hardening successes: %d; all landing chains \
+       grounded: %b"
+      t.landed_unhardened t.full_successes t.all_grounded;
+  ]

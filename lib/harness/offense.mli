@@ -106,4 +106,6 @@ val synth_table : t -> Sutil.Texttable.t
 val chain_table : t -> Sutil.Texttable.t
 val entropy_table : t -> Sutil.Texttable.t
 val feedback_table : t -> Sutil.Texttable.t
-val to_markdown : t -> string
+val output : t -> Output.t
+(** The four E17 tables ([offense_synth], [offense], [offense_entropy],
+    [offense_feedback]) and the headline line. *)

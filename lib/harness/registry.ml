@@ -1,12 +1,4 @@
-type item =
-  | Table of { name : string; title : string; table : Sutil.Texttable.t }
-  | Line of string
-
-type outcome = {
-  markdown : string;
-  bench : item list;
-  invariants : (string * bool) list;
-}
+type outcome = { output : Output.t; invariants : (string * bool) list }
 
 type entry = {
   id : string;
@@ -16,52 +8,40 @@ type entry = {
   run : Sched.Pool.t -> outcome;
 }
 
-let table name title table = Table { name; title; table }
-
-(* Each rendered markdown block is followed by a blank line. *)
-let md blocks = String.concat "" (List.map (fun b -> b ^ "\n") blocks)
-let outcome ?(invariants = []) markdown bench = { markdown; bench; invariants }
-let verdict ok ~pass ~fail = if ok then pass else "FAILED - " ^ fail
+let outcome ?(invariants = []) output = { output; invariants }
+let pipe name title tbl = Output.table ~form:Output.Pipe name title tbl
 
 (* ------------------------------------------------------------------ *)
 (* Runners                                                             *)
 
 let table1 pool =
   let tbl = Randrate.table (Randrate.run ~pool ()) in
-  outcome (md [ Sutil.Texttable.to_markdown tbl ])
-    [ table "table1" "Table I: source of randomness (cycles per 64-bit draw)" tbl ]
+  outcome [ pipe "table1" "Table I: source of randomness (cycles per 64-bit draw)" tbl ]
 
 let fig3 pool =
   let t = Overhead.run ~pool () in
-  let tbl = Overhead.table t in
-  let worst = Sutil.Texttable.fmt_pct t.io_worst in
   outcome
-    (md [ Sutil.Texttable.to_markdown tbl ]
-    ^ Printf.sprintf "Worst I/O-bound overhead measured: %s (paper: 6%%).\n\n" worst)
     [
-      table "fig3" "Figure 3: % runtime overhead (SPEC-like + I/O workloads)" tbl;
-      Line (Printf.sprintf "worst I/O-bound overhead: %s (paper: 6%% worst case)" worst);
+      pipe "fig3" "Figure 3: % runtime overhead (SPEC-like + I/O workloads)" (Overhead.table t);
+      Output.text "Worst I/O-bound overhead measured: %s (paper: 6%%)."
+        (Sutil.Texttable.fmt_pct t.io_worst);
     ]
 
 let fig4 pool =
   let tbl = Memov.table (Memov.run ~pool ()) in
-  outcome (md [ Sutil.Texttable.to_markdown tbl ])
-    [ table "fig4" "Figure 4: % memory overhead (max-RSS proxy)" tbl ]
+  outcome [ pipe "fig4" "Figure 4: % memory overhead (max-RSS proxy)" tbl ]
 
 let security name run pool =
   let t : Security.t = run pool in
-  let tbl = Security.table t in
-  outcome (md [ Sutil.Texttable.to_markdown tbl ]) [ table name t.title tbl ]
+  outcome [ pipe name t.title (Security.table t) ]
 
 let ablation pool =
   let tbl = Ablation.table (Ablation.run ~pool ()) in
-  outcome (md [ Sutil.Texttable.to_markdown tbl ])
-    [ table "ablation" "E7: P-BOX optimization ablation" tbl ]
+  outcome [ pipe "ablation" "E7: P-BOX optimization ablation" tbl ]
 
 let brute pool =
   let tbl = Security.brute_table (Security.brute ~pool ()) in
-  outcome (md [ Sutil.Texttable.to_markdown tbl ])
-    [ table "brute" "E8: brute-force attempts until the librelp exploit lands" tbl ]
+  outcome [ pipe "brute" "E8: brute-force attempts until the librelp exploit lands" tbl ]
 
 (* E9: the librelp exploit needs the guessed allNames-to-keyPtr
    DISTANCE to match the drawn one (and to be physically reachable):
@@ -131,92 +111,39 @@ let entropy (_ : Sched.Pool.t) =
   in
   let tbl = Sutil.Texttable.create ~columns:[ ("quantity", Left); ("value", Right) ] in
   List.iter (fun (k, v) -> Sutil.Texttable.add_row tbl [ k; v ]) rows;
-  outcome (md [ Sutil.Texttable.to_markdown tbl ])
-    [ table "entropy" "E9: librelp per-attempt success, entropy prediction vs measured" tbl ]
+  outcome [ pipe "entropy" "E9: librelp per-attempt success, entropy prediction vs measured" tbl ]
 
 let rerand pool =
   let tbl = Security.rerand_table (Security.rerandomization ~pool ()) in
-  outcome (md [ Sutil.Texttable.to_markdown tbl ])
+  outcome
     [
-      table "rerand"
-        "E11: same-run probe-then-exploit vs re-randomization interval (per-invocation is \
-         the design point)"
+      pipe "rerand"
+        "E11: same-run probe-then-exploit vs re-randomization interval (per-invocation is the \
+         design point)"
         tbl;
     ]
 
 let analysis pool =
   let t = Surface.run ~pool () in
   let cv = Crossval.run ~pool () in
-  outcome ~invariants:[ ("all_validated", cv.all_validated) ]
-    (md [ Surface.to_markdown t; Crossval.to_markdown cv ])
-    [
-      table "analysis" "E12: static DOP attack surface (expected attempts, easiest pair)"
-        (Surface.table t);
-      table "crossval" "E12b: differential validation (dynamic attack => static DOP pair)"
-        (Crossval.table cv);
-      Line
-        ("differential validation: "
-        ^ verdict cv.all_validated ~pass:"every dynamic success has a static DOP pair"
-            ~fail:"a dynamic success has no static pair");
-    ]
+  outcome ~invariants:[ ("all_validated", cv.all_validated) ] (Surface.output t @ Crossval.output cv)
 
-let chaos pool =
-  let t = Chaos.run ~pool () in
-  outcome (md [ Chaos.to_markdown t ])
-    [
-      table "chaos" "E13: chaos — seeded fault injection across workloads and engines"
-        (Chaos.table t);
-      table "chaos_policy" "E13: fail-secure vs fail-open (rng:ones@1, RDRAND source)"
-        (Chaos.policy_table t);
-      Line
-        (Printf.sprintf "detection: %d/%d corrupting fired plans caught (%.1f%%)" t.caught
-           t.corrupting_fired (100. *. t.detection_rate));
-    ]
+let chaos pool = outcome (Chaos.output (Chaos.run ~pool ()))
 
 let selective pool =
   let t = Selective.run ~pool () in
-  let tbl = Selective.table t in
   let cv = Crossval.run_selective ~pool () in
   outcome ~invariants:[ ("all_identical", cv.all_identical) ]
-    (md
-       [
-         Sutil.Texttable.to_markdown tbl
-         ^ Printf.sprintf
-             "\nmean overhead saved by elision: %s; mean P-BOX bytes saved: %.1f%%\n"
-             (Sutil.Texttable.fmt_pct t.mean_delta) t.mean_pbox_saving_pct;
-         Crossval.selective_to_markdown cv;
-       ])
-    [
-      table "selective"
-        "E14: selective hardening — overhead and P-BOX bytes, full vs validator-certified \
-         elision"
-        tbl;
-      Line
-        (Printf.sprintf "mean overhead saved: %s; mean P-BOX bytes saved: %.1f%%"
-           (Sutil.Texttable.fmt_pct t.mean_delta) t.mean_pbox_saving_pct);
-      table "selective_diff"
-        "E14a: selective-hardening differential (verdicts and Progen output vs full \
-         hardening)"
-        (Crossval.selective_table cv);
-      Line
-        ("selective differential: "
-        ^ verdict cv.all_identical ~pass:"bit-identical to full hardening on every case"
-            ~fail:"selective hardening changed an observable");
-    ]
+    (pipe "selective"
+       "E14: selective hardening — overhead and P-BOX bytes, full vs validator-certified elision"
+       (Selective.table t)
+    :: Output.text "mean overhead saved by elision: %s; mean P-BOX bytes saved: %.1f%%"
+         (Sutil.Texttable.fmt_pct t.mean_delta) t.mean_pbox_saving_pct
+    :: Crossval.selective_output cv)
 
 let serve pool =
   let t = Serve.run ~pool () in
-  let s = t.summary in
-  outcome ~invariants:[ ("batch_mismatches = 0", s.batch_mismatches = 0) ]
-    (md [ Serve.to_markdown t ])
-    [
-      table "server" "E15: server runtime — mixed benign+attack traffic under load"
-        (Serve.summary_table t);
-      table "server_tenants" "E15: per-tenant service and security" (Serve.tenant_table t);
-      Line
-        (Printf.sprintf "peak %d concurrent sessions; %d batch-verdict mismatches over %d checks"
-           s.peak_open s.batch_mismatches s.batch_checked);
-    ]
+  outcome ~invariants:[ ("batch_mismatches = 0", t.summary.batch_mismatches = 0) ] (Serve.output t)
 
 let rec rm_rf path =
   if Sys.is_directory path then begin
@@ -227,7 +154,8 @@ let rec rm_rf path =
 
 (* E16: a cold and a warm campaign over a fresh temporary store, removed
    even if a phase raises.  The report shows the store counters and
-   digests; bench shows the same two phases timed. *)
+   digests; the wall-clock table of the same two phases goes to JSON
+   only. *)
 let campaign pool =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -247,8 +175,8 @@ let campaign pool =
     let report = Store.Campaign.run ~pool ~store config in
     (label, Unix.gettimeofday () -. t0, Store.Cache.stats store, report)
   in
-  let ((_, cold_wall, _, cold) as c) = phase "cold" in
-  let ((_, warm_wall, _, warm) as w) = phase "warm" in
+  let ((_, _, _, cold) as c) = phase "cold" in
+  let ((_, _, _, warm) as w) = phase "warm" in
   let identical = String.equal cold.Store.Campaign.digest warm.digest in
   let timed =
     Sutil.Texttable.create
@@ -281,21 +209,16 @@ let campaign pool =
         ])
     [ c; w ];
   outcome ~invariants:[ ("cold digest = warm digest", identical) ]
-    (Printf.sprintf
-       "```\n%s```\n\n%s\ndigests identical: %b\n\n"
-       (Sutil.Texttable.render (Store.Campaign.report_table cold))
-       (Sutil.Texttable.to_markdown counters) identical)
     [
-      table "campaign"
+      Output.Text
+        (Printf.sprintf "```\n%s```\n" (Sutil.Texttable.render (Store.Campaign.report_table cold)));
+      Output.Text (Sutil.Texttable.to_markdown counters);
+      Output.text "digests identical: %b" identical;
+      Output.table ~form:Output.Json_only "campaign"
         (Printf.sprintf
-           "Campaign store: %d progen programs, cold (execute + record) vs warm (replay from \
-            store)"
+           "Campaign store: %d progen programs, cold (execute + record) vs warm (replay from store)"
            config.count)
         timed;
-      Line
-        (Printf.sprintf "warm/cold speedup: %.1fx; digests %s"
-           (cold_wall /. Float.max warm_wall 1e-9)
-           (if identical then "identical" else "DIVERGE"));
     ]
 
 let attack pool =
@@ -307,21 +230,7 @@ let attack pool =
         ("full_successes = 0", t.full_successes = 0);
         ("all_grounded", t.all_grounded);
       ]
-    (md [ Offense.to_markdown t ])
-    [
-      table "offense" "E17: synthesized attack chains vs defenses (successes/trials)"
-        (Offense.chain_table t);
-      table "offense_synth" "E17: attack-compiler synthesis summary" (Offense.synth_table t);
-      table "offense_entropy"
-        "E17: brute-force entropy under full hardening, synthesized vs hand-written"
-        (Offense.entropy_table t);
-      table "offense_feedback" "E17: static grounding of landing chains" (Offense.feedback_table t);
-      Line
-        (Printf.sprintf
-           "chains landing undefended: %d; full-hardening successes: %d; all landing chains \
-            grounded: %b"
-           t.landed_unhardened t.full_successes t.all_grounded);
-    ]
+    (Offense.output t)
 
 let resilience pool =
   let t = Resilience.run ~pool () in
@@ -332,38 +241,14 @@ let resilience pool =
         ("synth_higher", t.synth_higher);
         ("mismatches = 0", t.mismatches = 0);
       ]
-    (md [ Resilience.to_markdown t ])
-    [
-      table "resilience"
-        "E18: brute-force cost vs full hardening, session affinity off vs breakers on"
-        (Resilience.cost_table t);
-      table "resilience_fleet" "E18: fleet under a fault storm, FCFS baseline vs control plane"
-        (Resilience.fleet_table t);
-      table "resilience_classes" "E18: per-class service in the resilient cell"
-        (Resilience.class_table t);
-      Line
-        (Printf.sprintf
-           "hand-written cost strictly higher: %b; synthesized: %b; benign p99 ratio: %.3f; \
-            mismatches: %d"
-           t.hand_higher t.synth_higher t.benign_p99_ratio t.mismatches);
-    ]
+    (Resilience.output t)
 
 let leaks pool =
   let t = Leakcheck.run ~pool () in
   let within = match t.guided with Some g -> g.within_bound | None -> false in
   outcome
     ~invariants:[ ("disagreements = 0", t.disagreements = 0); ("within_bound", within) ]
-    (md [ Leakcheck.to_markdown t ])
-    [
-      table "leaks" "E19: static layout-leak verdict vs dynamic seed-variance, full hardening"
-        (Leakcheck.table t);
-      table "leaks_guided" "E19: leak-guided attack vs blind Algorithm-1 walk (stack-leaky)"
-        (Leakcheck.guided_table t);
-      Line
-        (Printf.sprintf "static/dynamic disagreements: %d; guided within factor-3 bound: %s"
-           t.disagreements
-           (if t.guided = None then "NO GUIDED CHAIN" else if within then "yes" else "NO"));
-    ]
+    (Leakcheck.output t)
 
 (* ------------------------------------------------------------------ *)
 (* The registry                                                        *)
@@ -587,7 +472,7 @@ let preamble =
    factors, and which attacks succeed where.  See DESIGN.md for the \
    substitutions.\n\n"
 
-let section e o = Printf.sprintf "## %s\n\n%s\n\n%s" (heading e) e.claim o.markdown
+let section e o = Printf.sprintf "## %s\n\n%s\n\n%s" (heading e) e.claim (Output.to_markdown o.output)
 
 let violations e o =
   List.filter_map

@@ -1,28 +1,21 @@
 (** The experiment registry: every paper experiment E1–E19, declared once.
 
-    Each entry carries its E-id, its bench key, the report heading and
+    Each entry carries its E-id, its key, the report heading and
     paper-claim paragraph, and one runner.  A runner's {!outcome} holds
-    everything both front-ends print — the EXPERIMENTS.md body
-    ([bin/experiments.exe]) and the tables and headline lines
-    ([bench/main.exe]) — plus the experiment's headline invariants as
-    evaluated predicates, so a failed headline is an exit code rather
+    the experiment's output as one {!Output.t} — the EXPERIMENTS.md body
+    and every [BENCH_<name>.json] are both rendered from it by
+    [bin/experiments.exe] — plus the experiment's headline invariants
+    as evaluated predicates, so a failed headline is an exit code rather
     than a line someone has to grep for. *)
 
-type item =
-  | Table of { name : string; title : string; table : Sutil.Texttable.t }
-      (** A bench table; [name] is its [BENCH_<name>.json] stem. *)
-  | Line of string  (** A bench headline line. *)
-
 type outcome = {
-  markdown : string;  (** report body following the claim paragraph *)
-  bench : item list;  (** what [bench/main.exe] prints, in order *)
-  invariants : (string * bool) list;
-      (** headline predicates: (name, holds) *)
+  output : Output.t;  (** the report body after the claim paragraph, and the JSON tables *)
+  invariants : (string * bool) list;  (** headline predicates: (name, holds) *)
 }
 
 type entry = {
   id : string;  (** ["E1"] … ["E19"] *)
-  key : string;  (** bench key, e.g. ["table1"] *)
+  key : string;  (** command-line key, e.g. ["table1"] *)
   title : string;  (** heading text after the E-id *)
   claim : string;  (** the paper-claim paragraph *)
   run : Sched.Pool.t -> outcome;

@@ -356,33 +356,25 @@ let class_table t =
   | resilient :: _ -> Server.Metrics.class_table resilient.dispatch
   | [] -> Server.Metrics.class_table (Server.Dispatch.admit default.baseline [])
 
-let to_markdown t =
-  let b = Buffer.create 2048 in
+let output t =
   let benign, attack, chaos = t.scheduled in
-  Buffer.add_string b
-    "E18: resilient control plane — breakers, classes and degradation under \
-     a fault storm\n\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "%d sessions (%d benign, %d attack, %d chaos; %d inside storm \
-        bursts), %d attacker clients over %d; brute budget %d, attempt gap \
-        %.0f cycles.\n\n"
-       t.config.traffic.Server.Traffic.sessions benign attack chaos
-       t.storm_sessions
-       t.config.traffic.Server.Traffic.attackers
-       t.config.traffic.Server.Traffic.clients t.config.budget t.config.gap);
-  Buffer.add_string b
-    "brute-force cost, affinity off vs on (per attack family, vs full \
-     hardening):\n\n";
-  Buffer.add_string b (Sutil.Texttable.render (cost_table t));
-  Buffer.add_string b "\nfleet under the storm, baseline vs control plane:\n\n";
-  Buffer.add_string b (Sutil.Texttable.render (fleet_table t));
-  Buffer.add_string b "\nper-class service in the resilient cell:\n\n";
-  Buffer.add_string b (Sutil.Texttable.render (class_table t));
-  Buffer.add_string b
-    (Printf.sprintf
-       "\nhand-written family costs strictly more with breakers: %b; \
-        synthesized family: %b; benign p99 ratio (resilient/baseline): \
-        %.3f; batch mismatches across cells: %d.\n"
-       t.hand_higher t.synth_higher t.benign_p99_ratio t.mismatches);
-  Buffer.contents b
+  [
+    Output.text
+      "E18: resilient control plane — breakers, classes and degradation under a fault storm";
+    Output.text
+      "%d sessions (%d benign, %d attack, %d chaos; %d inside storm bursts), %d attacker clients \
+       over %d; brute budget %d, attempt gap %.0f cycles."
+      t.config.traffic.Server.Traffic.sessions benign attack chaos t.storm_sessions
+      t.config.traffic.Server.Traffic.attackers t.config.traffic.Server.Traffic.clients
+      t.config.budget t.config.gap;
+    Output.table "resilience"
+      "brute-force cost, affinity off vs on (per attack family, vs full hardening):"
+      (cost_table t);
+    Output.table "resilience_fleet" "fleet under the storm, baseline vs control plane:"
+      (fleet_table t);
+    Output.table "resilience_classes" "per-class service in the resilient cell:" (class_table t);
+    Output.text
+      "hand-written family costs strictly more with breakers: %b; synthesized family: %b; \
+       benign p99 ratio (resilient/baseline): %.3f; batch mismatches across cells: %d."
+      t.hand_higher t.synth_higher t.benign_p99_ratio t.mismatches;
+  ]

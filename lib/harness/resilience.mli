@@ -77,4 +77,7 @@ val fleet_table : t -> Sutil.Texttable.t
 val class_table : t -> Sutil.Texttable.t
 (** Per-class breakdown of the resilient cell. *)
 
-val to_markdown : t -> string
+val output : t -> Output.t
+(** The E18 report: the cost ([resilience]), fleet ([resilience_fleet])
+    and class ([resilience_classes]) tables with their lead and headline
+    lines. *)

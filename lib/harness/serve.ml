@@ -43,27 +43,22 @@ let summary_table t = Server.Metrics.table t.summary
 let tenant_table t = t.by_tenant
 let class_table t = t.by_class
 
-let to_markdown t =
-  let b = Buffer.create 2048 in
+let output t =
   let benign, attack, chaos = t.scheduled in
-  Buffer.add_string b
-    "E15: server runtime — mixed benign+attack traffic under load\n\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "%d sessions over %d tenants (defense: %s): %d benign, %d attack, %d \
-        chaos; %d virtual handlers, queue capacity %d.\n\n"
-       t.summary.Server.Metrics.sessions t.fleet
-       (Defenses.Defense.name t.config.defense)
-       benign attack chaos t.config.dispatch.Server.Dispatch.virtual_workers
-       t.config.dispatch.Server.Dispatch.queue_capacity);
-  Buffer.add_string b (Sutil.Texttable.render (summary_table t));
-  Buffer.add_string b "\nper tenant:\n\n";
-  Buffer.add_string b (Sutil.Texttable.render (tenant_table t));
-  Buffer.add_string b
-    (Printf.sprintf
-       "\nserved attack sessions carry the batch harness's verdict: %d/%d \
-        checked, %d mismatches.\n"
-       t.summary.Server.Metrics.batch_checked
-       t.summary.Server.Metrics.batch_checked
-       t.summary.Server.Metrics.batch_mismatches);
-  Buffer.contents b
+  let title = "E15: server runtime — mixed benign+attack traffic under load" in
+  [
+    Output.text "%s" title;
+    Output.text
+      "%d sessions over %d tenants (defense: %s): %d benign, %d attack, %d chaos; %d virtual \
+       handlers, queue capacity %d."
+      t.summary.Server.Metrics.sessions t.fleet
+      (Defenses.Defense.name t.config.defense)
+      benign attack chaos t.config.dispatch.Server.Dispatch.virtual_workers
+      t.config.dispatch.Server.Dispatch.queue_capacity;
+    Output.table ~form:Output.Ascii "server" title (summary_table t);
+    Output.table "server_tenants" "per tenant:" (tenant_table t);
+    Output.text
+      "served attack sessions carry the batch harness's verdict: %d/%d checked, %d mismatches."
+      t.summary.Server.Metrics.batch_checked t.summary.Server.Metrics.batch_checked
+      t.summary.Server.Metrics.batch_mismatches;
+  ]

@@ -50,4 +50,6 @@ val class_table : t -> Sutil.Texttable.t
 (** Per-priority-class latency/shed breakdown (see
     {!Server.Metrics.class_table}). *)
 
-val to_markdown : t -> string
+val output : t -> Output.t
+(** The E15 report: the summary ([server]) and per-tenant
+    ([server_tenants]) tables with their lead and verdict lines. *)

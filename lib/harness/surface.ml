@@ -215,9 +215,5 @@ let table t =
     t.rows;
   tbl
 
-let to_markdown t =
-  let b = Buffer.create 512 in
-  Buffer.add_string b
-    "E12: static DOP attack surface (expected attempts, easiest pair)\n\n";
-  Buffer.add_string b (Sutil.Texttable.render (table t));
-  Buffer.contents b
+let output t =
+  [ Output.table "analysis" "E12: static DOP attack surface (expected attempts, easiest pair)" (table t) ]

@@ -36,4 +36,5 @@ val run :
     compilation + analysis is skipped when warm. *)
 
 val table : t -> Sutil.Texttable.t
-val to_markdown : t -> string
+val output : t -> Output.t
+(** The E12 surface table ([analysis]). *)

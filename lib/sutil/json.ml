@@ -42,7 +42,10 @@ let float_repr f =
     (* shortest representation that round-trips *)
     let s = Printf.sprintf "%.17g" f in
     let short = Printf.sprintf "%.12g" f in
-    if float_of_string short = f then short else s
+    let r = if float_of_string short = f then short else s in
+    (* an integral float from 1e15 up can print as bare digits, which
+       would read back as an Int *)
+    if String.contains r '.' || String.contains r 'e' then r else r ^ ".0"
 
 let write sink ~indent v =
   let pad n = sink.str (String.make (2 * n) ' ') in

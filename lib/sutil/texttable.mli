@@ -33,7 +33,7 @@ val columns : t -> string list
 
 val to_json : ?title:string -> t -> Json.t
 (** Machine-readable form: [{"title"?, "columns": [...], "rows": [[...]]}].
-    Used by [bench/main.exe --json]. *)
+    Used by the [--json DIR] writer, [Harness.Output.write_json]. *)
 
 val print : ?title:string -> t -> unit
 (** [print ?title t] writes the rendered table (preceded by [title] and

@@ -1,10 +1,20 @@
 (* Runs every Harness.Registry entry and compares its report section with
    the same section of the committed EXPERIMENTS.md, so a moved headline
-   is blamed on its entry rather than on a whole-report diff.
+   is blamed on its entry rather than on a whole-report diff.  Then checks
+   that the entries' table names, the BENCH_<name>.json stems, are unique
+   and are exactly the stems CI archives.
 
    Usage: registry_report.exe EXPERIMENTS.md
    Exit codes: 0 every section matches, 1 a section differs (the first
-   such entry and its first differing line go to stderr). *)
+   such entry and its first differing line go to stderr) or the stems
+   moved. *)
+
+let stems =
+  [ "table1"; "fig3"; "fig4"; "bypass"; "pentest"; "realvuln"; "ablation"; "brute"; "entropy";
+    "rngsec"; "rerand"; "analysis"; "crossval"; "chaos"; "chaos_policy"; "selective";
+    "selective_diff"; "server"; "server_tenants"; "campaign"; "offense"; "offense_synth";
+    "offense_entropy"; "offense_feedback"; "resilience"; "resilience_fleet";
+    "resilience_classes"; "leaks"; "leaks_guided" ]
 
 let find_from s ~from sub =
   let n = String.length sub in
@@ -54,10 +64,11 @@ let () =
     exit 1
   end;
   Sched.Pool.with_pool @@ fun pool ->
-  let rec check = function
-    | [] -> ()
+  let rec check names = function
+    | [] -> List.rev names
     | (e : Harness.Registry.entry) :: rest ->
-        let got = Harness.Registry.section e (e.run pool) in
+        let o = e.run pool in
+        let got = Harness.Registry.section e o in
         (match committed_section report e (List.nth_opt rest 0) with
         | Some expected when String.equal expected got -> ()
         | Some expected ->
@@ -68,6 +79,17 @@ let () =
             Printf.eprintf "registry-report: %s (%s) has no section in %s\n" e.id e.key path;
             exit 1);
         Printf.printf "%s %s: matches\n%!" e.id e.key;
-        check rest
+        check (List.rev_append (Harness.Output.names o.output) names) rest
   in
-  check Harness.Registry.all
+  let names = check [] Harness.Registry.all in
+  let sorted = List.sort String.compare in
+  if List.length (List.sort_uniq String.compare names) <> List.length names then begin
+    Printf.eprintf "registry-report: duplicate table names in %s\n" (String.concat " " names);
+    exit 1
+  end;
+  if sorted names <> sorted stems then begin
+    Printf.eprintf "registry-report: table names %s, expected %s\n" (String.concat " " names)
+      (String.concat " " stems);
+    exit 1
+  end;
+  Printf.printf "%d table names: unique and as expected\n" (List.length names)

@@ -6,6 +6,9 @@
 let exe =
   Filename.concat (Filename.dirname Sys.executable_name) "../bin/smokestackc.exe"
 
+let experiments_exe =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/experiments.exe"
+
 let write_temp content =
   let path = Filename.temp_file "smokestackc_cli" ".c" in
   let oc = open_out path in
@@ -14,7 +17,7 @@ let write_temp content =
   path
 
 (* Run the binary, return (exit code, stdout+stderr). *)
-let run_cli args =
+let run_cli ?(exe = exe) args =
   let out = Filename.temp_file "smokestackc_out" ".txt" in
   let cmd =
     Printf.sprintf "%s %s > %s 2>&1" (Filename.quote exe)
@@ -434,6 +437,37 @@ let test_attack_cold_then_warm_identical () =
     (snd warm);
   Alcotest.(check int) "warm run appended nothing" written (log_bytes dir)
 
+let test_attack_usage_errors () =
+  check_code "attack --jobs 0" 2 (run_cli [ "attack"; "--jobs"; "0" ])
+
+(* --- experiments ---------------------------------------------------- *)
+
+(* --json DIR writes exactly the selected entries' tables, each a
+   parseable Texttable.to_json document; an unknown key is a usage
+   error. *)
+let test_experiments_json () =
+  with_store_dir @@ fun dir ->
+  check_code "experiments --json" 0
+    (run_cli ~exe:experiments_exe [ "--json"; dir; "table1"; "rngsec" ]);
+  Alcotest.(check (list string)) "one file per table"
+    [ "BENCH_rngsec.json"; "BENCH_table1.json" ]
+    (List.sort String.compare (Array.to_list (Sys.readdir dir)));
+  let columns name =
+    let text = In_channel.with_open_bin (Filename.concat dir name) In_channel.input_all in
+    match Sutil.Json.of_string text with
+    | Error e -> Alcotest.failf "%s does not parse: %s" name e
+    | Ok doc ->
+        List.filter_map Sutil.Json.to_str_opt
+          (Sutil.Json.to_list (Option.value ~default:Sutil.Json.Null (Sutil.Json.member "columns" doc)))
+  in
+  Alcotest.(check (list string)) "table1 columns"
+    [ "source"; "security"; "measured cyc/draw"; "paper cyc/draw" ]
+    (columns "BENCH_table1.json");
+  Alcotest.(check (list string)) "rngsec columns"
+    [ "attack"; "smokestack(pseudo)"; "smokestack(RDRAND)"; "smokestack(AES-1)"; "smokestack(AES-10)" ]
+    (columns "BENCH_rngsec.json");
+  check_code "unknown key" 2 (run_cli ~exe:experiments_exe [ "no-such-experiment" ])
+
 let () =
   Alcotest.run "cli"
     [
@@ -486,5 +520,8 @@ let () =
         [
           Alcotest.test_case "cold then warm identical" `Quick
             test_attack_cold_then_warm_identical;
+          Alcotest.test_case "usage errors" `Quick test_attack_usage_errors;
         ] );
+      ( "experiments",
+        [ Alcotest.test_case "json tables and unknown key" `Quick test_experiments_json ] );
     ]

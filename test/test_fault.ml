@@ -350,8 +350,8 @@ let test_property_structured_outcomes_both_backends () =
 let test_chaos_deterministic_across_pool_widths () =
   let render jobs =
     Sched.Pool.with_pool ~jobs @@ fun pool ->
-    Harness.Chaos.to_markdown
-      (Harness.Chaos.run ~pool ~workloads:[ "mcf" ] ())
+    Harness.Output.to_markdown
+      (Harness.Chaos.output (Harness.Chaos.run ~pool ~workloads:[ "mcf" ] ()))
   in
   Alcotest.(check string)
     "E13 report identical at widths 1 and 8" (render 1) (render 8)

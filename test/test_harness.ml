@@ -183,7 +183,7 @@ let test_registry_failed_invariant () =
   let e =
     List.find (fun (e : Harness.Registry.entry) -> e.key = "analysis") Harness.Registry.all
   in
-  let outcome invariants = { Harness.Registry.markdown = ""; bench = []; invariants } in
+  let outcome invariants = { Harness.Registry.output = []; invariants } in
   let v =
     Harness.Registry.violations e
       (outcome [ ("all_validated", false); ("held", true) ])
@@ -209,7 +209,7 @@ let test_registry_golden () =
     (List.init 19 (fun i -> Printf.sprintf "E%d" (i + 1)))
     (List.map (fun (e : Harness.Registry.entry) -> e.id) all);
   let keys = List.map (fun (e : Harness.Registry.entry) -> e.key) all in
-  Alcotest.(check int) "bench keys unique" (List.length keys)
+  Alcotest.(check int) "keys unique" (List.length keys)
     (List.length (List.sort_uniq String.compare keys));
   let headings =
     In_channel.with_open_bin "../EXPERIMENTS.md" In_channel.input_all

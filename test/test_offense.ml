@@ -191,8 +191,8 @@ let test_e17_jobs_invariant () =
   let a = run_e17 1 and b = run_e17 8 in
   Alcotest.(check string)
     "E17 report byte-identical at --jobs 1 and 8"
-    (Harness.Offense.to_markdown a)
-    (Harness.Offense.to_markdown b)
+    (Harness.Output.to_markdown (Harness.Offense.output a))
+    (Harness.Output.to_markdown (Harness.Offense.output b))
 
 let test_e17_shapes () =
   let t = run_e17 4 in

@@ -316,7 +316,7 @@ let test_full_harness_report_identical () =
         { Server.Traffic.default with sessions = 120; root = 11L };
     }
   in
-  let render t = Harness.Serve.to_markdown t in
+  let render t = Harness.Output.to_markdown (Harness.Serve.output t) in
   let seq = render (Harness.Serve.run ~backend:ref_backend ~config ()) in
   let par =
     Sched.Pool.with_pool ~jobs:6 (fun pool ->

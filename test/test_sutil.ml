@@ -421,7 +421,98 @@ let test_json_string_runs () =
     "unterminated escape at byte 33"
     (error {|"plain prefix past sixteen bytes\|})
 
+(* Random trees, printed compact and indented.  Floats stay finite or
+   infinite: JSON has no NaN, so the printer writes it as null. *)
+let json_gen =
+  let open QCheck2.Gen in
+  let str = string_size ~gen:char (int_range 0 10) in
+  let float =
+    oneof
+      [
+        float_range (-1e6) 1e6;
+        map2 Float.ldexp (float_range (-1.) 1.) (int_range (-1074) 1023);
+        oneofl [ 0.; -0.; 1e15; Float.max_float; Float.min_float; Float.infinity; Float.neg_infinity ];
+      ]
+  in
+  let leaf =
+    oneof
+      [
+        pure Sutil.Json.Null;
+        map (fun b -> Sutil.Json.Bool b) bool;
+        map (fun n -> Sutil.Json.Int n) int;
+        map (fun f -> Sutil.Json.Float f) float;
+        map (fun s -> Sutil.Json.String s) str;
+      ]
+  in
+  sized_size (int_range 0 40)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (1, leaf);
+               (2, map (fun l -> Sutil.Json.List l) (list_size (int_range 0 4) (self (n / 3))));
+               ( 2,
+                 map (fun l -> Sutil.Json.Obj l) (list_size (int_range 0 4) (pair str (self (n / 3))))
+               );
+             ])
+
+let prop_json_roundtrip =
+  QCheck2.Test.make ~count:1000 ~name:"printed tree parses back equal"
+    ~print:(fun (v, indent) -> Sutil.Json.to_string ~indent v)
+    QCheck2.Gen.(pair json_gen bool)
+    (fun (v, indent) -> Sutil.Json.of_string (Sutil.Json.to_string ~indent v) = Ok v)
+
+(* 1-4 edits of a printed document: substitute a byte, insert one, or
+   cut the document short.  Positions wrap modulo the current length. *)
+type edit = Subst of int * char | Insert of int * char | Truncate of int
+
+let apply_edit s = function
+  | Subst (i, c) when s <> "" ->
+      let b = Bytes.of_string s in
+      Bytes.set b (i mod String.length s) c;
+      Bytes.to_string b
+  | Subst _ -> s
+  | Insert (i, c) ->
+      let i = i mod (String.length s + 1) in
+      String.sub s 0 i ^ String.make 1 c ^ String.sub s i (String.length s - i)
+  | Truncate i -> String.sub s 0 (i mod (String.length s + 1))
+
+let prop_json_mutated_never_raises =
+  let open QCheck2.Gen in
+  let byte = oneof [ char; oneofl [ '"'; '\\'; '{'; '}'; '['; ']'; ','; ':'; 'u'; 'e'; '-'; '.'; '0' ] ] in
+  let edit =
+    oneof
+      [
+        map2 (fun i c -> Subst (i, c)) nat byte;
+        map2 (fun i c -> Insert (i, c)) nat byte;
+        map (fun i -> Truncate i) nat;
+      ]
+  in
+  let mutated =
+    map3
+      (fun v indent edits -> List.fold_left apply_edit (Sutil.Json.to_string ~indent v) edits)
+      json_gen bool (list_size (int_range 1 4) edit)
+  in
+  QCheck2.Test.make ~count:3000 ~name:"mutated documents give Ok or Error, never raise"
+    ~print:(Printf.sprintf "%S") mutated (fun s ->
+      match Sutil.Json.of_string s with Ok _ | Error _ -> true)
+
+(* Found by the round-trip property: 2^50 printed with %.17g is bare
+   digits, which the parser reads as an Int. *)
+let test_json_big_integral_float () =
+  List.iter
+    (fun f ->
+      let v = Sutil.Json.Float f in
+      match Sutil.Json.of_string (Sutil.Json.to_string v) with
+      | Ok v' -> check_bool (Printf.sprintf "%.17g stays a Float" f) true (v = v')
+      | Error e -> Alcotest.failf "parse failed: %s" e)
+    [ Float.ldexp 1. 50; -.Float.ldexp 1. 50; 9007199254740993.; 1e15 +. 1.; 1e16 ]
+
 let qt = QCheck_alcotest.to_alcotest
+
+(* fixed seed: the JSON properties run the same cases every time *)
+let qt_seeded t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20190216 |]) t
 
 let () =
   Alcotest.run "sutil"
@@ -475,5 +566,9 @@ let () =
             test_json_doc_to_channel_appends_newline;
           Alcotest.test_case "string runs and their errors" `Quick
             test_json_string_runs;
+          Alcotest.test_case "integral float past 1e15" `Quick
+            test_json_big_integral_float;
+          qt_seeded prop_json_roundtrip;
+          qt_seeded prop_json_mutated_never_raises;
         ] );
     ]
