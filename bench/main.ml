@@ -10,8 +10,8 @@
 
    --json DIR also writes each table as DIR/BENCH_<name>.json.  Both
    benches run sequentially (parallel neighbours would perturb their
-   timings), and their numbers vary run to run.  Exit codes: 0, or 2 on
-   a usage error. *)
+   timings), and their numbers vary run to run.  Exit codes: 0, 1 on an
+   internal error, 2 on a usage error. *)
 
 open Cmdliner
 
@@ -226,6 +226,6 @@ let runs =
    hardening timed here is the one the experiments run. *)
 let () =
   Harness.Registry.setup ();
-  let info = Cmd.info "bench" ~doc:"Wall-clock benchmarks of the implementation" in
-  let code = Cmd.eval (Cmd.v info Term.(const main $ json $ runs)) in
-  exit (if code = Cmd.Exit.cli_error then 2 else code)
+  let exits = Cli.exits ~ok:"when every bench ran." ~failure:"on an internal error." [] in
+  let info = Cmd.info "bench" ~exits ~doc:"Wall-clock benchmarks of the implementation" in
+  Cli.exit_with "bench" @@ fun () -> Cmd.eval ~catch:false (Cmd.v info Term.(const main $ json $ runs))

@@ -12,7 +12,8 @@
    byte-identical for every N (results merge in submission order).
 
    Exit codes: 0 every headline invariant holds, 1 one failed (named on
-   stderr, after the report is written), 2 usage error. *)
+   stderr, after the report is written) or an internal error, 2 usage
+   error. *)
 
 open Cmdliner
 
@@ -45,22 +46,11 @@ let main engine jobs json entries =
   Harness.Registry.exit_code violations
 
 let engine =
-  let parse s =
-    match Machine.Backend.kind_of_string s with
-    | Some kind -> Ok kind
-    | None -> Error (`Msg (Printf.sprintf "unknown engine %S (ref, bytecode)" s))
-  in
-  let print fmt k = Format.pp_print_string fmt (Machine.Backend.kind_to_string k) in
-  Arg.(value & opt (some (conv (parse, print))) None & info [ "engine" ] ~docv:"ENGINE"
+  Arg.(value & opt (some Cli.engine) None & info [ "engine" ] ~docv:"ENGINE"
          ~doc:"Execution engine for every experiment: $(b,ref) or $(b,bytecode).")
 
 let jobs =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "bad --jobs value %S (want a positive integer)" s))
-  in
-  Arg.(value & opt (some (conv (parse, Format.pp_print_int))) None & info [ "jobs" ] ~docv:"N"
+  Arg.(value & opt (some Cli.jobs) None & info [ "jobs" ] ~docv:"N"
          ~doc:"Worker domains (default: the host's recommended count).")
 
 let json =
@@ -74,6 +64,10 @@ let entries =
 
 let () =
   Harness.Registry.setup ();
-  let info = Cmd.info "experiments" ~doc:"Regenerate the paper-vs-measured report" in
-  let code = Cmd.eval' (Cmd.v info Term.(const main $ engine $ jobs $ json $ entries)) in
-  exit (if code = Cmd.Exit.cli_error then 2 else code)
+  let exits =
+    Cli.exits ~ok:"when every headline invariant holds."
+      ~failure:"when one fails (named on stderr, after the report), or on an internal error." []
+  in
+  let info = Cmd.info "experiments" ~exits ~doc:"Regenerate the paper-vs-measured report" in
+  Cli.exit_with "experiments" @@ fun () ->
+  Cmd.eval' ~catch:false (Cmd.v info Term.(const main $ engine $ jobs $ json $ entries))

@@ -14,17 +14,24 @@
 
 open Cmdliner
 
-(* Diagnostics are one line: the first line of a multi-line message
-   carries the location and summary; the rest is detail for the IR
-   tools, not for a shell script checking $?. *)
-let one_line s =
-  match String.index_opt s '\n' with
-  | Some i -> String.sub s 0 i
-  | None -> s
-
-let exit_usage = 2
+let one_line = Cli.one_line
+let exit_usage = Cli.exit_usage
 let exit_compile = 3
 let exit_runtime = 4
+
+(* The EXIT STATUS section of every subcommand's --help. *)
+let exits =
+  Cli.exits ~ok:"on a clean exit."
+    ~failure:
+      "on a non-zero program exit, a failed check (a lint violation, a \
+       batch-verdict mismatch, an ungrounded chain) or an internal error."
+    [
+      Cmd.Exit.info exit_compile ~doc:"on a compile or parse error.";
+      Cmd.Exit.info exit_runtime
+        ~doc:
+          "on a runtime fault: a memory fault, a defense detection, fuel \
+           exhaustion or a timeout.";
+    ]
 
 let usage_fail fmt =
   Printf.ksprintf
@@ -96,19 +103,10 @@ let trace_flag =
     value & flag
     & info [ "trace" ] ~doc:"Print a call/intrinsic trace after the run")
 
-let engine_conv =
-  let parse s =
-    match Machine.Backend.kind_of_string s with
-    | Some k -> Ok k
-    | None -> Error (`Msg (Printf.sprintf "unknown engine %S (ref, bytecode)" s))
-  in
-  Arg.conv
-    (parse, fun fmt k -> Format.pp_print_string fmt (Machine.Backend.kind_to_string k))
-
 let engine_arg =
   Arg.(
     value
-    & opt engine_conv Machine.Backend.Reference
+    & opt Cli.engine Machine.Backend.Reference
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
           "Execution engine: $(b,ref) (tree-walking reference \
@@ -116,14 +114,9 @@ let engine_arg =
            identical observable behaviour, several times faster)")
 
 let jobs_arg =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "bad --jobs value %S (want a positive integer)" s))
-  in
   Arg.(
     value
-    & opt (some (conv (parse, Format.pp_print_int))) None
+    & opt (some Cli.jobs) None
     & info [ "jobs" ] ~docv:"N"
         ~doc:
           "Worker domains for multi-seed runs (default: the host's \
@@ -152,10 +145,10 @@ let chaos_arg =
     & info [ "chaos" ] ~docv:"SPEC"
         ~doc:
           "Arm one deterministic fault plan before the run, e.g. \
-           $(b,rng:ones\\@1) (RDRAND stuck at all-ones from the first \
-           draw), $(b,mem:stack:64:3\\@2000) (flip bit 3 of the byte 64 \
+           $(b,rng:ones@1) (RDRAND stuck at all-ones from the first \
+           draw), $(b,mem:stack:64:3@2000) (flip bit 3 of the byte 64 \
            below the stack top at instruction 2000), \
-           $(b,intr:ss.fid_assert:xor=1\\@1).  $(b,rng:*) plans require \
+           $(b,intr:ss.fid_assert:xor=1@1).  $(b,rng:*) plans require \
            $(b,--harden) (they tamper with the Smokestack generator).")
 
 let fail_open_flag =
@@ -306,7 +299,7 @@ let run_cmd =
       exit code
     end
   in
-  Cmd.v (Cmd.info "run" ~doc:"Compile and execute a MiniC program")
+  Cmd.v (Cmd.info ~exits "run" ~doc:"Compile and execute a MiniC program")
     Term.(
       const action $ file_arg $ harden_flag $ scheme_arg $ seed_arg $ input_arg
       $ no_fid $ opt_flag $ trace_flag $ engine_arg $ jobs_arg $ seeds_arg
@@ -323,7 +316,7 @@ let ir_cmd =
     print_string (Ir.Printer.prog_to_string prog)
   in
   Cmd.v
-    (Cmd.info "ir" ~doc:"Print the (optionally hardened) IR")
+    (Cmd.info ~exits "ir" ~doc:"Print the (optionally hardened) IR")
     Term.(const action $ file_arg $ harden_flag $ scheme_arg $ no_fid $ opt_flag)
 
 let pbox_cmd =
@@ -350,7 +343,7 @@ let pbox_cmd =
       pbox.dyns
   in
   Cmd.v
-    (Cmd.info "pbox" ~doc:"Summarize the P-BOX a program would get")
+    (Cmd.info ~exits "pbox" ~doc:"Summarize the P-BOX a program would get")
     Term.(const action $ file_arg $ scheme_arg $ no_fid)
 
 let layouts_cmd =
@@ -397,7 +390,7 @@ let layouts_cmd =
     Arg.(value & opt int 5 & info [ "runs" ] ~docv:"N" ~doc:"Invocations to sample")
   in
   Cmd.v
-    (Cmd.info "layouts"
+    (Cmd.info ~exits "layouts"
        ~doc:"Sample the per-invocation frame layouts of a function")
     Term.(const action $ file_arg $ func_arg $ runs_arg $ scheme_arg $ seed_arg)
 
@@ -425,7 +418,7 @@ let entropy_cmd =
       (Smokestack.Harden.permuted_functions hardened)
   in
   Cmd.v
-    (Cmd.info "entropy"
+    (Cmd.info ~exits "entropy"
        ~doc:"Quantify each permuted frame's layout entropy (what a \
              brute-force attacker faces)")
     Term.(const action $ file_arg $ scheme_arg)
@@ -563,7 +556,7 @@ let analyze_cmd =
              ground-truth positive for the leak analyzer")
   in
   Cmd.v
-    (Cmd.info "analyze"
+    (Cmd.info ~exits "analyze"
        ~doc:
          "Static DOP attack-surface analysis: classify stack slots as \
           overflow-capable or safe, enumerate (buffer, victim) DOP pairs, \
@@ -738,7 +731,7 @@ let lint_cmd =
              addresses); each flow is a lint finding")
   in
   Cmd.v
-    (Cmd.info "lint"
+    (Cmd.info ~exits "lint"
        ~doc:
          "Statically validate a hardened program: frame integrity, P-BOX \
           soundness, index hygiene and FID pairing, plus per-elision \
@@ -836,7 +829,7 @@ let serve_cmd =
         (* the table fields are deterministic; "tenants" embeds the
            per-tenant breakdown so dashboards need not re-parse the
            text table; "pool" carries this run's scheduler counters
-           (host-dependent, asserted on by CI's saturation checks) *)
+           (host-dependent) *)
         let doc =
           match
             Sutil.Texttable.to_json
@@ -962,7 +955,7 @@ let serve_cmd =
              seed")
   in
   Cmd.v
-    (Cmd.info "serve"
+    (Cmd.info ~exits "serve"
        ~doc:
          "Run the hardened multi-tenant server harness: a deterministic \
           mixed benign+attack traffic schedule dispatched over a worker \
@@ -1108,7 +1101,7 @@ let campaign_cmd =
              pool counters (host-dependent) as JSON to $(docv)")
   in
   Cmd.v
-    (Cmd.info "campaign"
+    (Cmd.info ~exits "campaign"
        ~doc:
          "Run a store-backed execution campaign over a Progen seed range.  \
           Every program's observables are cached in $(b,--store) keyed on \
@@ -1315,7 +1308,7 @@ let attack_cmd =
              blind walk next to it); shares $(b,--budget)")
   in
   Cmd.v
-    (Cmd.info "attack"
+    (Cmd.info ~exits "attack"
        ~doc:
          "Run the automated DOP-attack compiler: synthesize gadget chains \
           from static analysis plus semantic probing of an unhardened \
@@ -1337,30 +1330,21 @@ let () =
      the elision oracle behind Config.selective *)
   Analysis.Validate.install ();
   let info =
-    Cmd.info "smokestackc" ~version:"1.0.0"
+    Cmd.info "smokestackc" ~version:"1.0.0" ~exits
       ~doc:"MiniC compiler with Smokestack runtime stack-layout randomization"
   in
-  (* ~catch:false: an escaped exception becomes a one-line diagnostic
-     and exit 1, not a backtrace dump; cmdliner's own CLI errors
-     (unknown flag, bad conversion) are remapped to exit 2. *)
-  let code =
-    try
-      Cmd.eval ~catch:false
-        (Cmd.group info
-           [
-             run_cmd;
-             ir_cmd;
-             pbox_cmd;
-             layouts_cmd;
-             entropy_cmd;
-             analyze_cmd;
-             lint_cmd;
-             serve_cmd;
-             campaign_cmd;
-             attack_cmd;
-           ])
-    with e ->
-      Printf.eprintf "smokestackc: error: %s\n" (one_line (Printexc.to_string e));
-      1
-  in
-  exit (if code = Cmd.Exit.cli_error then exit_usage else code)
+  Cli.exit_with "smokestackc" @@ fun () ->
+  Cmd.eval ~catch:false
+    (Cmd.group info
+       [
+         run_cmd;
+         ir_cmd;
+         pbox_cmd;
+         layouts_cmd;
+         entropy_cmd;
+         analyze_cmd;
+         lint_cmd;
+         serve_cmd;
+         campaign_cmd;
+         attack_cmd;
+       ])

@@ -303,6 +303,6 @@ let output t =
       (table t);
     Output.text "detection: %d/%d corrupting fired plans caught (%.1f%%)" t.caught
       t.corrupting_fired (100. *. t.detection_rate);
-    Output.table "chaos_policy" "fail-secure vs fail-open (rng:ones@1, RDRAND source):"
+    Output.table "chaos_policy" "E13: fail-secure vs fail-open (rng:ones@1, RDRAND source)"
       (policy_table t);
   ]

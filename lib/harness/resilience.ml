@@ -368,11 +368,11 @@ let output t =
       t.config.traffic.Server.Traffic.attackers t.config.traffic.Server.Traffic.clients
       t.config.budget t.config.gap;
     Output.table "resilience"
-      "brute-force cost, affinity off vs on (per attack family, vs full hardening):"
+      "E18: brute-force cost, affinity off vs on (per attack family, vs full hardening)"
       (cost_table t);
-    Output.table "resilience_fleet" "fleet under the storm, baseline vs control plane:"
+    Output.table "resilience_fleet" "E18: fleet under the storm, baseline vs control plane"
       (fleet_table t);
-    Output.table "resilience_classes" "per-class service in the resilient cell:" (class_table t);
+    Output.table "resilience_classes" "E18: per-class service in the resilient cell" (class_table t);
     Output.text
       "hand-written family costs strictly more with breakers: %b; synthesized family: %b; \
        benign p99 ratio (resilient/baseline): %.3f; batch mismatches across cells: %d."

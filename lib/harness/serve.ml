@@ -56,7 +56,7 @@ let output t =
       benign attack chaos t.config.dispatch.Server.Dispatch.virtual_workers
       t.config.dispatch.Server.Dispatch.queue_capacity;
     Output.table ~form:Output.Ascii "server" title (summary_table t);
-    Output.table "server_tenants" "per tenant:" (tenant_table t);
+    Output.table "server_tenants" "E15: per-tenant service and security" (tenant_table t);
     Output.text
       "served attack sessions carry the batch harness's verdict: %d/%d checked, %d mismatches."
       t.summary.Server.Metrics.batch_checked t.summary.Server.Metrics.batch_checked

@@ -43,8 +43,7 @@ val stats : t -> stats
 
 val stats_to_json : stats -> Sutil.Json.t
 (** [{"jobs_run", "retries", "timeouts", "peak_queue"}] — the same
-    counters the stderr footers print, for the [--json] surfaces (CI
-    asserts on retry/timeout counts). *)
+    counters the stderr footers print, for the [--json] surfaces. *)
 
 val max_jobs : int
 (** Hard upper clamp on pool width (128). *)

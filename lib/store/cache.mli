@@ -103,5 +103,5 @@ val reset_stats : t -> unit
 
 val stats_to_json : stats -> Sutil.Json.t
 (** [{"hits": _, "misses": _, "writes": _, "evicted": _}] — surfaced
-    by [smokestackc campaign --json] and asserted on by CI's
-    warm-hit-rate check. *)
+    by [smokestackc campaign --json] and asserted on by [test_cli]'s
+    warm-all-hits check. *)

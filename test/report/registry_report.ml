@@ -1,13 +1,16 @@
-(* Runs every Harness.Registry entry and compares its report section with
-   the same section of the committed EXPERIMENTS.md, so a moved headline
-   is blamed on its entry rather than on a whole-report diff.  Then checks
-   that the entries' table names, the BENCH_<name>.json stems, are unique
-   and are exactly the stems CI archives.
+(* Runs every Harness.Registry entry under each execution engine and
+   compares its report section with the same section of the committed
+   EXPERIMENTS.md, so a moved headline is blamed on its entry (and
+   engine) rather than on a whole-report diff.  Each entry's headline
+   invariants must hold too.  Then checks that the entries' table names,
+   the BENCH_<name>.json stems, are unique and are exactly the stems
+   `experiments.exe --json` writes and CI archives.
 
    Usage: registry_report.exe EXPERIMENTS.md
-   Exit codes: 0 every section matches, 1 a section differs (the first
-   such entry and its first differing line go to stderr) or the stems
-   moved. *)
+   Exit codes: 0 every section matches and every invariant holds under
+   both engines, 1 a section differs (the first such entry and its
+   first differing line go to stderr), an invariant failed (named on
+   stderr) or the stems moved. *)
 
 let stems =
   [ "table1"; "fig3"; "fig4"; "bypass"; "pentest"; "realvuln"; "ablation"; "brute"; "entropy";
@@ -64,7 +67,7 @@ let () =
     exit 1
   end;
   Sched.Pool.with_pool @@ fun pool ->
-  let rec check names = function
+  let rec check engine names = function
     | [] -> List.rev names
     | (e : Harness.Registry.entry) :: rest ->
         let o = e.run pool in
@@ -72,16 +75,26 @@ let () =
         (match committed_section report e (List.nth_opt rest 0) with
         | Some expected when String.equal expected got -> ()
         | Some expected ->
-            Printf.eprintf "registry-report: %s (%s) differs from %s, %s\n" e.id e.key path
-              (first_difference expected got);
+            Printf.eprintf "registry-report: %s (%s, --engine=%s) differs from %s, %s\n" e.id e.key
+              engine path (first_difference expected got);
             exit 1
         | None ->
             Printf.eprintf "registry-report: %s (%s) has no section in %s\n" e.id e.key path;
             exit 1);
-        Printf.printf "%s %s: matches\n%!" e.id e.key;
-        check (List.rev_append (Harness.Output.names o.output) names) rest
+        (match Harness.Registry.violations e o with
+        | [] -> ()
+        | violations ->
+            List.iter (Printf.eprintf "registry-report (--engine=%s): %s\n" engine) violations;
+            exit 1);
+        Printf.printf "%s %s (--engine=%s): matches, invariants hold\n%!" e.id e.key engine;
+        check engine (List.rev_append (Harness.Output.names o.output) names) rest
   in
-  let names = check [] Harness.Registry.all in
+  let on_engine kind =
+    Machine.Backend.set_default kind;
+    check (Machine.Backend.kind_to_string kind) [] Harness.Registry.all
+  in
+  let names = on_engine Machine.Backend.Reference in
+  ignore (on_engine Machine.Backend.Bytecode : string list);
   let sorted = List.sort String.compare in
   if List.length (List.sort_uniq String.compare names) <> List.length names then begin
     Printf.eprintf "registry-report: duplicate table names in %s\n" (String.concat " " names);

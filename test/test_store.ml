@@ -692,9 +692,9 @@ let test_campaign_log_reads_back () =
 (* The resume property: killing a campaign after any prefix of the work
    and re-running over the same store yields the digest of an
    uninterrupted run.  A [count = k] run over a shared store is exactly
-   the state a kill after k programs leaves behind (the disk backend's
-   atomic rename guarantees no torn entries — exercised separately in
-   CI with a real SIGKILL). *)
+   the state a kill after k programs leaves behind (a real SIGKILL, and
+   the torn record it may leave, is test_cli's smoke-store
+   kill-and-resume case). *)
 let test_campaign_resume_property () =
   let reference =
     (Campaign.run ~store:(Cache.in_memory ()) (campaign_config ())).Campaign.digest
