@@ -60,7 +60,9 @@ let micro_tests () =
     Test.make ~name:"security/librelp-attempt-vs-smokestack"
       (Staged.stage (fun () ->
            incr i;
-           ignore (Apps.Librelp.attack_static applied ~seed:(Int64.of_int !i))))
+           ignore
+             (Apps.Librelp.attack_static ~backend:Machine.Backend.reference
+                applied ~seed:(Int64.of_int !i))))
   in
   (* Algorithm 1 itself *)
   let permgen =

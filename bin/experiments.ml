@@ -18,7 +18,7 @@
 open Cmdliner
 
 let main engine jobs json entries =
-  Option.iter Machine.Backend.set_default engine;
+  let backend = Machine.Backend.find engine in
   Option.iter (fun dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755) json;
   let entries = if entries = [] then Harness.Registry.all else entries in
   Sched.Pool.with_pool ?jobs @@ fun pool ->
@@ -27,7 +27,7 @@ let main engine jobs json entries =
   let violations =
     List.concat_map
       (fun (e : Harness.Registry.entry) ->
-        let o = e.run pool in
+        let o = e.run pool backend in
         print_string (Harness.Registry.section e o);
         flush stdout;
         Option.iter (fun dir -> Harness.Output.write_json ~dir o.output) json;
@@ -46,7 +46,7 @@ let main engine jobs json entries =
   Harness.Registry.exit_code violations
 
 let engine =
-  Arg.(value & opt (some Cli.engine) None & info [ "engine" ] ~docv:"ENGINE"
+  Arg.(value & opt Cli.engine Machine.Backend.Reference & info [ "engine" ] ~docv:"ENGINE"
          ~doc:"Execution engine for every experiment: $(b,ref) or $(b,bytecode).")
 
 let jobs =

@@ -6,7 +6,7 @@
      smokestackc run --harden --chaos rng:ones@1 prog.c
      smokestackc ir --harden prog.c
      smokestackc pbox prog.c
-     smokestackc serve --sessions 1300 --jobs 8 --json BENCH_server.json
+     smokestackc serve --sessions 1300 --jobs 8 --json serve.json
 
    Exit codes: 0 clean exit, 1 non-zero program exit (or internal
    error), 2 usage error, 3 compile/parse error, 4 runtime fault
@@ -815,9 +815,8 @@ let serve_cmd =
       (t, Sched.Pool.stats pool)
     in
     let wall = Unix.gettimeofday () -. t0 in
-    Sutil.Texttable.print
-      ~title:"server runtime — mixed benign+attack traffic under load"
-      (Harness.Serve.summary_table t);
+    let title = "server runtime — mixed benign+attack traffic under load" in
+    Sutil.Texttable.print ~title (Harness.Serve.summary_table t);
     if classes then
       Sutil.Texttable.print ~title:"per-class service and latency"
         (Harness.Serve.class_table t);
@@ -832,9 +831,7 @@ let serve_cmd =
            (host-dependent) *)
         let doc =
           match
-            Sutil.Texttable.to_json
-              ~title:"server runtime — mixed benign+attack traffic"
-              (Harness.Serve.summary_table t)
+            Sutil.Texttable.to_json ~title (Harness.Serve.summary_table t)
           with
           | Sutil.Json.Obj fields ->
               Sutil.Json.Obj
@@ -1120,10 +1117,10 @@ let attack_cmd =
     if chains < 1 then usage_fail "attack: --chains must be >= 1";
     if trials < 1 then usage_fail "attack: --trials must be >= 1";
     if budget < 1 then usage_fail "attack: --budget must be >= 1";
-    (* chain synthesis probes on the reference engine regardless; the
-       process default decides what executes the attacks (and is part
-       of every store key) *)
-    Machine.Backend.set_default engine;
+    (* chain synthesis probes on the reference engine regardless;
+       [backend] executes the attacks, and its kind is part of every
+       store key *)
+    let backend = Machine.Backend.find engine in
     let avail = Harness.Offense.available_workloads () in
     List.iter
       (fun w ->
@@ -1147,7 +1144,7 @@ let attack_cmd =
     let t, pool_stats =
       Sched.Pool.with_pool ~jobs:width @@ fun pool ->
       let t =
-        Harness.Offense.run ~pool ?store ~trials ~brute_budget:budget
+        Harness.Offense.run ~pool ~backend ?store ~trials ~brute_budget:budget
           ~max_chains:chains ?workloads ~progen ()
       in
       (t, Sched.Pool.stats pool)
@@ -1176,7 +1173,7 @@ let attack_cmd =
     let guided =
       if not leak_guided then None
       else begin
-        let g = Harness.Leakcheck.guided_run ~budget () in
+        let g = Harness.Leakcheck.guided_run ~backend ~budget () in
         Sutil.Texttable.print
           ~title:
             "leak-guided attack vs blind Algorithm-1 walk (full hardening)"

@@ -11,6 +11,11 @@ let show verdict =
   | Attacks.Verdict.Success -> "EXPLOITED — private key on the wire"
   | v -> "blocked (" ^ Attacks.Verdict.to_string v ^ ")"
 
+(* every run here is on the reference interpreter *)
+let backend = Machine.Backend.reference
+let attack_static applied ~seed =
+  (Apps.Librelp.attack_static ~backend applied ~seed).verdict
+
 let () =
   let prog = Lazy.force Apps.Librelp.program in
   pf "mini-librelp: RELP listener checking TLS peer names.";
@@ -21,7 +26,7 @@ let () =
   (* benign service *)
   let applied = Defenses.Defense.apply Defenses.Defense.No_defense prog in
   let _, stats =
-    Apps.Runner.run_chunks applied ~seed:1L ~chunks:Apps.Librelp.benign_chunks
+    Apps.Runner.run_chunks ~backend applied ~seed:1L ~chunks:Apps.Librelp.benign_chunks
   in
   pf "benign run (certificate matches): log = %S@." (String.trim stats.output);
 
@@ -42,8 +47,8 @@ let () =
   List.iter
     (fun d ->
       let applied = Defenses.Defense.apply ~seed:3L d prog in
-      let sr, n = rate Apps.Librelp.attack_static applied in
-      let dr, _ = rate Apps.Librelp.attack_disclosure applied in
+      let sr, n = rate attack_static applied in
+      let dr, _ = rate (Apps.Librelp.attack_disclosure ~backend) applied in
       let describe k =
         if k = n then show Attacks.Verdict.Success
         else if k = 0 then "blocked on all attempts"
@@ -61,7 +66,7 @@ let () =
       Defenses.Defense.apply ~seed:(Int64.of_int (50 + b))
         Defenses.Defense.Static_perm prog
     in
-    match Apps.Librelp.attack_static applied ~seed:7L with
+    match attack_static applied ~seed:7L with
     | Attacks.Verdict.Success -> incr exploitable
     | _ -> ()
   done;
@@ -76,7 +81,7 @@ let () =
   in
   let result =
     Attacks.Bruteforce.run ~seed0:4000 ~max_attempts:300 (fun seed ->
-        Apps.Librelp.attack_static applied ~seed:(Int64.of_int seed))
+        attack_static applied ~seed:(Int64.of_int seed))
   in
   pf "  %s after %d attempt(s): %s"
     (if result.succeeded then "first success" else "no success")
@@ -102,7 +107,8 @@ let () =
       let n = 6 in
       for i = 0 to n - 1 do
         match
-          Apps.Librelp.attack_pseudo_state applied ~seed:(Int64.of_int (60 + i))
+          Apps.Librelp.attack_pseudo_state ~backend applied
+            ~seed:(Int64.of_int (60 + i))
         with
         | Attacks.Verdict.Success -> incr ok
         | _ -> ()
@@ -125,7 +131,7 @@ let () =
       let n = 8 in
       for i = 0 to n - 1 do
         match
-          Apps.Librelp.attack_probe_then_exploit applied
+          Apps.Librelp.attack_probe_then_exploit ~backend applied
             ~seed:(Int64.of_int (80 + i))
         with
         | Attacks.Verdict.Success -> incr ok

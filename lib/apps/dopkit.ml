@@ -66,3 +66,31 @@ let goal_in_output marker (stats : Machine.Exec.stats) =
     if (not !found) && String.sub hay i nn = needle then found := true
   done;
   !found
+
+type result = {
+  verdict : Attacks.Verdict.t;
+  stats : Machine.Exec.stats option;
+  requests : int;
+}
+
+type attack =
+  backend:Machine.Backend.t ->
+  ?arm:(Machine.Exec.state -> unit) ->
+  Defenses.Defense.applied ->
+  seed:int64 ->
+  result
+
+(* A layout guess can be geometrically impossible (victim below the
+   buffer, overlapping writes): the attempt is simply wasted. *)
+let deliver ~backend ?arm applied ~seed ~marker craft =
+  match craft () with
+  | exception Invalid_argument _ ->
+      { verdict = Attacks.Verdict.No_effect; stats = None; requests = 0 }
+  | chunks ->
+      let outcome, stats = Runner.run_chunks ~backend ?arm applied ~seed ~chunks in
+      {
+        verdict =
+          Attacks.Verdict.classify outcome ~goal_met:(goal_in_output marker stats);
+        stats = Some stats;
+        requests = List.length chunks;
+      }

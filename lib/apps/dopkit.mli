@@ -47,3 +47,39 @@ val guessed_slab_offsets :
 
 val goal_in_output : string -> Machine.Exec.stats -> bool
 (** Does the program's output contain the marker? *)
+
+(** {1 Delivering an attack} *)
+
+type result = {
+  verdict : Attacks.Verdict.t;
+  stats : Machine.Exec.stats option;
+      (** [None] when the craft was impossible and nothing ran. *)
+  requests : int;  (** request chunks delivered to the instance *)
+}
+
+type attack =
+  backend:Machine.Backend.t ->
+  ?arm:(Machine.Exec.state -> unit) ->
+  Defenses.Defense.applied ->
+  seed:int64 ->
+  result
+(** One exploit attempt against a defense-applied build, as every
+    hand-written attack in this library exposes it: the engine to run
+    on, an optional hook that sees the prepared state before execution
+    (the server runtime arms fault plans with it), and the attempt's
+    seed, which drives both the run's entropy and the attacker's layout
+    guess.  The same function serves the batch harnesses, which read
+    only the verdict, and the server's sessions. *)
+
+val deliver :
+  backend:Machine.Backend.t ->
+  ?arm:(Machine.Exec.state -> unit) ->
+  Defenses.Defense.applied ->
+  seed:int64 ->
+  marker:string ->
+  (unit -> string list) ->
+  result
+(** Craft the request chunks, run them ({!Runner.run_chunks}) and judge
+    the outcome: the goal is met when [marker] appears in the output.
+    A craft that raises [Invalid_argument] (an impossible layout guess)
+    wastes the attempt: [No_effect], nothing run, no requests. *)

@@ -157,17 +157,6 @@ let key_ptr_payload prog =
   let w = width 1 in
   String.init w (fun i -> Char.chr (byte key i))
 
-let judge_session ?backend ?arm applied ~seed ~chunks =
-  let outcome, stats = Runner.run_chunks ?backend ?arm applied ~seed ~chunks in
-  ( Attacks.Verdict.classify outcome
-      ~goal_met:(Dopkit.goal_in_output key_leak_marker stats),
-    Some stats,
-    List.length chunks )
-
-let judge applied ~seed ~chunks =
-  let verdict, _, _ = judge_session applied ~seed ~chunks in
-  verdict
-
 let chain = [ "main"; "relpTcpLstnInit"; "relpTcpChkPeerName" ]
 
 (* Distance from allNames to keyPtr by static binary analysis; against
@@ -203,24 +192,17 @@ let static_distance (applied : Defenses.Defense.applied) ~seed =
           List.assoc "keyPtr" caller_guess - slab_gap
           - List.assoc "allNames" callee_guess)
 
-let attack_static_session ?backend ?arm applied ~seed =
-  match
-    let dist = static_distance applied ~seed in
-    let payload = key_ptr_payload (applied : Defenses.Defense.applied).prog in
-    exploit_chunks ~dist ~payload
-  with
-  | chunks -> judge_session ?backend ?arm applied ~seed ~chunks
-  | exception Invalid_argument _ -> (Attacks.Verdict.No_effect, None, 0)
-
-let attack_static applied ~seed =
-  let verdict, _, _ = attack_static_session applied ~seed in
-  verdict
+let attack_static ~backend ?arm applied ~seed =
+  Dopkit.deliver ~backend ?arm applied ~seed ~marker:key_leak_marker (fun () ->
+      let dist = static_distance applied ~seed in
+      let payload = key_ptr_payload (applied : Defenses.Defense.applied).prog in
+      exploit_chunks ~dist ~payload)
 
 (* Probe run: plant 'P'*100 then "PROBEVAL" (contiguous in allNames
    only), scan the live stack for the composite needle and for the
    decoy pointer value, and measure the true allNames -> keyPtr
    distance.  Exploit run: replay with the measured distance. *)
-let attack_disclosure applied ~seed =
+let attack_disclosure ~backend applied ~seed =
   let measured = ref None in
   let phase = ref 0 in
   let probe_input (st : Machine.Exec.state) _max =
@@ -246,17 +228,16 @@ let attack_disclosure applied ~seed =
         ""
   in
   let (_ : Machine.Exec.outcome * Machine.Exec.stats) =
-    Runner.run_adaptive applied ~seed ~input:probe_input
+    Runner.run_adaptive ~backend applied ~seed ~input:probe_input
   in
   match !measured with
   | None -> Attacks.Verdict.No_effect
-  | Some dist -> (
-      match
-        exploit_chunks ~dist
-          ~payload:(key_ptr_payload (applied : Defenses.Defense.applied).prog)
-      with
-      | chunks -> judge applied ~seed:(Int64.add seed 1L) ~chunks
-      | exception Invalid_argument _ -> Attacks.Verdict.No_effect)
+  | Some dist ->
+      (Dopkit.deliver ~backend applied ~seed:(Int64.add seed 1L)
+         ~marker:key_leak_marker (fun () ->
+           exploit_chunks ~dist
+             ~payload:(key_ptr_payload (applied : Defenses.Defense.applied).prog)))
+        .verdict
 
 (* State-disclosure prediction (threat model §III-B: the attacker reads
    all writable memory — including a memory-based PRNG's state, which
@@ -269,7 +250,7 @@ let attack_disclosure applied ~seed =
    The disclosed word is the state after draw 3; xorshift is a
    bijection, so two [unstep]s recover the states behind draws 1 and 2,
    and the public decode maps each to its frame's exact offsets. *)
-let attack_pseudo_state (applied : Defenses.Defense.applied) ~seed =
+let attack_pseudo_state ~backend (applied : Defenses.Defense.applied) ~seed =
   let exploit = ref [] in
   let caller_off = ref None in
   let gave_up = ref false in
@@ -344,7 +325,7 @@ let attack_pseudo_state (applied : Defenses.Defense.applied) ~seed =
         chunk
     | [] -> ""
   in
-  let outcome, stats = Runner.run_adaptive applied ~seed ~input in
+  let outcome, stats = Runner.run_adaptive ~backend applied ~seed ~input in
   Attacks.Verdict.classify outcome
     ~goal_met:(Dopkit.goal_in_output key_leak_marker stats)
 
@@ -355,7 +336,8 @@ let attack_pseudo_state (applied : Defenses.Defense.applied) ~seed =
    distance expires before it can be used; against periodic
    re-randomization (redraw_interval > 1) the window stays open — the
    E11 ablation.  Works against every static defense too. *)
-let attack_probe_then_exploit (applied : Defenses.Defense.applied) ~seed =
+let attack_probe_then_exploit ~backend (applied : Defenses.Defense.applied)
+    ~seed =
   (* Probe invocation k: plant a unique marker ("PROBExyz" so stale
      markers from earlier probes cannot alias), measure the live
      distance; if it is beyond the gap jump's reach, give the window a
@@ -410,6 +392,6 @@ let attack_probe_then_exploit (applied : Defenses.Defense.applied) ~seed =
               chunk
           | [] -> "")
   in
-  let outcome, stats = Runner.run_adaptive applied ~seed ~input in
+  let outcome, stats = Runner.run_adaptive ~backend applied ~seed ~input in
   Attacks.Verdict.classify outcome
     ~goal_met:(Dopkit.goal_in_output key_leak_marker stats)

@@ -38,24 +38,16 @@ val benign_chunks : string list
 (** A legitimate certificate: SANs ending with the matching peer name.
     Used to validate functional behaviour under every defense. *)
 
-val attack_static :
-  Defenses.Defense.applied -> seed:int64 -> Attacks.Verdict.t
+val attack_static : Dopkit.attack
 (** One attempt, offsets from binary analysis (falling back to an
-    Algorithm-1 guess against Smokestack). *)
-
-val attack_static_session :
-  ?backend:Machine.Backend.t ->
-  ?arm:(Machine.Exec.state -> unit) ->
-  Defenses.Defense.applied ->
-  seed:int64 ->
-  Attacks.Verdict.t * Machine.Exec.stats option * int
-(** Server-runtime form of {!attack_static}: identical craft and
-    verdict, plus engine selection, fault arming, the run's stats and
-    the number of certificate chunks delivered ([(_, None, 0)] when the
-    craft was impossible). *)
+    Algorithm-1 guess against Smokestack); the request count is the
+    number of certificate chunks delivered. *)
 
 val attack_disclosure :
-  Defenses.Defense.applied -> seed:int64 -> Attacks.Verdict.t
+  backend:Machine.Backend.t ->
+  Defenses.Defense.applied ->
+  seed:int64 ->
+  Attacks.Verdict.t
 (** Probe run: plant a recognizable SAN, scan the stack for it and for
     the caller's pointer value to measure the true callee-to-caller
     distance; exploit run: use the measured distance.  Works against
@@ -63,7 +55,10 @@ val attack_disclosure :
     per-invocation layouts. *)
 
 val attack_probe_then_exploit :
-  Defenses.Defense.applied -> seed:int64 -> Attacks.Verdict.t
+  backend:Machine.Backend.t ->
+  Defenses.Defense.applied ->
+  seed:int64 ->
+  Attacks.Verdict.t
 (** Same-run probe-then-exploit: disclose the live layout during the
     first callee invocation, exploit during a later one {e in the same
     process}.  Beats every static defense and any periodic
@@ -72,7 +67,10 @@ val attack_probe_then_exploit :
     it. *)
 
 val attack_pseudo_state :
-  Defenses.Defense.applied -> seed:int64 -> Attacks.Verdict.t
+  backend:Machine.Backend.t ->
+  Defenses.Defense.applied ->
+  seed:int64 ->
+  Attacks.Verdict.t
 (** The paper's argument for disclosure-resistant randomness, made
     executable: disclose the [pseudo] scheme's generator state word
     from VM data memory, run the (invertible) xorshift {e backwards} to

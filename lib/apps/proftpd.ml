@@ -134,24 +134,10 @@ let gadget_chunk ~op_off ~delta_off (op, delta) =
       Attacks.Overflow.bytes delta_off (String.make 1 (Char.chr delta));
     ]
 
-let run_gadgets_session ?backend ?arm applied ~seed ~marker gadgets =
-  match
-    let op_off, delta_off = op_delta_offsets applied ~seed in
-    List.map (gadget_chunk ~op_off ~delta_off) gadgets
-  with
-  | chunks ->
-      let outcome, stats =
-        Runner.run_chunks ?backend ?arm applied ~seed ~chunks
-      in
-      ( Attacks.Verdict.classify outcome
-          ~goal_met:(Dopkit.goal_in_output marker stats),
-        Some stats,
-        List.length chunks )
-  | exception Invalid_argument _ -> (Attacks.Verdict.No_effect, None, 0)
-
-let run_gadgets applied ~seed ~marker gadgets =
-  let verdict, _, _ = run_gadgets_session applied ~seed ~marker gadgets in
-  verdict
+let run_gadgets ~backend ?arm applied ~seed ~marker gadgets =
+  Dopkit.deliver ~backend ?arm applied ~seed ~marker (fun () ->
+      let op_off, delta_off = op_delta_offsets applied ~seed in
+      List.map (gadget_chunk ~op_off ~delta_off) gadgets)
 
 (* delta is a don't-care for LOAD/MOV/SEND; 1 keeps the payload NUL-free *)
 let load = (1, 1)
@@ -171,12 +157,9 @@ let key_extraction_gadgets =
   in
   walk @ leak
 
-let attack_key_extraction_session ?backend ?arm applied ~seed =
-  run_gadgets_session ?backend ?arm applied ~seed ~marker:key_leak_marker
+let attack_key_extraction ~backend ?arm applied ~seed =
+  run_gadgets ~backend ?arm applied ~seed ~marker:key_leak_marker
     key_extraction_gadgets
-
-let attack_key_extraction applied ~seed =
-  run_gadgets applied ~seed ~marker:key_leak_marker key_extraction_gadgets
 
 (* Compute an attacker-chosen 24-bit answer with double-and-add, then
    emit it: the remotely-controlled-bot simulation. *)
@@ -189,15 +172,8 @@ let bot_gadgets =
   in
   compute @ [ send ]
 
-let attack_bot_session ?backend ?arm applied ~seed =
-  run_gadgets_session ?backend ?arm applied ~seed ~marker:bot_marker bot_gadgets
+let attack_bot ~backend ?arm applied ~seed =
+  run_gadgets ~backend ?arm applied ~seed ~marker:bot_marker bot_gadgets
 
-let attack_bot applied ~seed =
-  run_gadgets applied ~seed ~marker:bot_marker bot_gadgets
-
-let attack_memperm_session ?backend ?arm applied ~seed =
-  run_gadgets_session ?backend ?arm applied ~seed ~marker:memperm_marker
-    [ setmode 7 ]
-
-let attack_memperm applied ~seed =
-  run_gadgets applied ~seed ~marker:memperm_marker [ setmode 7 ]
+let attack_memperm ~backend ?arm applied ~seed =
+  run_gadgets ~backend ?arm applied ~seed ~marker:memperm_marker [ setmode 7 ]

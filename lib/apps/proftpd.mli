@@ -25,45 +25,15 @@
     - {!attack_memperm} — set the [mode] word that gates the
       memory-permission change path (the W^X-alteration analogue).
 
-    Goal predicates: respective markers appear in the output. *)
+    Goal predicates: respective markers appear in the output.  Each
+    exploit is one {!Dopkit.attack}: the request count is the number
+    of gadget invocations delivered. *)
 
 val source : string
 val program : Ir.Prog.t Lazy.t
 
 val benign_chunks : string list
 
-val attack_key_extraction :
-  Defenses.Defense.applied -> seed:int64 -> Attacks.Verdict.t
-
-val attack_bot : Defenses.Defense.applied -> seed:int64 -> Attacks.Verdict.t
-
-val attack_memperm :
-  Defenses.Defense.applied -> seed:int64 -> Attacks.Verdict.t
-
-(** Session forms of the three exploits for the server runtime: same
-    craft and judgement as the batch functions (identical verdict for
-    identical [applied] and [seed]), but engine-selectable, able to arm
-    a fault plan on the session state, and reporting the run's stats
-    plus the number of request chunks delivered ([(_, None, 0)] when
-    the layout guess was geometrically impossible and nothing ran). *)
-
-val attack_key_extraction_session :
-  ?backend:Machine.Backend.t ->
-  ?arm:(Machine.Exec.state -> unit) ->
-  Defenses.Defense.applied ->
-  seed:int64 ->
-  Attacks.Verdict.t * Machine.Exec.stats option * int
-
-val attack_bot_session :
-  ?backend:Machine.Backend.t ->
-  ?arm:(Machine.Exec.state -> unit) ->
-  Defenses.Defense.applied ->
-  seed:int64 ->
-  Attacks.Verdict.t * Machine.Exec.stats option * int
-
-val attack_memperm_session :
-  ?backend:Machine.Backend.t ->
-  ?arm:(Machine.Exec.state -> unit) ->
-  Defenses.Defense.applied ->
-  seed:int64 ->
-  Attacks.Verdict.t * Machine.Exec.stats option * int
+val attack_key_extraction : Dopkit.attack
+val attack_bot : Dopkit.attack
+val attack_memperm : Dopkit.attack

@@ -6,9 +6,8 @@
     calls.  Restart-after-crash is simply another [run_*] call with the
     next seed.
 
-    [?backend] selects the execution engine ({!Machine.Backend});
-    defaults to {!Machine.Backend.default}, which is the reference
-    interpreter unless an experiment driver switched it.
+    [~backend] is the execution engine ({!Machine.Backend}) the run
+    uses; callers pass it down from the front-end's [--engine].
 
     [?arm] sees the prepared state after the defense runtime is
     installed and before execution — the hook the server runtime and
@@ -16,7 +15,7 @@
     states. *)
 
 val run_chunks :
-  ?backend:Machine.Backend.t ->
+  backend:Machine.Backend.t ->
   ?arm:(Machine.Exec.state -> unit) ->
   ?fuel:int ->
   ?heap_size:int ->
@@ -31,7 +30,7 @@ val run_chunks :
     exploit payloads are framed. *)
 
 val run_adaptive :
-  ?backend:Machine.Backend.t ->
+  backend:Machine.Backend.t ->
   ?arm:(Machine.Exec.state -> unit) ->
   ?fuel:int ->
   ?heap_size:int ->

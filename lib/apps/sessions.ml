@@ -1,21 +1,4 @@
-type result = {
-  verdict : Attacks.Verdict.t;
-  stats : Machine.Exec.stats option;
-  requests : int;
-}
-
-type session_fn =
-  ?backend:Machine.Backend.t ->
-  ?arm:(Machine.Exec.state -> unit) ->
-  Defenses.Defense.applied ->
-  seed:int64 ->
-  Attacks.Verdict.t * Machine.Exec.stats option * int
-
-type attack = {
-  aname : string;
-  session : session_fn;
-  batch : Defenses.Defense.applied -> seed:int64 -> Attacks.Verdict.t;
-}
+type attack = { aname : string; attack : Dopkit.attack }
 
 type app = {
   sname : string;
@@ -25,8 +8,8 @@ type app = {
   sattacks : attack list;
 }
 
-let run_benign ?backend ?arm applied ~seed ~chunks =
-  let outcome, stats = Runner.run_chunks ?backend ?arm applied ~seed ~chunks in
+let run_benign ~backend ?arm applied ~seed ~chunks : Dopkit.result =
+  let outcome, stats = Runner.run_chunks ~backend ?arm applied ~seed ~chunks in
   {
     verdict = Attacks.Verdict.classify outcome ~goal_met:false;
     stats = Some stats;
@@ -72,8 +55,8 @@ let synth_flow rng =
 
 (* ------------------------------------------------------------------ *)
 (* The registry.  Attack names match the batch cross-validation harness
-   (Harness.Crossval) so served verdicts can be compared case-for-case
-   against batch verdicts. *)
+   (Harness.Crossval), and each entry is the attack function the batch
+   harnesses run, so served verdicts compare case-for-case. *)
 
 let apps =
   [
@@ -84,21 +67,9 @@ let apps =
       benign = proftpd_flow;
       sattacks =
         [
-          {
-            aname = "proftpd/key-extraction";
-            session = Proftpd.attack_key_extraction_session;
-            batch = Proftpd.attack_key_extraction;
-          };
-          {
-            aname = "proftpd/bot";
-            session = Proftpd.attack_bot_session;
-            batch = Proftpd.attack_bot;
-          };
-          {
-            aname = "proftpd/mem-permissions";
-            session = Proftpd.attack_memperm_session;
-            batch = Proftpd.attack_memperm;
-          };
+          { aname = "proftpd/key-extraction"; attack = Proftpd.attack_key_extraction };
+          { aname = "proftpd/bot"; attack = Proftpd.attack_bot };
+          { aname = "proftpd/mem-permissions"; attack = Proftpd.attack_memperm };
         ];
     };
     {
@@ -106,28 +77,14 @@ let apps =
       sdescription = "capture session: one dissected frame";
       sprogram = Wireshark.program;
       benign = wireshark_flow;
-      sattacks =
-        [
-          {
-            aname = "wireshark/CVE-2014-2299";
-            session = Wireshark.attack_session;
-            batch = Wireshark.attack;
-          };
-        ];
+      sattacks = [ { aname = "wireshark/CVE-2014-2299"; attack = Wireshark.attack } ];
     };
     {
       sname = "librelp";
       sdescription = "TLS peer check over a client certificate's SANs";
       sprogram = Librelp.program;
       benign = librelp_flow;
-      sattacks =
-        [
-          {
-            aname = "librelp/key-leak";
-            session = Librelp.attack_static_session;
-            batch = Librelp.attack_static;
-          };
-        ];
+      sattacks = [ { aname = "librelp/key-leak"; attack = Librelp.attack_static } ];
     };
   ]
   @ List.map
@@ -137,10 +94,7 @@ let apps =
           sdescription = "synthetic request server (" ^ v.vname ^ ")";
           sprogram = v.program;
           benign = synth_flow;
-          sattacks =
-            [
-              { aname = v.vname; session = v.attack_session; batch = v.attack };
-            ];
+          sattacks = [ { aname = v.vname; attack = v.attack } ];
         })
       Synth.variants
 

@@ -7,34 +7,16 @@
     interleaved — over prepared per-tenant instances.  This module is
     the registry that makes that possible without duplicating any app
     logic: every entry reuses the application's own program, benign
-    request vocabulary, and the {e same} attack crafts as the batch
-    harness (via the [*_session] entry points), so a served attack's
-    verdict is comparable case-for-case with the batch verdict for the
-    same [applied] and [seed]. *)
-
-type result = {
-  verdict : Attacks.Verdict.t;
-  stats : Machine.Exec.stats option;
-      (** [None] when the craft was impossible and nothing ran. *)
-  requests : int;  (** request chunks delivered to the instance *)
-}
-
-type session_fn =
-  ?backend:Machine.Backend.t ->
-  ?arm:(Machine.Exec.state -> unit) ->
-  Defenses.Defense.applied ->
-  seed:int64 ->
-  Attacks.Verdict.t * Machine.Exec.stats option * int
+    request vocabulary, and the {e same} attack function the batch
+    harnesses run, so a served attack's verdict is comparable
+    case-for-case with the batch verdict for the same [applied] and
+    [seed]. *)
 
 type attack = {
   aname : string;
       (** Batch-harness case name, e.g. ["proftpd/key-extraction"] —
           matches {!Harness.Crossval} rows. *)
-  session : session_fn;
-  batch : Defenses.Defense.applied -> seed:int64 -> Attacks.Verdict.t;
-      (** The batch entry point the session craft is a superset of;
-          used by the server harness to check served verdicts against
-          batch verdicts. *)
+  attack : Dopkit.attack;
 }
 
 type app = {
@@ -49,12 +31,12 @@ type app = {
 }
 
 val run_benign :
-  ?backend:Machine.Backend.t ->
+  backend:Machine.Backend.t ->
   ?arm:(Machine.Exec.state -> unit) ->
   Defenses.Defense.applied ->
   seed:int64 ->
   chunks:string list ->
-  result
+  Dopkit.result
 (** Run a benign flow against a prepared instance and classify the
     outcome ([goal_met] is necessarily false for a benign client). *)
 

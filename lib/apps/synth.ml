@@ -4,13 +4,7 @@ type variant = {
   location : [ `Stack | `Data | `Heap ];
   source : string;
   program : Ir.Prog.t Lazy.t;
-  attack : Defenses.Defense.applied -> seed:int64 -> Attacks.Verdict.t;
-  attack_session :
-    ?backend:Machine.Backend.t ->
-    ?arm:(Machine.Exec.state -> unit) ->
-    Defenses.Defense.applied ->
-    seed:int64 ->
-    Attacks.Verdict.t * Machine.Exec.stats option * int;
+  attack : Dopkit.attack;
 }
 
 let granted = "GRANTED:"
@@ -241,13 +235,6 @@ int main() { serve(); return 0; }
 (* ------------------------------------------------------------------ *)
 (* Attack helpers                                                      *)
 
-let run_and_judge_session ?backend ?arm applied ~seed ~chunks =
-  let outcome, stats = Runner.run_chunks ?backend ?arm applied ~seed ~chunks in
-  ( Attacks.Verdict.classify outcome
-      ~goal_met:(Dopkit.goal_in_output granted stats),
-    Some stats,
-    List.length chunks )
-
 (* Stack-relative offsets of serve()'s locals, from the binary when it
    reveals them, otherwise an Algorithm-1 guess driven by the seed. *)
 let serve_offsets applied ~slots ~buffer ~vars ~seed =
@@ -263,13 +250,6 @@ let chunk_of layout assignments =
     (List.map
        (fun (var, v) -> Attacks.Overflow.u64 (List.assoc var layout) v)
        assignments)
-
-(* A layout guess can be geometrically impossible (victim below the
-   buffer, overlapping writes): the attempt is simply wasted. *)
-let attempt_session ?backend ?arm applied ~seed craft =
-  match craft () with
-  | chunks -> run_and_judge_session ?backend ?arm applied ~seed ~chunks
-  | exception Invalid_argument _ -> (Attacks.Verdict.No_effect, None, 0)
 
 let global_addr prog name =
   match List.assoc_opt name (Attacks.Layout.global_addrs prog) with
@@ -436,12 +416,9 @@ let heap_indirect_chunks applied ~seed =
 (* ------------------------------------------------------------------ *)
 
 let mk vname technique location source craft =
-  let attack_session ?backend ?arm applied ~seed =
-    attempt_session ?backend ?arm applied ~seed (fun () -> craft applied ~seed)
-  in
-  let attack applied ~seed =
-    let verdict, _, _ = attack_session applied ~seed in
-    verdict
+  let attack ~backend ?arm applied ~seed =
+    Dopkit.deliver ~backend ?arm applied ~seed ~marker:granted (fun () ->
+        craft applied ~seed)
   in
   {
     vname;
@@ -450,7 +427,6 @@ let mk vname technique location source craft =
     source;
     program = lazy (Minic.Driver.compile source);
     attack;
-    attack_session;
   }
 
 let variants =

@@ -21,17 +21,9 @@ type variant = {
   location : [ `Stack | `Data | `Heap ];
   source : string;  (** MiniC *)
   program : Ir.Prog.t Lazy.t;
-  attack : Defenses.Defense.applied -> seed:int64 -> Attacks.Verdict.t;
-  attack_session :
-    ?backend:Machine.Backend.t ->
-    ?arm:(Machine.Exec.state -> unit) ->
-    Defenses.Defense.applied ->
-    seed:int64 ->
-    Attacks.Verdict.t * Machine.Exec.stats option * int;
-      (** Server-runtime form of [attack]: identical craft and verdict,
-          plus engine selection, fault arming, the run's stats and the
-          number of request chunks delivered ([(_, None, 0)] when the
-          craft was impossible). *)
+  attack : Dopkit.attack;
+      (** one attempt; the request count is the number of request
+          chunks delivered *)
 }
 
 val variants : variant list

@@ -57,7 +57,7 @@ let callee_slots =
 
 let caller_slots = [ ("fdata", 2048, 1); ("cell_list", 8, 8); ("flen", 8, 8) ]
 
-let attack_session ?backend ?arm (applied : Defenses.Defense.applied) ~seed =
+let attack ~backend ?arm (applied : Defenses.Defense.applied) ~seed =
   let chain = [ "main"; caller; callee ] in
   let rows = Attacks.Layout.chain applied.prog chain in
   let rel_of =
@@ -96,7 +96,7 @@ let attack_session ?backend ?arm (applied : Defenses.Defense.applied) ~seed =
           if String.equal f callee then List.assoc v callee_guess - pd_off
           else slab caller (List.assoc v caller_guess) - pd_off
   in
-  match
+  Dopkit.deliver ~backend ?arm applied ~seed ~marker:granted (fun () ->
     let gaddrs = Attacks.Layout.global_addrs applied.prog in
     let addr name = Int64.of_int (List.assoc name gaddrs) in
     (* a two-gadget chain of "[col] <- [cinfo] + packet_list" stores,
@@ -118,18 +118,4 @@ let attack_session ?backend ?arm (applied : Defenses.Defense.applied) ~seed =
         ~remaining:2L;
       frame ~col:(addr "w_auth") ~cinfo:(addr "w_scratch") ~addend:0x337L
         ~remaining:1L;
-    ]
-  with
-  | chunks ->
-      let outcome, stats =
-        Runner.run_chunks ?backend ?arm applied ~seed ~chunks
-      in
-      ( Attacks.Verdict.classify outcome
-          ~goal_met:(Dopkit.goal_in_output granted stats),
-        Some stats,
-        List.length chunks )
-  | exception Invalid_argument _ -> (Attacks.Verdict.No_effect, None, 0)
-
-let attack applied ~seed =
-  let verdict, _, _ = attack_session applied ~seed in
-  verdict
+    ])

@@ -24,16 +24,6 @@ val program : Ir.Prog.t Lazy.t
 val granted : string
 val benign_chunks : string list
 
-val attack : Defenses.Defense.applied -> seed:int64 -> Attacks.Verdict.t
+val attack : Dopkit.attack
 (** One attempt: binary-analysis offsets, Algorithm-1 guess against
-    Smokestack. *)
-
-val attack_session :
-  ?backend:Machine.Backend.t ->
-  ?arm:(Machine.Exec.state -> unit) ->
-  Defenses.Defense.applied ->
-  seed:int64 ->
-  Attacks.Verdict.t * Machine.Exec.stats option * int
-(** Server-runtime form of {!attack}: identical craft and verdict, plus
-    engine selection, fault arming, the run's stats, and the number of
-    frames delivered ([(_, None, 0)] when the craft was impossible). *)
+    Smokestack; the request count is the number of frames delivered. *)

@@ -20,7 +20,7 @@ let configs =
     ("no VLA padding", { base with vla_padding = false });
   ]
 
-let run ?(pool = Sched.Pool.sequential) ?(seed = 1L) () =
+let run ?(pool = Sched.Pool.sequential) ~backend ?(seed = 1L) () =
   let probe =
     match Apps.Spec.find "gobmk" with
     | Some w -> w
@@ -42,7 +42,7 @@ let run ?(pool = Sched.Pool.sequential) ?(seed = 1L) () =
                      acc + Smokestack.Harden.pbox_bytes hardened)
                    0 Apps.Spec.all
                in
-               let stats, _ = Workbench.smokestack_stats ~seed config probe in
+               let stats, _ = Workbench.smokestack_stats ~backend ~seed config probe in
                { label; config; total_pbox_bytes; gobmk_cycles = stats.cycles }))
          configs)
   in

@@ -129,19 +129,19 @@ let verdicts_of_entry e =
           | _ -> None)
         pairs (Some []))
 
-let cached_verdicts ?store ~source ~config ~extra thunk =
+let cached_verdicts ?store ~(backend : Machine.Backend.t) ~source ~config ~extra
+    thunk =
   match store with
   | None -> thunk ()
   | Some store ->
       Store.Cache.memo store
         (Store.Key.of_source ~source_text:source ~config
-           ~engine:(Machine.Backend.default ()).Machine.Backend.kind ~seed:17L
-           ~extra ())
+           ~engine:backend.kind ~seed:17L ~extra ())
         ~encode:(fun vs ->
           Store.Entry.verdicts_entry (List.map verdict_to_pair vs))
         ~decode:verdicts_of_entry thunk
 
-let run ?(pool = Sched.Pool.sequential) ?store ?(trials = 6) () =
+let run ?(pool = Sched.Pool.sequential) ~backend ?store ?(trials = 6) () =
   let cases = cases () in
   (* Static pass: once per distinct program (the proftpd exploits share
      one), in the submitting domain — the analysis is pure and fast
@@ -160,10 +160,10 @@ let run ?(pool = Sched.Pool.sequential) ?store ?(trials = 6) () =
   let rows =
     Sched.Pool.run_all pool
       (List.map
-         (fun (cname, source, prog, attack, witnesses) ->
+         (fun (cname, source, prog, (attack : Apps.Dopkit.attack), witnesses) ->
            Sched.Job.v ~id:("crossval/" ^ cname) ~seed:3L (fun () ->
                let verdicts =
-                 cached_verdicts ?store ~source ~config:None
+                 cached_verdicts ?store ~backend ~source ~config:None
                    ~extra:
                      (Printf.sprintf "crossval;case=%s;trials=%d;seed0=17"
                         cname trials)
@@ -172,7 +172,9 @@ let run ?(pool = Sched.Pool.sequential) ?store ?(trials = 6) () =
                        Defenses.Defense.apply ~seed:3L
                          Defenses.Defense.No_defense prog
                      in
-                     Security.trials attack applied ~n:trials ~seed0:17)
+                     Security.trials
+                       (fun a ~seed -> (attack ~backend a ~seed).verdict)
+                       applied ~n:trials ~seed0:17)
                in
                let dynamic_success =
                  List.exists (( = ) Attacks.Verdict.Success) verdicts
@@ -212,8 +214,8 @@ let selective_config =
    outcome and output.  Stats like cycles legitimately differ — the
    elided functions skip the permutation loads — so they are not
    compared. *)
-let run_selective ?(pool = Sched.Pool.sequential) ?store ?(trials = 6)
-    ?(progen_seeds = 8) () =
+let run_selective ?(pool = Sched.Pool.sequential) ~(backend : Machine.Backend.t)
+    ?store ?(trials = 6) ?(progen_seeds = 8) () =
   (* the elision oracle behind Config.selective lives in lib/analysis *)
   Analysis.Validate.install ();
   let full = Defenses.Defense.Smokestack Smokestack.Config.default in
@@ -229,16 +231,17 @@ let run_selective ?(pool = Sched.Pool.sequential) ?store ?(trials = 6)
   in
   let attack_jobs =
     List.map
-      (fun (cname, source, prog, attack, _) ->
+      (fun (cname, source, prog, (attack : Apps.Dopkit.attack), _) ->
         Sched.Job.v ~id:("selective/" ^ cname) ~seed:3L (fun () ->
             let verdicts_under d =
-              cached_verdicts ?store ~source ~config:(config_of d)
+              cached_verdicts ?store ~backend ~source ~config:(config_of d)
                 ~extra:
                   (Printf.sprintf
                      "selective;case=%s;trials=%d;seed0=17;hseed=3" cname
                      trials)
                 (fun () ->
-                  Security.trials attack
+                  Security.trials
+                    (fun a ~seed -> (attack ~backend a ~seed).verdict)
                     (Defenses.Defense.apply ~seed:3L d prog)
                     ~n:trials ~seed0:17)
             in
@@ -266,7 +269,7 @@ let run_selective ?(pool = Sched.Pool.sequential) ?store ?(trials = 6)
             let run_under d =
               let fresh () =
                 Store.Entry.exec_of_run
-                  (Apps.Runner.run_chunks
+                  (Apps.Runner.run_chunks ~backend
                      (Defenses.Defense.apply ~seed:3L d
                         (Lazy.force prog))
                      ~seed:7L ~chunks:[])
@@ -276,10 +279,8 @@ let run_selective ?(pool = Sched.Pool.sequential) ?store ?(trials = 6)
               | Some store ->
                   Store.Cache.memo store
                     (Store.Key.of_source ~source_text:psource
-                       ~config:(config_of d)
-                       ~engine:
-                         (Machine.Backend.default ()).Machine.Backend.kind
-                       ~seed:7L ~extra:"selective;chunks=;hseed=3" ())
+                       ~config:(config_of d) ~engine:backend.kind ~seed:7L
+                       ~extra:"selective;chunks=;hseed=3" ())
                     ~encode:Store.Entry.exec_entry
                     ~decode:Store.Entry.exec_of_entry fresh
             in

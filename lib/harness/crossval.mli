@@ -30,8 +30,14 @@ type row = {
 
 type t = { rows : row list; all_validated : bool }
 
-val run : ?pool:Sched.Pool.t -> ?store:Store.Cache.t -> ?trials:int -> unit -> t
-(** Static analysis runs once per distinct program in the submitting
+val run :
+  ?pool:Sched.Pool.t ->
+  backend:Machine.Backend.t ->
+  ?store:Store.Cache.t ->
+  ?trials:int ->
+  unit ->
+  t
+(** The dynamic trials run on [~backend].  Static analysis runs once per distinct program in the submitting
     domain; only the dynamic trials are parallelized.  With [?store],
     each case's verdict list is served from (and recorded to) the store
     keyed on its program source, the attack-case name and the trial
@@ -50,6 +56,7 @@ val output : t -> Output.t
 
 val cached_verdicts :
   ?store:Store.Cache.t ->
+  backend:Machine.Backend.t ->
   source:string ->
   config:Smokestack.Config.t option ->
   extra:string ->
@@ -58,7 +65,7 @@ val cached_verdicts :
 (** {!Store.Cache.memo} of a verdict list (just the thunk without a
     store): served from the store when warm, else run and recorded.
     The key is content-addressed on the program source,
-    the hardening config, the default engine kind and [extra] (which
+    the hardening config, [backend]'s kind and [extra] (which
     must carry every further determinism input: case name, trial count,
     seeds). *)
 
@@ -82,6 +89,7 @@ type selective_t = { srows : selective_row list; all_identical : bool }
 
 val run_selective :
   ?pool:Sched.Pool.t ->
+  backend:Machine.Backend.t ->
   ?store:Store.Cache.t ->
   ?trials:int ->
   ?progen_seeds:int ->

@@ -94,11 +94,11 @@ let output_visible (lk : Analysis.Leakan.t) =
 (* Dynamic side: the fully hardened build under [seeds] entropy seeds.
    Leak-free programs must print the same bytes every time (the
    differential-oracle property); leaking ones must not. *)
-let distinct_outputs applied ~chunks ~seeds =
+let distinct_outputs ~backend applied ~chunks ~seeds =
   let outputs =
     List.init seeds (fun s ->
         let _, stats =
-          Apps.Runner.run_chunks applied
+          Apps.Runner.run_chunks ~backend applied
             ~seed:(Int64.of_int (101 + (17 * s)))
             ~chunks
         in
@@ -108,12 +108,12 @@ let distinct_outputs applied ~chunks ~seeds =
 
 let full_config = Defenses.Defense.Smokestack Smokestack.Config.default
 
-let check_program entry ~seeds =
+let check_program ~backend entry ~seeds =
   let prog = Lazy.force entry.eprogram in
   let lk = Analysis.Leakan.analyze prog in
   let visible = output_visible lk in
   let applied = Defenses.Defense.apply ~seed:3L full_config prog in
-  let distinct = distinct_outputs applied ~chunks:entry.echunks ~seeds in
+  let distinct = distinct_outputs ~backend applied ~chunks:entry.echunks ~seeds in
   {
     pname = entry.ename;
     static_leaks = List.length visible;
@@ -196,7 +196,7 @@ let reach_factor prog (chain : Dopc.Chain.t) =
                       else float_of_int n /. float_of_int !ok
                   | _ -> 1.))))
 
-let guided_measurement ~budget ~walks () =
+let guided_measurement ~backend ~budget ~walks () =
   match Apps.Synth.find "stack-leaky" with
   | None -> None
   | Some v -> (
@@ -223,12 +223,12 @@ let guided_measurement ~budget ~walks () =
           let applied = Defenses.Defense.apply ~seed:3L full_config prog in
           let blind_attempts =
             Attacks.Bruteforce.attempts_to_success
-              (Dopc.Exec.brute applied chain ~budget ~seed0:0)
+              (Dopc.Exec.brute ~backend applied chain ~budget ~seed0:0)
           in
           let guided_attempts =
             List.init walks (fun w ->
                 Attacks.Bruteforce.attempts_to_success
-                  (Dopc.Exec.brute_guided applied chain
+                  (Dopc.Exec.brute_guided ~backend applied chain
                      ~disclosed:guide.Dopc.Plan.disclosed ~budget
                      ~seed0:(1000 * (w + 1))))
           in
@@ -264,7 +264,7 @@ let guided_measurement ~budget ~walks () =
 
 (* ------------------------------------------------------------------ *)
 
-let run ?(pool = Sched.Pool.sequential) ?(seeds = 8) ?(progen = 5)
+let run ?(pool = Sched.Pool.sequential) ~backend ?(seeds = 8) ?(progen = 5)
     ?(leaky_progen = 8) ?(progen_seed = 9001L) ?(budget = 600) ?(walks = 5) ()
     =
   Analysis.Validate.install ();
@@ -280,11 +280,11 @@ let run ?(pool = Sched.Pool.sequential) ?(seeds = 8) ?(progen = 5)
       (List.map
          (fun e ->
            Sched.Job.v ~id:("leakcheck/" ^ e.ename) ~seed:3L (fun () ->
-               `Row (check_program e ~seeds)))
+               `Row (check_program ~backend e ~seeds)))
          entries
       @ [
           Sched.Job.v ~id:"leakcheck/guided" ~seed:3L (fun () ->
-              `Guided (guided_measurement ~budget ~walks ()));
+              `Guided (guided_measurement ~backend ~budget ~walks ()));
         ])
   in
   let rows =
@@ -369,9 +369,9 @@ let guided_only_table guided =
 
 let guided_table t = guided_only_table t.guided
 
-let guided_run ?(budget = 600) ?(walks = 5) () =
+let guided_run ~backend ?(budget = 600) ?(walks = 5) () =
   Analysis.Validate.install ();
-  guided_measurement ~budget ~walks ()
+  guided_measurement ~backend ~budget ~walks ()
 
 let output t =
   [

@@ -75,6 +75,7 @@ type t = {
 
 val run :
   ?pool:Sched.Pool.t ->
+  backend:Machine.Backend.t ->
   ?seeds:int ->
   ?progen:int ->
   ?leaky_progen:int ->
@@ -88,7 +89,8 @@ val run :
     [progen_seed] (default 9001), blind/guided [budget] 600 per walk,
     [walks] 5 guided restart walks. *)
 
-val guided_run : ?budget:int -> ?walks:int -> unit -> guided option
+val guided_run :
+  backend:Machine.Backend.t -> ?budget:int -> ?walks:int -> unit -> guided option
 (** Just the guided-attack half, without the corpus sweep — the
     [smokestackc attack --leak-guided] entry point.  Defaults as in
     {!run}; [None] if the planner found no guidable chain. *)

@@ -19,6 +19,7 @@ type t = { rows : row list; mean_pct : float }
 
 val run :
   ?pool:Sched.Pool.t ->
+  backend:Machine.Backend.t ->
   ?workloads:Apps.Spec.workload list ->
   ?seed:int64 ->
   unit ->

@@ -62,8 +62,7 @@ type target = {
   name : string;
   source : string;
   program : Ir.Prog.t Lazy.t;
-  hand :
-    (Defenses.Defense.applied -> seed:int64 -> Attacks.Verdict.t) option;
+  hand : Apps.Dopkit.attack option;
 }
 
 let io_workloads = [ "proftpd-io"; "wireshark-io" ]
@@ -91,7 +90,7 @@ let available_workloads () = List.map (fun t -> t.name) (builtin_targets ())
 
 let has_success = List.exists (( = ) Attacks.Verdict.Success)
 
-let run ?(pool = Sched.Pool.sequential) ?store ?(trials = 6)
+let run ?(pool = Sched.Pool.sequential) ~backend ?store ?(trials = 6)
     ?(brute_budget = 600) ?(max_chains = 8) ?workloads ?(progen = 0)
     ?(progen_seed = 9001L) () =
   (* the elision oracle behind Config.selective lives in lib/analysis *)
@@ -150,15 +149,15 @@ let run ?(pool = Sched.Pool.sequential) ?store ?(trials = 6)
                        List.map
                          (fun (dn, (d, applied)) ->
                            ( dn,
-                             Crossval.cached_verdicts ?store ~source:tgt.source
-                               ~config:(config_of d)
+                             Crossval.cached_verdicts ?store ~backend
+                               ~source:tgt.source ~config:(config_of d)
                                ~extra:
                                  (Printf.sprintf
                                     "offense;chain=%s;defense=%s;trials=%d;seed0=17;hseed=3"
                                     chain.chain_id dn trials)
                                (fun () ->
-                                 Dopc.Exec.trials (Lazy.force applied) chain
-                                   ~n:trials ~seed0:17) ))
+                                 Dopc.Exec.trials ~backend (Lazy.force applied)
+                                   chain ~n:trials ~seed0:17) ))
                          applied_of
                      in
                      { ctname = tgt.name; chain; cells })
@@ -187,15 +186,15 @@ let run ?(pool = Sched.Pool.sequential) ?store ?(trials = 6)
                  | None -> []
                  | Some r ->
                      let synth_verdicts =
-                       Crossval.cached_verdicts ?store ~source:tgt.source
-                         ~config:(config_of full_d)
+                       Crossval.cached_verdicts ?store ~backend
+                         ~source:tgt.source ~config:(config_of full_d)
                          ~extra:
                            (Printf.sprintf
                               "offense;brute;chain=%s;budget=%d;seed0=0;hseed=3"
                               r.chain.chain_id brute_budget)
                          (fun () ->
-                           Dopc.Exec.brute (Lazy.force full_applied) r.chain
-                             ~budget:brute_budget ~seed0:0)
+                           Dopc.Exec.brute ~backend (Lazy.force full_applied)
+                             r.chain ~budget:brute_budget ~seed0:0)
                      in
                      let synth_row =
                        {
@@ -215,8 +214,8 @@ let run ?(pool = Sched.Pool.sequential) ?store ?(trials = 6)
                        | None -> []
                        | Some attack ->
                            let verdicts =
-                             Crossval.cached_verdicts ?store ~source:tgt.source
-                               ~config:(config_of full_d)
+                             Crossval.cached_verdicts ?store ~backend
+                               ~source:tgt.source ~config:(config_of full_d)
                                ~extra:
                                  (Printf.sprintf
                                     "offense;brute-hand;budget=%d;seed0=0;hseed=3"
@@ -227,7 +226,9 @@ let run ?(pool = Sched.Pool.sequential) ?store ?(trials = 6)
                                  let applied = Lazy.force full_applied in
                                  (Attacks.Bruteforce.run
                                     ~max_attempts:brute_budget (fun seed ->
-                                      attack applied ~seed:(Int64.of_int seed)))
+                                      (attack ~backend applied
+                                         ~seed:(Int64.of_int seed))
+                                        .verdict))
                                    .verdicts)
                            in
                            [

@@ -82,6 +82,7 @@ val available_workloads : unit -> string list
 
 val run :
   ?pool:Sched.Pool.t ->
+  backend:Machine.Backend.t ->
   ?store:Store.Cache.t ->
   ?trials:int ->
   ?brute_budget:int ->

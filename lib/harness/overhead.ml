@@ -15,7 +15,7 @@ type t = {
    per (workload, scheme) cell.  Rows are reassembled from the cell
    list by submission order, so the parallel report is byte-identical
    to the sequential one. *)
-let run ?(pool = Sched.Pool.sequential) ?(workloads = Apps.Spec.all)
+let run ?(pool = Sched.Pool.sequential) ~backend ?(workloads = Apps.Spec.all)
     ?(seed = 1L) () =
   Workbench.force_programs workloads;
   let baselines =
@@ -23,7 +23,7 @@ let run ?(pool = Sched.Pool.sequential) ?(workloads = Apps.Spec.all)
       (List.map
          (fun (w : Apps.Spec.workload) ->
            Sched.Job.v ~id:("fig3/baseline/" ^ w.wname) ~seed (fun () ->
-               Workbench.baseline ~seed w))
+               Workbench.baseline ~backend ~seed w))
          workloads)
   in
   let cell_jobs =
@@ -38,7 +38,7 @@ let run ?(pool = Sched.Pool.sequential) ?(workloads = Apps.Spec.all)
                 let config =
                   Smokestack.Config.with_scheme scheme Smokestack.Config.default
                 in
-                let stats, _ = Workbench.smokestack_stats ~seed config w in
+                let stats, _ = Workbench.smokestack_stats ~backend ~seed config w in
                 let measured =
                   Sutil.Stats.percent_overhead ~baseline:base.cycles
                     ~measured:stats.cycles

@@ -16,6 +16,7 @@ type t = {
 
 val run :
   ?pool:Sched.Pool.t ->
+  backend:Machine.Backend.t ->
   ?workloads:Apps.Spec.workload list ->
   ?seed:int64 ->
   unit ->

@@ -5,21 +5,23 @@ type entry = {
   key : string;
   title : string;
   claim : string;
-  run : Sched.Pool.t -> outcome;
+  run : Sched.Pool.t -> Machine.Backend.t -> outcome;
 }
 
 let outcome ?(invariants = []) output = { output; invariants }
 let pipe name title tbl = Output.table ~form:Output.Pipe name title tbl
 
 (* ------------------------------------------------------------------ *)
-(* Runners                                                             *)
+(* Runners.  Table I and the chaos matrix pin their engines (the
+   reference interpreter; both engines, cell by cell), so they ignore
+   the backend they are handed. *)
 
-let table1 pool =
+let table1 pool (_ : Machine.Backend.t) =
   let tbl = Randrate.table (Randrate.run ~pool ()) in
   outcome [ pipe "table1" "Table I: source of randomness (cycles per 64-bit draw)" tbl ]
 
-let fig3 pool =
-  let t = Overhead.run ~pool () in
+let fig3 pool backend =
+  let t = Overhead.run ~pool ~backend () in
   outcome
     [
       pipe "fig3" "Figure 3: % runtime overhead (SPEC-like + I/O workloads)" (Overhead.table t);
@@ -27,20 +29,20 @@ let fig3 pool =
         (Sutil.Texttable.fmt_pct t.io_worst);
     ]
 
-let fig4 pool =
-  let tbl = Memov.table (Memov.run ~pool ()) in
+let fig4 pool backend =
+  let tbl = Memov.table (Memov.run ~pool ~backend ()) in
   outcome [ pipe "fig4" "Figure 4: % memory overhead (max-RSS proxy)" tbl ]
 
-let security name run pool =
-  let t : Security.t = run pool in
+let security name run pool backend =
+  let t : Security.t = run pool backend in
   outcome [ pipe name t.title (Security.table t) ]
 
-let ablation pool =
-  let tbl = Ablation.table (Ablation.run ~pool ()) in
+let ablation pool backend =
+  let tbl = Ablation.table (Ablation.run ~pool ~backend ()) in
   outcome [ pipe "ablation" "E7: P-BOX optimization ablation" tbl ]
 
-let brute pool =
-  let tbl = Security.brute_table (Security.brute ~pool ()) in
+let brute pool backend =
+  let tbl = Security.brute_table (Security.brute ~pool ~backend ()) in
   outcome [ pipe "brute" "E8: brute-force attempts until the librelp exploit lands" tbl ]
 
 (* E9: the librelp exploit needs the guessed allNames-to-keyPtr
@@ -48,7 +50,7 @@ let brute pool =
    different (allNames, keyPtr) pairs giving the same difference all
    work, so the right prediction is the collision probability of the
    distance distribution restricted to reachable distances. *)
-let entropy (_ : Sched.Pool.t) =
+let entropy (_ : Sched.Pool.t) backend =
   let prog = Lazy.force Apps.Librelp.program in
   let hardened = Smokestack.Harden.harden Smokestack.Config.default prog in
   let binding fname = Option.get (Smokestack.Pbox.binding hardened.pbox fname) in
@@ -92,7 +94,10 @@ let entropy (_ : Sched.Pool.t) =
   let n = 400 in
   let hits = ref 0 in
   for i = 0 to n - 1 do
-    match Apps.Librelp.attack_static applied ~seed:(Int64.of_int (40_000 + i)) with
+    match
+      (Apps.Librelp.attack_static ~backend applied ~seed:(Int64.of_int (40_000 + i)))
+        .verdict
+    with
     | Attacks.Verdict.Success -> incr hits
     | _ -> ()
   done;
@@ -113,8 +118,8 @@ let entropy (_ : Sched.Pool.t) =
   List.iter (fun (k, v) -> Sutil.Texttable.add_row tbl [ k; v ]) rows;
   outcome [ pipe "entropy" "E9: librelp per-attempt success, entropy prediction vs measured" tbl ]
 
-let rerand pool =
-  let tbl = Security.rerand_table (Security.rerandomization ~pool ()) in
+let rerand pool backend =
+  let tbl = Security.rerand_table (Security.rerandomization ~pool ~backend ()) in
   outcome
     [
       pipe "rerand"
@@ -123,16 +128,16 @@ let rerand pool =
         tbl;
     ]
 
-let analysis pool =
+let analysis pool backend =
   let t = Surface.run ~pool () in
-  let cv = Crossval.run ~pool () in
+  let cv = Crossval.run ~pool ~backend () in
   outcome ~invariants:[ ("all_validated", cv.all_validated) ] (Surface.output t @ Crossval.output cv)
 
-let chaos pool = outcome (Chaos.output (Chaos.run ~pool ()))
+let chaos pool (_ : Machine.Backend.t) = outcome (Chaos.output (Chaos.run ~pool ()))
 
-let selective pool =
-  let t = Selective.run ~pool () in
-  let cv = Crossval.run_selective ~pool () in
+let selective pool backend =
+  let t = Selective.run ~pool ~backend () in
+  let cv = Crossval.run_selective ~pool ~backend () in
   outcome ~invariants:[ ("all_identical", cv.all_identical) ]
     (pipe "selective"
        "E14: selective hardening — overhead and P-BOX bytes, full vs validator-certified elision"
@@ -141,8 +146,8 @@ let selective pool =
          (Sutil.Texttable.fmt_pct t.mean_delta) t.mean_pbox_saving_pct
     :: Crossval.selective_output cv)
 
-let serve pool =
-  let t = Serve.run ~pool () in
+let serve pool backend =
+  let t = Serve.run ~pool ~backend () in
   outcome ~invariants:[ ("batch_mismatches = 0", t.summary.batch_mismatches = 0) ] (Serve.output t)
 
 let rec rm_rf path =
@@ -156,7 +161,7 @@ let rec rm_rf path =
    even if a phase raises.  The report shows the store counters and
    digests; the wall-clock table of the same two phases goes to JSON
    only. *)
-let campaign pool =
+let campaign pool (backend : Machine.Backend.t) =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "smokestack-e16-store-%d" (Unix.getpid ()))
@@ -166,8 +171,7 @@ let campaign pool =
   Fun.protect ~finally:clean @@ fun () ->
   let store = Store.Cache.open_disk dir in
   let config =
-    Store.Campaign.config ~seed:1000L ~count:200
-      ~engine:(Machine.Backend.default ()).Machine.Backend.kind ()
+    Store.Campaign.config ~seed:1000L ~count:200 ~engine:backend.kind ()
   in
   let phase label =
     Store.Cache.reset_stats store;
@@ -221,8 +225,8 @@ let campaign pool =
         timed;
     ]
 
-let attack pool =
-  let t = Offense.run ~pool ~progen:10 () in
+let attack pool backend =
+  let t = Offense.run ~pool ~backend ~progen:10 () in
   outcome
     ~invariants:
       [
@@ -232,8 +236,8 @@ let attack pool =
       ]
     (Offense.output t)
 
-let resilience pool =
-  let t = Resilience.run ~pool () in
+let resilience pool backend =
+  let t = Resilience.run ~pool ~backend () in
   outcome
     ~invariants:
       [
@@ -243,8 +247,8 @@ let resilience pool =
       ]
     (Resilience.output t)
 
-let leaks pool =
-  let t = Leakcheck.run ~pool () in
+let leaks pool backend =
+  let t = Leakcheck.run ~pool ~backend () in
   let within = match t.guided with Some g -> g.within_bound | None -> false in
   outcome
     ~invariants:[ ("disagreements = 0", t.disagreements = 0); ("within_bound", within) ]
@@ -274,7 +278,7 @@ let all =
        comparatively low.";
     entry "E4" "bypass"
       "§II-C: bypassing prior stack randomizations (librelp PoC)"
-      (security "bypass" (fun pool -> Security.bypass_prior ~pool ()))
+      (security "bypass" (fun pool backend -> Security.bypass_prior ~pool ~backend ()))
       "Paper: the CVE-2018-1000140 DOP exploit defeats stack-base \
        randomization, random padding, and static permutation (via binary \
        analysis / disclosure / brute force); the non-linear snprintf gap \
@@ -282,14 +286,14 @@ let all =
        per-build defenses):";
     entry "E5" "pentest"
       "§V-C: synthetic penetration tests"
-      (security "pentest" (fun pool -> Security.pentest ~pool ()))
+      (security "pentest" (fun pool backend -> Security.pentest ~pool ~backend ()))
       "Paper: Smokestack stopped all direct and indirect overflow attacks \
        from stack, data-segment and heap buffers; prior defenses did not.  \
        (stack-base stops only the attacks needing *absolute* addresses; \
        static-perm rows read as the fraction of builds exploitable.)";
     entry "E6" "realvuln"
       "§V-C: real vulnerabilities"
-      (security "realvuln" (fun pool -> Security.realvuln ~pool ()))
+      (security "realvuln" (fun pool backend -> Security.realvuln ~pool ~backend ()))
       "Paper: the Wireshark CVE-2014-2299 DOP exploit, the three ProFTPD \
        CVE-2006-5815 exploits (private-key extraction through the pointer \
        chain, bot simulation, memory-permission alteration), and the \
@@ -318,7 +322,7 @@ let all =
        now with numbers.";
     entry "E10" "rngsec"
       "state-disclosure prediction vs randomness scheme (extension)"
-      (security "rngsec" (fun pool -> Security.rng_security ~pool ()))
+      (security "rngsec" (fun pool backend -> Security.rng_security ~pool ~backend ()))
       "Table I's security column, executed.  The attacker reads the pseudo \
        generator's state word from VM data memory (the threat model grants \
        full read access), inverts the xorshift to recover the draws that laid \

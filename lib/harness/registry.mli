@@ -1,7 +1,8 @@
 (** The experiment registry: every paper experiment E1–E19, declared once.
 
     Each entry carries its E-id, its key, the report heading and
-    paper-claim paragraph, and one runner.  A runner's {!outcome} holds
+    paper-claim paragraph, and one runner, which executes its programs
+    on the backend its caller passes.  A runner's {!outcome} holds
     the experiment's output as one {!Output.t} — the EXPERIMENTS.md body
     and every [BENCH_<name>.json] are both rendered from it by
     [bin/experiments.exe] — plus the experiment's headline invariants
@@ -18,7 +19,7 @@ type entry = {
   key : string;  (** command-line key, e.g. ["table1"] *)
   title : string;  (** heading text after the E-id *)
   claim : string;  (** the paper-claim paragraph *)
-  run : Sched.Pool.t -> outcome;
+  run : Sched.Pool.t -> Machine.Backend.t -> outcome;
 }
 
 val all : entry list

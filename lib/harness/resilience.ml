@@ -107,7 +107,7 @@ let predicted_attempts hardened func =
           .Smokestack.Entropy_an.expected_bruteforce_attempts
   | None -> None
 
-let cost_corpus ~pool ?store config =
+let cost_corpus ~pool ~backend ?store config =
   let policy_on =
     match config.resilient.Server.Dispatch.policy with
     | Some p -> p
@@ -158,7 +158,7 @@ let cost_corpus ~pool ?store config =
                in
                let hand_row =
                  let verdicts =
-                   Crossval.cached_verdicts ?store ~source:v.source
+                   Crossval.cached_verdicts ?store ~backend ~source:v.source
                      ~config:(hardened_config config.defense)
                      ~extra:
                        (Printf.sprintf
@@ -169,7 +169,8 @@ let cost_corpus ~pool ?store config =
                           hand-written attacks with *)
                        (Attacks.Bruteforce.run ~max_attempts:config.budget
                           (fun seed ->
-                            v.attack applied ~seed:(Int64.of_int seed)))
+                            (v.attack ~backend applied ~seed:(Int64.of_int seed))
+                              .verdict))
                          .verdicts)
                  in
                  mk ~kind:"hand-written" ~func:hand_func verdicts
@@ -182,15 +183,15 @@ let cost_corpus ~pool ?store config =
                  | None -> []
                  | Some chain ->
                      let verdicts =
-                       Crossval.cached_verdicts ?store ~source:v.source
+                       Crossval.cached_verdicts ?store ~backend ~source:v.source
                          ~config:(hardened_config config.defense)
                          ~extra:
                            (Printf.sprintf
                               "resilience;brute;chain=%s;budget=%d;seed0=0;hseed=3"
                               chain.Dopc.Chain.chain_id config.budget)
                          (fun () ->
-                           Dopc.Exec.brute applied chain ~budget:config.budget
-                             ~seed0:0)
+                           Dopc.Exec.brute ~backend applied chain
+                             ~budget:config.budget ~seed0:0)
                      in
                      [
                        mk
@@ -222,7 +223,7 @@ let benign_p99 (d : Server.Dispatch.t) =
   Array.sort compare sojourns;
   Server.Metrics.percentile sojourns 99.
 
-let run ?(pool = Sched.Pool.sequential) ?backend ?store ?(config = default) ()
+let run ?(pool = Sched.Pool.sequential) ~backend ?store ?(config = default) ()
     =
   (* the elision oracle behind Config.selective lives in lib/analysis;
      chain synthesis probes want it installed like E17 does *)
@@ -235,7 +236,7 @@ let run ?(pool = Sched.Pool.sequential) ?backend ?store ?(config = default) ()
   (* execute once — admission policy never changes a session's verdict
      or service time, so every cell below replays the same outcomes *)
   let executed, dropped =
-    Server.Dispatch.execute ~pool ?backend ~config:config.baseline tenants
+    Server.Dispatch.execute ~pool ~backend ~config:config.baseline tenants
       specs
   in
   let cell cname cfg =
@@ -249,7 +250,7 @@ let run ?(pool = Sched.Pool.sequential) ?backend ?store ?(config = default) ()
   in
   let baseline = cell "fcfs baseline (affinity off)" config.baseline in
   let resilient = cell "wfq + breakers + degradation" config.resilient in
-  let cost_rows = cost_corpus ~pool ?store config in
+  let cost_rows = cost_corpus ~pool ~backend ?store config in
   let is_hand r = String.equal r.rkind "hand-written" in
   {
     config;

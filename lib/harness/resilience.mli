@@ -65,7 +65,7 @@ type t = {
 
 val run :
   ?pool:Sched.Pool.t ->
-  ?backend:Machine.Backend.t ->
+  backend:Machine.Backend.t ->
   ?store:Store.Cache.t ->
   ?config:config ->
   unit ->

@@ -28,7 +28,7 @@ let defenses () = Defenses.Defense.all ()
    program (a fresh Ir.Prog copy) and runs its trials, so nothing is
    shared between jobs but the read-only source program, pre-forced in
    the submitting domain. *)
-let pentest ?(pool = Sched.Pool.sequential) ?(trials_per_cell = 12)
+let pentest ?(pool = Sched.Pool.sequential) ~backend ?(trials_per_cell = 12)
     ?(build_seed = 3L) () =
   let cells =
     Sched.Pool.run_all pool
@@ -44,19 +44,22 @@ let pentest ?(pool = Sched.Pool.sequential) ?(trials_per_cell = 12)
                  (fun () ->
                    let applied = Defenses.Defense.apply ~seed:build_seed d prog in
                    mk_cell v.vname d
-                     (trials v.attack applied ~n:trials_per_cell ~seed0:17)))
+                     (trials
+                        (fun a ~seed -> (v.attack ~backend a ~seed).verdict)
+                        applied ~n:trials_per_cell ~seed0:17)))
              (defenses ()))
          Apps.Synth.variants)
   in
   { title = "E5: synthetic DOP penetration tests (success rate per attempt)"; cells }
 
-let bypass_prior ?(pool = Sched.Pool.sequential) ?(trials_per_cell = 12)
-    ?(builds = 12) () =
+let bypass_prior ?(pool = Sched.Pool.sequential) ~backend
+    ?(trials_per_cell = 12) ?(builds = 12) () =
   let prog = Lazy.force Apps.Librelp.program in
   let strategies =
     [
-      ("librelp/static-analysis", Apps.Librelp.attack_static);
-      ("librelp/disclosure", Apps.Librelp.attack_disclosure);
+      ( "librelp/static-analysis",
+        fun a ~seed -> (Apps.Librelp.attack_static ~backend a ~seed).verdict );
+      ("librelp/disclosure", Apps.Librelp.attack_disclosure ~backend);
     ]
   in
   let cells =
@@ -98,7 +101,7 @@ let bypass_prior ?(pool = Sched.Pool.sequential) ?(trials_per_cell = 12)
   in
   { title = "E4: librelp CVE-2018-1000140 vs prior stack randomizations"; cells }
 
-let realvuln ?(pool = Sched.Pool.sequential) ?(trials_per_cell = 12)
+let realvuln ?(pool = Sched.Pool.sequential) ~backend ?(trials_per_cell = 12)
     ?(build_seed = 3L) () =
   (* Programs are forced here, in the submitting domain, so the jobs
      only ever read them. *)
@@ -120,7 +123,7 @@ let realvuln ?(pool = Sched.Pool.sequential) ?(trials_per_cell = 12)
   let cells =
     Sched.Pool.run_all pool
       (List.concat_map
-         (fun (name, prog, attack) ->
+         (fun (name, prog, (attack : Apps.Dopkit.attack)) ->
            List.map
              (fun d ->
                Sched.Job.v
@@ -129,7 +132,9 @@ let realvuln ?(pool = Sched.Pool.sequential) ?(trials_per_cell = 12)
                  (fun () ->
                    let applied = Defenses.Defense.apply ~seed:build_seed d prog in
                    mk_cell name d
-                     (trials attack applied ~n:trials_per_cell ~seed0:29)))
+                     (trials
+                        (fun a ~seed -> (attack ~backend a ~seed).verdict)
+                        applied ~n:trials_per_cell ~seed0:29)))
              [
                Defenses.Defense.No_defense;
                Defenses.Defense.Smokestack Smokestack.Config.default;
@@ -138,8 +143,8 @@ let realvuln ?(pool = Sched.Pool.sequential) ?(trials_per_cell = 12)
   in
   { title = "E6: real-vulnerability DOP exploits, undefended vs Smokestack"; cells }
 
-let rng_security ?(pool = Sched.Pool.sequential) ?(trials_per_cell = 12)
-    ?(build_seed = 3L) () =
+let rng_security ?(pool = Sched.Pool.sequential) ~backend
+    ?(trials_per_cell = 12) ?(build_seed = 3L) () =
   let prog = Lazy.force Apps.Librelp.program in
   let cells =
     Sched.Pool.run_all pool
@@ -153,7 +158,7 @@ let rng_security ?(pool = Sched.Pool.sequential) ?(trials_per_cell = 12)
                let d = Defenses.Defense.Smokestack config in
                let applied = Defenses.Defense.apply ~seed:build_seed d prog in
                mk_cell "librelp/state-disclosure" d
-                 (trials Apps.Librelp.attack_pseudo_state applied
+                 (trials (Apps.Librelp.attack_pseudo_state ~backend) applied
                     ~n:trials_per_cell ~seed0:61)))
          Rng.Scheme.all)
   in
@@ -166,8 +171,8 @@ let rng_security ?(pool = Sched.Pool.sequential) ?(trials_per_cell = 12)
 
 type rerand_row = { interval : int; rr_success_rate : float }
 
-let rerandomization ?(pool = Sched.Pool.sequential) ?(trials_per_cell = 12)
-    ?(intervals = [ 1; 8; 64 ]) () =
+let rerandomization ?(pool = Sched.Pool.sequential) ~backend
+    ?(trials_per_cell = 12) ?(intervals = [ 1; 8; 64 ]) () =
   let prog = Lazy.force Apps.Librelp.program in
   Sched.Pool.run_all pool
     (List.map
@@ -183,7 +188,7 @@ let rerandomization ?(pool = Sched.Pool.sequential) ?(trials_per_cell = 12)
                  prog
              in
              let verdicts =
-               trials Apps.Librelp.attack_probe_then_exploit applied
+               trials (Apps.Librelp.attack_probe_then_exploit ~backend) applied
                  ~n:trials_per_cell ~seed0:83
              in
              { interval; rr_success_rate = Attacks.Verdict.success_rate verdicts }))
@@ -215,7 +220,7 @@ type brute_row = {
   detected_along_the_way : int;
 }
 
-let brute ?(pool = Sched.Pool.sequential) ?(max_attempts = 400)
+let brute ?(pool = Sched.Pool.sequential) ~backend ?(max_attempts = 400)
     ?(build_seed = 3L) () =
   let prog = Lazy.force Apps.Librelp.program in
   Sched.Pool.run_all pool
@@ -226,7 +231,9 @@ let brute ?(pool = Sched.Pool.sequential) ?(max_attempts = 400)
              let applied = Defenses.Defense.apply ~seed:build_seed d prog in
              let result =
                Attacks.Bruteforce.run ~seed0:5000 ~max_attempts (fun seed ->
-                   Apps.Librelp.attack_static applied ~seed:(Int64.of_int seed))
+                   (Apps.Librelp.attack_static ~backend applied
+                      ~seed:(Int64.of_int seed))
+                     .verdict)
              in
              {
                bdefense = d;

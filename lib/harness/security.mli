@@ -4,7 +4,8 @@
     fresh per-run entropy) of one attack against one defense-applied
     program.  Success rates estimate the probability a single attempt
     lands; a defense "stops" an attack when that probability collapses
-    from ~1 to ~1/permutation-space. *)
+    from ~1 to ~1/permutation-space.  Every experiment runs its
+    attempts on the [~backend] its caller passes. *)
 
 type cell = {
   attack_name : string;
@@ -28,23 +29,47 @@ val trials :
     sequentially from inside their jobs (never nest [Sched.Pool.run_all]
     on the same pool). *)
 
-val pentest : ?pool:Sched.Pool.t -> ?trials_per_cell:int -> ?build_seed:int64 -> unit -> t
+val pentest :
+  ?pool:Sched.Pool.t ->
+  backend:Machine.Backend.t ->
+  ?trials_per_cell:int ->
+  ?build_seed:int64 ->
+  unit ->
+  t
 (** E5 — the synthetic {direct,indirect} x {stack,data,heap} matrix
     against all six defenses.  One job per (attack, defense) cell. *)
 
-val bypass_prior : ?pool:Sched.Pool.t -> ?trials_per_cell:int -> ?builds:int -> unit -> t
+val bypass_prior :
+  ?pool:Sched.Pool.t ->
+  backend:Machine.Backend.t ->
+  ?trials_per_cell:int ->
+  ?builds:int ->
+  unit ->
+  t
 (** E4 — the librelp PoC against the prior stack randomizations, via
     both attacker strategies (binary analysis; probe-then-exploit
     disclosure).  For the per-build defenses each trial uses a fresh
     build, so the rate reads "fraction of builds exploitable".
     One job per (strategy, defense) cell. *)
 
-val realvuln : ?pool:Sched.Pool.t -> ?trials_per_cell:int -> ?build_seed:int64 -> unit -> t
+val realvuln :
+  ?pool:Sched.Pool.t ->
+  backend:Machine.Backend.t ->
+  ?trials_per_cell:int ->
+  ?build_seed:int64 ->
+  unit ->
+  t
 (** E6 — librelp key leak, Wireshark CVE-2014-2299, and the three
     ProFTPD CVE-2006-5815 exploits: undefended vs Smokestack (AES-10).
     One job per (exploit, defense) cell. *)
 
-val rng_security : ?pool:Sched.Pool.t -> ?trials_per_cell:int -> ?build_seed:int64 -> unit -> t
+val rng_security :
+  ?pool:Sched.Pool.t ->
+  backend:Machine.Backend.t ->
+  ?trials_per_cell:int ->
+  ?build_seed:int64 ->
+  unit ->
+  t
 (** E10 (extension) — why the randomness source matters: the
     state-disclosure prediction attack (read the pseudo generator's
     in-memory word, invert xorshift, replicate the public layout
@@ -56,6 +81,7 @@ type rerand_row = { interval : int; rr_success_rate : float }
 
 val rerandomization :
   ?pool:Sched.Pool.t ->
+  backend:Machine.Backend.t ->
   ?trials_per_cell:int ->
   ?intervals:int list ->
   unit ->
@@ -77,6 +103,7 @@ type brute_row = {
 
 val brute :
   ?pool:Sched.Pool.t ->
+  backend:Machine.Backend.t ->
   ?max_attempts:int ->
   ?build_seed:int64 ->
   unit ->

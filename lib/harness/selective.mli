@@ -28,6 +28,7 @@ type t = {
 
 val run :
   ?pool:Sched.Pool.t ->
+  backend:Machine.Backend.t ->
   ?store:Store.Cache.t ->
   ?workloads:Apps.Spec.workload list ->
   ?seed:int64 ->

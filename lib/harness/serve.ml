@@ -22,13 +22,13 @@ type t = {
 
 (* Only the report leaves [run]: the tenants, their prepared instances
    and the per-session outcomes die with it. *)
-let run ?pool ?backend ?(config = default) () =
+let run ?pool ~backend ?(config = default) () =
   let tenants =
     Server.Tenant.fleet ~defense:config.defense ~root:config.traffic.root ()
   in
   let specs = Server.Traffic.generate config.traffic tenants in
   let dispatch =
-    Server.Dispatch.run ?pool ?backend ~config:config.dispatch tenants specs
+    Server.Dispatch.run ?pool ~backend ~config:config.dispatch tenants specs
   in
   {
     config;

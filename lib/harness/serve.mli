@@ -38,7 +38,7 @@ type t = {
 
 val run :
   ?pool:Sched.Pool.t ->
-  ?backend:Machine.Backend.t ->
+  backend:Machine.Backend.t ->
   ?config:config ->
   unit ->
   t

@@ -9,10 +9,10 @@ let chunks_of_input input =
   in
   if String.equal input "" then [] else split input
 
-let run ?backend ?(fuel = 400_000_000) (applied : Defenses.Defense.applied)
+let run ~backend ?(fuel = 400_000_000) (applied : Defenses.Defense.applied)
     ~seed (w : Apps.Spec.workload) =
   let outcome, stats =
-    Apps.Runner.run_chunks ?backend ~fuel applied ~seed
+    Apps.Runner.run_chunks ~backend ~fuel applied ~seed
       ~chunks:(chunks_of_input w.input)
   in
   (match outcome with
@@ -49,11 +49,8 @@ let workbench_key ~config ~backend ~seed (w : Apps.Spec.workload) =
       (Printf.sprintf "workbench;input=%s;hseed=3" (Store.Hash.hex w.input))
     ()
 
-let baseline ?backend ?(store = shared_store) ?(seed = 1L)
+let baseline ~backend ?(store = shared_store) ?(seed = 1L)
     (w : Apps.Spec.workload) =
-  let backend =
-    match backend with Some b -> b | None -> Machine.Backend.default ()
-  in
   let key = workbench_key ~config:None ~backend ~seed w in
   let exec =
     Store.Cache.memo store key ~encode:Store.Entry.exec_entry
@@ -66,11 +63,8 @@ let baseline ?backend ?(store = shared_store) ?(seed = 1L)
   in
   exec.Store.Entry.stats
 
-let smokestack_stats ?backend ?(store = shared_store) ?(seed = 1L) config
+let smokestack_stats ~backend ?(store = shared_store) ?(seed = 1L) config
     (w : Apps.Spec.workload) =
-  let backend =
-    match backend with Some b -> b | None -> Machine.Backend.default ()
-  in
   let key = workbench_key ~config:(Some config) ~backend ~seed w in
   let exec =
     Store.Cache.memo store key ~encode:Store.Entry.exec_entry

@@ -6,7 +6,7 @@ val chunks_of_input : string -> string list
     (empty input means no messages). *)
 
 val run :
-  ?backend:Machine.Backend.t ->
+  backend:Machine.Backend.t ->
   ?fuel:int ->
   Defenses.Defense.applied ->
   seed:int64 ->
@@ -15,8 +15,7 @@ val run :
 (** One process run of the workload.  Raises [Failure] if the program
     did not exit cleanly — a workload crash means the harness itself is
     broken, and the experiment must not silently absorb that.
-    [?backend] selects the execution engine (defaults to
-    {!Machine.Backend.default}). *)
+    [~backend] is the execution engine. *)
 
 val force_programs : Apps.Spec.workload list -> unit
 (** Compile every workload's lazy program now, in the calling domain.
@@ -25,7 +24,7 @@ val force_programs : Apps.Spec.workload list -> unit
     is undefined in OCaml 5, so the force must happen sequentially. *)
 
 val baseline :
-  ?backend:Machine.Backend.t ->
+  backend:Machine.Backend.t ->
   ?store:Store.Cache.t ->
   ?seed:int64 ->
   Apps.Spec.workload ->
@@ -38,7 +37,7 @@ val baseline :
     observe identical stats. *)
 
 val smokestack_stats :
-  ?backend:Machine.Backend.t ->
+  backend:Machine.Backend.t ->
   ?store:Store.Cache.t ->
   ?seed:int64 ->
   Smokestack.Config.t ->

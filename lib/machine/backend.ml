@@ -33,11 +33,3 @@ let find kind =
         (Printf.sprintf
            "Machine.Backend.find: backend %S is not linked into this executable"
            (kind_to_string kind))
-
-let default_kind = Atomic.make Reference
-
-let set_default kind =
-  ignore (find kind);
-  Atomic.set default_kind kind
-
-let default () = find (Atomic.get default_kind)

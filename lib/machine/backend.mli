@@ -2,15 +2,16 @@
 
     The reference tree-walking interpreter ({!Exec.run}) is the
     semantic oracle; faster engines (the bytecode engine in
-    [lib/engine]) register themselves here and are selected by the
-    harness, the benchmarks and the CLIs via [--engine].  Every backend
-    consumes a prepared {!Exec.state} and must preserve the full
-    observable contract: identical outcomes, program output, cycle
-    accounting, fault and detection events, and trace emission.
+    [lib/engine]) register themselves here.  There is no process-wide
+    default: every function that executes a program takes the backend
+    from its caller, and the CLIs resolve [--engine] with {!find} once
+    and pass the result down.  Every backend consumes a prepared
+    {!Exec.state} and must preserve the full observable contract:
+    identical outcomes, program output, cycle accounting, fault and
+    detection events, and trace emission.
 
     Domain-safety: the registry is mutated only by library
-    initializers at link time and {!set_default} is an atomic switch
-    meant for CLI startup — both strictly before any {!Sched.Pool}
+    initializers at link time, strictly before any {!Sched.Pool}
     worker domains exist.  After startup every operation here is a
     read, safe from any domain. *)
 
@@ -40,9 +41,3 @@ val find_opt : kind -> t option
 val find : kind -> t
 (** Raises [Failure] when the backend's library is not linked into the
     running executable. *)
-
-val set_default : kind -> unit
-(** Backend used when callers do not pass one explicitly (the
-    process-wide [--engine] switch).  Raises [Failure] if unregistered. *)
-
-val default : unit -> t

@@ -1,56 +1,46 @@
-let run_chunks_probed ?backend ?fuel (applied : Defenses.Defense.applied)
-    ~seed ~chunks ~globals =
-  let backend =
-    match backend with Some b -> b | None -> Machine.Backend.default ()
-  in
-  let entropy = Crypto.Entropy.create ~seed in
-  let st = applied.fresh_state entropy in
-  let remaining = ref chunks in
-  Machine.Exec.set_input st (fun _st max ->
-      match !remaining with
-      | [] -> ""
-      | chunk :: rest ->
-          remaining := rest;
-          if String.length chunk > max then String.sub chunk 0 max else chunk);
-  let outcome, stats = backend.Machine.Backend.run ?fuel st in
-  let finals =
-    List.map
-      (fun g ->
-        ( g,
-          Machine.Memory.load st.Machine.Exec.mem ~width:8
-            (Machine.Exec.global_addr st g) ))
-      globals
-  in
-  (outcome, stats, finals)
+(* The final 8-byte value of global [g]; [Invalid_argument] when the
+   build does not define it. *)
+let final_global (st : Machine.Exec.state) g =
+  Machine.Memory.load st.mem ~width:8 (Machine.Exec.global_addr st g)
 
-let run_chain ?backend (applied : Defenses.Defense.applied) (chain : Chain.t)
+(* What the length-matched benign input prints under the same seed: the
+   baseline an [Output_differs] goal is judged against. *)
+let benign_output ~backend applied ~seed chunks =
+  let chunks = List.map (fun c -> String.make (String.length c) 'A') chunks in
+  let _, stats = Apps.Runner.run_chunks ~backend applied ~seed ~chunks in
+  stats.Machine.Exec.output
+
+let run_chain ~backend (applied : Defenses.Defense.applied) (chain : Chain.t)
     ~seed =
   match Payload.lower applied chain ~seed with
   | exception Invalid_argument _ -> Attacks.Verdict.No_effect
   | chunks -> (
-      let globals =
-        match chain.goal with Chain.Flip_global (g, _) -> [ g ] | _ -> []
-      in
-      match run_chunks_probed ?backend applied ~seed ~chunks ~globals with
+      let kept = ref None in
+      match
+        let outcome, stats =
+          Apps.Runner.run_chunks ~backend
+            ~arm:(fun st -> kept := Some st)
+            applied ~seed ~chunks
+        in
+        let final =
+          match chain.goal with
+          | Chain.Flip_global (g, _) -> Some (final_global (Option.get !kept) g)
+          | _ -> None
+        in
+        (outcome, stats, final)
+      with
       | exception Invalid_argument _ ->
           (* a goal global the build doesn't define *)
           Attacks.Verdict.No_effect
-      | outcome, stats, finals ->
+      | outcome, stats, final ->
           let goal_met =
             match chain.goal with
-            | Chain.Flip_global (g, c) -> List.assoc_opt g finals = Some c
+            | Chain.Flip_global (_, c) -> final = Some c
             | Chain.Output_contains m -> Apps.Dopkit.goal_in_output m stats
             | Chain.Output_differs ->
-                let benign =
-                  List.map (fun c -> String.make (String.length c) 'A') chunks
-                in
-                let _, bstats, _ =
-                  run_chunks_probed ?backend applied ~seed ~chunks:benign
-                    ~globals:[]
-                in
                 not
                   (String.equal stats.Machine.Exec.output
-                     bstats.Machine.Exec.output)
+                     (benign_output ~backend applied ~seed chunks))
           in
           Attacks.Verdict.classify outcome ~goal_met)
 
@@ -77,11 +67,8 @@ let parse_disclosures out n =
   in
   take n lines
 
-let run_chain_guided ?backend (applied : Defenses.Defense.applied)
+let run_chain_guided ~backend (applied : Defenses.Defense.applied)
     (chain : Chain.t) ~disclosed ~seed =
-  let backend =
-    match backend with Some b -> b | None -> Machine.Backend.default ()
-  in
   let chunks_ref = ref None in
   let delivered = ref [] in
   let state_ref = ref None in
@@ -132,42 +119,28 @@ let run_chain_guided ?backend (applied : Defenses.Defense.applied)
             match !state_ref with
             | None -> false
             | Some st -> (
-                match
-                  Machine.Memory.load st.Machine.Exec.mem ~width:8
-                    (Machine.Exec.global_addr st g)
-                with
+                match final_global st g with
                 | v -> v = c
                 | exception Invalid_argument _ -> false))
         | Chain.Output_contains m -> Apps.Dopkit.goal_in_output m stats
         | Chain.Output_differs -> (
-            let benign =
-              List.rev_map
-                (fun c -> String.make (String.length c) 'A')
-                !delivered
-            in
-            match
-              run_chunks_probed ~backend applied ~seed ~chunks:benign
-                ~globals:[]
-            with
+            match benign_output ~backend applied ~seed (List.rev !delivered) with
             | exception Invalid_argument _ -> false
-            | _, bstats, _ ->
-                not
-                  (String.equal stats.Machine.Exec.output
-                     bstats.Machine.Exec.output))
+            | benign -> not (String.equal stats.Machine.Exec.output benign))
       in
       Attacks.Verdict.classify outcome ~goal_met
 
-let brute_guided ?backend applied chain ~disclosed ~budget ~seed0 =
+let brute_guided ~backend applied chain ~disclosed ~budget ~seed0 =
   (Attacks.Bruteforce.run ~seed0 ~max_attempts:budget (fun seed ->
-       run_chain_guided ?backend applied chain ~disclosed
+       run_chain_guided ~backend applied chain ~disclosed
          ~seed:(Int64.of_int seed)))
     .verdicts
 
-let trials ?backend applied chain ~n ~seed0 =
+let trials ~backend applied chain ~n ~seed0 =
   List.init n (fun i ->
-      run_chain ?backend applied chain ~seed:(Int64.of_int (seed0 + (1000 * i))))
+      run_chain ~backend applied chain ~seed:(Int64.of_int (seed0 + (1000 * i))))
 
-let brute ?backend applied chain ~budget ~seed0 =
+let brute ~backend applied chain ~budget ~seed0 =
   (Attacks.Bruteforce.run ~seed0 ~max_attempts:budget (fun seed ->
-       run_chain ?backend applied chain ~seed:(Int64.of_int seed)))
+       run_chain ~backend applied chain ~seed:(Int64.of_int seed)))
     .verdicts

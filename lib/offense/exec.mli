@@ -1,28 +1,20 @@
 (** Chain executor — step 4 of the attack compiler: run a synthesized
     chain against one defense-applied build and judge it.
 
-    Unlike {!Apps.Runner} this runner keeps the final machine state, so
-    a {!Chain.Flip_global} goal is judged from the global's actual
-    in-memory value after the run — the semantic witness — rather than
-    from program output.  Everything reported is derived from the
-    outcome, the output and final memory, all of which the engine
-    contract keeps bit-identical across backends. *)
+    Each run is one {!Apps.Runner.run_chunks} process whose state is
+    kept through [~arm], so a {!Chain.Flip_global} goal is judged from
+    the global's actual in-memory value after the run — the semantic
+    witness — rather than from program output.  Everything reported is
+    derived from the outcome, the output and final memory, all of which
+    the engine contract keeps bit-identical across backends. *)
 
-val run_chunks_probed :
-  ?backend:Machine.Backend.t ->
-  ?fuel:int ->
-  Defenses.Defense.applied ->
-  seed:int64 ->
-  chunks:string list ->
-  globals:string list ->
-  Machine.Exec.outcome * Machine.Exec.stats * (string * int64) list
-(** One service process: fresh state from [seed]-derived entropy, each
-    [read_input] consumes the next chunk (truncated to the callee's
-    limit, empty once exhausted), then the named globals' final 8-byte
-    values are read back from memory. *)
+val final_global : Machine.Exec.state -> string -> int64
+(** The named global's 8-byte value in the state's memory — read after
+    a run, the semantic witness of a {!Chain.Flip_global} goal.  Raises
+    [Invalid_argument] when the build does not define the global. *)
 
 val run_chain :
-  ?backend:Machine.Backend.t ->
+  backend:Machine.Backend.t ->
   Defenses.Defense.applied ->
   Chain.t ->
   seed:int64 ->
@@ -33,7 +25,7 @@ val run_chain :
     benign length-matched baseline under the same seed. *)
 
 val run_chain_guided :
-  ?backend:Machine.Backend.t ->
+  backend:Machine.Backend.t ->
   Defenses.Defense.applied ->
   Chain.t ->
   disclosed:string list ->
@@ -53,7 +45,7 @@ val run_chain_guided :
     impossible, wastes the attempt. *)
 
 val brute_guided :
-  ?backend:Machine.Backend.t ->
+  backend:Machine.Backend.t ->
   Defenses.Defense.applied ->
   Chain.t ->
   disclosed:string list ->
@@ -65,7 +57,7 @@ val brute_guided :
     blind Algorithm-1 one. *)
 
 val trials :
-  ?backend:Machine.Backend.t ->
+  backend:Machine.Backend.t ->
   Defenses.Defense.applied ->
   Chain.t ->
   n:int ->
@@ -75,7 +67,7 @@ val trials :
     {!Harness.Security.trials} convention), in trial order. *)
 
 val brute :
-  ?backend:Machine.Backend.t ->
+  backend:Machine.Backend.t ->
   Defenses.Defense.applied ->
   Chain.t ->
   budget:int ->

@@ -115,12 +115,16 @@ let probe_run ctx ~sel ~k ~aim1 ~aim2 ~observe =
   | exception Invalid_argument _ -> None
   | chunks -> (
       ctx.runs <- ctx.runs + 1;
+      let kept = ref None in
       match
-        Exec.run_chunks_probed ~backend:Machine.Backend.reference ctx.replica
-          ~seed:11L ~chunks ~globals:[ observe ]
+        ignore
+          (Apps.Runner.run_chunks ~backend:Machine.Backend.reference
+             ~arm:(fun st -> kept := Some st)
+             ctx.replica ~seed:11L ~chunks);
+        Exec.final_global (Option.get !kept) observe
       with
       | exception Invalid_argument _ -> None
-      | _, _, finals -> List.assoc_opt observe finals)
+      | v -> Some v)
 
 (* Classify one (selector, constant) pair into an Arith gadget, or
    nothing if the deltas match no model. *)

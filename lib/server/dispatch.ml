@@ -377,7 +377,7 @@ let prepared lease (tenant : Tenant.t) =
   Sched.Lease.acquire lease ~key:tenant.Tenant.name ~build:(fun () ->
       Tenant.prepare tenant)
 
-let execute ?(pool = Sched.Pool.sequential) ?backend ?(config = default)
+let execute ?(pool = Sched.Pool.sequential) ~backend ?(config = default)
     tenants specs =
   let lease = Sched.Lease.create () in
   (* Build every tenant instance up front, on the submitting domain:
@@ -391,7 +391,7 @@ let execute ?(pool = Sched.Pool.sequential) ?backend ?(config = default)
             List.map
               (fun (s : Session.spec) ->
                 let applied = prepared lease s.Session.tenant in
-                Session.run ?backend ~applied s)
+                Session.run ~backend ~applied s)
               shard))
       shards
   in
@@ -416,6 +416,6 @@ let execute ?(pool = Sched.Pool.sequential) ?backend ?(config = default)
   in
   (List.concat (List.rev executed), List.concat (List.rev dropped))
 
-let run ?pool ?backend ?(config = default) tenants specs =
-  let executed, dropped = execute ?pool ?backend ~config tenants specs in
+let run ?pool ~backend ?(config = default) tenants specs =
+  let executed, dropped = execute ?pool ~backend ~config tenants specs in
   admit ~dropped config executed

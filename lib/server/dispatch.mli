@@ -107,7 +107,7 @@ type t = {
 
 val execute :
   ?pool:Sched.Pool.t ->
-  ?backend:Machine.Backend.t ->
+  backend:Machine.Backend.t ->
   ?config:config ->
   Tenant.t list ->
   Session.spec list ->
@@ -122,7 +122,7 @@ val admit : ?dropped:Session.spec list -> config -> Session.outcome list -> t
 
 val run :
   ?pool:Sched.Pool.t ->
-  ?backend:Machine.Backend.t ->
+  backend:Machine.Backend.t ->
   ?config:config ->
   Tenant.t list ->
   Session.spec list ->

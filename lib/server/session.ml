@@ -34,17 +34,17 @@ let cycles_of = function
   | Some (s : Machine.Exec.stats) -> Float.max 1. s.Machine.Exec.cycles
   | None -> 1.
 
-let run ?backend ~(applied : Defenses.Defense.applied) (spec : spec) =
+let run ~backend ~(applied : Defenses.Defense.applied) (spec : spec) =
   match spec.kind with
   | Benign flow ->
       let r =
-        Apps.Sessions.run_benign ?backend applied ~seed:spec.sseed ~chunks:flow
+        Apps.Sessions.run_benign ~backend applied ~seed:spec.sseed ~chunks:flow
       in
       {
         spec;
-        verdict = r.Apps.Sessions.verdict;
-        service_cycles = cycles_of r.Apps.Sessions.stats;
-        requests = r.Apps.Sessions.requests;
+        verdict = r.Apps.Dopkit.verdict;
+        service_cycles = cycles_of r.stats;
+        requests = r.requests;
         fired = 0;
         batch_match = None;
       }
@@ -52,33 +52,36 @@ let run ?backend ~(applied : Defenses.Defense.applied) (spec : spec) =
       match Apps.Sessions.find_attack aname with
       | None -> invalid_arg ("Server.Session: unknown attack " ^ aname)
       | Some (_, atk) ->
-          let verdict, stats, requests =
-            atk.Apps.Sessions.session ?backend applied ~seed:spec.sseed
-          in
+          let r = atk.Apps.Sessions.attack ~backend applied ~seed:spec.sseed in
           (* The whole point of the server harness's security claim:
              serving the attack through the session machinery must
-             change nothing about its fate. *)
-          let batch_verdict = atk.Apps.Sessions.batch applied ~seed:spec.sseed in
+             change nothing about its fate.  The batch verdict is the
+             same attack re-run on the reference interpreter, the
+             oracle. *)
+          let batch =
+            atk.Apps.Sessions.attack ~backend:Machine.Backend.reference applied
+              ~seed:spec.sseed
+          in
           {
             spec;
-            verdict;
-            service_cycles = cycles_of stats;
-            requests;
+            verdict = r.verdict;
+            service_cycles = cycles_of r.stats;
+            requests = r.requests;
             fired = 0;
-            batch_match = Some (verdict = batch_verdict);
+            batch_match = Some (r.verdict = batch.verdict);
           })
   | Chaotic (flow, plan) ->
       let armed = ref None in
       let arm st = armed := Some (Fault.Inject.arm plan st) in
       let r =
-        Apps.Sessions.run_benign ?backend ~arm applied ~seed:spec.sseed
+        Apps.Sessions.run_benign ~backend ~arm applied ~seed:spec.sseed
           ~chunks:flow
       in
       {
         spec;
-        verdict = r.Apps.Sessions.verdict;
-        service_cycles = cycles_of r.Apps.Sessions.stats;
-        requests = r.Apps.Sessions.requests;
+        verdict = r.Apps.Dopkit.verdict;
+        service_cycles = cycles_of r.stats;
+        requests = r.requests;
         fired = (match !armed with Some a -> Fault.Inject.fired a | None -> 0);
         batch_match = None;
       }

@@ -41,8 +41,9 @@ type outcome = {
   requests : int;  (** request chunks delivered *)
   fired : int;  (** chaos injections that actually happened *)
   batch_match : bool option;
-      (** attacks only: did the served verdict equal the batch
-          harness's verdict for the same instance and seed? *)
+      (** attacks only: did the served verdict equal the verdict of
+          the same attack re-run on the reference interpreter for the
+          same instance and seed? *)
 }
 
 val kind_label : kind -> string
@@ -51,7 +52,10 @@ val kind_label : kind -> string
 val detected : outcome -> bool
 
 val run :
-  ?backend:Machine.Backend.t ->
+  backend:Machine.Backend.t ->
   applied:Defenses.Defense.applied ->
   spec ->
   outcome
+(** Serve one session on [~backend].  An attack session runs its
+    attack a second time on {!Machine.Backend.reference} and records in
+    [batch_match] whether the two verdicts agree. *)

@@ -67,10 +67,11 @@ let () =
     exit 1
   end;
   Sched.Pool.with_pool @@ fun pool ->
-  let rec check engine names = function
+  let rec check (backend : Machine.Backend.t) names = function
     | [] -> List.rev names
     | (e : Harness.Registry.entry) :: rest ->
-        let o = e.run pool in
+        let engine = Machine.Backend.kind_to_string backend.kind in
+        let o = e.run pool backend in
         let got = Harness.Registry.section e o in
         (match committed_section report e (List.nth_opt rest 0) with
         | Some expected when String.equal expected got -> ()
@@ -87,12 +88,9 @@ let () =
             List.iter (Printf.eprintf "registry-report (--engine=%s): %s\n" engine) violations;
             exit 1);
         Printf.printf "%s %s (--engine=%s): matches, invariants hold\n%!" e.id e.key engine;
-        check engine (List.rev_append (Harness.Output.names o.output) names) rest
+        check backend (List.rev_append (Harness.Output.names o.output) names) rest
   in
-  let on_engine kind =
-    Machine.Backend.set_default kind;
-    check (Machine.Backend.kind_to_string kind) [] Harness.Registry.all
-  in
+  let on_engine kind = check (Machine.Backend.find kind) [] Harness.Registry.all in
   let names = on_engine Machine.Backend.Reference in
   ignore (on_engine Machine.Backend.Bytecode : string list);
   let sorted = List.sort String.compare in

@@ -277,7 +277,7 @@ let test_spec_hints_hold () =
     Apps.Spec.all
 
 let test_crossval_all_validated () =
-  let t = Harness.Crossval.run ~trials:2 () in
+  let t = Harness.Crossval.run ~backend:Machine.Backend.reference ~trials:2 () in
   Alcotest.(check int) "covers all eleven attacks" 11 (List.length t.rows);
   List.iter
     (fun (r : Harness.Crossval.row) ->

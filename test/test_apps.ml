@@ -2,6 +2,9 @@
    under every defense, and the attack expectations of §II-C / §V-C. *)
 
 let smokestack = Defenses.Defense.Smokestack Smokestack.Config.default
+let backend = Machine.Backend.reference
+let verdict (attack : Apps.Dopkit.attack) applied ~seed =
+  (attack ~backend applied ~seed).verdict
 
 let success_rate attack applied ~n ~seed0 =
   let ok = ref 0 in
@@ -22,7 +25,7 @@ let test_synth_benign_under_every_defense () =
       List.iter
         (fun d ->
           let applied = Defenses.Defense.apply ~seed:3L d prog in
-          let outcome, stats = Apps.Runner.run_chunks applied ~seed:1L ~chunks:[] in
+          let outcome, stats = Apps.Runner.run_chunks ~backend applied ~seed:1L ~chunks:[] in
           Alcotest.(check bool)
             (v.vname ^ " under " ^ Defenses.Defense.name d)
             true
@@ -37,7 +40,7 @@ let test_synth_attacks_succeed_undefended () =
       let applied =
         Defenses.Defense.apply Defenses.Defense.No_defense (Lazy.force v.program)
       in
-      match v.attack applied ~seed:7L with
+      match verdict v.attack applied ~seed:7L with
       | Attacks.Verdict.Success -> ()
       | verdict ->
           Alcotest.failf "%s undefended: %s" v.vname
@@ -50,7 +53,7 @@ let test_synth_attacks_mostly_blocked_by_smokestack () =
       let applied =
         Defenses.Defense.apply ~seed:3L smokestack (Lazy.force v.program)
       in
-      let rate = success_rate v.attack applied ~n:15 ~seed0:100 in
+      let rate = success_rate (verdict v.attack) applied ~n:15 ~seed0:100 in
       Alcotest.(check bool)
         (Printf.sprintf "%s rate %.2f < 0.35" v.vname rate)
         true (rate < 0.35))
@@ -65,7 +68,7 @@ let test_synth_direct_attacks_beat_stack_base () =
         Defenses.Defense.apply ~seed:3L Defenses.Defense.Stack_base
           (Lazy.force v.program)
       in
-      match v.attack applied ~seed:7L with
+      match verdict v.attack applied ~seed:7L with
       | Attacks.Verdict.Success -> ()
       | verdict -> Alcotest.failf "%s: %s" name (Attacks.Verdict.to_string verdict))
     [ "stack-direct"; "data-direct"; "heap-direct" ]
@@ -79,7 +82,7 @@ let test_synth_indirect_attacks_blocked_by_stack_base () =
         Defenses.Defense.apply ~seed:3L Defenses.Defense.Stack_base
           (Lazy.force v.program)
       in
-      match v.attack applied ~seed:7L with
+      match verdict v.attack applied ~seed:7L with
       | Attacks.Verdict.Success -> Alcotest.failf "%s should be blocked" name
       | _ -> ())
     [ "data-indirect"; "heap-indirect" ]
@@ -91,7 +94,7 @@ let test_stack_direct_is_a_dop_chain () =
   let prog = Lazy.force v.program in
   let applied = Defenses.Defense.apply Defenses.Defense.No_defense prog in
   (* sanity: attack works, then a truncated chain must not *)
-  (match v.attack applied ~seed:7L with
+  (match verdict v.attack applied ~seed:7L with
   | Attacks.Verdict.Success -> ()
   | verdict -> Alcotest.failf "full chain: %s" (Attacks.Verdict.to_string verdict));
   let vr0 = List.assoc "vr0" (Attacks.Layout.global_addrs applied.prog) in
@@ -106,7 +109,7 @@ let test_librelp_benign () =
     Defenses.Defense.apply Defenses.Defense.No_defense (Lazy.force Apps.Librelp.program)
   in
   let outcome, stats =
-    Apps.Runner.run_chunks applied ~seed:1L ~chunks:Apps.Librelp.benign_chunks
+    Apps.Runner.run_chunks ~backend applied ~seed:1L ~chunks:Apps.Librelp.benign_chunks
   in
   Alcotest.(check bool) "exits" true (outcome = Machine.Exec.Exit 0L);
   Alcotest.(check bool) "does NOT leak the key" false
@@ -118,7 +121,7 @@ let test_librelp_attack_matrix () =
     (fun (d, expect_static) ->
       let applied = Defenses.Defense.apply ~seed:3L d prog in
       let got =
-        match Apps.Librelp.attack_static applied ~seed:7L with
+        match verdict Apps.Librelp.attack_static applied ~seed:7L with
         | Attacks.Verdict.Success -> true
         | _ -> false
       in
@@ -137,14 +140,14 @@ let test_librelp_disclosure_beats_static_defenses_not_smokestack () =
   let prog = Lazy.force Apps.Librelp.program in
   let ok d seed =
     let applied = Defenses.Defense.apply ~seed:3L d prog in
-    match Apps.Librelp.attack_disclosure applied ~seed with
+    match Apps.Librelp.attack_disclosure ~backend applied ~seed with
     | Attacks.Verdict.Success -> true
     | _ -> false
   in
   Alcotest.(check bool) "beats stack-base" true (ok Defenses.Defense.Stack_base 9L);
   Alcotest.(check bool) "beats forrest" true (ok Defenses.Defense.Forrest_pad 9L);
   let applied = Defenses.Defense.apply ~seed:3L smokestack prog in
-  let rate = success_rate Apps.Librelp.attack_disclosure applied ~n:20 ~seed0:500 in
+  let rate = success_rate (Apps.Librelp.attack_disclosure ~backend) applied ~n:20 ~seed0:500 in
   Alcotest.(check bool)
     (Printf.sprintf "smokestack disclosure rate %.2f small" rate)
     true (rate < 0.25)
@@ -158,7 +161,7 @@ let test_librelp_state_disclosure_breaks_pseudo_only () =
     let applied =
       Defenses.Defense.apply ~seed:3L (Defenses.Defense.Smokestack config) prog
     in
-    success_rate Apps.Librelp.attack_pseudo_state applied ~n:16 ~seed0:4000
+    success_rate (Apps.Librelp.attack_pseudo_state ~backend) applied ~n:16 ~seed0:4000
   in
   (* the prediction is exact; the residue is exploit physics — some
      drawn layouts put the target beyond the single snprintf jump, and
@@ -179,7 +182,7 @@ let test_probe_then_exploit_needs_a_window () =
     let applied =
       Defenses.Defense.apply ~seed:3L (Defenses.Defense.Smokestack config) prog
     in
-    success_rate Apps.Librelp.attack_probe_then_exploit applied ~n:12 ~seed0:6000
+    success_rate (Apps.Librelp.attack_probe_then_exploit ~backend) applied ~n:12 ~seed0:6000
   in
   let per_invocation = rate 1 in
   let windowed = rate 64 in
@@ -195,7 +198,7 @@ let test_probe_then_exploit_needs_a_window () =
 let test_librelp_smokestack_brute_rate_low () =
   let prog = Lazy.force Apps.Librelp.program in
   let applied = Defenses.Defense.apply ~seed:3L smokestack prog in
-  let rate = success_rate Apps.Librelp.attack_static applied ~n:40 ~seed0:900 in
+  let rate = success_rate (verdict Apps.Librelp.attack_static) applied ~n:40 ~seed0:900 in
   Alcotest.(check bool)
     (Printf.sprintf "rate %.2f < 0.2" rate)
     true (rate < 0.2)
@@ -207,23 +210,23 @@ let test_wireshark_matrix () =
   let prog = Lazy.force Apps.Wireshark.program in
   let applied0 = Defenses.Defense.apply Defenses.Defense.No_defense prog in
   let outcome, stats =
-    Apps.Runner.run_chunks applied0 ~seed:1L ~chunks:Apps.Wireshark.benign_chunks
+    Apps.Runner.run_chunks ~backend applied0 ~seed:1L ~chunks:Apps.Wireshark.benign_chunks
   in
   Alcotest.(check bool) "benign" true
     (outcome = Machine.Exec.Exit 0L
     && not (Apps.Dopkit.goal_in_output Apps.Wireshark.granted stats));
-  (match Apps.Wireshark.attack applied0 ~seed:7L with
+  (match verdict Apps.Wireshark.attack applied0 ~seed:7L with
   | Attacks.Verdict.Success -> ()
   | v -> Alcotest.failf "undefended: %s" (Attacks.Verdict.to_string v));
   let hardened = Defenses.Defense.apply ~seed:3L smokestack prog in
-  let rate = success_rate Apps.Wireshark.attack hardened ~n:15 ~seed0:300 in
+  let rate = success_rate (verdict Apps.Wireshark.attack) hardened ~n:15 ~seed0:300 in
   Alcotest.(check bool) (Printf.sprintf "rate %.2f < 0.2" rate) true (rate < 0.2)
 
 let test_proftpd_three_exploits () =
   let prog = Lazy.force Apps.Proftpd.program in
   let applied0 = Defenses.Defense.apply Defenses.Defense.No_defense prog in
   let outcome, stats =
-    Apps.Runner.run_chunks applied0 ~seed:1L ~chunks:Apps.Proftpd.benign_chunks
+    Apps.Runner.run_chunks ~backend applied0 ~seed:1L ~chunks:Apps.Proftpd.benign_chunks
   in
   Alcotest.(check bool) "benign says bye" true
     (outcome = Machine.Exec.Exit 0L && stats.output = "bye\n");
@@ -238,9 +241,9 @@ let test_proftpd_three_exploits () =
         (Printf.sprintf "%s rate %.2f < 0.2" name rate)
         true (rate < 0.2))
     [
-      ("key-extraction", Apps.Proftpd.attack_key_extraction);
-      ("bot", Apps.Proftpd.attack_bot);
-      ("mem-permissions", Apps.Proftpd.attack_memperm);
+      ("key-extraction", verdict Apps.Proftpd.attack_key_extraction);
+      ("bot", verdict Apps.Proftpd.attack_bot);
+      ("mem-permissions", verdict Apps.Proftpd.attack_memperm);
     ]
 
 let test_proftpd_detection_dominates () =
@@ -251,7 +254,7 @@ let test_proftpd_detection_dominates () =
   let n = 12 in
   for i = 0 to n - 1 do
     match
-      Apps.Proftpd.attack_memperm hardened ~seed:(Int64.of_int (100 + (31 * i)))
+      verdict Apps.Proftpd.attack_memperm hardened ~seed:(Int64.of_int (100 + (31 * i)))
     with
     | Attacks.Verdict.Detected _ -> incr detected
     | _ -> ()
@@ -270,17 +273,17 @@ let test_optimized_builds_keep_the_security_story () =
      undefended and as protected hardened *)
   let prog = Minic.Driver.compile ~optimize:true Apps.Librelp.source in
   let applied0 = Defenses.Defense.apply Defenses.Defense.No_defense prog in
-  (match Apps.Librelp.attack_static applied0 ~seed:7L with
+  (match verdict Apps.Librelp.attack_static applied0 ~seed:7L with
   | Attacks.Verdict.Success -> ()
   | v -> Alcotest.failf "-O1 undefended: %s" (Attacks.Verdict.to_string v));
   let hardened = Defenses.Defense.apply ~seed:3L smokestack prog in
-  let rate = success_rate Apps.Librelp.attack_static hardened ~n:15 ~seed0:8000 in
+  let rate = success_rate (verdict Apps.Librelp.attack_static) hardened ~n:15 ~seed0:8000 in
   Alcotest.(check bool)
     (Printf.sprintf "-O1 hardened rate %.2f < 0.25" rate)
     true (rate < 0.25);
   (* benign behaviour preserved at -O1 under hardening, too *)
   let outcome, stats =
-    Apps.Runner.run_chunks hardened ~seed:1L ~chunks:Apps.Librelp.benign_chunks
+    Apps.Runner.run_chunks ~backend hardened ~seed:1L ~chunks:Apps.Librelp.benign_chunks
   in
   Alcotest.(check bool) "benign -O1 hardened" true
     (outcome = Machine.Exec.Exit 0L
@@ -292,11 +295,11 @@ let test_optimized_builds_keep_the_security_story () =
 let test_workloads_run_and_are_deterministic () =
   List.iter
     (fun (w : Apps.Spec.workload) ->
-      let s1 = Harness.Workbench.baseline w in
+      let s1 = Harness.Workbench.baseline ~backend w in
       let applied =
         Defenses.Defense.apply Defenses.Defense.No_defense (Lazy.force w.program)
       in
-      let _, s2 = Harness.Workbench.run applied ~seed:99L w in
+      let _, s2 = Harness.Workbench.run ~backend applied ~seed:99L w in
       Alcotest.(check string) (w.wname ^ " deterministic") s1.output s2.output;
       Alcotest.(check bool) (w.wname ^ " does real work") true (s1.cycles > 100_000.))
     Apps.Spec.all

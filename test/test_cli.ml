@@ -595,10 +595,15 @@ let same_across_jobs ?(narrow = []) ?(wide = []) what args =
 
 let test_smoke_serve_mixed () =
   with_temp_dir @@ fun dir ->
-  let json = Filename.concat dir "BENCH_server.json" in
-  ignore
-    (same_across_jobs ~wide:[ "--json"; json ] "serve"
-       [ "serve"; "--sessions"; "400"; "--tenants" ]);
+  let json = Filename.concat dir "serve.json" in
+  let out =
+    same_across_jobs ~wide:[ "--json"; json ] "serve"
+      [ "serve"; "--sessions"; "400"; "--tenants" ]
+  in
+  Alcotest.(check (option string))
+    "JSON title is the printed table title"
+    (Some (List.hd (String.split_on_char '\n' out)))
+    (Sutil.Json.to_str_opt (member json "title" (json_file json)));
   let rows = serve_rows json in
   Alcotest.(check bool) "nonzero throughput" true (int_row rows "throughput (rps @1GHz)" > 0);
   Alcotest.(check bool) "sessions served" true (int_row rows "served" > 0);
@@ -622,8 +627,8 @@ let test_smoke_serve_tight () =
 let test_smoke_serve_storm () =
   with_temp_dir @@ fun dir ->
   let storm = [ "serve"; "--storm"; "--sessions"; "400"; "--mean-gap"; "4000" ] in
-  let on_json = Filename.concat dir "BENCH_storm_serve.json" in
-  let off_json = Filename.concat dir "BENCH_storm_anon.json" in
+  let on_json = Filename.concat dir "storm_serve.json" in
+  let off_json = Filename.concat dir "storm_anon.json" in
   ignore
     (same_across_jobs ~wide:[ "--json"; on_json ] "storm serve"
        (storm @ [ "--affinity"; "--classes"; "--breaker"; "150000:2" ]));
@@ -749,13 +754,29 @@ let test_smoke_attack () =
   in
   Alcotest.(check bool) "a chain lands undefended" true (count "landed_unhardened" >= 1);
   Alcotest.(check int) "no chain survives full hardening" 0 (count "full_successes");
-  let store = [ "--store"; Filename.concat dir "store" ] in
+  let store_dir = Filename.concat dir "store" in
+  let store = [ "--store"; store_dir ] in
   List.iter
     (fun run ->
       let out = run_cli_stdout (attack @ store) in
       check_code ("attack, " ^ run ^ " store") 0 out;
       Alcotest.(check string) (run ^ " store prints the store-less report") report (snd out))
-    [ "cold"; "warm" ]
+    [ "cold"; "warm" ];
+  (* the engine is part of every store key: over the store the ref runs
+     filled, a bytecode run records its own verdicts, which a second
+     bytecode run then replays *)
+  let bytecode run =
+    let out = run_cli_stdout (attack @ store @ [ "--engine"; "bytecode" ]) in
+    check_code ("attack --engine bytecode, " ^ run ^ " store") 0 out;
+    Alcotest.(check string) (run ^ " bytecode run prints the ref report") report (snd out);
+    store_records store_dir
+  in
+  let ref_records = store_records store_dir in
+  let cold = bytecode "cold" in
+  Alcotest.(check bool)
+    (Printf.sprintf "the bytecode run appends records (%d -> %d)" ref_records cold)
+    true (cold > ref_records);
+  Alcotest.(check int) "a second bytecode run appends none" cold (bytecode "warm")
 
 (* A leak an attacker can see (E19's predicate): positive bits that reach
    an output or an oracle branch. *)

@@ -849,12 +849,7 @@ let test_backend_registry () =
   Alcotest.(check bool) "aliases resolve" true
     (Machine.Backend.kind_of_string "bc" = Some Machine.Backend.Bytecode
     && Machine.Backend.kind_of_string "interp" = Some Machine.Backend.Reference
-    && Machine.Backend.kind_of_string "nonsense" = None);
-  let saved = (Machine.Backend.default ()).kind in
-  Machine.Backend.set_default Machine.Backend.Bytecode;
-  Alcotest.(check string) "set_default switches" "bytecode"
-    (Machine.Backend.default ()).label;
-  Machine.Backend.set_default saved
+    && Machine.Backend.kind_of_string "nonsense" = None)
 
 (* ------------------------------------------------------------------ *)
 (* Differential validation: fuzzed programs + the application matrix *)

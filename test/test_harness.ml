@@ -4,6 +4,8 @@
 let subset names =
   List.filter_map Apps.Spec.find names
 
+let backend = Machine.Backend.reference
+
 (* ------------------------------------------------------------------ *)
 (* Table I *)
 
@@ -23,7 +25,10 @@ let test_randrate_matches_table1 () =
 (* Figure 3 *)
 
 let fig3 =
-  lazy (Harness.Overhead.run ~workloads:(subset [ "gobmk"; "mcf"; "sjeng"; "wireshark-io" ]) ())
+  lazy
+    (Harness.Overhead.run ~backend
+       ~workloads:(subset [ "gobmk"; "mcf"; "sjeng"; "wireshark-io" ])
+       ())
 
 let test_overhead_scheme_ordering () =
   let t = Lazy.force fig3 in
@@ -54,7 +59,7 @@ let test_overhead_io_modest () =
 
 let test_overhead_full_set_matches_paper_bands () =
   (* the full Figure 3: means must land in the paper's neighbourhood *)
-  let t = Harness.Overhead.run () in
+  let t = Harness.Overhead.run ~backend () in
   let mean s = List.assoc s t.spec_means in
   let open Rng.Scheme in
   Alcotest.(check bool)
@@ -83,7 +88,7 @@ let test_overhead_full_set_matches_paper_bands () =
 
 let test_memov_positive_and_pbox_driven () =
   let t =
-    Harness.Memov.run ~workloads:(subset [ "h264ref"; "libquantum" ]) ()
+    Harness.Memov.run ~backend ~workloads:(subset [ "h264ref"; "libquantum" ]) ()
   in
   List.iter
     (fun (r : Harness.Memov.row) ->
@@ -101,7 +106,7 @@ let test_memov_positive_and_pbox_driven () =
 (* Ablation *)
 
 let test_ablation_tradeoffs () =
-  let t = Harness.Ablation.run () in
+  let t = Harness.Ablation.run ~backend () in
   let get label =
     List.find (fun (r : Harness.Ablation.row) -> r.label = label) t.rows
   in
@@ -119,7 +124,7 @@ let test_ablation_tradeoffs () =
 (* Security experiments *)
 
 let test_realvuln_shape () =
-  let t = Harness.Security.realvuln ~trials_per_cell:4 () in
+  let t = Harness.Security.realvuln ~backend ~trials_per_cell:4 () in
   List.iter
     (fun (c : Harness.Security.cell) ->
       match c.defense with
@@ -134,7 +139,7 @@ let test_realvuln_shape () =
     t.cells
 
 let test_pentest_shape () =
-  let t = Harness.Security.pentest ~trials_per_cell:4 () in
+  let t = Harness.Security.pentest ~backend ~trials_per_cell:4 () in
   List.iter
     (fun (c : Harness.Security.cell) ->
       match c.defense with
@@ -148,7 +153,7 @@ let test_pentest_shape () =
     t.cells
 
 let test_brute_shape () =
-  let rows = Harness.Security.brute ~max_attempts:120 () in
+  let rows = Harness.Security.brute ~backend ~max_attempts:120 () in
   let get d =
     List.find (fun (r : Harness.Security.brute_row) -> r.bdefense = d) rows
   in
@@ -165,7 +170,7 @@ let test_markdown_renderers () =
   let t1 = Harness.Randrate.run ~draws:2_000 () in
   Alcotest.(check bool) "randrate md" true
     (String.length (Sutil.Texttable.to_markdown (Harness.Randrate.table t1)) > 100);
-  let e = Harness.Security.realvuln ~trials_per_cell:1 () in
+  let e = Harness.Security.realvuln ~backend ~trials_per_cell:1 () in
   Alcotest.(check bool) "security md" true
     (String.length (Sutil.Texttable.to_markdown (Harness.Security.table e)) > 100)
 
@@ -202,6 +207,35 @@ let test_registry_failed_invariant () =
   Alcotest.(check int) "exit code when all hold" 0
     (Harness.Registry.exit_code
        (Harness.Registry.violations e (outcome [ ("all_validated", true) ])))
+
+(* An entry executes its programs on the backend it is handed: a
+   bytecode backend that counts its runs must be called, and the
+   entry's output must equal the reference interpreter's. *)
+let test_registry_backend_reaches_execution () =
+  Harness.Registry.setup ();
+  let e =
+    List.find (fun (e : Harness.Registry.entry) -> e.key = "analysis") Harness.Registry.all
+  in
+  let runs = Atomic.make 0 in
+  let counting =
+    {
+      Engine.Backend.backend with
+      run =
+        (fun ?fuel ?entry ?args st ->
+          Atomic.incr runs;
+          Engine.Backend.backend.run ?fuel ?entry ?args st);
+    }
+  in
+  let render backend =
+    Harness.Output.to_markdown (e.run Sched.Pool.sequential backend).output
+  in
+  let counted = render counting in
+  Alcotest.(check bool)
+    (Printf.sprintf "the passed backend ran (%d runs)" (Atomic.get runs))
+    true
+    (Atomic.get runs > 0);
+  Alcotest.(check string) "output equals the reference interpreter's"
+    (render Machine.Backend.reference) counted
 
 let test_registry_golden () =
   let all = Harness.Registry.all in
@@ -250,5 +284,7 @@ let () =
           Alcotest.test_case "failed invariant exits 1" `Quick
             test_registry_failed_invariant;
           Alcotest.test_case "golden ids, keys and headings" `Quick test_registry_golden;
+          Alcotest.test_case "passed backend reaches execution" `Quick
+            test_registry_backend_reaches_execution;
         ] );
     ]

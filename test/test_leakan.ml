@@ -403,7 +403,7 @@ let test_guided_beats_blind () =
   let applied = Defenses.Defense.apply ~seed:3L full_config prog in
   let budget = 40 in
   let guided =
-    Dopc.Exec.brute_guided applied chain ~disclosed:guide.Dopc.Plan.disclosed
+    Dopc.Exec.brute_guided ~backend:Machine.Backend.reference applied chain ~disclosed:guide.Dopc.Plan.disclosed
       ~budget ~seed0:1000
   in
   Alcotest.(check bool)
@@ -411,7 +411,7 @@ let test_guided_beats_blind () =
        (List.length guided))
     true
     (List.exists (fun v -> v = Attacks.Verdict.Success) guided);
-  let blind = Dopc.Exec.brute applied chain ~budget ~seed0:0 in
+  let blind = Dopc.Exec.brute ~backend:Machine.Backend.reference applied chain ~budget ~seed0:0 in
   Alcotest.(check bool) "blind walk exhausts the same budget" false
     (List.exists (fun v -> v = Attacks.Verdict.Success) blind)
 
@@ -420,7 +420,7 @@ let test_leakcheck_smoke () =
      several draws before both sides show up, so fewer seeds can
      produce a spurious "no variance" dynamic verdict *)
   let t =
-    Harness.Leakcheck.run ~progen:1 ~leaky_progen:2 ~budget:80 ~walks:1 ()
+    Harness.Leakcheck.run ~backend:Machine.Backend.reference ~progen:1 ~leaky_progen:2 ~budget:80 ~walks:1 ()
   in
   Alcotest.(check int) "zero static/dynamic disagreements" 0 t.disagreements;
   Alcotest.(check bool) "corpus covers benign and leaky programs" true

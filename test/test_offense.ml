@@ -183,7 +183,7 @@ let test_verdict_engine_parity_50_seeds () =
 
 let run_e17 jobs =
   Sched.Pool.with_pool ~jobs @@ fun pool ->
-  Harness.Offense.run ~pool
+  Harness.Offense.run ~pool ~backend:Machine.Backend.reference
     ~workloads:[ "stack-direct"; "stack-indirect" ]
     ~trials:3 ~brute_budget:40 ()
 

@@ -389,7 +389,7 @@ let test_stats_counts_retries_and_timeouts () =
 let test_experiment_output_identical_parallel_vs_sequential () =
   let render pool =
     Sutil.Texttable.to_markdown
-      (Harness.Security.table (Harness.Security.rng_security ?pool ~trials_per_cell:2 ()))
+      (Harness.Security.table (Harness.Security.rng_security ?pool ~backend:Machine.Backend.reference ~trials_per_cell:2 ()))
   in
   let seq = render None in
   let par = Sched.Pool.with_pool ~jobs:4 (fun pool -> render (Some pool)) in

@@ -97,7 +97,7 @@ let dispatch_once ?(queue_capacity = 1024) ?(virtual_workers = 16) ~root
       shard = 4;
     }
   in
-  (specs, Server.Dispatch.run ~config tenants specs)
+  (specs, Server.Dispatch.run ~backend:ref_backend ~config tenants specs)
 
 let test_queue_invariants () =
   let specs, d = dispatch_once ~root:3L ~sessions:60 () in
@@ -151,7 +151,7 @@ let test_served_attacks_match_batch_verdicts () =
     { Server.Traffic.default with sessions = 150; root = 11L }
   in
   let specs = Server.Traffic.generate traffic tenants in
-  let d = Server.Dispatch.run tenants specs in
+  let d = Server.Dispatch.run ~backend:ref_backend tenants specs in
   let summary = Server.Metrics.of_dispatch d in
   Alcotest.(check bool) "schedule contains attacks" true
     (summary.Server.Metrics.attack_sessions > 0);
@@ -180,7 +180,7 @@ let test_summary_accounting () =
   let tenants = Server.Tenant.fleet ~apps:small_apps ~root:5L () in
   let traffic = { Server.Traffic.default with sessions = 80; root = 5L } in
   let specs = Server.Traffic.generate traffic tenants in
-  let d = Server.Dispatch.run tenants specs in
+  let d = Server.Dispatch.run ~backend:ref_backend tenants specs in
   let s = Server.Metrics.of_dispatch d in
   Alcotest.(check int) "sessions = served + shed + rejected + dropped"
     s.Server.Metrics.sessions
@@ -874,7 +874,7 @@ let mixed_outcomes =
        }
      in
      let specs = Server.Traffic.generate traffic tenants in
-     Array.of_list (fst (Server.Dispatch.execute tenants specs)))
+     Array.of_list (fst (Server.Dispatch.execute ~backend:ref_backend tenants specs)))
 
 type admission_case = {
   cfg : Server.Dispatch.config;

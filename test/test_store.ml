@@ -717,8 +717,8 @@ let test_campaign_resume_property () =
 let test_workbench_stats_store_independent () =
   let w = List.hd Apps.Spec.all in
   Harness.Workbench.force_programs [ w ];
-  let s1 = Harness.Workbench.baseline ~store:(Cache.in_memory ()) w in
-  let s2 = Harness.Workbench.baseline ~store:(Cache.in_memory ()) w in
+  let s1 = Harness.Workbench.baseline ~backend:Machine.Backend.reference ~store:(Cache.in_memory ()) w in
+  let s2 = Harness.Workbench.baseline ~backend:Machine.Backend.reference ~store:(Cache.in_memory ()) w in
   Alcotest.(check int64)
     "baseline cycles bit-identical across stores"
     (Int64.bits_of_float s1.Machine.Exec.cycles)
@@ -726,11 +726,11 @@ let test_workbench_stats_store_independent () =
   Alcotest.(check string) "baseline output identical" s1.Machine.Exec.output
     s2.Machine.Exec.output;
   let h1, p1 =
-    Harness.Workbench.smokestack_stats ~store:(Cache.in_memory ())
+    Harness.Workbench.smokestack_stats ~backend:Machine.Backend.reference ~store:(Cache.in_memory ())
       Smokestack.Config.default w
   in
   let h2, p2 =
-    Harness.Workbench.smokestack_stats ~store:(Cache.in_memory ())
+    Harness.Workbench.smokestack_stats ~backend:Machine.Backend.reference ~store:(Cache.in_memory ())
       Smokestack.Config.default w
   in
   Alcotest.(check int64)

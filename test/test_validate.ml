@@ -239,7 +239,7 @@ let test_selective_bit_identical () =
           Defenses.Defense.apply ~seed:3L
             (Defenses.Defense.Smokestack config) prog
         in
-        Apps.Runner.run_chunks applied ~seed:23L
+        Apps.Runner.run_chunks ~backend:Machine.Backend.reference applied ~seed:23L
           ~chunks:(Harness.Workbench.chunks_of_input w.input)
       in
       let o_full, s_full = run default in
