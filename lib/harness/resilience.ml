@@ -232,7 +232,7 @@ let run ?(pool = Sched.Pool.sequential) ~backend ?store ?(config = default) ()
     Server.Tenant.fleet ~defense:config.defense
       ~root:config.traffic.Server.Traffic.root ()
   in
-  let specs = Server.Traffic.generate config.traffic tenants in
+  let specs = Server.Traffic.generate ~pool config.traffic tenants in
   (* execute once — admission policy never changes a session's verdict
      or service time, so every cell below replays the same outcomes *)
   let executed, dropped =

@@ -26,7 +26,7 @@ let run ?pool ~backend ?(config = default) () =
   let tenants =
     Server.Tenant.fleet ~defense:config.defense ~root:config.traffic.root ()
   in
-  let specs = Server.Traffic.generate config.traffic tenants in
+  let specs = Server.Traffic.generate ?pool config.traffic tenants in
   let dispatch =
     Server.Dispatch.run ?pool ~backend ~config:config.dispatch tenants specs
   in

@@ -39,7 +39,6 @@ type segment = {
   base : int;
   size : int;  (** the extent: addresses [\[base, base + size)] are mapped *)
   perm : perm;
-  touched : Bytes.t;  (** one byte per 4 KiB page, for RSS accounting *)
 }
 
 type t
@@ -86,7 +85,8 @@ val cstring : t -> ?max:int -> int -> string
 
 val touched_bytes : t -> int
 (** Total bytes of pages touched so far, across all segments — the
-    max-RSS proxy used by the Figure 4 experiment. *)
+    max-RSS proxy used by the Figure 4 experiment.  Costs the pages of
+    the materialized windows, not of the extents. *)
 
 (** {1 Fault injection} — consumed by [lib/fault]. *)
 

@@ -373,16 +373,39 @@ let rec shards_of n = function
       let shard, rest = take n [] specs in
       shard :: shards_of n rest
 
-let prepared lease (tenant : Tenant.t) =
-  Sched.Lease.acquire lease ~key:tenant.Tenant.name ~build:(fun () ->
-      Tenant.prepare tenant)
+(* Every tenant instance the schedule names, keyed by tenant name and
+   built as one pool wave (one job per tenant) before any shard starts,
+   so shard jobs only read the table.  Each app's program is forced
+   first, on the submitting domain: two domains forcing one [Lazy.t]
+   raise [Lazy.Undefined], and two tenants may share an app. *)
+let prepare_all pool tenants specs =
+  let seen = Hashtbl.create 16 and distinct = ref [] in
+  let add (t : Tenant.t) =
+    if not (Hashtbl.mem seen t.Tenant.name) then begin
+      Hashtbl.replace seen t.Tenant.name ();
+      distinct := t :: !distinct
+    end
+  in
+  List.iter add tenants;
+  List.iter (fun (s : Session.spec) -> add s.Session.tenant) specs;
+  let distinct = List.rev !distinct in
+  List.iter
+    (fun (t : Tenant.t) -> ignore (Lazy.force t.Tenant.app.Apps.Sessions.sprogram))
+    distinct;
+  let applied =
+    Sched.Pool.run_all pool
+      (List.map
+         (fun (t : Tenant.t) ->
+           Sched.Job.v ~id:("serve/tenant-" ^ t.Tenant.name) (fun () -> Tenant.prepare t))
+         distinct)
+  in
+  let table = Hashtbl.create 16 in
+  List.iter2 (fun (t : Tenant.t) a -> Hashtbl.replace table t.Tenant.name a) distinct applied;
+  table
 
 let execute ?(pool = Sched.Pool.sequential) ~backend ?(config = default)
     tenants specs =
-  let lease = Sched.Lease.create () in
-  (* Build every tenant instance up front, on the submitting domain:
-     jobs then lease read-only hits instead of serializing on builds. *)
-  List.iter (fun t -> ignore (prepared lease t)) tenants;
+  let applied = prepare_all pool tenants specs in
   let shards = shards_of (max 1 config.shard) specs in
   let jobs =
     List.mapi
@@ -390,8 +413,9 @@ let execute ?(pool = Sched.Pool.sequential) ~backend ?(config = default)
         Sched.Job.v ~id:(Printf.sprintf "serve/shard-%04d" i) (fun () ->
             List.map
               (fun (s : Session.spec) ->
-                let applied = prepared lease s.Session.tenant in
-                Session.run ~backend ~applied s)
+                Session.run ~backend
+                  ~applied:(Hashtbl.find applied s.Session.tenant.Tenant.name)
+                  s)
               shard))
       shards
   in

@@ -6,7 +6,7 @@
 
     - {b Execution} ({!execute}) shards the schedule (preserving sid
       order) into pool jobs, each serving its sessions sequentially
-      against the tenant's leased instance.  Supervision
+      against the tenant's prepared instance.  Supervision
       ({!Sched.Pool.run_all_outcomes}) bounds each shard with an
       optional wall-clock timeout and retry budget; a shard that dies
       or hangs loses only its own sessions (reported as dropped), never
@@ -112,9 +112,12 @@ val execute :
   Tenant.t list ->
   Session.spec list ->
   Session.outcome list * Session.spec list
-(** Prepare every tenant (sequentially, cached via {!Sched.Lease}) and
-    execute the schedule on the pool: [(executed outcomes in sid order,
-    dropped specs)].  Byte-identical at any pool width. *)
+(** Prepare every tenant the list or the schedule names, as one pool
+    wave (one job per tenant, after forcing each app's program on the
+    calling domain), then execute the schedule on the pool, with shard
+    jobs reading the prepared instances from a table they never write:
+    [(executed outcomes in sid order, dropped specs)].  Byte-identical
+    at any pool width. *)
 
 val admit : ?dropped:Session.spec list -> config -> Session.outcome list -> t
 (** Pure virtual-time admission replay over executed outcomes (must be

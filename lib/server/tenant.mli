@@ -4,8 +4,8 @@
     under it — a pure function of the fleet's root seed.
 
     Tenants are the isolation unit: each one gets its own prepared
-    instance ({!prepare}, cached per tenant by the dispatcher through
-    {!Sched.Lease}) and sessions never share machine state — every
+    instance ({!prepare}, built once per tenant by
+    {!Dispatch.execute}) and sessions never share machine state — every
     session builds a fresh state from the tenant's [applied] with its
     own entropy stream, so a compromised or crashed session cannot leak
     into its neighbours. *)
@@ -32,4 +32,5 @@ val fleet :
 val prepare : t -> Defenses.Defense.applied
 (** Build the tenant's hardened instance (compile passes + P-BOX
     randomization under the tenant seed).  Deterministic; expensive —
-    call once per tenant and share via {!Sched.Lease}. *)
+    call once per tenant and share the result.  Forces the app's
+    [sprogram]; two domains must not force one [Lazy.t] at once. *)

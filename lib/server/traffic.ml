@@ -34,6 +34,13 @@ let paying_client c client =
        ~bound:100
      < c.paying_pct
 
+(* [paying_client] tabulated once per schedule over every client id a
+   session can draw (see [session_spec]), rather than once per session. *)
+let paying_clients c =
+  Array.init
+    (max (max 1 c.attackers) (c.attackers + max 1 (c.clients - c.attackers)))
+    (paying_client c)
+
 (* RNG-source plans arm as no-ops without a generator handle (the
    session path does not thread one); re-draw until the plan lands on a
    family that actually bites — memory flips or intrinsic corruption. *)
@@ -43,7 +50,9 @@ let rec non_rng_plan seed =
     non_rng_plan (Int64.add seed 0x9E3779B97F4A7C15L)
   else p
 
-let session_spec c tenants sid ~arrival =
+(* Session [sid] and the gap before its arrival, drawn from its own
+   keyed stream; [arrival] is left at 0 for [generate] to fill in. *)
+let session_spec c tenants paying sid =
   let rng =
     Sutil.Simrng.stream ~root:c.root ~id:(Printf.sprintf "session-%06d" sid)
   in
@@ -80,27 +89,31 @@ let session_spec c tenants sid ~arrival =
   in
   let sseed = Sutil.Simrng.next_u64 rng in
   let gap = 1 + Sutil.Simrng.int rng ~bound:((2 * c.mean_gap) - 1) in
-  ( {
-      Session.sid;
-      tenant;
-      kind;
-      client;
-      paying = paying_client c client;
-      sseed;
-      arrival = arrival +. float_of_int gap;
-    },
-    arrival +. float_of_int gap )
+  ({ Session.sid; tenant; kind; client; paying = paying.(client); sseed; arrival = 0. }, gap)
 
-let generate c tenants =
+(* Each session draws only from its own stream, so contiguous sid ranges
+   are drawn as independent pool jobs; the arrival times are then one
+   sequential prefix sum, the same float additions in the same order as
+   a single loop, so the schedule is bit-identical at any pool width. *)
+let generate ?(pool = Sched.Pool.sequential) c tenants =
   if tenants = [] then invalid_arg "Server.Traffic.generate: no tenants";
   let tenants = Array.of_list tenants in
-  let specs = ref [] in
-  let arrival = ref 0. in
-  for sid = 0 to c.sessions - 1 do
-    let spec, next = session_spec c tenants sid ~arrival:!arrival in
-    specs := spec :: !specs;
-    arrival := next
-  done;
+  let paying = paying_clients c in
+  let n = max 0 c.sessions in
+  let ranges = max 1 (min n (Sched.Pool.jobs pool)) in
+  let drawn =
+    Sched.Pool.run_all pool
+      (List.init ranges (fun j ->
+           let lo = j * n / ranges and hi = (j + 1) * n / ranges in
+           Sched.Job.v ~id:(Printf.sprintf "traffic/%04d" j) (fun () ->
+               Array.init (hi - lo) (fun i -> session_spec c tenants paying (lo + i)))))
+  in
+  let arrival = ref 0. and specs = ref [] in
+  List.iter
+    (Array.iter (fun ((spec : Session.spec), gap) ->
+         arrival := !arrival +. float_of_int gap;
+         specs := { spec with arrival = !arrival } :: !specs))
+    drawn;
   List.rev !specs
 
 let census specs =

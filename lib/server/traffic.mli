@@ -41,8 +41,11 @@ type config = {
 
 val default : config
 
-val generate : config -> Tenant.t list -> Session.spec list
-(** The full schedule, in sid (= arrival) order. *)
+val generate : ?pool:Sched.Pool.t -> config -> Tenant.t list -> Session.spec list
+(** The full schedule, in sid (= arrival) order.  With [pool] (default
+    {!Sched.Pool.sequential}), contiguous sid ranges, one per pool
+    domain, are drawn as pool jobs; the schedule is bit-identical at any
+    width. *)
 
 val census : Session.spec list -> int * int * int
 (** [(benign, attack, chaos)] counts. *)

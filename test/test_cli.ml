@@ -593,6 +593,9 @@ let same_across_jobs ?(narrow = []) ?(wide = []) what args =
   Alcotest.(check string) (what ^ ": stdout identical at --jobs 1 and 4") (snd j1) (snd j4);
   snd j1
 
+(* A golden copied next to this test binary as a test dep. *)
+let golden name = read_file (Filename.concat (Filename.dirname Sys.executable_name) name)
+
 let test_smoke_serve_mixed () =
   with_temp_dir @@ fun dir ->
   let json = Filename.concat dir "serve.json" in
@@ -600,6 +603,7 @@ let test_smoke_serve_mixed () =
     same_across_jobs ~wide:[ "--json"; json ] "serve"
       [ "serve"; "--sessions"; "400"; "--tenants" ]
   in
+  Alcotest.(check string) "matches serve_tenants.golden" (golden "serve_tenants.golden") out;
   Alcotest.(check (option string))
     "JSON title is the printed table title"
     (Some (List.hd (String.split_on_char '\n' out)))
@@ -617,9 +621,7 @@ let test_smoke_serve_tight () =
     same_across_jobs "tight serve"
       [ "serve"; "--sessions"; "400"; "--classes"; "--workers"; "2"; "--capacity"; "8" ]
   in
-  Alcotest.(check string) "matches serve_wfq_tight.golden"
-    (read_file (Filename.concat (Filename.dirname Sys.executable_name) "serve_wfq_tight.golden"))
-    out
+  Alcotest.(check string) "matches serve_wfq_tight.golden" (golden "serve_wfq_tight.golden") out
 
 (* The control plane (DESIGN.md §16) under a fault storm: the breakers
    fire, the anonymous fleet rejects nothing, and affinity admits
@@ -629,7 +631,8 @@ let test_smoke_serve_storm () =
   let storm = [ "serve"; "--storm"; "--sessions"; "400"; "--mean-gap"; "4000" ] in
   let on_json = Filename.concat dir "storm_serve.json" in
   let off_json = Filename.concat dir "storm_anon.json" in
-  ignore
+  Alcotest.(check string) "matches serve_storm_affinity.golden"
+    (golden "serve_storm_affinity.golden")
     (same_across_jobs ~wide:[ "--json"; on_json ] "storm serve"
        (storm @ [ "--affinity"; "--classes"; "--breaker"; "150000:2" ]));
   check_code "anonymous storm serve" 0

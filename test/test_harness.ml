@@ -246,7 +246,9 @@ let test_registry_golden () =
   Alcotest.(check int) "keys unique" (List.length keys)
     (List.length (List.sort_uniq String.compare keys));
   let headings =
-    In_channel.with_open_bin "../EXPERIMENTS.md" In_channel.input_all
+    In_channel.with_open_bin
+      (Filename.concat (Filename.dirname Sys.executable_name) "../EXPERIMENTS.md")
+      In_channel.input_all
     |> String.split_on_char '\n'
     |> List.filter_map (fun l ->
            if String.starts_with ~prefix:"## " l then

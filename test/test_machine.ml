@@ -368,6 +368,28 @@ let test_flip_untouched_byte () =
   Alcotest.(check int64) "bit set" 8L (M.load m ~width:1 (0x100000 + 300_000));
   Alcotest.(check int64) "neighbours zero" 0L (M.load m ~width:1 (0x100000 + 300_001))
 
+(* [touched_bytes] counts only the pages of the materialized window.
+   The extent ends 1000 bytes short of a page boundary, so the first
+   store materializes a 3,096-byte window, the second doubles it to
+   7,192 page-aligned bytes, and the third, one page lower still, grows
+   it to twice that from the top: a window whose low end lies 1000 bytes
+   into a page.  A load from that low end touches the partial page. *)
+let test_touched_bytes_follow_window () =
+  let size = (8 * mib) - 1000 in
+  let base = 0x1000000 in
+  let top = base + size in
+  let m = M.create [ ("heap", base, size, M.Read_write) ] in
+  List.iteri
+    (fun i a ->
+      M.store m ~width:8 a 1L;
+      Alcotest.(check int)
+        (Printf.sprintf "%d page(s) touched" (i + 1))
+        ((i + 1) * M.page_size) (M.touched_bytes m))
+    [ top - 8; top - 8 - 4096; top - 8 - 8192 ];
+  Alcotest.(check int) "an 8 MiB heap that touched 3 pages" 12_288 (M.touched_bytes m);
+  ignore (M.load m ~width:1 (top - (2 * 7192)));
+  Alcotest.(check int) "the window's partial first page counts" 16_384 (M.touched_bytes m)
+
 (* ------------------------------------------------------------------ *)
 (* Exec: faults, builtins, accounting *)
 
@@ -740,6 +762,8 @@ let () =
             test_downward_growth_keeps_contents;
           Alcotest.test_case "flip untouched byte" `Quick test_flip_untouched_byte;
           QCheck_alcotest.to_alcotest prop_memory_matches_eager_model;
+          Alcotest.test_case "touched bytes follow the window" `Quick
+            test_touched_bytes_follow_window;
         ] );
       ( "exec",
         [

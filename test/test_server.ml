@@ -79,6 +79,40 @@ let test_traffic_shape () =
       | _ -> ())
     specs
 
+(* Every field of a spec, arrivals in hex: [spec_repr]'s [%.0f] would
+   hide a drift in the last bits of a prefix sum. *)
+let exact_repr (s : Server.Session.spec) =
+  Printf.sprintf "%d|%s|%s|%d|%b|%Ld|%h" s.sid s.tenant.Server.Tenant.name (kind_repr s.kind)
+    s.client s.paying s.sseed s.arrival
+
+let test_traffic_pooled_matches_sequential () =
+  let check pool what config tenants =
+    Alcotest.(check (list string))
+      (Printf.sprintf "%s at width %d" what (Sched.Pool.jobs pool))
+      (List.map exact_repr (Server.Traffic.generate config tenants))
+      (List.map exact_repr (Server.Traffic.generate ~pool config tenants))
+  in
+  List.iter
+    (fun jobs ->
+      Sched.Pool.with_pool ~jobs @@ fun pool ->
+      for root = 0 to 119 do
+        let root = Int64.of_int root in
+        check pool
+          (Printf.sprintf "root %Ld" root)
+          { Server.Traffic.default with sessions = 40; root }
+          (Server.Tenant.fleet ~root ())
+      done;
+      let storm =
+        {
+          Server.Traffic.default with
+          sessions = 400;
+          root = 9L;
+          storm = Some (Fault.Storm.plan ~root:9L ~sessions:400 ());
+        }
+      in
+      check pool "storm" storm (Server.Tenant.fleet ~apps:small_apps ~root:9L ()))
+    [ 2; 8 ]
+
 (* ------------------------------------------------------------------ *)
 (* The admission queue *)
 
@@ -325,6 +359,29 @@ let test_full_harness_report_identical () =
   let bc = render (Harness.Serve.run ~backend:bc_backend ~config ()) in
   Alcotest.(check string) "report identical at jobs=6" seq par;
   Alcotest.(check string) "report identical on bytecode" seq bc
+
+(* Two tenants share one app whose program is a fresh, unforced [lazy]:
+   dispatching them on a 4-domain pool must not force it from two
+   domains at once, and must equal the sequential run.  Whether two
+   domains race on the force depends on timing, so eight fresh fleets. *)
+let test_shared_lazy_program_dispatch () =
+  let fresh_app () =
+    let v = List.hd Apps.Synth.variants in
+    let app = Option.get (Apps.Sessions.find ("synth-" ^ v.Apps.Synth.vname)) in
+    { app with Apps.Sessions.sprogram = lazy (Minic.Driver.compile v.Apps.Synth.source) }
+  in
+  let digest ?pool () =
+    let app = fresh_app () in
+    let tenants = Server.Tenant.fleet ~apps:[ app; app ] ~root:5L () in
+    let traffic = { Server.Traffic.default with sessions = 40; root = 5L; mean_gap = 40 } in
+    let specs = Server.Traffic.generate ?pool traffic tenants in
+    dispatch_digest (Server.Dispatch.run ?pool ~backend:ref_backend tenants specs)
+  in
+  let seq = digest () in
+  Sched.Pool.with_pool ~jobs:4 @@ fun pool ->
+  for i = 1 to 8 do
+    Alcotest.(check string) (Printf.sprintf "fleet %d: jobs=4 == jobs=1" i) seq (digest ~pool ())
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Circuit breakers: transition boundaries in virtual time *)
@@ -1070,6 +1127,8 @@ let () =
           Alcotest.test_case "replays over 120 roots" `Quick
             test_traffic_replays_over_100_roots;
           Alcotest.test_case "schedule shape" `Quick test_traffic_shape;
+          Alcotest.test_case "pooled draw matches sequential" `Quick
+            test_traffic_pooled_matches_sequential;
         ] );
       ( "queue",
         [
@@ -1124,6 +1183,8 @@ let () =
             test_policy_replay_identical_across_engines_and_widths;
           Alcotest.test_case "full E15 report" `Quick
             test_full_harness_report_identical;
+          Alcotest.test_case "shared lazy program on a pool" `Quick
+            test_shared_lazy_program_dispatch;
         ] );
       ( "admission",
         [
