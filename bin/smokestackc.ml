@@ -348,15 +348,14 @@ let pbox_cmd =
 
 let layouts_cmd =
   let action file func runs scheme seed =
+    if runs < 1 then usage_fail "layouts: --runs must be >= 1";
     let prog = compile file in
     let hardened = Smokestack.Harden.harden (config_of scheme false) prog in
     (* observe the chosen frame layout by dumping the offsets the
        runtime would select across invocations *)
     let binding = Smokestack.Pbox.binding hardened.pbox func in
     match binding with
-    | None ->
-        Printf.eprintf "function %s has no permuted frame\n" func;
-        exit 1
+    | None -> usage_fail "layouts: function %s has no permuted frame" func
     | Some b -> (
         match b.mode with
         | Smokestack.Pbox.Dynamic _ ->
@@ -805,12 +804,9 @@ let serve_cmd =
       }
     in
     let backend = Machine.Backend.find engine in
-    let width =
-      match jobs with Some j -> j | None -> Domain.recommended_domain_count ()
-    in
     let t0 = Unix.gettimeofday () in
     let t, stats =
-      Sched.Pool.with_pool ~jobs:width @@ fun pool ->
+      Sched.Pool.with_pool ?jobs @@ fun pool ->
       let t = Harness.Serve.run ~pool ~backend ~config () in
       (t, Sched.Pool.stats pool)
     in
@@ -1003,12 +999,9 @@ let campaign_cmd =
       Printf.eprintf "campaign: resuming: %d of %d program(s) still to run\n%!"
         (Store.Campaign.remaining ~store config)
         progen;
-    let width =
-      match jobs with Some j -> j | None -> Domain.recommended_domain_count ()
-    in
     let t0 = Unix.gettimeofday () in
     let report, pool_stats =
-      Sched.Pool.with_pool ~jobs:width @@ fun pool ->
+      Sched.Pool.with_pool ?jobs @@ fun pool ->
       let r = Store.Campaign.run ~pool ~store config in
       (r, Sched.Pool.stats pool)
     in
@@ -1137,12 +1130,9 @@ let attack_cmd =
           | Sys_error msg -> usage_fail "attack: --store %s" msg)
         store_dir
     in
-    let width =
-      match jobs with Some j -> j | None -> Domain.recommended_domain_count ()
-    in
     let t0 = Unix.gettimeofday () in
     let t, pool_stats =
-      Sched.Pool.with_pool ~jobs:width @@ fun pool ->
+      Sched.Pool.with_pool ?jobs @@ fun pool ->
       let t =
         Harness.Offense.run ~pool ~backend ?store ~trials ~brute_budget:budget
           ~max_chains:chains ?workloads ~progen ()

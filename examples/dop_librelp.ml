@@ -56,7 +56,7 @@ let () =
       in
       pf "%-22s binary-analysis:  %s" (Defenses.Defense.name d) (describe sr);
       pf "%-22s probe+disclosure: %s" "" (describe dr))
-    (Defenses.Defense.all ());
+    Defenses.Defense.all;
 
   pf "@.static-perm is fixed per build — how many builds fall to pure binary analysis?";
   let exploitable = ref 0 in

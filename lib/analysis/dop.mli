@@ -45,20 +45,6 @@ type pair = {
 
 val kind_to_string : kind -> string
 
-val compute_pair_id :
-  kind:kind ->
-  buf_func:string ->
-  buf_slot:string ->
-  victim_func:string ->
-  victim_slot:string ->
-  static_distance:int option ->
-  path:string list ->
-  string
-(** The digest {!enumerate} stores in [pair_id]: length-prefixed
-    framing over the identifying fields, hashed and truncated.  Exposed
-    so consumers (report decoding, tests) can recompute and verify
-    ids. *)
-
 val enumerate : Ir.Prog.t -> Funcan.t list -> pair list
 (** Deterministic order: buffer functions in analysis order, then
     victims by frame and slot index. *)

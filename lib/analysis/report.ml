@@ -282,14 +282,6 @@ let to_text t =
 
 let role_to_json r = J.String (Funcan.role_to_string r)
 
-let role_of_json = function
-  | J.String "branch" -> Ok Funcan.Branch_feed
-  | J.String "call-target" -> Ok Funcan.Call_target
-  | J.String "mem-addr" -> Ok Funcan.Mem_addr
-  | J.String "call-arg" -> Ok Funcan.Call_arg
-  | J.String "wild-data" -> Ok Funcan.Wild_data
-  | j -> Error ("bad role " ^ J.to_string j)
-
 let reason_to_json (r : Funcan.reason) =
   let kind, detail =
     match r with
@@ -298,16 +290,6 @@ let reason_to_json (r : Funcan.reason) =
     | Escape s -> ("escape", s)
   in
   J.Obj [ ("kind", J.String kind); ("detail", J.String detail) ]
-
-let reason_of_json j =
-  match
-    ( Option.bind (J.member "kind" j) J.to_str_opt,
-      Option.bind (J.member "detail" j) J.to_str_opt )
-  with
-  | Some "out-of-extent", Some d -> Ok (Funcan.Out_of_extent d)
-  | Some "unbounded-intrinsic", Some d -> Ok (Funcan.Unbounded_intrinsic d)
-  | Some "escape", Some d -> Ok (Funcan.Escape d)
-  | _ -> Error ("bad reason " ^ J.to_string j)
 
 let slot_to_json (s : Funcan.slot) =
   J.Obj
@@ -422,236 +404,3 @@ let to_json t =
       ( "summary_degraded",
         J.Obj (List.map (fun (d, a) -> (d, J.Float a)) (summary_degraded t)) );
     ]
-
-(* -------- parsing (the round-trip direction) -------- *)
-
-let ( let* ) = Result.bind
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: xs ->
-      let* y = f x in
-      let* ys = map_result f xs in
-      Ok (y :: ys)
-
-let need what o = Option.to_result ~none:("missing " ^ what) o
-let str_field k j = need k (Option.bind (J.member k j) J.to_str_opt)
-let int_field k j = need k (Option.bind (J.member k j) J.to_int_opt)
-let list_field k j = Option.fold ~none:[] ~some:J.to_list (J.member k j)
-
-let bool_field k j =
-  match J.member k j with Some (J.Bool b) -> Ok b | _ -> Error ("missing " ^ k)
-
-let ty_of_size size =
-  if size = 1 then Ir.Ty.I8
-  else if size = 2 then Ir.Ty.I16
-  else if size = 4 then Ir.Ty.I32
-  else if size = 8 then Ir.Ty.I64
-  else Ir.Ty.Array (Ir.Ty.I8, size)
-
-(* Inverse of [Ir.Ty.to_string] for the forms a slot can carry.  Struct
-   display names don't record their fields, so those (and anything else
-   unparseable) fall back to a type of the right extent. *)
-let rec ty_of_string ~size s =
-  match s with
-  | "i1" -> Ir.Ty.I1
-  | "i8" -> Ir.Ty.I8
-  | "i16" -> Ir.Ty.I16
-  | "i32" -> Ir.Ty.I32
-  | "i64" -> Ir.Ty.I64
-  | "ptr" -> Ir.Ty.Ptr
-  | _ -> (
-      match Scanf.sscanf_opt s "[%d x %[^]]]" (fun n elt -> (n, elt)) with
-      | Some (n, elt) when n > 0 ->
-          Ir.Ty.Array (ty_of_string ~size:(size / n) elt, n)
-      | _ -> ty_of_size size)
-
-let slot_of_json j =
-  let* index = int_field "index" j in
-  let* name = str_field "name" j in
-  let* reg = int_field "reg" j in
-  let* ty_s = str_field "ty" j in
-  let* size = int_field "size" j in
-  let* offset = int_field "offset" j in
-  let* overflow = map_result reason_of_json (list_field "overflow" j) in
-  let* roles = map_result role_of_json (list_field "roles" j) in
-  Ok
-    {
-      Funcan.index;
-      name;
-      reg;
-      ty = ty_of_string ~size ty_s;
-      size;
-      offset;
-      overflow;
-      roles;
-    }
-
-let funcan_of_json j =
-  let* fname = str_field "fname" j in
-  let* slots = map_result slot_of_json (list_field "slots" j) in
-  let* wild_stores = int_field "wild_stores" j in
-  let* heap_stores = int_field "heap_stores" j in
-  let* global_overflows =
-    map_result
-      (fun x -> need "global" (J.to_str_opt x))
-      (list_field "global_overflows" j)
-  in
-  let* callees =
-    map_result (fun x -> need "callee" (J.to_str_opt x)) (list_field "callees" j)
-  in
-  let* has_call_ind = bool_field "has_call_ind" j in
-  Ok
-    {
-      Funcan.fname;
-      slots;
-      wild_stores;
-      heap_stores;
-      global_overflows;
-      callees;
-      has_call_ind;
-    }
-
-let kind_of_string = function
-  | "same-frame" -> Ok Dop.Same_frame
-  | "cross-frame" -> Ok Dop.Cross_frame
-  | "wild-write" -> Ok Dop.Wild_write
-  | s -> Error ("bad kind " ^ s)
-
-let pair_of_json j =
-  let* kind = Result.bind (str_field "kind" j) kind_of_string in
-  let* buf_func = str_field "buf_func" j in
-  let* buf_slot = str_field "buf_slot" j in
-  let* victim_func = str_field "victim_func" j in
-  let* victim_slot = str_field "victim_slot" j in
-  let static_distance =
-    Option.bind (J.member "static_distance" j) J.to_int_opt
-  in
-  let* path =
-    map_result (fun x -> need "path" (J.to_str_opt x)) (list_field "path" j)
-  in
-  let* victim_roles = map_result role_of_json (list_field "victim_roles" j) in
-  let* reasons = map_result reason_of_json (list_field "reasons" j) in
-  let float_assoc key =
-    match J.member key j with
-    | Some (J.Obj kvs) ->
-        map_result
-          (fun (d, v) ->
-            let* a = need (key ^ "." ^ d) (J.to_float_opt v) in
-            Ok (d, a))
-          kvs
-    | _ -> Ok []
-  in
-  let* attempts = float_assoc "attempts" in
-  let* degraded = float_assoc "degraded" in
-  (* Documents written before pair ids existed lack the field; the
-     digest is a pure function of the tuple, so recomputing it is both
-     the backward-compatible path and a consistency check for documents
-     that do carry one. *)
-  let pair_id =
-    match J.member "pair_id" j with
-    | Some (J.String id) -> id
-    | _ ->
-        Dop.compute_pair_id ~kind ~buf_func ~buf_slot ~victim_func
-          ~victim_slot ~static_distance ~path
-  in
-  Ok
-    {
-      pair =
-        {
-          Dop.pair_id;
-          kind;
-          buf_func;
-          buf_slot;
-          victim_func;
-          victim_slot;
-          static_distance;
-          path;
-          victim_roles;
-          reasons;
-        };
-      attempts;
-      degraded;
-    }
-
-let float_field_opt ~default k j =
-  Option.fold ~none:default ~some:Fun.id
-    (Option.bind (J.member k j) J.to_float_opt)
-
-let func_summary_of_json j =
-  let* fname = str_field "fname" j in
-  let* n_slots = int_field "n_slots" j in
-  let* n_overflow = int_field "n_overflow" j in
-  let* n_victims = int_field "n_victims" j in
-  let* wild_stores = int_field "wild_stores" j in
-  let* frame_bytes = int_field "frame_bytes" j in
-  let* validated = bool_field "validated" j in
-  (* documents written before the leak analyzer existed lack the field *)
-  let leaked_bits = float_field_opt ~default:0. "leaked_bits" j in
-  Ok
-    { fname; n_slots; n_overflow; n_victims; wild_stores; frame_bytes;
-      validated; leaked_bits }
-
-let source_of_string s : (Leakan.source, string) result =
-  match s with
-  | "rand-draw" -> Ok Leakan.Rand_draw
-  | "pbox-row" -> Ok Leakan.Pbox_row
-  | "slice-addr" -> Ok Leakan.Slice_addr
-  | s when String.length s > 1 && s.[0] = '&' ->
-      Ok (Leakan.Slot_addr (String.sub s 1 (String.length s - 1)))
-  | s -> Error ("bad leak source " ^ s)
-
-let channel_of_string = function
-  | "direct-value" -> Ok Leakan.Direct_value
-  | "address-disclosure" -> Ok Leakan.Address_disclosure
-  | "comparison-oracle" -> Ok Leakan.Comparison_oracle
-  | s -> Error ("bad leak channel " ^ s)
-
-let leak_of_json j =
-  let* func = str_field "func" j in
-  let* source_func = str_field "source_func" j in
-  let* source = Result.bind (str_field "source" j) source_of_string in
-  let* channel = Result.bind (str_field "channel" j) channel_of_string in
-  let* sink_kind = str_field "sink" j in
-  let sink_arg =
-    Option.value ~default:""
-      (Option.bind (J.member "sink_arg" j) J.to_str_opt)
-  in
-  let* sink =
-    match sink_kind with
-    | "output" -> Ok (Leakan.Output sink_arg)
-    | "global-store" -> Ok (Leakan.Global_store sink_arg)
-    | "readable-buffer" -> Ok (Leakan.Readable_buffer sink_arg)
-    | "oracle-branch" -> Ok Leakan.Oracle_branch
-    | s -> Error ("bad leak sink " ^ s)
-  in
-  let bits = float_field_opt ~default:0. "bits" j in
-  Ok { Leakan.func; source_func; source; channel; sink; bits }
-
-let leak_func_of_json j =
-  let* fname = str_field "fname" j in
-  let frame_bits = float_field_opt ~default:0. "frame_bits" j in
-  let leaked_bits = float_field_opt ~default:0. "leaked_bits" j in
-  Ok { Leakan.fname; frame_bits; leaked_bits }
-
-let leakage_of_json j : (Leakan.t, string) result =
-  match j with
-  | None -> Ok { Leakan.leaks = []; funcs = []; total_bits = 0. }
-  | Some j ->
-      let* leaks = map_result leak_of_json (list_field "leaks" j) in
-      let* funcs = map_result leak_func_of_json (list_field "funcs" j) in
-      let total_bits = float_field_opt ~default:0. "total_bits" j in
-      Ok { Leakan.leaks; funcs; total_bits }
-
-let of_json j =
-  let* name = str_field "name" j in
-  let* defense_names =
-    map_result
-      (fun x -> need "defense" (J.to_str_opt x))
-      (list_field "defenses" j)
-  in
-  let* funcs = map_result func_summary_of_json (list_field "funcs" j) in
-  let* analyses = map_result funcan_of_json (list_field "analyses" j) in
-  let* pairs = map_result pair_of_json (list_field "pairs" j) in
-  let* leakage = leakage_of_json (J.member "leakage" j) in
-  Ok { name; funcs; analyses; pairs; defense_names; leakage }

@@ -6,8 +6,8 @@
     result for the [smokestackc analyze] subcommand, the [analysis]
     bench experiment, and the differential validator in [lib/harness].
 
-    The JSON form round-trips: [of_json (to_json t)] reconstructs the
-    report exactly (floats via their shortest decimal form). *)
+    The JSON form ({!to_json}) is write-only: [smokestackc analyze
+    --json] emits it for external tools, and nothing reads it back. *)
 
 type scored_pair = {
   pair : Dop.pair;
@@ -64,4 +64,3 @@ val to_text : t -> string
 (** Full human-readable report (both tables plus per-slot detail). *)
 
 val to_json : t -> Sutil.Json.t
-val of_json : Sutil.Json.t -> (t, string) result

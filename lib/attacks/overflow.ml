@@ -14,7 +14,7 @@ let describe w =
     w.rel
     (w.rel + String.length w.data)
 
-let craft ?(filler = 'A') ~len writes =
+let craft ~len writes =
   let writes = List.sort (fun a b -> compare a.rel b.rel) writes in
   let total =
     List.fold_left
@@ -26,7 +26,7 @@ let craft ?(filler = 'A') ~len writes =
         max acc (w.rel + String.length w.data))
       len writes
   in
-  let buf = Bytes.make total filler in
+  let buf = Bytes.make total 'A' in
   let prev = ref None in
   List.iter
     (fun w ->

@@ -17,12 +17,12 @@ val u64 : ?label:string -> int -> int64 -> write
 val u32 : ?label:string -> int -> int64 -> write
 val bytes : ?label:string -> int -> string -> write
 
-val craft : ?filler:char -> len:int -> write list -> string
+val craft : len:int -> write list -> string
 (** [craft ~len writes] returns a string of [max len (end of last
-    write)] bytes: [filler] (default ['A']) everywhere not covered by a
-    write.  Raises [Invalid_argument] on overlapping writes (the
-    message names both writes' labels and byte ranges) or negative
-    offsets.  Gaps between writes are filled with [filler] — note that
-    a {e linear} overflow cannot skip bytes; modelling a non-linear
-    write (librelp's snprintf gap) is done by the app driving separate
-    reads, not by this function. *)
+    write)] bytes: filler ['A'] everywhere not covered by a write.
+    Raises [Invalid_argument] on overlapping writes (the message names
+    both writes' labels and byte ranges) or negative offsets.  Gaps
+    between writes are filled with ['A'] — note that a {e linear}
+    overflow cannot skip bytes; modelling a non-linear write
+    (librelp's snprintf gap) is done by the app driving separate reads,
+    not by this function. *)

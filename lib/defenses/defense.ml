@@ -15,8 +15,15 @@ let name = function
   | Smokestack config ->
       Printf.sprintf "smokestack(%s)" (Rng.Scheme.name config.Smokestack.Config.scheme)
 
-let all ?(smokestack = Smokestack.Config.default) () =
-  [ No_defense; Stack_base; Forrest_pad; Static_perm; Canary; Smokestack smokestack ]
+let all =
+  [
+    No_defense;
+    Stack_base;
+    Forrest_pad;
+    Static_perm;
+    Canary;
+    Smokestack Smokestack.Config.default;
+  ]
 
 type applied = {
   defense : t;

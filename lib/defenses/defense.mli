@@ -14,8 +14,8 @@ type t =
 
 val name : t -> string
 
-val all : ?smokestack:Smokestack.Config.t -> unit -> t list
-(** All six, Smokestack last (default config {!Smokestack.Config.default}). *)
+val all : t list
+(** All six, Smokestack last (config {!Smokestack.Config.default}). *)
 
 type applied = {
   defense : t;

@@ -4,21 +4,19 @@ type t = {
   chaos_pct : int;
 }
 
-let plan ?(bursts = 3) ?burst_len ?(attack_pct = 35) ?(chaos_pct = 30) ~root
-    ~sessions () =
+let plan ?burst_len ?(attack_pct = 35) ?(chaos_pct = 30) ~root ~sessions () =
   if sessions <= 0 then invalid_arg "Fault.Storm.plan: sessions must be > 0";
-  let bursts = max 1 bursts in
   let burst_len =
     match burst_len with
     | Some l -> max 1 l
     | None -> max 1 (sessions / 6)
   in
-  let seg = max 1 (sessions / bursts) in
+  let seg = max 1 (sessions / 3) in
   (* One burst per equal segment of the schedule, start drawn from the
      segment's own keyed stream: windows are disjoint by construction
      and independent of draw order. *)
   let windows =
-    List.init bursts (fun k ->
+    List.init 3 (fun k ->
         let rng =
           Sutil.Simrng.stream ~root ~id:(Printf.sprintf "storm/%02d" k)
         in

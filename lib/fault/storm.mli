@@ -22,7 +22,6 @@ type t = {
 }
 
 val plan :
-  ?bursts:int ->
   ?burst_len:int ->
   ?attack_pct:int ->
   ?chaos_pct:int ->
@@ -30,11 +29,11 @@ val plan :
   sessions:int ->
   unit ->
   t
-(** [plan ~root ~sessions ()] draws [bursts] (default 3) windows of
-    [burst_len] sessions (default [sessions/6], min 1), one per equal
-    segment of the schedule so they never overlap.  Inside a burst the
-    mix runs at [attack_pct]/[chaos_pct] (defaults 35/30 — hot enough
-    to trip breakers and trigger degradation). *)
+(** [plan ~root ~sessions ()] draws 3 windows of [burst_len] sessions
+    (default [sessions/6], min 1), one per equal third of the schedule
+    so they never overlap.  Inside a burst the mix runs at
+    [attack_pct]/[chaos_pct] (defaults 35/30 — hot enough to trip
+    breakers and trigger degradation). *)
 
 val in_burst : t -> int -> bool
 (** Is session index [sid] inside a burst window? *)

@@ -31,7 +31,7 @@ let plan_of_spec s =
   | Ok p -> p
   | Error e -> failwith ("Harness.Chaos: bad built-in plan spec: " ^ e)
 
-let default_plans =
+let plans =
   List.map plan_of_spec
     [
       "rng:ones@1";
@@ -194,7 +194,7 @@ let policy_rows ~seed (w : Apps.Spec.workload) =
     [ Rng.Generator.Fail_secure; Rng.Generator.Fail_open ]
 
 let run ?(pool = Sched.Pool.sequential) ?(workloads = default_workloads)
-    ?(plans = default_plans) ?(seed = 7L) () =
+    ?(seed = 7L) () =
   let ws =
     List.map
       (fun name ->

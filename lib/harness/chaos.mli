@@ -1,7 +1,7 @@
 (** E13 — chaos: seeded fault injection across workloads and engines.
 
-    Sweeps a population of {!Fault.Plan}s (by default one per site
-    family plus never-firing controls) over application workloads,
+    Sweeps a fixed population of {!Fault.Plan}s (one per site family
+    plus never-firing controls) over application workloads,
     running every (workload, plan) cell on {e both} execution backends
     under the fail-secure degradation policy.  Each cell reports:
 
@@ -62,7 +62,6 @@ type t = {
 val run :
   ?pool:Sched.Pool.t ->
   ?workloads:string list ->
-  ?plans:Fault.Plan.t list ->
   ?seed:int64 ->
   unit ->
   t
@@ -72,6 +71,5 @@ val run :
     observable. *)
 
 val table : t -> Sutil.Texttable.t
-val policy_table : t -> Sutil.Texttable.t
 val output : t -> Output.t
 (** The E13 tables ([chaos], [chaos_policy]) and the detection line. *)

@@ -215,7 +215,7 @@ let selective_config =
    elided functions skip the permutation loads — so they are not
    compared. *)
 let run_selective ?(pool = Sched.Pool.sequential) ~(backend : Machine.Backend.t)
-    ?store ?(trials = 6) ?(progen_seeds = 8) () =
+    ?store ?(trials = 6) () =
   (* the elision oracle behind Config.selective lives in lib/analysis *)
   Analysis.Validate.install ();
   let full = Defenses.Defense.Smokestack Smokestack.Config.default in
@@ -300,7 +300,7 @@ let run_selective ?(pool = Sched.Pool.sequential) ~(backend : Machine.Backend.t)
                      ef.Store.Entry.outcome
                  else "outcome or output diverges");
             }))
-      (List.of_seq (Minic.Progen.range ~seed:100L progen_seeds))
+      (List.of_seq (Minic.Progen.range ~seed:100L 8))
   in
   let srows = Sched.Pool.run_all pool (attack_jobs @ progen_jobs) in
   { srows; all_identical = List.for_all (fun r -> r.identical) srows }

@@ -92,16 +92,14 @@ val run_selective :
   backend:Machine.Backend.t ->
   ?store:Store.Cache.t ->
   ?trials:int ->
-  ?progen_seeds:int ->
   unit ->
   selective_t
 (** Installs the {!Analysis.Validate} elision oracle, then compares
     full vs selective hardening: verdict lists over [trials] attempts
-    for each attack case, outcome + output for [progen_seeds] generated
-    programs.  With [?store], both legs of every comparison (full and
-    selective each have their own config-fingerprinted key) are served
-    from the store when present. *)
+    for each attack case, outcome + output for 8 generated programs.
+    With [?store], both legs of every comparison (full and selective
+    each have their own config-fingerprinted key) are served from the
+    store when present. *)
 
-val selective_table : selective_t -> Sutil.Texttable.t
 val selective_output : selective_t -> Output.t
 (** The E14a table ([selective_diff]) and its verdict line. *)

@@ -38,7 +38,12 @@ type entry = {
 
 let spec_names = [ "gobmk"; "mcf"; "hmmer"; "proftpd-io"; "wireshark-io" ]
 
-let corpus ~progen ~leaky_progen ~progen_seed =
+(* Progen programs of the corpus come from seeds 9001.., and every
+   program runs under 8 entropy seeds. *)
+let progen_seed = 9001L
+let seeds = 8
+
+let corpus ~progen ~leaky_progen =
   List.filter_map
     (fun n ->
       Option.map
@@ -94,7 +99,7 @@ let output_visible (lk : Analysis.Leakan.t) =
 (* Dynamic side: the fully hardened build under [seeds] entropy seeds.
    Leak-free programs must print the same bytes every time (the
    differential-oracle property); leaking ones must not. *)
-let distinct_outputs ~backend applied ~chunks ~seeds =
+let distinct_outputs ~backend applied ~chunks =
   let outputs =
     List.init seeds (fun s ->
         let _, stats =
@@ -108,12 +113,12 @@ let distinct_outputs ~backend applied ~chunks ~seeds =
 
 let full_config = Defenses.Defense.Smokestack Smokestack.Config.default
 
-let check_program ~backend entry ~seeds =
+let check_program ~backend entry =
   let prog = Lazy.force entry.eprogram in
   let lk = Analysis.Leakan.analyze prog in
   let visible = output_visible lk in
   let applied = Defenses.Defense.apply ~seed:3L full_config prog in
-  let distinct = distinct_outputs ~backend applied ~chunks:entry.echunks ~seeds in
+  let distinct = distinct_outputs ~backend applied ~chunks:entry.echunks in
   {
     pname = entry.ename;
     static_leaks = List.length visible;
@@ -264,11 +269,10 @@ let guided_measurement ~backend ~budget ~walks () =
 
 (* ------------------------------------------------------------------ *)
 
-let run ?(pool = Sched.Pool.sequential) ~backend ?(seeds = 8) ?(progen = 5)
-    ?(leaky_progen = 8) ?(progen_seed = 9001L) ?(budget = 600) ?(walks = 5) ()
-    =
+let run ?(pool = Sched.Pool.sequential) ~backend ?(progen = 5)
+    ?(leaky_progen = 8) ?(budget = 600) ?(walks = 5) () =
   Analysis.Validate.install ();
-  let entries = corpus ~progen ~leaky_progen ~progen_seed in
+  let entries = corpus ~progen ~leaky_progen in
   (* forcing a lazy concurrently from two domains is undefined: compile
      everything here, sequentially, before any job is submitted *)
   List.iter (fun e -> ignore (Lazy.force e.eprogram)) entries;
@@ -280,7 +284,7 @@ let run ?(pool = Sched.Pool.sequential) ~backend ?(seeds = 8) ?(progen = 5)
       (List.map
          (fun e ->
            Sched.Job.v ~id:("leakcheck/" ^ e.ename) ~seed:3L (fun () ->
-               `Row (check_program ~backend e ~seeds)))
+               `Row (check_program ~backend e)))
          entries
       @ [
           Sched.Job.v ~id:"leakcheck/guided" ~seed:3L (fun () ->
@@ -367,8 +371,6 @@ let guided_only_table guided =
         ]);
   tbl
 
-let guided_table t = guided_only_table t.guided
-
 let guided_run ~backend ?(budget = 600) ?(walks = 5) () =
   Analysis.Validate.install ();
   guided_measurement ~backend ~budget ~walks ()
@@ -378,5 +380,5 @@ let output t =
     Output.table "leaks" "E19: static vs dynamic layout-leak cross-validation" (table t);
     Output.text "static/dynamic disagreements: %d" t.disagreements;
     Output.table "leaks_guided" "E19: leak-guided attack vs degraded-entropy prediction"
-      (guided_table t);
+      (guided_only_table t.guided);
   ]

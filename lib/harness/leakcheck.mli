@@ -8,7 +8,7 @@
     programs and the deliberately leak-shaped ones), the static verdict
     — does any layout secret reach an {e output-visible} sink with
     positive disclosed bits? — is checked against a dynamic
-    observation: the fully hardened build runs under [seeds] distinct
+    observation: the fully hardened build runs under 8 distinct
     entropy seeds with fixed input, and its outputs either distinguish
     the drawn layouts (a real leak) or are seed-independent (leak
     free).  A disagreement in either direction is an analyzer bug:
@@ -37,7 +37,7 @@ type prog_row = {
   static_leaks : int;
       (** output-visible {!Analysis.Leakan} rows with positive bits *)
   static_bits : float;  (** total leaked bits across the program *)
-  distinct_outputs : int;  (** over the [seeds] hardened runs *)
+  distinct_outputs : int;  (** over the 8 hardened runs *)
   agree : bool;  (** [(static_leaks > 0) = (distinct_outputs > 1)] *)
 }
 
@@ -76,18 +76,16 @@ type t = {
 val run :
   ?pool:Sched.Pool.t ->
   backend:Machine.Backend.t ->
-  ?seeds:int ->
   ?progen:int ->
   ?leaky_progen:int ->
-  ?progen_seed:int64 ->
   ?budget:int ->
   ?walks:int ->
   unit ->
   t
-(** Defaults: [seeds] 8 entropy seeds per program, [progen] 5 benign
-    and [leaky_progen] 8 leak-shaped Progen programs from
-    [progen_seed] (default 9001), blind/guided [budget] 600 per walk,
-    [walks] 5 guided restart walks. *)
+(** Defaults: [progen] 5 benign and [leaky_progen] 8 leak-shaped
+    Progen programs from seed 9001, blind/guided [budget] 600 per walk,
+    [walks] 5 guided restart walks.  Every program runs under 8 entropy
+    seeds. *)
 
 val guided_run :
   backend:Machine.Backend.t -> ?budget:int -> ?walks:int -> unit -> guided option
@@ -96,11 +94,10 @@ val guided_run :
     {!run}; [None] if the planner found no guidable chain. *)
 
 val table : t -> Sutil.Texttable.t
-val guided_table : t -> Sutil.Texttable.t
 
 val guided_only_table : guided option -> Sutil.Texttable.t
-(** {!guided_table} over a bare measurement, for callers holding a
-    {!guided_run} result rather than a full {!t}. *)
+(** The guided-attack table over one measurement: a {!guided_run}
+    result or a full {!t}'s [guided]. *)
 
 val output : t -> Output.t
 (** The E19 tables ([leaks], [leaks_guided]) and the disagreement

@@ -71,9 +71,6 @@ val run :
   unit ->
   t
 
-val cost_table : t -> Sutil.Texttable.t
-val fleet_table : t -> Sutil.Texttable.t
-
 val class_table : t -> Sutil.Texttable.t
 (** Per-class breakdown of the resilient cell. *)
 

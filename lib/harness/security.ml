@@ -22,14 +22,14 @@ let mk_cell attack_name defense verdicts =
     success_rate = Attacks.Verdict.success_rate verdicts;
   }
 
-let defenses () = Defenses.Defense.all ()
+(* The build-time seed every experiment applies its defenses with. *)
+let build_seed = 3L
 
 (* One job per (attack, defense) cell: the job builds its own applied
    program (a fresh Ir.Prog copy) and runs its trials, so nothing is
    shared between jobs but the read-only source program, pre-forced in
    the submitting domain. *)
-let pentest ?(pool = Sched.Pool.sequential) ~backend ?(trials_per_cell = 12)
-    ?(build_seed = 3L) () =
+let pentest ?(pool = Sched.Pool.sequential) ~backend ?(trials_per_cell = 12) () =
   let cells =
     Sched.Pool.run_all pool
       (List.concat_map
@@ -47,13 +47,13 @@ let pentest ?(pool = Sched.Pool.sequential) ~backend ?(trials_per_cell = 12)
                      (trials
                         (fun a ~seed -> (v.attack ~backend a ~seed).verdict)
                         applied ~n:trials_per_cell ~seed0:17)))
-             (defenses ()))
+             Defenses.Defense.all)
          Apps.Synth.variants)
   in
   { title = "E5: synthetic DOP penetration tests (success rate per attempt)"; cells }
 
 let bypass_prior ?(pool = Sched.Pool.sequential) ~backend
-    ?(trials_per_cell = 12) ?(builds = 12) () =
+    ?(trials_per_cell = 12) () =
   let prog = Lazy.force Apps.Librelp.program in
   let strategies =
     [
@@ -70,7 +70,7 @@ let bypass_prior ?(pool = Sched.Pool.sequential) ~backend
              (fun d ->
                Sched.Job.v
                  ~id:(Printf.sprintf "e4/%s/%s" name (Defenses.Defense.name d))
-                 ~seed:3L
+                 ~seed:build_seed
                  (fun () ->
                    (* per-build randomization: every trial gets a fresh
                       build, so the rate reads "fraction of builds
@@ -84,7 +84,7 @@ let bypass_prior ?(pool = Sched.Pool.sequential) ~backend
                    in
                    let verdicts =
                      if per_build then
-                       List.init builds (fun b ->
+                       List.init 12 (fun b ->
                            let applied =
                              Defenses.Defense.apply
                                ~seed:(Int64.of_int (100 + b))
@@ -92,17 +92,16 @@ let bypass_prior ?(pool = Sched.Pool.sequential) ~backend
                            in
                            attack applied ~seed:(Int64.of_int (17 + (1000 * b))))
                      else
-                       let applied = Defenses.Defense.apply ~seed:3L d prog in
+                       let applied = Defenses.Defense.apply ~seed:build_seed d prog in
                        trials attack applied ~n:trials_per_cell ~seed0:17
                    in
                    mk_cell name d verdicts))
-             (defenses ()))
+             Defenses.Defense.all)
          strategies)
   in
   { title = "E4: librelp CVE-2018-1000140 vs prior stack randomizations"; cells }
 
-let realvuln ?(pool = Sched.Pool.sequential) ~backend ?(trials_per_cell = 12)
-    ?(build_seed = 3L) () =
+let realvuln ?(pool = Sched.Pool.sequential) ~backend ?(trials_per_cell = 12) () =
   (* Programs are forced here, in the submitting domain, so the jobs
      only ever read them. *)
   let attacks =
@@ -144,7 +143,7 @@ let realvuln ?(pool = Sched.Pool.sequential) ~backend ?(trials_per_cell = 12)
   { title = "E6: real-vulnerability DOP exploits, undefended vs Smokestack"; cells }
 
 let rng_security ?(pool = Sched.Pool.sequential) ~backend
-    ?(trials_per_cell = 12) ?(build_seed = 3L) () =
+    ?(trials_per_cell = 12) () =
   let prog = Lazy.force Apps.Librelp.program in
   let cells =
     Sched.Pool.run_all pool
@@ -172,18 +171,18 @@ let rng_security ?(pool = Sched.Pool.sequential) ~backend
 type rerand_row = { interval : int; rr_success_rate : float }
 
 let rerandomization ?(pool = Sched.Pool.sequential) ~backend
-    ?(trials_per_cell = 12) ?(intervals = [ 1; 8; 64 ]) () =
+    ?(trials_per_cell = 12) () =
   let prog = Lazy.force Apps.Librelp.program in
   Sched.Pool.run_all pool
     (List.map
        (fun interval ->
-         Sched.Job.v ~id:(Printf.sprintf "e11/interval-%d" interval) ~seed:3L
+         Sched.Job.v ~id:(Printf.sprintf "e11/interval-%d" interval) ~seed:build_seed
            (fun () ->
              let config =
                { Smokestack.Config.default with redraw_interval = interval }
              in
              let applied =
-               Defenses.Defense.apply ~seed:3L
+               Defenses.Defense.apply ~seed:build_seed
                  (Defenses.Defense.Smokestack config)
                  prog
              in
@@ -192,7 +191,7 @@ let rerandomization ?(pool = Sched.Pool.sequential) ~backend
                  ~n:trials_per_cell ~seed0:83
              in
              { interval; rr_success_rate = Attacks.Verdict.success_rate verdicts }))
-       intervals)
+       [ 1; 8; 64 ])
 
 let rerand_table rows =
   let tbl =
@@ -220,8 +219,7 @@ type brute_row = {
   detected_along_the_way : int;
 }
 
-let brute ?(pool = Sched.Pool.sequential) ~backend ?(max_attempts = 400)
-    ?(build_seed = 3L) () =
+let brute ?(pool = Sched.Pool.sequential) ~backend ?(max_attempts = 400) () =
   let prog = Lazy.force Apps.Librelp.program in
   Sched.Pool.run_all pool
     (List.map
@@ -246,7 +244,7 @@ let brute ?(pool = Sched.Pool.sequential) ~backend ?(max_attempts = 400)
                       (function Attacks.Verdict.Detected _ -> true | _ -> false)
                       result.verdicts);
              }))
-       (defenses ()))
+       Defenses.Defense.all)
 
 let table t =
   let names = List.sort_uniq compare (List.map (fun c -> c.attack_name) t.cells) in

@@ -5,7 +5,8 @@
     program.  Success rates estimate the probability a single attempt
     lands; a defense "stops" an attack when that probability collapses
     from ~1 to ~1/permutation-space.  Every experiment runs its
-    attempts on the [~backend] its caller passes. *)
+    attempts on the [~backend] its caller passes, and applies its
+    defenses with build seed 3. *)
 
 type cell = {
   attack_name : string;
@@ -33,7 +34,6 @@ val pentest :
   ?pool:Sched.Pool.t ->
   backend:Machine.Backend.t ->
   ?trials_per_cell:int ->
-  ?build_seed:int64 ->
   unit ->
   t
 (** E5 — the synthetic {direct,indirect} x {stack,data,heap} matrix
@@ -43,20 +43,18 @@ val bypass_prior :
   ?pool:Sched.Pool.t ->
   backend:Machine.Backend.t ->
   ?trials_per_cell:int ->
-  ?builds:int ->
   unit ->
   t
 (** E4 — the librelp PoC against the prior stack randomizations, via
     both attacker strategies (binary analysis; probe-then-exploit
-    disclosure).  For the per-build defenses each trial uses a fresh
-    build, so the rate reads "fraction of builds exploitable".
+    disclosure).  For the per-build defenses each of 12 trials uses a
+    fresh build, so the rate reads "fraction of builds exploitable".
     One job per (strategy, defense) cell. *)
 
 val realvuln :
   ?pool:Sched.Pool.t ->
   backend:Machine.Backend.t ->
   ?trials_per_cell:int ->
-  ?build_seed:int64 ->
   unit ->
   t
 (** E6 — librelp key leak, Wireshark CVE-2014-2299, and the three
@@ -67,7 +65,6 @@ val rng_security :
   ?pool:Sched.Pool.t ->
   backend:Machine.Backend.t ->
   ?trials_per_cell:int ->
-  ?build_seed:int64 ->
   unit ->
   t
 (** E10 (extension) — why the randomness source matters: the
@@ -83,14 +80,14 @@ val rerandomization :
   ?pool:Sched.Pool.t ->
   backend:Machine.Backend.t ->
   ?trials_per_cell:int ->
-  ?intervals:int list ->
   unit ->
   rerand_row list
 (** E11 (extension) — why {e per-invocation} matters: the same-run
     probe-then-exploit attack against Smokestack variants that redraw
-    the permutation index every [n]-th request.  Windows smaller than
-    one request's draw count behave like the paper's design; anything
-    larger re-opens the attack up to the exploit's reach cap. *)
+    the permutation index every [n]-th request, for [n] in 1, 8 and
+    64.  Windows smaller than one request's draw count behave like the
+    paper's design; anything larger re-opens the attack up to the
+    exploit's reach cap. *)
 
 val rerand_table : rerand_row list -> Sutil.Texttable.t
 
@@ -105,7 +102,6 @@ val brute :
   ?pool:Sched.Pool.t ->
   backend:Machine.Backend.t ->
   ?max_attempts:int ->
-  ?build_seed:int64 ->
   unit ->
   brute_row list
 (** E8 — brute-force the librelp exploit against each defense with a

@@ -8,9 +8,9 @@ let instr_count (prog : Prog.t) =
         acc f.blocks)
     0 prog.funcs
 
-let optimize ?(max_rounds = 8) prog =
+let optimize prog =
   let rec go round prev =
-    if round < max_rounds then begin
+    if round < 8 then begin
       Pass.run passes prog;
       let now = instr_count prog in
       if now < prev then go (round + 1) now

@@ -5,10 +5,10 @@
     in the LLVM pipeline — so Smokestack permutes the allocas that
     survive optimization. *)
 
-val optimize : ?max_rounds:int -> Prog.t -> unit
+val optimize : Prog.t -> unit
 (** Iterates one round of [constfold; store-to-load-forwarding; dce;
-    simplify-cfg] until a fixpoint (or [max_rounds], default 8),
-    verifying after each pass. *)
+    simplify-cfg] until a fixpoint (at most 8 rounds), verifying after
+    each pass. *)
 
 val instr_count : Prog.t -> int
 (** Instructions across all functions — the shrinkage metric. *)

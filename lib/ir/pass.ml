@@ -4,22 +4,21 @@ type t =
 
 let name = function Function_pass { name; _ } | Module_pass { name; _ } -> name
 
-let run ?(verify = true) ?post passes prog =
+let run ?post passes prog =
   List.iter
     (fun pass ->
       (match pass with
       | Function_pass { run; _ } -> List.iter (run prog) prog.Prog.funcs
       | Module_pass { run; _ } -> run prog);
-      if verify then
-        match Verifier.verify prog with
-        | [] -> ()
-        | errors ->
-            let report =
-              String.concat "\n"
-                (List.map (Format.asprintf "%a" Verifier.pp_error) errors)
-            in
-            failwith
-              (Printf.sprintf "pass %s broke IR invariants:\n%s" (name pass) report))
+      match Verifier.verify prog with
+      | [] -> ()
+      | errors ->
+          let report =
+            String.concat "\n"
+              (List.map (Format.asprintf "%a" Verifier.pp_error) errors)
+          in
+          failwith
+            (Printf.sprintf "pass %s broke IR invariants:\n%s" (name pass) report))
     passes;
   (* Structural verification above answers "is this still well-formed
      IR?"; the post hook answers "does the transformed program satisfy

@@ -42,8 +42,8 @@ let make_kind ?seed_state ~rekey_interval ~entropy scheme =
            ~entropy:(Crypto.Entropy.bytes entropy) ())
   | Scheme.Rdrand -> Krdrand entropy
 
-let create ?seed_state ?(rekey_interval = 65536) ?(policy = Fail_secure)
-    ?(health = Health.default) scheme ~entropy =
+let create ?seed_state ?(rekey_interval = 65536) ?(policy = Fail_secure) scheme
+    ~entropy =
   {
     scheme;
     kind = make_kind ?seed_state ~rekey_interval ~entropy scheme;
@@ -51,7 +51,7 @@ let create ?seed_state ?(rekey_interval = 65536) ?(policy = Fail_secure)
     entropy;
     rekey_interval;
     policy;
-    health = Health.create ~config:health ();
+    health = Health.create ();
     health_enabled = true;
     tamper = None;
     on_degrade = None;

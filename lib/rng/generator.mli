@@ -66,7 +66,6 @@ val create :
   ?seed_state:int64 ->
   ?rekey_interval:int ->
   ?policy:policy ->
-  ?health:Health.config ->
   Scheme.t ->
   entropy:Crypto.Entropy.t ->
   t
@@ -74,8 +73,9 @@ val create :
     [entropy], as a real deployment would seed its PRNG once).
     [rekey_interval] bounds the AES-CTR blocks between key refreshes
     (default 65536 — the paper's universal call counter maximum).
-    [policy] defaults to [Fail_secure]; [health] to {!Health.default}
-    (always on — the cutoffs are unreachable by a healthy source). *)
+    [policy] defaults to [Fail_secure].  Health tests run with
+    {!Health.default} (always on — the cutoffs are unreachable by a
+    healthy source). *)
 
 val current_scheme : t -> Scheme.t
 (** The scheme currently serving draws: the one given to {!create}

@@ -14,7 +14,6 @@ type config = {
   queue_capacity : int;
   shard : int;
   timeout : float option;
-  retries : int;
   discipline : discipline;
   weights : int * int * int;
   policy : Policy.config option;
@@ -27,7 +26,6 @@ let default =
     queue_capacity = 1024;
     shard = 32;
     timeout = None;
-    retries = 0;
     discipline = Fcfs;
     weights = (4, 2, 1);
     policy = None;
@@ -420,15 +418,13 @@ let execute ?(pool = Sched.Pool.sequential) ~backend ?(config = default)
       shards
   in
   let outcomes =
-    match (config.timeout, config.retries) with
-    | None, 0 ->
+    match config.timeout with
+    | None ->
         (* no supervision requested: run on the pool's queue workers
            (run_all_outcomes spawns a fresh domain per attempt, which
            oversubscribes the host and thrashes the multicore GC) *)
         List.map (fun r -> Sched.Job.Ok r) (Sched.Pool.run_all pool jobs)
-    | _ ->
-        Sched.Pool.run_all_outcomes ?timeout:config.timeout
-          ~retries:config.retries pool jobs
+    | Some timeout -> Sched.Pool.run_all_outcomes ~timeout pool jobs
   in
   let executed, dropped =
     List.fold_left2

@@ -6,11 +6,11 @@
 
     - {b Execution} ({!execute}) shards the schedule (preserving sid
       order) into pool jobs, each serving its sessions sequentially
-      against the tenant's prepared instance.  Supervision
-      ({!Sched.Pool.run_all_outcomes}) bounds each shard with an
-      optional wall-clock timeout and retry budget; a shard that dies
-      or hangs loses only its own sessions (reported as dropped), never
-      the run.
+      against the tenant's prepared instance.  An optional wall-clock
+      timeout puts the shards under supervision
+      ({!Sched.Pool.run_all_outcomes}); a shard that dies or hangs then
+      loses only its own sessions (reported as dropped), never the
+      run.
     - {b Queueing} ({!admit}) replays [(arrival, service_cycles,
       verdict)] through an event-driven simulation of
       [virtual_workers] request handlers with a bounded wait queue.
@@ -62,8 +62,9 @@ type config = {
   queue_capacity : int;
       (** waiting sessions admitted before shedding (default 1024) *)
   shard : int;  (** sessions per pool job (default 32) *)
-  timeout : float option;  (** per-shard wall-clock timeout, seconds *)
-  retries : int;  (** per-shard retry budget on failure *)
+  timeout : float option;
+      (** per-shard wall-clock timeout, seconds; a shard is never
+          retried *)
   discipline : discipline;  (** queue order (default [Fcfs]) *)
   weights : int * int * int;
       (** WFQ weights (paying, standard, suspect), default [(4, 2, 1)] *)

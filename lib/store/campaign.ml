@@ -11,9 +11,8 @@ type config = {
 }
 
 let config ?(seed = 1000L) ?(exec_seed = 7L) ?harden
-    ?(engine = Machine.Backend.Reference) ?(fuel = 2_000_000) ?(shard = 512)
-    ~count () =
-  { seed; count; exec_seed; harden; engine; fuel; shard }
+    ?(engine = Machine.Backend.Reference) ?(fuel = 2_000_000) ~count () =
+  { seed; count; exec_seed; harden; engine; fuel; shard = 512 }
 
 (* The harden pipeline's own layout-draw seed.  Fixed (matching the
    harness convention) but still recorded in the key's [extra] so a

@@ -27,7 +27,7 @@ type config = {
   harden : Smokestack.Config.t option;  (** [None] = unhardened baseline *)
   engine : Machine.Backend.kind;
   fuel : int;
-  shard : int;  (** jobs submitted per pool wave *)
+  shard : int;  (** jobs submitted per pool wave; {!config} sets 512 *)
 }
 
 val config :
@@ -36,13 +36,12 @@ val config :
   ?harden:Smokestack.Config.t ->
   ?engine:Machine.Backend.kind ->
   ?fuel:int ->
-  ?shard:int ->
   count:int ->
   unit ->
   config
 (** Defaults: [seed = 1000], [exec_seed = 7], no hardening,
     [engine = Reference], [fuel = 2_000_000] (Progen programs terminate
-    well under this), [shard = 512]. *)
+    well under this); every wave holds [shard = 512] jobs. *)
 
 type report = {
   programs : int;

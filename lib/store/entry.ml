@@ -146,56 +146,3 @@ let verdicts_of_entry e =
     if List.for_all Option.is_some items then
       Some (List.filter_map Fun.id items)
     else None
-
-(* Validator results *)
-
-let validate_kind = "validate"
-let validate_version = 1
-
-let validate_entry ~clean violations =
-  let payload =
-    J.Obj
-      [
-        ("clean", J.Bool clean);
-        ( "violations",
-          J.List
-            (List.map
-               (fun (rule, func, row, detail) ->
-                 J.Obj
-                   ([ ("rule", J.String rule); ("func", J.String func) ]
-                   @ (match row with
-                     | Some r -> [ ("row", J.Int r) ]
-                     | None -> [])
-                   @ [ ("detail", J.String detail) ]))
-               violations) );
-      ]
-  in
-  make ~kind:validate_kind ~version:validate_version payload
-
-let validate_of_entry e =
-  if e.kind <> validate_kind || e.version <> validate_version then None
-  else
-    let j = e.payload in
-    match
-      ( Option.bind (J.member "clean" j) (function
-          | J.Bool b -> Some b
-          | _ -> None),
-        J.member "violations" j )
-    with
-    | Some clean, Some (J.List items) ->
-        let decode v =
-          match
-            ( Option.bind (J.member "rule" v) J.to_str_opt,
-              Option.bind (J.member "func" v) J.to_str_opt,
-              Option.bind (J.member "detail" v) J.to_str_opt )
-          with
-          | Some rule, Some func, Some detail ->
-              let row = Option.bind (J.member "row" v) J.to_int_opt in
-              Some (rule, func, row, detail)
-          | _ -> None
-        in
-        let decoded = List.map decode items in
-        if List.for_all Option.is_some decoded then
-          Some (clean, List.filter_map Fun.id decoded)
-        else None
-    | _ -> None

@@ -1,12 +1,11 @@
 (** Cached artifacts and their versioned JSON codecs.
 
     An entry is a [(kind, version, payload)] triple.  [kind] names the
-    artifact family (execution outcome, attack verdict list, analyzer
-    report row, validator result); [version] is bumped whenever that
-    family's payload shape changes, and a reader that finds an
-    unexpected kind or version treats the entry as a miss — never as a
-    decode error — so stores written by older binaries degrade
-    gracefully instead of crashing campaigns.
+    artifact family (execution outcome or attack verdict list);
+    [version] is bumped whenever that family's payload shape changes,
+    and a reader that finds an unexpected kind or version treats the
+    entry as a miss — never as a decode error — so stores written by
+    older binaries degrade gracefully instead of crashing campaigns.
 
     Payload floats round-trip bit-exactly: the order-sensitive cycle
     count is stored as its IEEE-754 bit pattern, which is what lets a
@@ -49,9 +48,3 @@ val exec_of_entry : t -> exec option
 
 val verdicts_entry : (string * string) list -> t
 val verdicts_of_entry : t -> (string * string) list option
-
-(** {2 Validator results} — rule violations as
-    [(rule, func, row, detail)]. *)
-
-val validate_entry : clean:bool -> (string * string * int option * string) list -> t
-val validate_of_entry : t -> (bool * (string * string * int option * string) list) option

@@ -31,7 +31,7 @@ let test_synth_benign_under_every_defense () =
             true
             (outcome = Machine.Exec.Exit 0L
             && stats.output = Apps.Synth.benign_output))
-        (Defenses.Defense.all ()))
+        Defenses.Defense.all)
     Apps.Synth.variants
 
 let test_synth_attacks_succeed_undefended () =

@@ -23,6 +23,9 @@ let write_temp content =
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
+(* A golden copied next to this test binary as a test dep. *)
+let golden name = read_file (Filename.concat (Filename.dirname Sys.executable_name) name)
+
 (* Run the binary, return (exit code, stdout+stderr); stdout only with
    [~stderr:false], since a report must be byte-identical across --jobs
    while stderr carries the host-dependent timing footer. *)
@@ -105,7 +108,20 @@ let test_exit_2_usage () =
   check_code "bad seeds" 2 (run_cli [ "run"; "--seeds"; "0"; src ]);
   check_code "bad timeout" 2 (run_cli [ "run"; "--timeout"; "0"; src ]);
   check_code "bad jobs" 2 (run_cli [ "run"; "--jobs"; "0"; src ]);
-  check_code "garbage jobs" 2 (run_cli [ "run"; "--jobs"; "many"; src ])
+  check_code "garbage jobs" 2 (run_cli [ "run"; "--jobs"; "many"; src ]);
+  (* layouts refuses a function with no permuted frame and a sample
+     count below 1 with one prefixed line *)
+  List.iter
+    (fun (what, args) ->
+      let code, output = run_cli ([ "layouts"; src ] @ args) in
+      check_code what 2 (code, output);
+      Alcotest.(check bool)
+        (what ^ ": one-line layouts diagnostic")
+        true
+        (String.starts_with ~prefix:"smokestackc: layouts: " output
+        && not (String.contains (String.trim output) '\n')))
+    [ ("layouts of an unpermuted function", [ "nope" ]);
+      ("layouts --runs 0", [ "main"; "--runs"; "0" ]) ]
 
 let test_exit_3_parse_error () =
   let src = write_temp "int main( { return 0 }" in
@@ -533,7 +549,13 @@ let test_smoke_analyze () =
       ignore (member json "pairs" r);
       Alcotest.(check (option string)) (w ^ ": report name") (Some w)
         (Sutil.Json.to_str_opt (member json "name" r)))
-    app_workloads
+    app_workloads;
+  (* nothing reads the document back, so one is pinned byte for byte *)
+  let json = Filename.concat dir "stack-leaky.json" in
+  check_code "analyze stack-leaky" 0
+    (run_cli [ "analyze"; "--workload"; "stack-leaky"; "--json"; json ]);
+  Alcotest.(check string) "matches analyze_stack_leaky.golden"
+    (golden "analyze_stack_leaky.golden") (read_file json)
 
 (* Every hardened build satisfies the validator's post-conditions: lint
    exits 0, and its JSON lists no violation. *)
@@ -592,9 +614,6 @@ let same_across_jobs ?(narrow = []) ?(wide = []) what args =
   check_code (what ^ " --jobs 4") 0 j4;
   Alcotest.(check string) (what ^ ": stdout identical at --jobs 1 and 4") (snd j1) (snd j4);
   snd j1
-
-(* A golden copied next to this test binary as a test dep. *)
-let golden name = read_file (Filename.concat (Filename.dirname Sys.executable_name) name)
 
 let test_smoke_serve_mixed () =
   with_temp_dir @@ fun dir ->
@@ -737,6 +756,17 @@ let test_smoke_campaign_jobs_and_warm () =
     [ count store "hits"; count store "misses"; count store "writes" ];
   Alcotest.(check (option int)) "warm re-run: 200 programs" (Some 200)
     (count (member json "report" r) "programs")
+
+(* The hardened campaign on the bytecode engine: its report (digest
+   row included) is pinned at --jobs 1 and 4. *)
+let test_smoke_campaign_hardened_golden () =
+  with_store_dir @@ fun j1_store ->
+  with_store_dir @@ fun j4_store ->
+  Alcotest.(check string) "matches campaign_harden_bytecode.golden"
+    (golden "campaign_harden_bytecode.golden")
+    (same_across_jobs ~narrow:[ "--store"; j1_store ] ~wide:[ "--store"; j4_store ]
+       "hardened campaign"
+       [ "campaign"; "--progen"; "200"; "--harden"; "--engine"; "bytecode" ])
 
 (* The offense loop's headline (DESIGN.md §15): a synthesized chain lands
    on the undefended build, none lands under full hardening, and the
@@ -906,6 +936,8 @@ let () =
           Alcotest.test_case "kill and resume" `Quick test_smoke_campaign_kill_resume;
           Alcotest.test_case "jobs 1 vs 4, warm all hits" `Quick
             test_smoke_campaign_jobs_and_warm;
+          Alcotest.test_case "hardened bytecode golden" `Quick
+            test_smoke_campaign_hardened_golden;
         ] );
       ("smoke-attack", [ Alcotest.test_case "jobs and store" `Quick test_smoke_attack ]);
       ("smoke-leaks", [ Alcotest.test_case "clean and leak-shaped" `Quick test_smoke_leaks ]);

@@ -34,14 +34,14 @@ let test_all_defenses_preserve_behaviour () =
         true
         (outcome = Machine.Exec.Exit 0L);
       Alcotest.(check string) (Defenses.Defense.name d ^ " output") expected stats.output)
-    (Defenses.Defense.all ())
+    Defenses.Defense.all
 
 let test_apply_does_not_mutate_input () =
   let prog = compile () in
   let before = Ir.Printer.prog_to_string prog in
   List.iter
     (fun d -> ignore (Defenses.Defense.apply ~seed:1L d prog))
-    (Defenses.Defense.all ());
+    Defenses.Defense.all;
   Alcotest.(check string) "input untouched" before (Ir.Printer.prog_to_string prog)
 
 (* ------------------------------------------------------------------ *)

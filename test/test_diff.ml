@@ -45,7 +45,7 @@ let check_seed seed =
           if d_out <> expected then
             fail (Defenses.Defense.name d)
               (Printf.sprintf "output %S, baseline %S" d_out expected))
-        (Defenses.Defense.all ()
+        (Defenses.Defense.all
         @ [
             Defenses.Defense.Smokestack
               (Smokestack.Config.with_scheme Rng.Scheme.Pseudo

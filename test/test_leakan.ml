@@ -257,30 +257,30 @@ let test_report_json_leak_rows () =
     (Printf.sprintf "degraded %.2f < blind %.2f" degraded blind)
     true
     (degraded < blind);
+  (* the written document carries the degraded summary: it re-parses,
+     and its smokestack row is the value computed above *)
   let s = Sutil.Json.to_string ~indent:true (Analysis.Report.to_json report) in
-  match Analysis.Report.of_json (Sutil.Json.of_string_exn s) with
-  | Error e -> Alcotest.failf "of_json failed: %s" e
-  | Ok report' ->
-      Alcotest.(check bool) "round-trips exactly" true (report = report');
-      Alcotest.(check bool) "degraded summary survives the round-trip" true
-        (Analysis.Report.summary_degraded report'
-        = Analysis.Report.summary_degraded report);
-      (* leaking is an application property, not a hardening bug: the
-         disclosing build still passes the validator, so [validated]
-         and positive [leaked_bits] coexist in the same report *)
-      Alcotest.(check bool) "leaky funcs still validate" true
-        (report'.Analysis.Report.funcs <> []
-        && List.for_all
-             (fun (f : Analysis.Report.func_summary) -> f.validated)
-             report'.Analysis.Report.funcs);
-      Alcotest.(check bool) "leaked_bits positive after round-trip" true
-        (Analysis.Leakan.leaked_bits_for report'.Analysis.Report.leakage
-           [ "serve" ]
-        > 0.)
+  let j = Sutil.Json.of_string_exn s in
+  Alcotest.(check (option (float 0.)))
+    "degraded summary in the JSON" (Some degraded)
+    (Option.bind
+       (Option.bind (Sutil.Json.member "summary_degraded" j)
+          (Sutil.Json.member "smokestack"))
+       Sutil.Json.to_float_opt);
+  (* leaking is an application property, not a hardening bug: the
+     disclosing build still passes the validator, so [validated]
+     and positive [leaked_bits] coexist in the same report *)
+  Alcotest.(check bool) "leaky funcs still validate" true
+    (report.Analysis.Report.funcs <> []
+    && List.for_all
+         (fun (f : Analysis.Report.func_summary) -> f.validated)
+         report.Analysis.Report.funcs);
+  Alcotest.(check bool) "leaked_bits positive" true
+    (Analysis.Leakan.leaked_bits_for report.Analysis.Report.leakage [ "serve" ] > 0.)
 
 let test_report_json_leak_free () =
-  (* a leak-free program must round-trip with an empty leak list and
-     identical blind/degraded summaries *)
+  (* a program with no visible leak writes identical blind and
+     degraded summaries *)
   let v = Option.get (Apps.Synth.find "stack-direct") in
   let report =
     Analysis.Report.analyze_prog ~name:"stack-direct" (Lazy.force v.program)
@@ -289,14 +289,12 @@ let test_report_json_leak_free () =
     (visible report.Analysis.Report.leakage = []);
   Alcotest.(check bool) "degraded = blind without leaks" true
     (Analysis.Report.summary_degraded report = Analysis.Report.summary report);
-  match
-    Analysis.Report.of_json
-      (Sutil.Json.of_string_exn
-         (Sutil.Json.to_string (Analysis.Report.to_json report)))
-  with
-  | Error e -> Alcotest.failf "of_json failed: %s" e
-  | Ok report' ->
-      Alcotest.(check bool) "round-trips exactly" true (report = report')
+  let j =
+    Sutil.Json.of_string_exn (Sutil.Json.to_string (Analysis.Report.to_json report))
+  in
+  let member k = Option.get (Sutil.Json.member k j) in
+  Alcotest.(check bool) "JSON summaries agree" true
+    (member "summary" = member "summary_degraded")
 
 (* ------------------------------------------------------------------ *)
 (* Leak-shaped Progen *)

@@ -177,31 +177,6 @@ let test_verdicts_codec_roundtrip () =
     "verdicts round-trip" (Some verdicts)
     (Entry.verdicts_of_entry (Entry.verdicts_entry verdicts))
 
-let test_validate_codec_roundtrip () =
-  let rows =
-    [
-      ("no-stack-escape", "main", Some 3, "address of local escapes");
-      ("fid-check", "helper", None, "missing check");
-    ]
-  in
-  (match Entry.validate_of_entry (Entry.validate_entry ~clean:false rows) with
-  | None -> Alcotest.fail "validate entry did not decode"
-  | Some (clean, rows') ->
-      Alcotest.(check bool) "clean flag" false clean;
-      Alcotest.(check int) "row count" (List.length rows) (List.length rows');
-      List.iter2
-        (fun (r, f, row, d) (r', f', row', d') ->
-          Alcotest.(check string) "rule" r r';
-          Alcotest.(check string) "func" f f';
-          Alcotest.(check (option int)) "row" row row';
-          Alcotest.(check string) "detail" d d')
-        rows rows');
-  Alcotest.(check bool)
-    "clean result round-trips" true
-    (match Entry.validate_of_entry (Entry.validate_entry ~clean:true []) with
-    | Some (true, []) -> true
-    | _ -> false)
-
 (* ------------------------------------------------------------------ *)
 (* Disk backend *)
 
@@ -822,8 +797,6 @@ let () =
             test_exec_codec_version_mismatch_is_miss;
           Alcotest.test_case "verdicts round-trip" `Quick
             test_verdicts_codec_roundtrip;
-          Alcotest.test_case "validate round-trip" `Quick
-            test_validate_codec_roundtrip;
         ] );
       ( "disk",
         [
