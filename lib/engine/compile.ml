@@ -71,6 +71,51 @@ type op =
   | Oraise of { counted : bool; cost : float; exn : exn }
       (** count the instruction if [counted], charge [cost] if positive,
           then raise [exn] *)
+  | Ogep_load of {
+      dst : int;
+      base : int;
+      offset : int;
+      index : int;
+      scale : int;
+      width : int;
+      ldst : int;
+    }  (** [Ogep], then an [Oload] of its result into [ldst] *)
+  | Oload_load of {
+      dst : int;
+      width : int;
+      addr : int;
+      dst2 : int;
+      width2 : int;
+      addr2 : int;
+    }
+  | Oadd_store of { dst : int; lhs : int; rhs : int; width : int; addr : int }
+      (** [Oadd], then an [Ostore] of its result *)
+  | Ostore_jmp of { width : int; value : int; addr : int; target : int }
+  | One_condbr of {
+      dst : int;
+      lhs : int;
+      rhs : int;
+      if_true : int;
+      if_false : int;
+    }  (** [One], then an [Ocondbr] on its result *)
+  | Oslt_condbr of {
+      dst : int;
+      lhs : int;
+      rhs : int;
+      ndst : int;
+      if_true : int;
+      if_false : int;
+    }
+      (** [Oslt], an [One] of its result against 0 into [ndst], then an
+          [Ocondbr] on that *)
+  | Oeq_condbr of {
+      dst : int;
+      lhs : int;
+      rhs : int;
+      ndst : int;
+      if_true : int;
+      if_false : int;
+    }  (** as [Oslt_condbr] with [Oeq] *)
 
 type bfunc = {
   fname : string;
@@ -354,6 +399,57 @@ let terminator fc target fname (t : Ir.Instr.terminator) =
         (Ocondbr { cond; if_true = target if_true; if_false = target if_false })
   | Unreachable -> Ounreachable fname
 
+(* Slots a fused op covers, its own included. *)
+let span = function
+  | Ogep_load _ | Oload_load _ | Oadd_store _ | Ostore_jmp _ | One_condbr _ -> 2
+  | Oslt_condbr _ | Oeq_condbr _ -> 3
+  | _ -> 1
+
+(* Peephole pass: rewrite a run of ops that the dispatch loop would
+   execute back to back as one fused op in the run's first slot, so a
+   hot pair costs one dispatch.  The fused op does each half's work,
+   tick and charge in order and continues [span] slots on; the slots it
+   covers keep their ops, so the array still has one slot per
+   instruction and no branch target moves.  A run never covers a block
+   start, where a branch may land: a block start follows a terminator,
+   and only a run's last op may be one.  Nor does it cover an [Oraise]:
+   no pattern below matches one, so the [bad_write] after an
+   instruction that writes outside the frame ends the run.  A pair that
+   hands a result to its second half ([Ogep_load], [Oadd_store], the
+   branches) requires the second half to read exactly that slot;
+   [zero] is the slot of the constant 0, if the function has one. *)
+let fuse code zero =
+  let n = Array.length code in
+  let pc = ref 0 in
+  while !pc < n - 1 do
+    let i = !pc in
+    let op =
+      match (code.(i), code.(i + 1)) with
+      | (Oslt { dst; lhs; rhs } | Oeq { dst; lhs; rhs }), One ne
+        when i + 2 < n && ne.lhs = dst && ne.rhs = zero -> (
+          match (code.(i), code.(i + 2)) with
+          | Oslt _, Ocondbr { cond; if_true; if_false } when cond = ne.dst ->
+              Oslt_condbr { dst; lhs; rhs; ndst = ne.dst; if_true; if_false }
+          | Oeq _, Ocondbr { cond; if_true; if_false } when cond = ne.dst ->
+              Oeq_condbr { dst; lhs; rhs; ndst = ne.dst; if_true; if_false }
+          | op, _ -> op)
+      | Ogep { dst; base; offset; index; scale }, Oload l when l.addr = dst ->
+          Ogep_load { dst; base; offset; index; scale; width = l.width; ldst = l.dst }
+      | Oload { dst; width; addr }, Oload l ->
+          Oload_load { dst; width; addr; dst2 = l.dst; width2 = l.width; addr2 = l.addr }
+      | Oadd { dst; lhs; rhs }, Ostore s when s.value = dst ->
+          Oadd_store { dst; lhs; rhs; width = s.width; addr = s.addr }
+      | Ostore { width; value; addr }, Ojmp target ->
+          Ostore_jmp { width; value; addr; target }
+      | One { dst; lhs; rhs }, Ocondbr { cond; if_true; if_false } when cond = dst ->
+          One_condbr { dst; lhs; rhs; if_true; if_false }
+      | op, _ -> op
+    in
+    let k = span op in
+    if k > 1 then code.(i) <- op;
+    pc := i + k
+  done
+
 let compile_func g (f : Ir.Func.t) : bfunc =
   let nregs = max 1 (Ir.Func.reg_count f) in
   let fc =
@@ -402,6 +498,8 @@ let compile_func g (f : Ir.Func.t) : bfunc =
         b.instrs;
       emit (terminator fc target f.name b.term))
     f.blocks;
+  fuse code
+    (Option.value (Hashtbl.find_opt fc.consts 0L) ~default:min_int);
   let frame = Bytes.make (8 * fc.nslots) '\000' in
   Hashtbl.iter (fun v off -> Bytes.set_int64_ne frame off v) fc.consts;
   {

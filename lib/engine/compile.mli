@@ -59,6 +59,58 @@ type op =
   | Oret of int
   | Ounreachable of string
   | Oraise of { counted : bool; cost : float; exn : exn }
+  | Ogep_load of {
+      dst : int;
+      base : int;
+      offset : int;
+      index : int;
+      scale : int;
+      width : int;
+      ldst : int;
+    }
+  | Oload_load of {
+      dst : int;
+      width : int;
+      addr : int;
+      dst2 : int;
+      width2 : int;
+      addr2 : int;
+    }
+  | Oadd_store of { dst : int; lhs : int; rhs : int; width : int; addr : int }
+  | Ostore_jmp of { width : int; value : int; addr : int; target : int }
+  | One_condbr of {
+      dst : int;
+      lhs : int;
+      rhs : int;
+      if_true : int;
+      if_false : int;
+    }
+  | Oslt_condbr of {
+      dst : int;
+      lhs : int;
+      rhs : int;
+      ndst : int;
+      if_true : int;
+      if_false : int;
+    }
+  | Oeq_condbr of {
+      dst : int;
+      lhs : int;
+      rhs : int;
+      ndst : int;
+      if_true : int;
+      if_false : int;
+    }
+(** The last seven are fused ops: a run of two or three ops that the
+    dispatch loop would execute back to back ([Ogep_load]: a gep and a
+    load of its result; [Oload_load]: two loads; [Oadd_store]: an add
+    and a store of its result; [Ostore_jmp]: a store and the block's
+    jump; [One_condbr]: a [ne] and the branch on it; [Oslt_condbr] and
+    [Oeq_condbr]: a compare, a [ne] of its result against 0, and the
+    branch on that), rewritten in place of the run's first op.  The
+    covered slots keep their own ops, so the code array has one slot
+    per instruction; a run never covers a block start or an
+    {!constructor:Oraise}. *)
 
 type bfunc = {
   fname : string;
@@ -77,6 +129,10 @@ type program = {
   index : (string, int) Hashtbl.t;  (** function name -> index *)
   intrinsic_names : string array;  (** intrinsic slot -> name *)
 }
+
+val span : op -> int
+(** How many slots an op covers: 2 or 3 for a fused op, 1 otherwise.
+    Execution continues [span op] slots after it. *)
 
 val token_base : int
 (** = {!Machine.Exec.func_token_base}; function [i] has token

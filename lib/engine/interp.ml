@@ -13,8 +13,13 @@
    live in a [Bytes] frame read and written with the native-endian
    64-bit primitives (operands are byte offsets, see Compile), each IR
    operator has its own arm, loads and stores go straight between a
-   memory segment and a frame slot (Memory.load_to/store_from), and
-   [step] returns the frame offset of the return value, not the value.
+   memory segment and a frame slot, and [step] returns the frame offset
+   of the return value, not the value.  A load or store inside the
+   window of either segment in Memory's two-entry cache runs in this
+   module, reading Memory's private record fields; any other access
+   calls Memory.load_to/store_from (see [load] and [store] below).
+   The hot op runs that Compile fuses run as one arm each, every half
+   with its own tick and charge in reference order.
    Two rules keep it that way.  No arm may yield an already-boxed
    int64: a call that is not inlined (Int64.unsigned_div, invalid_arg
    used as a value, any function of another module) takes and returns
@@ -116,6 +121,99 @@ let[@inline] udiv n d =
   else
     let q = Int64.shift_left (Int64.div (Int64.shift_right_logical n 1) d) 1 in
     if ult (Int64.sub n (Int64.mul q d)) d then q else Int64.succ q
+
+(* The memory fast path.  A load or store that falls inside the
+   window of one of the two segments Memory's cache holds (Memory.t's
+   [last], then [prev]) runs in this module: the window test, the
+   page's touched byte (both pages' when the access straddles one) and
+   the little-endian width decode, exactly as Memory.load_to/store_from
+   would do them.  A hit on [prev] leaves the cache's order alone: only
+   Memory writes it, and nothing but speed depends on it.  Anything
+   else goes to those functions: a miss in both windows, a store into a
+   read-only segment, a bad width, a big-endian host, and every access
+   while a fault-injection hook is installed, so the hook still fires
+   before each one.  [lo] and [bytes] are read afresh every time,
+   because growing a window (a miss, or a hook's Memory.flip_bit)
+   replaces both. *)
+external get16 : Bytes.t -> int -> int = "%caml_bytes_get16u"
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set16 : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
+let page_bits = 12
+let () = assert (Memory.page_size = 1 lsl page_bits)
+
+let[@inline] in_window (s : Memory.seg) a width =
+  a >= s.lo && a - s.lo <= Bytes.length s.bytes - width
+
+(* The index of the cached segment whose window holds [a, a + width),
+   or -1, also whenever the fast path must not run.  Windows are
+   disjoint, so at most one holds it. *)
+let[@inline] cached (m : Memory.t) a width =
+  if Sys.big_endian then -1
+  else
+    match m.on_access with
+    | Some _ -> -1
+    | None ->
+        if in_window (Array.unsafe_get m.segs m.last) a width then m.last
+        else if in_window (Array.unsafe_get m.segs m.prev) a width then m.prev
+        else -1
+
+let[@inline] touch (s : Memory.seg) a width =
+  let off = a - s.base in
+  Bytes.unsafe_set s.touched (off lsr page_bits) '\001';
+  Bytes.unsafe_set s.touched ((off + width - 1) lsr page_bits) '\001'
+
+let load_in (m : Memory.t) (s : Memory.seg) ~width a frame dst =
+  let b = s.bytes and i = a - s.lo in
+  match width with
+  | 1 ->
+      touch s a 1;
+      set frame dst (Int64.of_int (Char.code (Bytes.unsafe_get b i)))
+  | 2 ->
+      touch s a 2;
+      set frame dst (Int64.of_int (get16 b i))
+  | 4 ->
+      touch s a 4;
+      set frame dst (Int64.of_int (Int32.to_int (get32 b i) land 0xffffffff))
+  | 8 ->
+      touch s a 8;
+      set frame dst (get b i)
+  | _ -> Memory.load_to m ~width a frame dst
+
+let store_in (m : Memory.t) (s : Memory.seg) ~width a frame value =
+  let b = s.bytes and i = a - s.lo and v = get frame value in
+  match width with
+  | 1 ->
+      touch s a 1;
+      Bytes.unsafe_set b i (Char.unsafe_chr (Int64.to_int v land 0xff))
+  | 2 ->
+      touch s a 2;
+      set16 b i (Int64.to_int v land 0xffff)
+  | 4 ->
+      touch s a 4;
+      set32 b i (Int64.to_int32 v)
+  | 8 ->
+      touch s a 8;
+      set b i v
+  | _ -> Memory.store_from m ~width a frame value
+
+let[@inline] load (m : Memory.t) ~width a frame dst =
+  let k = cached m a width in
+  if k >= 0 then load_in m (Array.unsafe_get m.segs k) ~width a frame dst
+  else Memory.load_to m ~width a frame dst
+
+let[@inline] store (m : Memory.t) ~width a frame value =
+  let k = cached m a width in
+  if k >= 0 && (Array.unsafe_get m.segs k).perm == Memory.Read_write then
+    store_in m (Array.unsafe_get m.segs k) ~width a frame value
+  else Memory.store_from m ~width a frame value
+
+(* [Oload]'s charge depends on the address: rodata loads are cheaper *)
+let[@inline] charge_load rt a =
+  charge rt
+    (if a >= Exec.rodata_base && a < Exec.data_base then Cost.load_rodata
+     else Cost.load)
 
 (* A select arm or call argument: [lnot i] is trap [i]. *)
 let[@inline] arg (bf : bfunc) frame o =
@@ -341,15 +439,13 @@ and step rt bf code frame entry_sp pc =
   | Oload { dst; width; addr } ->
       tick st;
       let a = Int64.to_int (get frame addr) in
-      charge rt
-        (if a >= Exec.rodata_base && a < Exec.data_base then Cost.load_rodata
-         else Cost.load);
-      Memory.load_to st.mem ~width a frame dst;
+      charge_load rt a;
+      load st.mem ~width a frame dst;
       step rt bf code frame entry_sp (pc + 1)
   | Ostore { width; value; addr } ->
       tick st;
       charge rt Cost.store;
-      Memory.store_from st.mem ~width (Int64.to_int (get frame addr)) frame value;
+      store st.mem ~width (Int64.to_int (get frame addr)) frame value;
       step rt bf code frame entry_sp (pc + 1)
   | Oalloca { dst; elt; align; count } ->
       tick st;
@@ -447,6 +543,73 @@ and step rt bf code frame entry_sp pc =
       if counted then tick st;
       if cost > 0. then charge rt cost;
       raise exn
+  (* Fused ops (Compile.fuse): each half as its own arm above would run
+     it, in order, then on past the covered slots. *)
+  | Ogep_load { dst; base; offset; index; scale; width; ldst } ->
+      tick st;
+      charge rt Cost.alu;
+      let p =
+        Int64.add
+          (Int64.add (get frame base) (Int64.of_int offset))
+          (Int64.mul (get frame index) (Int64.of_int scale))
+      in
+      set frame dst p;
+      tick st;
+      let a = Int64.to_int p in
+      charge_load rt a;
+      load st.mem ~width a frame ldst;
+      step rt bf code frame entry_sp (pc + 2)
+  | Oload_load { dst; width; addr; dst2; width2; addr2 } ->
+      tick st;
+      let a = Int64.to_int (get frame addr) in
+      charge_load rt a;
+      load st.mem ~width a frame dst;
+      tick st;
+      let a = Int64.to_int (get frame addr2) in
+      charge_load rt a;
+      load st.mem ~width:width2 a frame dst2;
+      step rt bf code frame entry_sp (pc + 2)
+  | Oadd_store { dst; lhs; rhs; width; addr } ->
+      tick st;
+      charge rt Cost.alu;
+      set frame dst (Int64.add (get frame lhs) (get frame rhs));
+      tick st;
+      charge rt Cost.store;
+      store st.mem ~width (Int64.to_int (get frame addr)) frame dst;
+      step rt bf code frame entry_sp (pc + 2)
+  | Ostore_jmp { width; value; addr; target } ->
+      tick st;
+      charge rt Cost.store;
+      store st.mem ~width (Int64.to_int (get frame addr)) frame value;
+      charge rt Cost.branch;
+      step rt bf code frame entry_sp target
+  | One_condbr { dst; lhs; rhs; if_true; if_false } ->
+      tick st;
+      charge rt Cost.alu;
+      let c = get frame lhs <> get frame rhs in
+      set frame dst (of_bool c);
+      charge rt Cost.cond_branch;
+      step rt bf code frame entry_sp (if c then if_true else if_false)
+  | Oslt_condbr { dst; lhs; rhs; ndst; if_true; if_false } ->
+      tick st;
+      charge rt Cost.alu;
+      let c = get frame lhs < get frame rhs in
+      set frame dst (of_bool c);
+      tick st;
+      charge rt Cost.alu;
+      set frame ndst (of_bool c);
+      charge rt Cost.cond_branch;
+      step rt bf code frame entry_sp (if c then if_true else if_false)
+  | Oeq_condbr { dst; lhs; rhs; ndst; if_true; if_false } ->
+      tick st;
+      charge rt Cost.alu;
+      let c = get frame lhs = get frame rhs in
+      set frame dst (of_bool c);
+      tick st;
+      charge rt Cost.alu;
+      set frame ndst (of_bool c);
+      charge rt Cost.cond_branch;
+      step rt bf code frame entry_sp (if c then if_true else if_false)
 
 let run ?(fuel = 200_000_000) ?(entry = "main") ?(args = []) (st : Exec.state) =
   st.fuel <- fuel;

@@ -70,6 +70,5 @@ val run :
     an unknown workload name, or if a never-firing plan changed any
     observable. *)
 
-val table : t -> Sutil.Texttable.t
 val output : t -> Output.t
 (** The E13 tables ([chaos], [chaos_policy]) and the detection line. *)

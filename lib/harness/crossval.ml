@@ -215,15 +215,12 @@ let selective_config =
    elided functions skip the permutation loads — so they are not
    compared. *)
 let run_selective ?(pool = Sched.Pool.sequential) ~(backend : Machine.Backend.t)
-    ?store ?(trials = 6) () =
+    () =
+  let trials = 6 in
   (* the elision oracle behind Config.selective lives in lib/analysis *)
   Analysis.Validate.install ();
   let full = Defenses.Defense.Smokestack Smokestack.Config.default in
   let sel = Defenses.Defense.Smokestack selective_config in
-  let config_of = function
-    | Defenses.Defense.Smokestack c -> Some c
-    | _ -> None
-  in
   let elided_count prog =
     List.length
       (Smokestack.Harden.harden ~seed:3L selective_config prog)
@@ -231,19 +228,13 @@ let run_selective ?(pool = Sched.Pool.sequential) ~(backend : Machine.Backend.t)
   in
   let attack_jobs =
     List.map
-      (fun (cname, source, prog, (attack : Apps.Dopkit.attack), _) ->
+      (fun (cname, _, prog, (attack : Apps.Dopkit.attack), _) ->
         Sched.Job.v ~id:("selective/" ^ cname) ~seed:3L (fun () ->
             let verdicts_under d =
-              cached_verdicts ?store ~backend ~source ~config:(config_of d)
-                ~extra:
-                  (Printf.sprintf
-                     "selective;case=%s;trials=%d;seed0=17;hseed=3" cname
-                     trials)
-                (fun () ->
-                  Security.trials
-                    (fun a ~seed -> (attack ~backend a ~seed).verdict)
-                    (Defenses.Defense.apply ~seed:3L d prog)
-                    ~n:trials ~seed0:17)
+              Security.trials
+                (fun a ~seed -> (attack ~backend a ~seed).verdict)
+                (Defenses.Defense.apply ~seed:3L d prog)
+                ~n:trials ~seed0:17
             in
             let vf = verdicts_under full and vs = verdicts_under sel in
             let identical = vf = vs in
@@ -267,22 +258,10 @@ let run_selective ?(pool = Sched.Pool.sequential) ~(backend : Machine.Backend.t)
           (fun () ->
             let prog = lazy (Minic.Driver.compile psource) in
             let run_under d =
-              let fresh () =
-                Store.Entry.exec_of_run
-                  (Apps.Runner.run_chunks ~backend
-                     (Defenses.Defense.apply ~seed:3L d
-                        (Lazy.force prog))
-                     ~seed:7L ~chunks:[])
-              in
-              match store with
-              | None -> fresh ()
-              | Some store ->
-                  Store.Cache.memo store
-                    (Store.Key.of_source ~source_text:psource
-                       ~config:(config_of d) ~engine:backend.kind ~seed:7L
-                       ~extra:"selective;chunks=;hseed=3" ())
-                    ~encode:Store.Entry.exec_entry
-                    ~decode:Store.Entry.exec_of_entry fresh
+              Store.Entry.exec_of_run
+                (Apps.Runner.run_chunks ~backend
+                   (Defenses.Defense.apply ~seed:3L d (Lazy.force prog))
+                   ~seed:7L ~chunks:[])
             in
             let ef = run_under full and es = run_under sel in
             let identical =

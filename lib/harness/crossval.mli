@@ -44,7 +44,6 @@ val run :
     parameters — a warm run replays no attacks and reports
     identically. *)
 
-val table : t -> Sutil.Texttable.t
 val output : t -> Output.t
 (** The E12b table ([crossval]) and its verdict line. *)
 
@@ -88,18 +87,10 @@ type selective_row = {
 type selective_t = { srows : selective_row list; all_identical : bool }
 
 val run_selective :
-  ?pool:Sched.Pool.t ->
-  backend:Machine.Backend.t ->
-  ?store:Store.Cache.t ->
-  ?trials:int ->
-  unit ->
-  selective_t
+  ?pool:Sched.Pool.t -> backend:Machine.Backend.t -> unit -> selective_t
 (** Installs the {!Analysis.Validate} elision oracle, then compares
-    full vs selective hardening: verdict lists over [trials] attempts
-    for each attack case, outcome + output for 8 generated programs.
-    With [?store], both legs of every comparison (full and selective
-    each have their own config-fingerprinted key) are served from the
-    store when present. *)
+    full vs selective hardening: verdict lists over 6 attempts for each
+    attack case, outcome + output for 8 generated programs. *)
 
 val selective_output : selective_t -> Output.t
 (** The E14a table ([selective_diff]) and its verdict line. *)

@@ -20,6 +20,14 @@ type report = { cases : int; mismatches : mismatch list }
 val ok : report -> bool
 val report_to_string : report -> string
 
+val compare_observables :
+  case:string ->
+  Machine.Exec.outcome * Machine.Exec.stats ->
+  Machine.Exec.outcome * Machine.Exec.stats ->
+  mismatch list
+(** Every observable of two runs of one program, the reference's first:
+    the mismatches in field order, [[]] when the runs are identical. *)
+
 val check_apps : ?pool:Sched.Pool.t -> ?fuel:int -> unit -> report
 (** Every {!Apps.Spec.all} workload under both [No_defense] and the
     default Smokestack configuration.  One job per (workload, defense)

@@ -93,8 +93,6 @@ val guided_run :
     [smokestackc attack --leak-guided] entry point.  Defaults as in
     {!run}; [None] if the planner found no guidable chain. *)
 
-val table : t -> Sutil.Texttable.t
-
 val guided_only_table : guided option -> Sutil.Texttable.t
 (** The guided-attack table over one measurement: a {!guided_run}
     result or a full {!t}'s [guided]. *)

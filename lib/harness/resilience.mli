@@ -71,9 +71,6 @@ val run :
   unit ->
   t
 
-val class_table : t -> Sutil.Texttable.t
-(** Per-class breakdown of the resilient cell. *)
-
 val output : t -> Output.t
 (** The E18 report: the cost ([resilience]), fleet ([resilience_fleet])
     and class ([resilience_classes]) tables with their lead and headline

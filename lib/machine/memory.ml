@@ -43,6 +43,7 @@ type seg = {
 type t = {
   segs : seg array;  (* sorted by base; disjoint *)
   mutable last : int;  (* index of the last segment hit, for locality *)
+  mutable prev : int;  (* the segment hit before [last] *)
   mutable on_access : (unit -> unit) option;
       (* fault-injection hook, fired before every checked access *)
 }
@@ -76,7 +77,7 @@ let create specs =
                prev.name s.name)
       end)
     segs;
-  { segs; last = 0; on_access = None }
+  { segs; last = 0; prev = 0; on_access = None }
 
 let segment t name =
   match Array.find_opt (fun (s : seg) -> String.equal s.name name) t.segs with
@@ -91,10 +92,7 @@ let find t addr =
    inside the extent: page-aligned, clamped to the extent, and at least
    doubled in the direction of the access (downward when it lies below
    the window, as the stack grows; upward otherwise, as the heap does).
-   Old bytes are blitted across, new bytes are zero.  An access that is
-   "inside" only because [addr + size] overflowed covers no page and
-   leaves the window alone; the byte operation it reaches then raises
-   [Invalid_argument], as it did on an eagerly allocated segment. *)
+   Old bytes are blitted across, new bytes are zero. *)
 let materialize s addr size =
   let mask = lnot (page_size - 1) in
   let len = Bytes.length s.bytes in
@@ -117,9 +115,15 @@ let materialize s addr size =
     s.bytes <- bytes
   end
 
-(* Slow path of [locate], run on every switch between segments: find the
-   segment that contains the access, cache it, and grow its window if
-   the access falls outside.  A top-level function rather than a local
+(* Whether [addr, addr + size) lies in [s]'s window.  Written with a
+   subtraction on each side, so an address near [max_int] cannot wrap
+   [addr + size] into range. *)
+let[@inline] in_window s addr size =
+  addr >= s.lo && addr - s.lo <= Bytes.length s.bytes - size
+
+(* Slow path of [locate], run when neither cached window holds the
+   access: find the segment that contains it, cache it, and grow its
+   window if the access falls outside.  A top-level function rather than a local
    closure, so a switch allocates nothing. *)
 let rec scan t ~op addr size i =
   let segs = t.segs in
@@ -129,32 +133,52 @@ let rec scan t ~op addr size i =
     (* segments are disjoint, so containment of [addr] identifies the
        unique candidate; an access that starts inside a segment but
        overruns its extent is out of bounds *)
-    if addr >= s.base && addr + size <= s.base + s.size then begin
-      t.last <- i;
-      if addr < s.lo || addr + size > s.lo + Bytes.length s.bytes then
-        materialize s addr size;
+    if addr >= s.base && addr - s.base <= s.size - size then begin
+      if i <> t.last then begin
+        t.prev <- t.last;
+        t.last <- i
+      end;
+      if not (in_window s addr size) then materialize s addr size;
       s
     end
     else scan t ~op addr size (i + 1)
 
-(* Hot path for every load/store: no closures, no [option] allocation,
-   and a one-element cache of the last segment hit (accesses cluster on
-   the stack or one data segment, so the cache almost always hits and
-   skips the scan).  The cache test is against the window, so a hit
-   needs no materialization; growth happens only in the scan, which
-   tests the window before calling out. *)
+(* Hot path for every access: no closures, no [option] allocation, and
+   a two-entry cache of the last two segments hit.  Accesses cluster on
+   one segment or alternate between two (a stack slot and a global, a
+   heap buffer and its stack index), so the cache almost always hits
+   and skips the scan; a hit on [prev] swaps the entries.  The cache
+   test is against the window, so a hit needs no materialization;
+   growth happens only in the scan, which tests the window before
+   calling out.  The bytecode engine runs both tests itself for loads
+   and stores and calls [load_to]/[store_from] only when both fail. *)
 let locate t ~op addr size =
   (match t.on_access with Some f -> f () | None -> ());
   if addr = 0 then raise (Fault Null_dereference);
   let s = Array.unsafe_get t.segs t.last in
-  if addr >= s.lo && addr + size <= s.lo + Bytes.length s.bytes then s
-  else scan t ~op addr size 0
+  if in_window s addr size then s
+  else
+    let prev = t.prev in
+    let p = Array.unsafe_get t.segs prev in
+    if in_window p addr size then begin
+      t.prev <- t.last;
+      t.last <- prev;
+      p
+    end
+    else scan t ~op addr size 0
 
+(* Marks the pages of [off, off + size) (offsets from the segment base)
+   touched.  An access of 8 bytes or less spans one page or two, so it
+   writes the first and last page's byte without a loop. *)
 let touch s off size =
-  let first = off / page_size and last = (off + size - 1) / page_size in
-  for p = first to last do
-    Bytes.unsafe_set s.touched p '\001'
-  done
+  if size >= 1 && size <= 8 then begin
+    Bytes.unsafe_set s.touched (off / page_size) '\001';
+    Bytes.unsafe_set s.touched ((off + size - 1) / page_size) '\001'
+  end
+  else
+    for p = off / page_size to (off + size - 1) / page_size do
+      Bytes.unsafe_set s.touched p '\001'
+    done
 
 let load t ~width addr =
   let s = locate t ~op:"load" addr width in

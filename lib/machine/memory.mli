@@ -17,6 +17,13 @@
     are defined over the whole extent — so a fresh memory costs only
     what its program touches.
 
+    An access first tries the windows of the last two segments hit (a
+    two-entry cache), then scans the segments in address order.  The
+    bytecode engine ([Engine.Interp]) runs a load or store that falls
+    inside either cached window itself, through the [private] record
+    fields below, and calls {!load_to}/{!store_from} for every other
+    access; the two must stay byte-for-byte equivalent.
+
     Domain-safety: no module-level state; a memory belongs to one
     prepared {!Exec.state} and therefore to one job at a time. *)
 
@@ -41,9 +48,40 @@ type segment = {
   perm : perm;
 }
 
-type t
+(** A segment as the memory holds it: the extent above, a per-page
+    touched map over the whole extent, and the materialized window
+    [\[lo, lo + Bytes.length bytes)] of it.  [private] so the bytecode
+    engine can run a load or store that falls inside the window without
+    a call: it may read [base], [perm], [touched], [lo] and [bytes], and
+    must read [lo] and [bytes] afresh on every access, since growing the
+    window ({!flip_bit} too) replaces both.  Only this module writes
+    them. *)
+type seg = private {
+  name : string;
+  base : int;
+  size : int;
+  perm : perm;
+  touched : Bytes.t;  (** one byte per page of the extent, nonzero once touched *)
+  mutable lo : int;
+  mutable bytes : Bytes.t;
+}
+
+(** [segs] is sorted by base.  [last] is the index of the segment the
+    latest access hit and [prev] the one hit before it: the two entries
+    of the segment cache, which only this module updates (a reader
+    that hits [prev] may leave them as they are; only speed depends on
+    their order).  An inlined access must go through
+    {!load_to}/{!store_from} whenever [on_access] is set, so the hook
+    fires before every access. *)
+type t = private {
+  segs : seg array;
+  mutable last : int;
+  mutable prev : int;
+  mutable on_access : (unit -> unit) option;
+}
 
 val page_size : int
+(** 4096; a page's touched byte is at [(addr - base) / page_size]. *)
 
 val create : (string * int * int * perm) list -> t
 (** [create segs] maps each [(name, base, size, perm)].  Segments must

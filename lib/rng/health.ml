@@ -3,7 +3,6 @@ type config = { rct_cutoff : int; apt_window : int; apt_cutoff : int }
 let default = { rct_cutoff = 5; apt_window = 512; apt_cutoff = 20 }
 
 type t = {
-  config : config;
   (* RCT: current run of identical full-width samples *)
   mutable rct_last : int64;
   mutable rct_run : int;
@@ -14,13 +13,8 @@ type t = {
   mutable failed : string option;
 }
 
-let create ?(config = default) () =
-  if config.rct_cutoff < 2 then
-    invalid_arg "Rng.Health.create: rct_cutoff must be >= 2";
-  if config.apt_cutoff < 2 || config.apt_window < config.apt_cutoff then
-    invalid_arg "Rng.Health.create: need 2 <= apt_cutoff <= apt_window";
+let create () =
   {
-    config;
     rct_last = 0L;
     rct_run = 0;
     apt_ref = -1;
@@ -47,7 +41,7 @@ let feed t v =
         t.rct_last <- v;
         t.rct_run <- 1
       end;
-      if t.rct_run >= t.config.rct_cutoff then
+      if t.rct_run >= default.rct_cutoff then
         t.failed <-
           Some
             (Printf.sprintf
@@ -65,14 +59,14 @@ let feed t v =
           if b = t.apt_ref then t.apt_hits <- t.apt_hits + 1;
           t.apt_pos <- t.apt_pos + 1
         end;
-        if t.apt_hits >= t.config.apt_cutoff then
+        if t.apt_hits >= default.apt_cutoff then
           t.failed <-
             Some
               (Printf.sprintf
                  "adaptive-proportion test: low byte 0x%02x seen %d times in \
                   %d samples"
                  t.apt_ref t.apt_hits t.apt_pos)
-        else if t.apt_pos >= t.config.apt_window then begin
+        else if t.apt_pos >= default.apt_window then begin
           t.apt_pos <- 0;
           t.apt_hits <- 0
         end

@@ -37,7 +37,8 @@ val default : config
 
 type t
 
-val create : ?config:config -> unit -> t
+val create : unit -> t
+(** A fresh state with the {!default} cutoffs. *)
 
 val feed : t -> int64 -> string option
 (** Observe one sample.  [None] while the source looks healthy;

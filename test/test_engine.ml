@@ -518,8 +518,9 @@ let test_parity_casts () =
     [ 1; 2; 4; 8 ]
 
 (* Loads and stores at every width, alternating between the stack, a
-   writable global, the heap and rodata, so the segment cache misses on
-   every access; the exit code hashes every loaded value. *)
+   writable global, the heap and rodata, so the two-entry segment cache
+   misses or swaps on nearly every access; the exit code hashes every
+   loaded value. *)
 let test_parity_segment_widths () =
   let setup prog =
     Ir.Prog.add_global prog ~name:"data" ~ty:(Ir.Ty.Array (Ir.Ty.I8, 64))
@@ -625,6 +626,338 @@ let test_parity_registers_outside_frame () =
     cases
 
 (* ------------------------------------------------------------------ *)
+(* The memory fast path and fused ops *)
+
+(* Both engines on fresh states of [prog], each handed to [setup]
+   first, compared through Harness.Diffval.compare_observables, so
+   [rss_bytes] (the touched pages) counts too.  An exception out of
+   [run] (a branch to a missing label raises Not_found) must be the
+   same on both, at the same instruction count.  Returns the
+   reference's outcome. *)
+let check_observables ?fuel ?(setup = fun _ -> ()) what prog =
+  let run (bk : Machine.Backend.t) =
+    let st = Machine.Exec.prepare prog in
+    setup st;
+    match bk.run ?fuel st with
+    | r -> Ok r
+    | exception e -> Error (Printexc.to_string e, st.instr_count)
+  in
+  match (run ref_backend, run bc_backend) with
+  | Ok r1, Ok r2 ->
+      (match Harness.Diffval.compare_observables ~case:what r1 r2 with
+      | [] -> ()
+      | m :: _ ->
+          Alcotest.failf "%s: %s differs: %s (reference) vs %s" what m.field
+            m.expected m.actual);
+      Ok (fst r1)
+  | e1, e2 ->
+      Alcotest.(check bool) (what ^ ": same exception") true (e1 = e2);
+      Error ()
+
+(* Where a prepared state maps segment [name]. *)
+let segment_base name =
+  (Machine.Memory.segment (Machine.Exec.prepare (Ir.Prog.create ())).mem name).base
+
+let expect_outcome what ok = function
+  | Ok o when ok o -> ()
+  | Ok o -> Alcotest.failf "%s: unexpected %s" what (Machine.Exec.outcome_to_string o)
+  | Error () -> Alcotest.failf "%s: unexpected exception" what
+
+let exits = function Machine.Exec.Exit _ -> true | _ -> false
+
+(* Consecutive accesses that alternate between the stack (every local),
+   the heap, a global and a string literal in rodata, so the segment
+   cache swaps, scans and hits in turn. *)
+let test_parity_segments_alternate () =
+  let prog =
+    compile
+      {|
+int g[16];
+int main() {
+  int s[16]; int *h; char *r; int i; int acc;
+  h = malloc(64); r = "0123456789abcdef"; acc = 0;
+  for (i = 0; i < 200; i = i + 1) {
+    s[i & 15] = i; h[i & 15] = acc; g[i & 15] = s[(i * 7) & 15];
+    acc = (acc * 31 + s[i & 15] + h[(i + 3) & 15] + g[(i + 5) & 15] + r[i & 15]) & 1048575;
+  }
+  print_int(acc);
+  return acc & 255;
+}
+|}
+  in
+  expect_outcome "alternating segments" exits
+    (check_observables "alternating segments" prog)
+
+(* 2-, 4- and 8-byte accesses that straddle a page boundary of the heap,
+   the stack, a writable global and rodata, at every misalignment.  A
+   load from each segment's pages 0 and 2 first makes its window cover
+   pages 0-2, so the first access to page 1 is a window hit that must
+   mark page 1 touched itself; a store and a load then hit the same
+   bytes.  Last, with an access to another segment in between (so the
+   segment is the cache's second entry), an access that starts inside
+   the window and ends past it must grow the window.  The page offsets
+   count from each segment's base. *)
+let test_parity_page_straddle () =
+  let page = Machine.Memory.page_size in
+  let setup prog =
+    Ir.Prog.add_global prog ~name:"big" ~ty:(Ir.Ty.Array (Ir.Ty.I8, 4 * page))
+      ~writable:true ();
+    Ir.Prog.add_global prog ~name:"robig" ~ty:(Ir.Ty.Array (Ir.Ty.I8, 4 * page))
+      ~init:(String.init (4 * page) (fun i -> Char.chr ((i * 37) land 0xff)))
+      ~writable:false ()
+  in
+  let prog =
+    main_prog ~setup (fun b ->
+        let open Ir.Instr in
+        let acc = ref (Imm 0L) in
+        let fold v =
+          let m = Ir.Builder.binop b Mul !acc (Imm 31L) in
+          acc := Reg (Ir.Builder.binop b Add (Reg m) (Reg v))
+        in
+        let at a = Imm (Int64.of_int a) in
+        List.iter
+          (fun (seg, writable) ->
+            let base = segment_base seg in
+            fold (Ir.Builder.load b Ir.Ty.I8 (at base));
+            fold (Ir.Builder.load b Ir.Ty.I8 (at (base + (2 * page))));
+            List.iter
+              (fun (ty, width) ->
+                for k = 1 to width - 1 do
+                  let addr = at (base + page - k) in
+                  fold (Ir.Builder.load b ty addr);
+                  if writable then
+                    Ir.Builder.store b ty
+                      ~value:(Imm (Int64.of_int ((k * 0x01010101) + width)))
+                      ~addr;
+                  fold (Ir.Builder.load b ty addr)
+                done)
+              [ (Ir.Ty.I16, 2); (Ir.Ty.I32, 4); (Ir.Ty.I64, 8) ];
+            let other = segment_base (if seg = "heap" then "stack" else "heap") in
+            fold (Ir.Builder.load b Ir.Ty.I8 (at other));
+            let edge = at (base + (3 * page) - 4) in
+            if writable then Ir.Builder.store b Ir.Ty.I64 ~value:(Imm 77L) ~addr:edge;
+            fold (Ir.Builder.load b Ir.Ty.I8 (at other));
+            fold (Ir.Builder.load b Ir.Ty.I64 edge))
+          [ ("heap", true); ("stack", true); ("data", true); ("rodata", false) ];
+        !acc)
+  in
+  expect_outcome "page straddle" exits (check_observables "page straddle" prog)
+
+(* A VLA per iteration moves the stack down and a 12,000-byte stride
+   walks the heap up, so both windows grow while the loop's accesses
+   keep hitting them. *)
+let test_parity_windows_grow_in_loop () =
+  let prog =
+    compile
+      {|
+int main() {
+  int i; int s; int *h; int n;
+  h = malloc(4000000); s = 0;
+  for (i = 0; i < 300; i = i + 1) {
+    n = 64 + i;
+    {
+      int buf[n];
+      buf[0] = i; buf[n - 1] = s;
+      h[i * 3000] = buf[0] + buf[n - 1];
+      s = (s + h[i * 3000] + h[i]) & 65535;
+    }
+  }
+  print_int(s);
+  return s & 255;
+}
+|}
+  in
+  expect_outcome "growing windows" exits
+    (check_observables "growing windows" prog)
+
+(* A fault-injection hook that fires once, mid-run, during a run of
+   heap loads and stores that all hit the heap's window: it flips a heap
+   byte and a stack byte far outside their windows (so Memory.flip_bit
+   replaces both windows' bytes), then a bit of the heap word the run
+   reads, and clears itself.  The flip must land before the access at
+   which the hook fires, and every later access must see the new
+   windows. *)
+let test_parity_hook_clears_itself () =
+  let heap = segment_base "heap" in
+  let word = heap + 64 in
+  let prog =
+    main_prog (fun b ->
+        let open Ir.Instr in
+        let acc = ref (Imm 0L) in
+        for j = 1 to 40 do
+          let v = Ir.Builder.load b Ir.Ty.I64 (Imm (Int64.of_int word)) in
+          let m = Ir.Builder.binop b Mul !acc (Imm 3L) in
+          acc := Reg (Ir.Builder.binop b Add (Reg m) (Reg v));
+          if j mod 8 = 0 then
+            Ir.Builder.store b Ir.Ty.I64 ~value:!acc
+              ~addr:(Imm (Int64.of_int (word + 8)))
+        done;
+        !acc)
+  in
+  let stack = segment_base "stack" in
+  List.iter
+    (fun trigger ->
+      let setup (st : Machine.Exec.state) =
+        Machine.Memory.set_access_hook st.mem
+          (Some
+             (fun () ->
+               if st.instr_count >= trigger then begin
+                 Machine.Memory.flip_bit st.mem ~addr:(heap + 2_000_000) ~bit:2;
+                 Machine.Memory.flip_bit st.mem ~addr:(stack + 100) ~bit:0;
+                 Machine.Memory.flip_bit st.mem ~addr:word ~bit:5;
+                 Machine.Memory.set_access_hook st.mem None
+               end))
+      in
+      let what = Printf.sprintf "hook at instruction %d" trigger in
+      expect_outcome what exits (check_observables ~setup what prog))
+    [ 1; 2; 17; 40; 77; 101; 150 ]
+
+(* With the last-hit segment rodata, a store into it must still fault;
+   with it the stack, a load from address 0 must still be a null
+   dereference, and one within a few bytes of [max_int] out of
+   bounds. *)
+let test_parity_rodata_store_null_load () =
+  let open Ir.Instr in
+  let setup prog =
+    Ir.Prog.add_global prog ~name:"ro" ~ty:(Ir.Ty.Array (Ir.Ty.I8, 16))
+      ~init:"abcdefghijklmnop" ~writable:false ()
+  in
+  let rodata_store =
+    main_prog ~setup (fun b ->
+        let v = Ir.Builder.load b Ir.Ty.I8 (Global "ro") in
+        let w = Ir.Builder.load b Ir.Ty.I8 (Global "ro") in
+        Ir.Builder.store b Ir.Ty.I8 ~value:(Reg v) ~addr:(Global "ro");
+        Reg w)
+  in
+  let stack_then addr =
+    main_prog (fun b ->
+        let slot = Reg (Ir.Builder.alloca b Ir.Ty.I64) in
+        Ir.Builder.store b Ir.Ty.I64 ~value:(Imm 5L) ~addr:slot;
+        let _ = Ir.Builder.load b Ir.Ty.I64 slot in
+        Reg (Ir.Builder.load b Ir.Ty.I32 (Imm addr)))
+  in
+  let fault what want prog =
+    expect_outcome what
+      (function
+        | Machine.Exec.Fault { fault; _ } -> want fault | _ -> false)
+      (check_observables what prog)
+  in
+  fault "store into rodata"
+    (function Machine.Memory.Write_protected _ -> true | _ -> false)
+    rodata_store;
+  fault "load from address 0"
+    (function Machine.Memory.Null_dereference -> true | _ -> false)
+    (stack_then 0L);
+  fault "load near max_int"
+    (function Machine.Memory.Out_of_bounds _ -> true | _ -> false)
+    (stack_then (Int64.of_int (max_int - 3)))
+
+(* The name of a fused op's kind. *)
+let fused_name : Engine.Compile.op -> string option = function
+  | Ogep_load _ -> Some "gep-load"
+  | Oload_load _ -> Some "load-load"
+  | Oadd_store _ -> Some "add-store"
+  | Ostore_jmp _ -> Some "store-jmp"
+  | One_condbr _ -> Some "ne-condbr"
+  | Oslt_condbr _ -> Some "slt-ne-condbr"
+  | Oeq_condbr _ -> Some "eq-ne-condbr"
+  | _ -> None
+
+let fused_kinds =
+  [ "gep-load"; "load-load"; "add-store"; "store-jmp"; "ne-condbr";
+    "slt-ne-condbr"; "eq-ne-condbr" ]
+
+let fused_in prog =
+  let p = Engine.Compile.compile (Machine.Exec.prepare prog) in
+  Array.fold_left
+    (fun acc (bf : Engine.Compile.bfunc) ->
+      Array.fold_left
+        (fun acc op ->
+          match fused_name op with
+          | Some k when not (List.mem k acc) -> k :: acc
+          | _ -> acc)
+        acc bf.code)
+    [] p.funcs
+
+(* One program per fused kind, after a stack slot holding 5: with
+   [~fault:false] both halves run cleanly; with [~fault:true] the
+   second half faults (a load or store at an unmapped address) or, for
+   a branch, goes to a label that does not exist. *)
+let fused_prog kind ~fault =
+  let open Ir.Instr in
+  main_prog (fun b ->
+      let slot = Reg (Ir.Builder.alloca b Ir.Ty.I64) in
+      Ir.Builder.store b Ir.Ty.I64 ~value:(Imm 5L) ~addr:slot;
+      let bad = Imm 8L in
+      let target = if fault then "missing" else "next" in
+      let branch cond =
+        Ir.Builder.cond_br b cond ~if_true:target ~if_false:target;
+        let _ = Ir.Builder.start_block b "next" in
+        ()
+      in
+      let v = Reg (Ir.Builder.load b Ir.Ty.I64 slot) in
+      let r =
+        match kind with
+        | "gep-load" ->
+            let p = Ir.Builder.gep b (if fault then bad else slot) ~offset:0 in
+            Reg (Ir.Builder.load b Ir.Ty.I64 (Reg p))
+        | "load-load" ->
+            let _ = Ir.Builder.binop b Add v (Imm 1L) in
+            let a = Ir.Builder.load b Ir.Ty.I64 slot in
+            let c = Ir.Builder.load b Ir.Ty.I32 (if fault then bad else slot) in
+            Reg (Ir.Builder.binop b Add (Reg a) (Reg c))
+        | "add-store" ->
+            let x = Ir.Builder.binop b Add v (Imm 1L) in
+            Ir.Builder.store b Ir.Ty.I64 ~value:(Reg x)
+              ~addr:(if fault then bad else slot);
+            Reg x
+        | "store-jmp" ->
+            Ir.Builder.store b Ir.Ty.I64 ~value:(Imm 9L) ~addr:slot;
+            Ir.Builder.br b target;
+            let _ = Ir.Builder.start_block b "next" in
+            Reg (Ir.Builder.load b Ir.Ty.I64 slot)
+        | "ne-condbr" ->
+            branch (Reg (Ir.Builder.icmp b Ne v (Imm 3L)));
+            v
+        | "slt-ne-condbr" | "eq-ne-condbr" ->
+            let op = if kind = "slt-ne-condbr" then Slt else Eq in
+            let c = Ir.Builder.icmp b op v (Imm 3L) in
+            branch (Reg (Ir.Builder.icmp b Ne (Reg c) (Imm 0L)));
+            v
+        | k -> invalid_arg k
+      in
+      r)
+
+(* Each fused kind under every fuel from 1 (so fuel runs out on each
+   half in turn) to a full run, and with a fault in its second half. *)
+let test_parity_fused_fuel_and_faults () =
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun fault ->
+          let prog = fused_prog kind ~fault in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s program fuses %s" kind kind)
+            true
+            (List.mem kind (fused_in prog));
+          for fuel = 1 to 10 do
+            ignore
+              (check_observables ~fuel
+                 (Printf.sprintf "%s%s, fuel %d" kind
+                    (if fault then " faulting" else "")
+                    fuel)
+                 prog)
+          done;
+          let what = kind ^ if fault then " faulting" else "" in
+          match check_observables what prog with
+          | Ok (Machine.Exec.Exit _) when not fault -> ()
+          | Ok (Machine.Exec.Fault _) when fault -> ()
+          | Error () when fault -> ()
+          | _ -> Alcotest.failf "%s: unexpected result" what)
+        [ false; true ])
+    fused_kinds
+
+(* ------------------------------------------------------------------ *)
 (* Allocation gate *)
 
 (* A call-free loop of 5000 iterations whose body is the loop counter
@@ -688,11 +1021,55 @@ let alloc_bodies =
                 ignore (Ir.Builder.load b ty addr) ))
           [ "stack"; "g" ])
       [ Ir.Ty.I8; Ir.Ty.I16; Ir.Ty.I32; Ir.Ty.I64 ]
+  @ List.map
+      (fun (kind, body) -> ("fused " ^ kind, body))
+      [
+        ( "gep-load",
+          fun b ~buf i ->
+            let idx = Reg (Ir.Builder.binop b And i (Imm 7L)) in
+            let p = Ir.Builder.gep_idx b buf ~offset:0 ~index:idx ~scale:8 in
+            ignore (Ir.Builder.load b Ir.Ty.I64 (Reg p)) );
+        ( "load-load",
+          fun b ~buf _ ->
+            ignore (Ir.Builder.load b Ir.Ty.I64 buf);
+            ignore (Ir.Builder.load b Ir.Ty.I32 (Global "g")) );
+        ( "add-store",
+          fun b ~buf i ->
+            let v = Ir.Builder.binop b Add i (Imm 5L) in
+            Ir.Builder.store b Ir.Ty.I32 ~value:(Reg v) ~addr:buf );
+        ( "store-jmp",
+          fun b ~buf i ->
+            Ir.Builder.store b Ir.Ty.I16 ~value:i ~addr:buf;
+            Ir.Builder.br b "mid";
+            ignore (Ir.Builder.start_block b "mid") );
+        ( "ne-condbr",
+          fun b ~buf:_ i ->
+            let c = Ir.Builder.icmp b Ne i (Imm 3L) in
+            Ir.Builder.cond_br b (Reg c) ~if_true:"mid" ~if_false:"mid";
+            ignore (Ir.Builder.start_block b "mid") );
+        ( "slt-ne-condbr",
+          fun b ~buf:_ i ->
+            let c = Ir.Builder.icmp b Slt i (Imm 3L) in
+            let t = Ir.Builder.icmp b Ne (Reg c) (Imm 0L) in
+            Ir.Builder.cond_br b (Reg t) ~if_true:"mid" ~if_false:"mid";
+            ignore (Ir.Builder.start_block b "mid") );
+        ( "eq-ne-condbr",
+          fun b ~buf:_ i ->
+            let c = Ir.Builder.icmp b Eq i (Imm 3L) in
+            let t = Ir.Builder.icmp b Ne (Reg c) (Imm 0L) in
+            Ir.Builder.cond_br b (Reg t) ~if_true:"mid" ~if_false:"mid";
+            ignore (Ir.Builder.start_block b "mid") );
+      ]
 
 let test_alloc_gate () =
   List.iteri
     (fun k (what, body) ->
       let prog = alloc_loop_prog body in
+      (match String.split_on_char ' ' what with
+      | [ "fused"; kind ] ->
+          if not (List.mem kind (fused_in prog)) then
+            Alcotest.failf "%s loop %d has no %s op" what k kind
+      | _ -> ());
       (* the first run compiles and caches the image; measure the second *)
       let _ = bc_backend.run ~fuel:100 (Machine.Exec.prepare prog) in
       let st = Machine.Exec.prepare prog in
@@ -775,6 +1152,91 @@ let test_simrng_alloc () =
   in
   if words *. 100_000. > 8. then
     Alcotest.failf "Simrng.int: %.4f words allocated per draw" words
+
+(* Over the 14 corpus programs, hardened: every fused kind occurs, each
+   fused op's covered slots hold the halves it stands for, and no fused
+   op covers a block start or an Oraise slot.  The corpus writes no
+   register outside a frame, so a function's blocks start at the running
+   sum of their lengths (instructions plus terminator). *)
+let test_fusion_structure () =
+  let open Engine.Compile in
+  let seen = ref [] in
+  List.iter
+    (fun (w : Apps.Spec.workload) ->
+      let h =
+        Smokestack.Harden.harden ~seed:3L ~validate:false Smokestack.Config.default
+          (Minic.Driver.compile w.source)
+      in
+      let p = Engine.Compile.compile (Machine.Exec.prepare h.prog) in
+      Array.iter
+        (fun bf ->
+          let code = bf.code in
+          let len = Array.length code - 1 in
+          let starts = Array.make (len + 1) false in
+          let n =
+            List.fold_left
+              (fun off (b : Ir.Func.block) ->
+                starts.(off) <- true;
+                off + List.length b.instrs + 1)
+              0 bf.src_blocks
+          in
+          Alcotest.(check int) (bf.fname ^ ": one slot per instruction") len n;
+          Array.iteri
+            (fun pc op ->
+              let k = span op in
+              Option.iter
+                (fun kind -> if not (List.mem kind !seen) then seen := kind :: !seen)
+                (fused_name op);
+              for j = 1 to k - 1 do
+                if pc + j >= len || starts.(pc + j) then
+                  Alcotest.failf "%s %s: fused op at %d covers block start %d"
+                    w.wname bf.fname pc (pc + j);
+                match code.(pc + j) with
+                | Oraise _ ->
+                    Alcotest.failf "%s %s: fused op at %d covers an Oraise"
+                      w.wname bf.fname pc
+                | _ -> ()
+              done;
+              let halves_match =
+                match op with
+                | Ogep_load g -> (
+                    match code.(pc + 1) with
+                    | Oload l -> l.addr = g.dst && l.dst = g.ldst && l.width = g.width
+                    | _ -> false)
+                | Oload_load l -> (
+                    match code.(pc + 1) with
+                    | Oload l2 -> l2.dst = l.dst2 && l2.addr = l.addr2 && l2.width = l.width2
+                    | _ -> false)
+                | Oadd_store a -> (
+                    match code.(pc + 1) with
+                    | Ostore s -> s.value = a.dst && s.addr = a.addr && s.width = a.width
+                    | _ -> false)
+                | Ostore_jmp s -> code.(pc + 1) = Ojmp s.target
+                | One_condbr c -> (
+                    match code.(pc + 1) with
+                    | Ocondbr b ->
+                        b.cond = c.dst && b.if_true = c.if_true && b.if_false = c.if_false
+                    | _ -> false)
+                | Oslt_condbr { ndst; if_true; if_false; dst; _ }
+                | Oeq_condbr { ndst; if_true; if_false; dst; _ } -> (
+                    match (code.(pc + 1), code.(pc + 2)) with
+                    | One ne, Ocondbr b ->
+                        ne.dst = ndst && ne.lhs = dst && b.cond = ndst
+                        && b.if_true = if_true && b.if_false = if_false
+                    | _ -> false)
+                | _ -> true
+              in
+              if not halves_match then
+                Alcotest.failf "%s %s: fused op at %d does not match its slots"
+                  w.wname bf.fname pc)
+            code)
+        p.funcs)
+    Apps.Spec.all;
+  List.iter
+    (fun kind ->
+      Alcotest.(check bool) (kind ^ " occurs in the corpus") true
+        (List.mem kind !seen))
+    fused_kinds
 
 (* ------------------------------------------------------------------ *)
 (* Forced minor collections *)
@@ -913,6 +1375,18 @@ let () =
             test_parity_segment_widths;
           Alcotest.test_case "registers outside the frame" `Quick
             test_parity_registers_outside_frame;
+          Alcotest.test_case "accesses alternate between segments" `Quick
+            test_parity_segments_alternate;
+          Alcotest.test_case "accesses straddle a page" `Quick
+            test_parity_page_straddle;
+          Alcotest.test_case "windows grow mid-loop" `Quick
+            test_parity_windows_grow_in_loop;
+          Alcotest.test_case "access hook clears itself" `Quick
+            test_parity_hook_clears_itself;
+          Alcotest.test_case "rodata store, null and wrapping loads" `Quick
+            test_parity_rodata_store_null_load;
+          Alcotest.test_case "fused ops: fuel and faults" `Quick
+            test_parity_fused_fuel_and_faults;
         ] );
       ( "backend",
         [ Alcotest.test_case "registry" `Quick test_backend_registry ] );
@@ -930,6 +1404,8 @@ let () =
             test_progen_alloc;
           Alcotest.test_case "simrng draws allocate nothing" `Quick
             test_simrng_alloc;
+          Alcotest.test_case "fused ops in the hardened corpus" `Quick
+            test_fusion_structure;
         ] );
       ( "forced-minor",
         [

@@ -224,10 +224,10 @@ let show_op = function
   | Cstring (a, max) -> Printf.sprintf "cstring 0x%x max=%d" a max
   | Flip (a, b) -> Printf.sprintf "flip 0x%x bit %d" a b
 
-(* Addresses cluster within a few bytes of address 0, segment edges and
-   page boundaries counted from either edge — where windows start,
-   stop and double. *)
-let gen_addr =
+(* Addresses cluster within a few bytes of address 0, the edges of the
+   segments of [layout] and page boundaries counted from either edge —
+   where windows start, stop and double. *)
+let gen_addr_in layout =
   let open QCheck2.Gen in
   let anchors =
     0
@@ -237,7 +237,7 @@ let gen_addr =
            :: List.concat_map
                 (fun k -> [ base + (k * M.page_size); base + size - (k * M.page_size) ])
                 [ 1; 2; 3; 4; 8 ])
-         model_layout
+         layout
   in
   frequency
     [
@@ -245,7 +245,7 @@ let gen_addr =
       (1, int_range 0 0x40000);
     ]
 
-let gen_mem_op =
+let gen_mem_op gen_addr =
   let open QCheck2.Gen in
   let width = oneofl [ 1; 2; 4; 8 ] in
   let len = frequency [ (4, int_range 0 64); (1, int_range 0 10_000) ] in
@@ -312,7 +312,21 @@ let apply_model e = function
 let prop_memory_matches_eager_model =
   QCheck2.Test.make ~count:500 ~name:"memory matches eager reference model"
     ~print:(fun ops -> String.concat "; " (List.map show_op ops))
-    QCheck2.Gen.(list_size (int_range 1 60) gen_mem_op)
+    QCheck2.Gen.(
+      frequency
+        [
+          (1, list_size (int_range 1 60) (gen_mem_op (gen_addr_in model_layout)));
+          (* op [j] near segment [j mod k] of [k] = 2 or 3: runs that
+             alternate between two segments hit the segment cache's
+             second entry and swap, runs over three miss both and scan *)
+          ( 2,
+            let* k = int_range 2 3 in
+            let* segs = shuffle_l model_layout in
+            let segs = Array.of_list (List.filteri (fun i _ -> i < k) segs) in
+            let* n = int_range 1 60 in
+            flatten_l
+              (List.init n (fun j -> gen_mem_op (gen_addr_in [ segs.(j mod k) ]))) );
+        ])
     (fun ops ->
       let m = M.create model_layout and e = Eager.create model_layout in
       List.iteri
