@@ -129,8 +129,8 @@ let run_engine () =
   let time_backend (backend : Machine.Backend.t)
       (applied : Defenses.Defense.applied) (w : Apps.Spec.workload) =
     let chunks = Harness.Workbench.chunks_of_input w.input in
-    (* one warm-up run: populates the engine's compiled-program cache so
-       the timed runs measure execution, not compilation *)
+    (* one warm-up run: compiles the image [applied] keeps for this
+       backend, so the timed runs measure execution, not compilation *)
     ignore (Apps.Runner.run_chunks ~backend ~fuel:400_000_000 applied ~seed:1L ~chunks);
     let instrs = ref 0 in
     let times =

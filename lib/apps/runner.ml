@@ -4,7 +4,7 @@ let run_adaptive ~(backend : Machine.Backend.t) ?arm ?fuel ?heap_size
   let st = applied.fresh_state ?heap_size ?stack_size entropy in
   Option.iter (fun f -> f st) arm;
   Machine.Exec.set_input st input;
-  backend.run ?fuel st
+  applied.runner backend ?fuel st
 
 let run_chunks ~backend ?arm ?fuel ?heap_size ?stack_size applied ~seed ~chunks =
   let remaining = ref chunks in

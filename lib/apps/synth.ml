@@ -50,7 +50,7 @@ int main() { serve(); return 0; }
    declaration order — before its first read.  The deliberately-leaky
    target for the leak-guided attack path: the static analyzer
    (Analysis.Leakan) finds the address-disclosure flows, and the guided
-   executor (Dopc.Exec.run_chain_guided) parses the preamble live and
+   executor (Offense.Exec.brute_guided) parses the preamble live and
    pins the revealed offsets.  Deliberately NOT in [variants]: its
    output depends on the drawn layout, which would poison the
    deterministic pentest and offense tables. *)

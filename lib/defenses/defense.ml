@@ -31,74 +31,52 @@ type applied = {
   fresh_state :
     ?heap_size:int -> ?stack_size:int -> Crypto.Entropy.t -> Machine.Exec.state;
   pbox_bytes : int;
+  runner : Machine.Backend.t -> Machine.Backend.run_fn;
 }
 
+(* Each backend's runner of [prog], loaded on first use.  The list is
+   published by compare-and-set, because a serve tenant's applied is
+   shared by shard jobs on several domains; a lost race retries and
+   finds the winner's runner. *)
+let runners prog =
+  let bound = Atomic.make [] in
+  let rec runner (b : Machine.Backend.t) =
+    let seen = Atomic.get bound in
+    match List.assq_opt b seen with
+    | Some run -> run
+    | None ->
+        let run = b.load prog in
+        if Atomic.compare_and_set bound seen ((b, run) :: seen) then run else runner b
+  in
+  runner
+
 let apply ?(seed = 1L) defense prog =
-  match defense with
-  | No_defense ->
-      let prog = Ir.Prog.copy prog in
-      {
-        defense;
-        prog;
-        fresh_state =
-          (fun ?heap_size ?stack_size _entropy ->
-            Machine.Exec.prepare ?heap_size ?stack_size prog);
-        pbox_bytes = 0;
-      }
-  | Stack_base ->
-      let prog = Ir.Prog.copy prog in
-      {
-        defense;
-        prog;
-        fresh_state =
+  let copy pass =
+    let prog = Ir.Prog.copy prog in
+    Option.iter (fun pass -> Ir.Pass.run [ pass ] prog) pass;
+    prog
+  in
+  let prepare ?install prog ?heap_size ?stack_size entropy =
+    let st = Machine.Exec.prepare ?heap_size ?stack_size prog in
+    Option.iter (fun install -> install ~entropy st) install;
+    st
+  in
+  let plain ?install pass =
+    let prog = copy pass in
+    (prog, prepare ?install prog, 0)
+  in
+  let prog, fresh_state, pbox_bytes =
+    match defense with
+    | No_defense -> plain None
+    | Stack_base -> plain ~install:Stack_base.install None
+    | Forrest_pad -> plain (Some (Forrest.pass (Sutil.Simrng.create ~seed)))
+    | Static_perm -> plain (Some (Static_perm.pass (Sutil.Simrng.create ~seed)))
+    | Canary -> plain ~install:Canary.install (Some Canary.pass)
+    | Smokestack config ->
+        let hardened = Smokestack.Harden.harden ~seed config prog in
+        ( hardened.prog,
           (fun ?heap_size ?stack_size entropy ->
-            let st = Machine.Exec.prepare ?heap_size ?stack_size prog in
-            Stack_base.install ~entropy st;
-            st);
-        pbox_bytes = 0;
-      }
-  | Forrest_pad ->
-      let prog = Ir.Prog.copy prog in
-      Ir.Pass.run [ Forrest.pass (Sutil.Simrng.create ~seed) ] prog;
-      {
-        defense;
-        prog;
-        fresh_state =
-          (fun ?heap_size ?stack_size _entropy ->
-            Machine.Exec.prepare ?heap_size ?stack_size prog);
-        pbox_bytes = 0;
-      }
-  | Static_perm ->
-      let prog = Ir.Prog.copy prog in
-      Ir.Pass.run [ Static_perm.pass (Sutil.Simrng.create ~seed) ] prog;
-      {
-        defense;
-        prog;
-        fresh_state =
-          (fun ?heap_size ?stack_size _entropy ->
-            Machine.Exec.prepare ?heap_size ?stack_size prog);
-        pbox_bytes = 0;
-      }
-  | Canary ->
-      let prog = Ir.Prog.copy prog in
-      Ir.Pass.run [ Canary.pass ] prog;
-      {
-        defense;
-        prog;
-        fresh_state =
-          (fun ?heap_size ?stack_size entropy ->
-            let st = Machine.Exec.prepare ?heap_size ?stack_size prog in
-            Canary.install ~entropy st;
-            st);
-        pbox_bytes = 0;
-      }
-  | Smokestack config ->
-      let hardened = Smokestack.Harden.harden ~seed config prog in
-      {
-        defense;
-        prog = hardened.prog;
-        fresh_state =
-          (fun ?heap_size ?stack_size entropy ->
-            Smokestack.Harden.prepare ?heap_size ?stack_size ~entropy hardened);
-        pbox_bytes = Smokestack.Harden.pbox_bytes hardened;
-      }
+            Smokestack.Harden.prepare ?heap_size ?stack_size ~entropy hardened),
+          Smokestack.Harden.pbox_bytes hardened )
+  in
+  { defense; prog; fresh_state; pbox_bytes; runner = runners prog }

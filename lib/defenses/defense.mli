@@ -26,6 +26,12 @@ type applied = {
           defense needs; per-run randomness comes from the entropy
           source, so distinct sources model service restarts *)
   pbox_bytes : int;  (** 0 except for Smokestack *)
+  runner : Machine.Backend.t -> Machine.Backend.run_fn;
+      (** [runner b] is [b.load prog], loaded on the first call for [b]
+          and kept with this value, so every run of one build on one
+          backend shares what the backend derives from [prog] (the
+          bytecode image), and drops it with the build.  Safe to call
+          from several domains. *)
 }
 
 val apply : ?seed:int64 -> t -> Ir.Prog.t -> applied

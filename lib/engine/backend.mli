@@ -1,7 +1,10 @@
 (** Registration of the bytecode engine as a {!Machine.Backend}. *)
 
 val backend : Machine.Backend.t
-(** The bytecode backend ({!Interp.run} behind the shared interface). *)
+(** The bytecode backend.  [load p] compiles [p] once, on the runner's
+    first run ({!Compile.compile} of that run's state), and keeps the
+    image for as long as the runner lives; every later run of the runner
+    is {!Interp.run} of that image.  A one-shot [run] compiles afresh. *)
 
 val install : unit -> unit
 (** Registers {!backend} in the {!Machine.Backend} registry.  Linking

@@ -123,14 +123,9 @@ type bfunc = {
   frame : Bytes.t;
   traps : exn array;
   code : op array;
-  src_blocks : Ir.Func.block list;  (* spine identity, for cache checks *)
-  src_shape : (Ir.Instr.t list * Ir.Instr.terminator) array;
-      (* per-block instruction-list spine + terminator, same order *)
 }
 
 type program = {
-  src : Ir.Prog.t;
-  src_funcs : Ir.Func.t list;  (* spine identity *)
   funcs : bfunc array;
   index : (string, int) Hashtbl.t;
   intrinsic_names : string array;  (* slot -> name *)
@@ -508,10 +503,6 @@ let compile_func g (f : Ir.Func.t) : bfunc =
     frame;
     traps = Array.of_list (List.rev fc.traps);
     code;
-    src_blocks = f.blocks;
-    src_shape =
-      Array.of_list
-        (List.map (fun (b : Ir.Func.block) -> (b.instrs, b.term)) f.blocks);
   }
 
 let compile (st : Machine.Exec.state) : program =
@@ -531,32 +522,7 @@ let compile (st : Machine.Exec.state) : program =
   in
   let funcs = Array.of_list (List.map (compile_func ctx) prog.funcs) in
   {
-    src = prog;
-    src_funcs = prog.funcs;
     funcs;
     index = func_index;
     intrinsic_names = Array.of_list (List.rev ctx.slot_names);
   }
-
-(* A compiled program stays valid while the IR it was flattened from is
-   physically unchanged — passes replace the [blocks] list or a block's
-   [instrs]/[term] fields, all of which we snapshot by identity. *)
-let valid (p : program) (prog : Ir.Prog.t) =
-  p.src == prog
-  && p.src_funcs == prog.funcs
-  &&
-  (* same spine => same length and same Func.t values, positionally *)
-  let i = ref 0 and ok = ref true in
-  List.iter
-    (fun (f : Ir.Func.t) ->
-      let bf = p.funcs.(!i) in
-      incr i;
-      if bf.src_blocks != f.blocks then ok := false
-      else
-        List.iteri
-          (fun j (b : Ir.Func.block) ->
-            let instrs, term = bf.src_shape.(j) in
-            if b.instrs != instrs || b.term != term then ok := false)
-          f.blocks)
-    prog.funcs;
-  !ok

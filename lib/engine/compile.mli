@@ -118,14 +118,10 @@ type bfunc = {
   frame : Bytes.t;  (** template: zero registers and sink, then constants *)
   traps : exn array;
   code : op array;
-  src_blocks : Ir.Func.block list;
-  src_shape : (Ir.Instr.t list * Ir.Instr.terminator) array;
 }
 
 type program = {
-  src : Ir.Prog.t;
-  src_funcs : Ir.Func.t list;
-  funcs : bfunc array;
+  funcs : bfunc array;  (** in the order of the program's functions *)
   index : (string, int) Hashtbl.t;  (** function name -> index *)
   intrinsic_names : string array;  (** intrinsic slot -> name *)
 }
@@ -141,11 +137,7 @@ val token_base : int
 
 val compile : Machine.Exec.state -> program
 (** Compiles the state's program against its global/function-token
-    layout (which is deterministic per program, so the result is
-    reusable across fresh states of the same program). *)
-
-val valid : program -> Ir.Prog.t -> bool
-(** Whether the compiled image still matches the (mutable) IR it was
-    flattened from — physical identity of the function list, each
-    function's block list, and each block's instruction list and
-    terminator. *)
+    layout.  That layout is deterministic per program, so the result
+    runs any fresh state of the same program, as long as the IR is not
+    changed after compiling; the image does not check this.  Holding
+    the image for a program's lifetime is {!Backend.backend}'s [load]. *)

@@ -1,8 +1,10 @@
 (* Flat dispatch loop over compiled bytecode.
 
-   Executes against the same Machine.Exec.state the reference
-   interpreter uses, so every intrinsic, defense installation and
-   adaptive-input callback works unchanged.  Observable behaviour must
+   Runs an image Compile made against a fresh state of the program it
+   was compiled from; the image's owner (Backend.load) decides how long
+   it lives.  Executes against the same Machine.Exec.state the
+   reference interpreter uses, so every intrinsic, defense installation
+   and adaptive-input callback works unchanged.  Observable behaviour must
    be bit-identical to Machine.Exec.run — same outcomes, same output,
    same float cycle accumulation (same charges in the same order), same
    instruction/call counts, same trace events.  test/test_engine.ml
@@ -46,31 +48,6 @@ open Compile
 module Exec = Machine.Exec
 module Memory = Machine.Memory
 module Cost = Machine.Cost
-
-(* Compiled-program cache, keyed by physical program identity and
-   revalidated against the mutable IR (passes run strictly before
-   execution, so in the steady state — one applied defense, many runs —
-   every run after the first is a cache hit).  The MRU list is
-   domain-local: each domain compiles and caches independently, so
-   concurrent jobs on a Sched.Pool never contend or observe each
-   other's evictions, and the single-domain path costs one extra array
-   read per run (Domain.DLS.get). *)
-let cache_key : Compile.program list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let cache_cap = 8
-
-let compiled_for (st : Exec.state) =
-  let cache = Domain.DLS.get cache_key in
-  match List.find_opt (fun p -> Compile.valid p st.prog) !cache with
-  | Some p ->
-      cache := p :: List.filter (fun q -> q != p) !cache;
-      p
-  | None ->
-      let p = Compile.compile st in
-      cache :=
-        p :: (if List.length !cache >= cache_cap then List.filteri (fun i _ -> i < cache_cap - 1) !cache else !cache);
-      p
 
 (* Unchecked frame slots: Compile emits only offsets inside the frame
    (registers outside it become traps or the sink). *)
@@ -611,9 +588,9 @@ and step rt bf code frame entry_sp pc =
       charge rt Cost.cond_branch;
       step rt bf code frame entry_sp (if c then if_true else if_false)
 
-let run ?(fuel = 200_000_000) ?(entry = "main") ?(args = []) (st : Exec.state) =
+let run ?(fuel = 200_000_000) ?(entry = "main") ?(args = []) (prog : Compile.program)
+    (st : Exec.state) =
   st.fuel <- fuel;
-  let prog = compiled_for st in
   let rt =
     {
       st;

@@ -35,6 +35,5 @@ val run :
     bit patterns, so cached rows render identically) and their
     compilation + analysis is skipped when warm. *)
 
-val table : t -> Sutil.Texttable.t
 val output : t -> Output.t
 (** The E12 surface table ([analysis]). *)

@@ -3,7 +3,7 @@ type kind = Reference | Bytecode
 type run_fn =
   ?fuel:int -> ?entry:string -> ?args:int64 list -> Exec.state -> Exec.outcome * Exec.stats
 
-type t = { kind : kind; label : string; run : run_fn }
+type t = { kind : kind; label : string; load : Ir.Prog.t -> run_fn; run : run_fn }
 
 let kind_to_string = function Reference -> "ref" | Bytecode -> "bytecode"
 
@@ -15,7 +15,20 @@ let kind_of_string s =
 
 let all_kinds = [ Reference; Bytecode ]
 
-let reference = { kind = Reference; label = "reference"; run = Exec.run }
+let make ~kind ~label ~load =
+  let load (prog : Ir.Prog.t) =
+    let run = load prog in
+    fun ?fuel ?entry ?args (st : Exec.state) ->
+      if st.prog != prog then
+        invalid_arg
+          (Printf.sprintf "Machine.Backend(%s): state prepared from another program"
+             label);
+      run ?fuel ?entry ?args st
+  in
+  let run ?fuel ?entry ?args (st : Exec.state) = load st.prog ?fuel ?entry ?args st in
+  { kind; label; load; run }
+
+let reference = make ~kind:Reference ~label:"reference" ~load:(fun _ -> Exec.run)
 
 (* Backends register themselves at link time (the bytecode engine lives
    in a separate library that depends on this one); the reference

@@ -24,26 +24,6 @@ val run_chain :
     {!Attacks.Verdict.Detected}; {!Chain.Output_differs} runs the
     benign length-matched baseline under the same seed. *)
 
-val run_chain_guided :
-  backend:Machine.Backend.t ->
-  Defenses.Defense.applied ->
-  Chain.t ->
-  disclosed:string list ->
-  seed:int64 ->
-  Attacks.Verdict.t
-(** Disclosure-guided delivery against a target that {e prints} slot
-    addresses (the {!Analysis.Leakan} address-disclosure channel, cf.
-    {!Plan.leak_guides}).  Convention: the target emits one integer
-    line per slot of [disclosed], in that order, before its first
-    read.  The attacker adapts within the session — per-invocation
-    randomization makes stale addresses worthless — parsing the lines
-    from live output, pinning each disclosed slot's buffer-relative
-    offset (address differences are base-invariant) and guessing only
-    the rest ({!Payload.lower_pinned}).  [disclosed] must contain
-    [chain.buffer]; judging is exactly {!run_chain}'s.  A target that
-    never discloses, or a combined layout that is geometrically
-    impossible, wastes the attempt. *)
-
 val brute_guided :
   backend:Machine.Backend.t ->
   Defenses.Defense.applied ->
@@ -52,9 +32,20 @@ val brute_guided :
   budget:int ->
   seed0:int ->
   Attacks.Verdict.t list
-(** {!brute} with {!run_chain_guided} sessions: the expected length is
-    the {!Analysis.Report} leak-degraded attempt count rather than the
-    blind Algorithm-1 one. *)
+(** {!brute} with disclosure-guided sessions, against a target that
+    {e prints} slot addresses (the {!Analysis.Leakan} address-disclosure
+    channel, cf. {!Plan.leak_guides}).  Convention: the target emits one
+    integer line per slot of [disclosed], in that order, before its
+    first read.  The attacker adapts within each session —
+    per-invocation randomization makes stale addresses worthless —
+    parsing the lines from live output, pinning each disclosed slot's
+    buffer-relative offset (address differences are base-invariant) and
+    guessing only the rest ({!Payload.lower_pinned}).  [disclosed] must
+    contain [chain.buffer]; judging is exactly {!run_chain}'s.  A
+    session whose target never discloses, or whose combined layout is
+    geometrically impossible, wastes the attempt.  The expected length
+    is the {!Analysis.Report} leak-degraded attempt count rather than
+    the blind Algorithm-1 one. *)
 
 val trials :
   backend:Machine.Backend.t ->

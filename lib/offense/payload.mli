@@ -36,7 +36,7 @@ val lower_pinned :
   seed:int64 ->
   string list
 (** {!lower}, but [pinned] buffer-relative offsets — observed from a
-    live disclosure, see {!Exec.run_chain_guided} — override the
+    live disclosure, see {!Exec.brute_guided} — override the
     corresponding entries of the derived layout; only the slots the
     target did not disclose keep their Algorithm-1 guess.  Raises
     [Invalid_argument] exactly as {!lower} does when the combined

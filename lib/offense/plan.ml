@@ -209,7 +209,7 @@ let leak_guides prog =
     lk.leaks;
   (* one guide per disclosing function, slots in frame declaration
      order — the order the disclosure preamble prints them (the
-     {!Exec.run_chain_guided} convention) *)
+     {!Exec.brute_guided} convention) *)
   List.filter_map
     (fun (f : Ir.Func.t) ->
       match Hashtbl.find_opt disclosed_by f.name with

@@ -53,7 +53,7 @@ val synthesize :
     and how many collision-entropy bits that surrenders.  Pinning the
     revealed offsets shrinks Algorithm-1's guess space by [2^gbits]
     ({!Analysis.Report}'s degraded attempt count);
-    {!Exec.run_chain_guided} measures it. *)
+    {!Exec.brute_guided} measures it. *)
 
 type guide = {
   gfunc : string;  (** the disclosing function *)

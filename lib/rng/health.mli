@@ -26,19 +26,12 @@
     stuck source fails within [rct_cutoff] draws and an 8-bit-biased
     source within one window. *)
 
-type config = {
-  rct_cutoff : int;  (** identical consecutive samples that fail the RCT *)
-  apt_window : int;  (** samples per adaptive-proportion window *)
-  apt_cutoff : int;  (** low-byte recurrences within a window that fail *)
-}
-
-val default : config
-(** [{ rct_cutoff = 5; apt_window = 512; apt_cutoff = 20 }]. *)
-
 type t
 
 val create : unit -> t
-(** A fresh state with the {!default} cutoffs. *)
+(** A fresh state.  The RCT fails on 5 identical consecutive samples
+    ([rct_cutoff]); the APT fails on 20 recurrences of a low byte within
+    a window of 512 samples. *)
 
 val feed : t -> int64 -> string option
 (** Observe one sample.  [None] while the source looks healthy;

@@ -83,8 +83,6 @@ let to_markdown t =
   rows false (List.rev t.rows);
   Buffer.contents buf
 
-let columns t = List.map fst t.columns
-
 let row_cells t =
   List.rev
     (List.filter_map (function Cells cells -> Some cells | Rule -> None) t.rows)
@@ -96,7 +94,7 @@ let to_json ?title t =
   Json.Obj
     (title_fields
     @ [
-        ("columns", Json.List (List.map (fun c -> Json.String c) (columns t)));
+        ("columns", Json.List (List.map (fun (c, _) -> Json.String c) t.columns));
         ( "rows",
           Json.List
             (List.map

@@ -28,9 +28,6 @@ val to_markdown : t -> string
     [| |]; the first cell of a row that follows a rule renders in bold,
     so a summary row under {!add_rule} reads [| **mean** | … |]. *)
 
-val columns : t -> string list
-(** Header cells, left to right. *)
-
 val to_json : ?title:string -> t -> Json.t
 (** Machine-readable form: [{"title"?, "columns": [...], "rows": [[...]]}].
     Used by the [--json DIR] writer, [Harness.Output.write_json]. *)

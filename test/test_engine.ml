@@ -1070,11 +1070,12 @@ let test_alloc_gate () =
           if not (List.mem kind (fused_in prog)) then
             Alcotest.failf "%s loop %d has no %s op" what k kind
       | _ -> ());
-      (* the first run compiles and caches the image; measure the second *)
-      let _ = bc_backend.run ~fuel:100 (Machine.Exec.prepare prog) in
+      (* the bound runner's first run compiles the image; measure the second *)
+      let run = bc_backend.load prog in
+      let _ = run ~fuel:100 (Machine.Exec.prepare prog) in
       let st = Machine.Exec.prepare prog in
       let before = Gc.minor_words () in
-      let outcome, stats = bc_backend.run st in
+      let outcome, stats = run st in
       let bytes = (Gc.minor_words () -. before) *. float_of_int (Sys.word_size / 8) in
       (match outcome with
       | Machine.Exec.Exit _ -> ()
@@ -1168,8 +1169,8 @@ let test_fusion_structure () =
           (Minic.Driver.compile w.source)
       in
       let p = Engine.Compile.compile (Machine.Exec.prepare h.prog) in
-      Array.iter
-        (fun bf ->
+      Array.iter2
+        (fun bf (f : Ir.Func.t) ->
           let code = bf.code in
           let len = Array.length code - 1 in
           let starts = Array.make (len + 1) false in
@@ -1178,7 +1179,7 @@ let test_fusion_structure () =
               (fun off (b : Ir.Func.block) ->
                 starts.(off) <- true;
                 off + List.length b.instrs + 1)
-              0 bf.src_blocks
+              0 f.blocks
           in
           Alcotest.(check int) (bf.fname ^ ": one slot per instruction") len n;
           Array.iteri
@@ -1230,7 +1231,8 @@ let test_fusion_structure () =
                 Alcotest.failf "%s %s: fused op at %d does not match its slots"
                   w.wname bf.fname pc)
             code)
-        p.funcs)
+        p.funcs
+        (Array.of_list h.prog.funcs))
     Apps.Spec.all;
   List.iter
     (fun kind ->
@@ -1313,6 +1315,62 @@ let test_backend_registry () =
     && Machine.Backend.kind_of_string "interp" = Some Machine.Backend.Reference
     && Machine.Backend.kind_of_string "nonsense" = None)
 
+(* A runner from [load] is bound to its program: a state prepared from
+   another program, even an identical copy, is refused on both
+   backends, and the runner still runs its own program afterwards. *)
+let test_bound_runner_guard () =
+  let p = compile "int main() { print_int(7); return 1; }" in
+  let q = compile "int main() { return 2; }" in
+  List.iter
+    (fun (label, (b : Machine.Backend.t)) ->
+      let run = b.load p in
+      List.iter
+        (fun (what, other) ->
+          match run (Machine.Exec.prepare other) with
+          | _ -> Alcotest.failf "%s: ran a state of %s" label what
+          | exception Invalid_argument _ -> ())
+        [ ("another program", q); ("a copy", Ir.Prog.copy p) ];
+      let outcome, stats = run (Machine.Exec.prepare p) in
+      Alcotest.(check string) (label ^ ": own program runs") "exit 1 / 7"
+        (Machine.Exec.outcome_to_string outcome ^ " / " ^ stats.output))
+    both
+
+(* Two runners of one hardened program, each shared by jobs on a
+   2-domain pool (so both domains may compile or read one image at
+   once): every run's observables equal the reference interpreter's. *)
+let test_bound_runners_on_a_pool () =
+  let h =
+    Smokestack.Harden.harden ~seed:3L ~validate:false Smokestack.Config.default
+      (compile (Minic.Progen.generate ~seed:1000L))
+  in
+  let state i =
+    Smokestack.Harden.prepare ~entropy:(Crypto.Entropy.create ~seed:(Int64.of_int i)) h
+  in
+  List.iter
+    (fun (label, (b : Machine.Backend.t)) ->
+      let runners = [| b.load h.prog; b.load h.prog |] in
+      let runs =
+        Sched.Pool.with_pool ~jobs:2 (fun pool ->
+            Sched.Pool.run_all pool
+              (List.init 8 (fun i ->
+                   Sched.Job.v ~id:(string_of_int i) (fun () ->
+                       runners.(i mod 2) ~fuel:2_000_000 (state i)))))
+      in
+      List.iteri
+        (fun i run ->
+          let case = Printf.sprintf "%s run %d" label i in
+          match
+            Harness.Diffval.compare_observables ~case
+              (ref_backend.run ~fuel:2_000_000 (state i))
+              run
+          with
+          | [] -> ()
+          | m :: _ ->
+              Alcotest.failf "%s: %s differs (%s, want %s)" case m.field m.actual
+                m.expected)
+        runs)
+    both
+
 (* ------------------------------------------------------------------ *)
 (* Differential validation: fuzzed programs + the application matrix *)
 
@@ -1389,7 +1447,13 @@ let () =
             test_parity_fused_fuel_and_faults;
         ] );
       ( "backend",
-        [ Alcotest.test_case "registry" `Quick test_backend_registry ] );
+        [
+          Alcotest.test_case "registry" `Quick test_backend_registry;
+          Alcotest.test_case "bound runner refuses another program" `Quick
+            test_bound_runner_guard;
+          Alcotest.test_case "bound runners on a 2-domain pool" `Quick
+            test_bound_runners_on_a_pool;
+        ] );
       ( "diffval",
         [
           Alcotest.test_case "50 progen programs" `Slow test_diffval_progen;

@@ -218,13 +218,12 @@ let test_registry_backend_reaches_execution () =
   in
   let runs = Atomic.make 0 in
   let counting =
-    {
-      Engine.Backend.backend with
-      run =
-        (fun ?fuel ?entry ?args st ->
+    Machine.Backend.make ~kind:Machine.Backend.Bytecode ~label:"bytecode"
+      ~load:(fun prog ->
+        let run = Engine.Backend.backend.load prog in
+        fun ?fuel ?entry ?args st ->
           Atomic.incr runs;
-          Engine.Backend.backend.run ?fuel ?entry ?args st);
-    }
+          run ?fuel ?entry ?args st)
   in
   let render backend =
     Harness.Output.to_markdown (e.run Sched.Pool.sequential backend).output

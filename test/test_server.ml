@@ -1117,6 +1117,38 @@ let test_admit_allocation_per_session () =
     Alcotest.failf "admit allocates %.1f words per session (bound 64)"
       per_session
 
+(* Each tenant's applied owns its bytecode runner, so a serve run loads
+   one per tenant: 9 for the default fleet in one domain, at most two
+   per tenant when two domains race on the first load.  A backend
+   loaded per session instead reads hundreds.  Attack sessions re-run
+   on the reference backend, which this counter does not see. *)
+let test_one_load_per_tenant () =
+  let loads jobs =
+    let n = Atomic.make 0 in
+    let counting =
+      Machine.Backend.make ~kind:Machine.Backend.Bytecode ~label:"bytecode"
+        ~load:(fun prog ->
+          Atomic.incr n;
+          bc_backend.load prog)
+    in
+    let config =
+      {
+        Harness.Serve.default with
+        Harness.Serve.traffic = { Server.Traffic.default with sessions = 400 };
+      }
+    in
+    let t =
+      Sched.Pool.with_pool ~jobs (fun pool ->
+          Harness.Serve.run ~pool ~backend:counting ~config ())
+    in
+    Alcotest.(check int) "fleet" 9 t.Harness.Serve.fleet;
+    Atomic.get n
+  in
+  Alcotest.(check int) "loads at --jobs 1" 9 (loads 1);
+  let two = loads 2 in
+  if two < 9 || two > 18 then
+    Alcotest.failf "%d loads at --jobs 2 (want 9 to 18)" two
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -1196,5 +1228,10 @@ let () =
             test_admit_allocation_per_session;
           Alcotest.test_case "degradation window edge" `Quick
             test_degradation_window_edge;
+        ] );
+      ( "engine",
+        [
+          Alcotest.test_case "one bytecode load per tenant" `Quick
+            test_one_load_per_tenant;
         ] );
     ]
