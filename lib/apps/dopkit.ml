@@ -75,19 +75,18 @@ type result = {
 
 type attack =
   backend:Machine.Backend.t ->
-  ?arm:(Machine.Exec.state -> unit) ->
   Defenses.Defense.applied ->
   seed:int64 ->
   result
 
 (* A layout guess can be geometrically impossible (victim below the
    buffer, overlapping writes): the attempt is simply wasted. *)
-let deliver ~backend ?arm applied ~seed ~marker craft =
+let deliver ~backend applied ~seed ~marker craft =
   match craft () with
   | exception Invalid_argument _ ->
       { verdict = Attacks.Verdict.No_effect; stats = None; requests = 0 }
   | chunks ->
-      let outcome, stats = Runner.run_chunks ~backend ?arm applied ~seed ~chunks in
+      let outcome, stats = Runner.run_chunks ~backend applied ~seed ~chunks in
       {
         verdict =
           Attacks.Verdict.classify outcome ~goal_met:(goal_in_output marker stats);

@@ -59,21 +59,18 @@ type result = {
 
 type attack =
   backend:Machine.Backend.t ->
-  ?arm:(Machine.Exec.state -> unit) ->
   Defenses.Defense.applied ->
   seed:int64 ->
   result
 (** One exploit attempt against a defense-applied build, as every
     hand-written attack in this library exposes it: the engine to run
-    on, an optional hook that sees the prepared state before execution
-    (the server runtime arms fault plans with it), and the attempt's
-    seed, which drives both the run's entropy and the attacker's layout
-    guess.  The same function serves the batch harnesses, which read
-    only the verdict, and the server's sessions. *)
+    on and the attempt's seed, which drives both the run's entropy and
+    the attacker's layout guess.  The same function serves the batch
+    harnesses, which read only the verdict, and the server's
+    sessions. *)
 
 val deliver :
   backend:Machine.Backend.t ->
-  ?arm:(Machine.Exec.state -> unit) ->
   Defenses.Defense.applied ->
   seed:int64 ->
   marker:string ->

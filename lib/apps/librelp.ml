@@ -192,8 +192,8 @@ let static_distance (applied : Defenses.Defense.applied) ~seed =
           List.assoc "keyPtr" caller_guess - slab_gap
           - List.assoc "allNames" callee_guess)
 
-let attack_static ~backend ?arm applied ~seed =
-  Dopkit.deliver ~backend ?arm applied ~seed ~marker:key_leak_marker (fun () ->
+let attack_static ~backend applied ~seed =
+  Dopkit.deliver ~backend applied ~seed ~marker:key_leak_marker (fun () ->
       let dist = static_distance applied ~seed in
       let payload = key_ptr_payload (applied : Defenses.Defense.applied).prog in
       exploit_chunks ~dist ~payload)

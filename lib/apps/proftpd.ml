@@ -134,8 +134,8 @@ let gadget_chunk ~op_off ~delta_off (op, delta) =
       Attacks.Overflow.bytes delta_off (String.make 1 (Char.chr delta));
     ]
 
-let run_gadgets ~backend ?arm applied ~seed ~marker gadgets =
-  Dopkit.deliver ~backend ?arm applied ~seed ~marker (fun () ->
+let run_gadgets ~backend applied ~seed ~marker gadgets =
+  Dopkit.deliver ~backend applied ~seed ~marker (fun () ->
       let op_off, delta_off = op_delta_offsets applied ~seed in
       List.map (gadget_chunk ~op_off ~delta_off) gadgets)
 
@@ -157,8 +157,8 @@ let key_extraction_gadgets =
   in
   walk @ leak
 
-let attack_key_extraction ~backend ?arm applied ~seed =
-  run_gadgets ~backend ?arm applied ~seed ~marker:key_leak_marker
+let attack_key_extraction ~backend applied ~seed =
+  run_gadgets ~backend applied ~seed ~marker:key_leak_marker
     key_extraction_gadgets
 
 (* Compute an attacker-chosen 24-bit answer with double-and-add, then
@@ -172,8 +172,8 @@ let bot_gadgets =
   in
   compute @ [ send ]
 
-let attack_bot ~backend ?arm applied ~seed =
-  run_gadgets ~backend ?arm applied ~seed ~marker:bot_marker bot_gadgets
+let attack_bot ~backend applied ~seed =
+  run_gadgets ~backend applied ~seed ~marker:bot_marker bot_gadgets
 
-let attack_memperm ~backend ?arm applied ~seed =
-  run_gadgets ~backend ?arm applied ~seed ~marker:memperm_marker [ setmode 7 ]
+let attack_memperm ~backend applied ~seed =
+  run_gadgets ~backend applied ~seed ~marker:memperm_marker [ setmode 7 ]

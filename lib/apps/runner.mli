@@ -1,8 +1,9 @@
 (** Running defense-applied programs under attacker-supplied input.
 
-    Each run models one service process: fresh state, fresh per-run
-    entropy (derived from [seed] so experiments are reproducible), and
-    an input source that answers the program's [read_input]/[input_byte]
+    Each run models one service process: fresh state (the default
+    {!Machine.Exec.prepare} heap and stack), fresh per-run entropy
+    (derived from [seed] so experiments are reproducible), and an input
+    source that answers the program's [read_input]/[input_byte]
     calls.  Restart-after-crash is simply another [run_*] call with the
     next seed.
 
@@ -18,8 +19,6 @@ val run_chunks :
   backend:Machine.Backend.t ->
   ?arm:(Machine.Exec.state -> unit) ->
   ?fuel:int ->
-  ?heap_size:int ->
-  ?stack_size:int ->
   Defenses.Defense.applied ->
   seed:int64 ->
   chunks:string list ->
@@ -33,8 +32,6 @@ val run_adaptive :
   backend:Machine.Backend.t ->
   ?arm:(Machine.Exec.state -> unit) ->
   ?fuel:int ->
-  ?heap_size:int ->
-  ?stack_size:int ->
   Defenses.Defense.applied ->
   seed:int64 ->
   input:(Machine.Exec.state -> int -> string) ->

@@ -36,7 +36,4 @@ val all : workload list
 val spec : workload list
 (** The twelve CPU2006-like kernels, in Figure 3 order. *)
 
-val io : workload list
-(** ProFTPD- and Wireshark-like request loops. *)
-
 val find : string -> workload option

@@ -416,8 +416,8 @@ let heap_indirect_chunks applied ~seed =
 (* ------------------------------------------------------------------ *)
 
 let mk vname technique location source craft =
-  let attack ~backend ?arm applied ~seed =
-    Dopkit.deliver ~backend ?arm applied ~seed ~marker:granted (fun () ->
+  let attack ~backend applied ~seed =
+    Dopkit.deliver ~backend applied ~seed ~marker:granted (fun () ->
         craft applied ~seed)
   in
   {

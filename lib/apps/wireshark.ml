@@ -57,7 +57,7 @@ let callee_slots =
 
 let caller_slots = [ ("fdata", 2048, 1); ("cell_list", 8, 8); ("flen", 8, 8) ]
 
-let attack ~backend ?arm (applied : Defenses.Defense.applied) ~seed =
+let attack ~backend (applied : Defenses.Defense.applied) ~seed =
   let chain = [ "main"; caller; callee ] in
   let rows = Attacks.Layout.chain applied.prog chain in
   let rel_of =
@@ -96,7 +96,7 @@ let attack ~backend ?arm (applied : Defenses.Defense.applied) ~seed =
           if String.equal f callee then List.assoc v callee_guess - pd_off
           else slab caller (List.assoc v caller_guess) - pd_off
   in
-  Dopkit.deliver ~backend ?arm applied ~seed ~marker:granted (fun () ->
+  Dopkit.deliver ~backend applied ~seed ~marker:granted (fun () ->
     let gaddrs = Attacks.Layout.global_addrs applied.prog in
     let addr name = Int64.of_int (List.assoc name gaddrs) in
     (* a two-gadget chain of "[col] <- [cinfo] + packet_list" stores,

@@ -19,7 +19,6 @@
     the permuted frame can hardly miss it; the numbers here reproduce
     that (mostly [Detected] verdicts). *)
 
-val source : string
 val program : Ir.Prog.t Lazy.t
 val granted : string
 val benign_chunks : string list

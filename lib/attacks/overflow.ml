@@ -5,8 +5,7 @@ let le_bytes width v =
       Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff))
 
 let u64 ?(label = "") rel v = { rel; data = le_bytes 8 v; label }
-let u32 ?(label = "") rel v = { rel; data = le_bytes 4 v; label }
-let bytes ?(label = "") rel data = { rel; data; label }
+let bytes rel data = { rel; data; label = "" }
 
 let describe w =
   Printf.sprintf "%s[%d..%d)"

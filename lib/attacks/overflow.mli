@@ -14,8 +14,8 @@ type write = { rel : int; data : string; label : string }
 val u64 : ?label:string -> int -> int64 -> write
 (** [u64 rel v] — write the 8 little-endian bytes of [v] at [rel]. *)
 
-val u32 : ?label:string -> int -> int64 -> write
-val bytes : ?label:string -> int -> string -> write
+val bytes : int -> string -> write
+(** An unlabelled write of raw bytes. *)
 
 val craft : len:int -> write list -> string
 (** [craft ~len writes] returns a string of [max len (end of last

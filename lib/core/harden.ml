@@ -68,11 +68,11 @@ let harden ?(seed = 1L) ?(validate = true) config prog =
   Ir.Pass.run ?post [ Instrument.pass ~elided config ~pbox ] prog;
   { prog; pbox; config; elided }
 
-let prepare ?heap_size ?stack_size ?entropy ?gen t =
+let prepare ?entropy ?gen t =
   let entropy =
     match entropy with Some e -> e | None -> Crypto.Entropy.system ()
   in
-  let st = Machine.Exec.prepare ?heap_size ?stack_size t.prog in
+  let st = Machine.Exec.prepare t.prog in
   Runtime.install ?gen t.config ~pbox:t.pbox ~entropy st;
   st
 

@@ -41,17 +41,15 @@ val harden : ?seed:int64 -> ?validate:bool -> Config.t -> Ir.Prog.t -> t
     verification, or validation finds a violation. *)
 
 val prepare :
-  ?heap_size:int ->
-  ?stack_size:int ->
   ?entropy:Crypto.Entropy.t ->
   ?gen:Rng.Generator.t ->
   t ->
   Machine.Exec.state
-(** {!Machine.Exec.prepare} followed by {!Runtime.install}.  [entropy]
-    defaults to a source seeded from the OS.  [gen] passes a
-    caller-owned generator through to the runtime (fault-injection and
-    fail-open/fail-secure policy experiments); it must match the
-    config's scheme. *)
+(** {!Machine.Exec.prepare} (default heap and stack) followed by
+    {!Runtime.install}.  [entropy] defaults to a source seeded from the
+    OS.  [gen] passes a caller-owned generator through to the runtime
+    (fault-injection and fail-open/fail-secure policy experiments); it
+    must match the config's scheme. *)
 
 val pbox_bytes : t -> int
 (** Read-only bytes the P-BOX adds (Figure 4's numerator). *)

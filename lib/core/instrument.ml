@@ -6,11 +6,10 @@ let effective_metas (config : Config.t) (slots : Slots.t) =
 
 let excluded (config : Config.t) name = List.mem name config.exclude
 
-let collect_metas ?(elided = []) config (prog : Ir.Prog.t) =
+let collect_metas config (prog : Ir.Prog.t) =
   List.filter_map
     (fun f ->
-      if excluded config f.Ir.Func.name || List.mem f.Ir.Func.name elided then
-        None
+      if excluded config f.Ir.Func.name then None
       else Some (f.Ir.Func.name, effective_metas config (Slots.discover f)))
     prog.funcs
 

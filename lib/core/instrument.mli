@@ -24,10 +24,11 @@ val effective_metas : Config.t -> Slots.t -> (int * int) array
     slots in program order, plus the trailing 8-byte FID slot when FID
     checks are on.  {!pass} relies on the same convention. *)
 
-val collect_metas :
-  ?elided:string list -> Config.t -> Ir.Prog.t -> (string * (int * int) array) list
-(** [effective_metas] for every function in the program, skipping
-    excluded and elided ones (neither gets a P-BOX binding). *)
+val collect_metas : Config.t -> Ir.Prog.t -> (string * (int * int) array) list
+(** [effective_metas] for every function in the program but the
+    excluded ones.  Elided functions stay in the list: {!Pbox.build}
+    withholds their bindings itself, so table shuffles match full
+    hardening. *)
 
 val pass : ?elided:string list -> Config.t -> pbox:Pbox.t -> Ir.Pass.t
 (** A module pass that transforms the program in place.  Functions in

@@ -28,8 +28,7 @@ let all =
 type applied = {
   defense : t;
   prog : Ir.Prog.t;
-  fresh_state :
-    ?heap_size:int -> ?stack_size:int -> Crypto.Entropy.t -> Machine.Exec.state;
+  fresh_state : Crypto.Entropy.t -> Machine.Exec.state;
   pbox_bytes : int;
   runner : Machine.Backend.t -> Machine.Backend.run_fn;
 }
@@ -56,8 +55,8 @@ let apply ?(seed = 1L) defense prog =
     Option.iter (fun pass -> Ir.Pass.run [ pass ] prog) pass;
     prog
   in
-  let prepare ?install prog ?heap_size ?stack_size entropy =
-    let st = Machine.Exec.prepare ?heap_size ?stack_size prog in
+  let prepare ?install prog entropy =
+    let st = Machine.Exec.prepare prog in
     Option.iter (fun install -> install ~entropy st) install;
     st
   in
@@ -75,8 +74,7 @@ let apply ?(seed = 1L) defense prog =
     | Smokestack config ->
         let hardened = Smokestack.Harden.harden ~seed config prog in
         ( hardened.prog,
-          (fun ?heap_size ?stack_size entropy ->
-            Smokestack.Harden.prepare ?heap_size ?stack_size ~entropy hardened),
+          (fun entropy -> Smokestack.Harden.prepare ~entropy hardened),
           Smokestack.Harden.pbox_bytes hardened )
   in
   { defense; prog; fresh_state; pbox_bytes; runner = runners prog }

@@ -20,11 +20,11 @@ val all : t list
 type applied = {
   defense : t;
   prog : Ir.Prog.t;  (** transformed copy; the input program is untouched *)
-  fresh_state :
-    ?heap_size:int -> ?stack_size:int -> Crypto.Entropy.t -> Machine.Exec.state;
-      (** prepare a runnable state, installing whatever runtime the
-          defense needs; per-run randomness comes from the entropy
-          source, so distinct sources model service restarts *)
+  fresh_state : Crypto.Entropy.t -> Machine.Exec.state;
+      (** prepare a runnable state with the default
+          {!Machine.Exec.prepare} heap and stack, installing whatever
+          runtime the defense needs; per-run randomness comes from the
+          entropy source, so distinct sources model service restarts *)
   pbox_bytes : int;  (** 0 except for Smokestack *)
   runner : Machine.Backend.t -> Machine.Backend.run_fn;
       (** [runner b] is [b.load prog], loaded on the first call for [b]

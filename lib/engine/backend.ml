@@ -5,7 +5,7 @@
    domains raises. *)
 let load (_ : Ir.Prog.t) =
   let image = Atomic.make None in
-  fun ?fuel ?entry ?args st ->
+  fun ?fuel st ->
     let p =
       match Atomic.get image with
       | Some p -> p
@@ -14,7 +14,7 @@ let load (_ : Ir.Prog.t) =
           Atomic.set image (Some p);
           p
     in
-    Interp.run ?fuel ?entry ?args p st
+    Interp.run ?fuel p st
 
 let backend = Machine.Backend.make ~kind:Machine.Backend.Bytecode ~label:"bytecode" ~load
 

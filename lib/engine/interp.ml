@@ -588,8 +588,7 @@ and step rt bf code frame entry_sp pc =
       charge rt Cost.cond_branch;
       step rt bf code frame entry_sp (if c then if_true else if_false)
 
-let run ?(fuel = 200_000_000) ?(entry = "main") ?(args = []) (prog : Compile.program)
-    (st : Exec.state) =
+let run ?(fuel = 200_000_000) (prog : Compile.program) (st : Exec.state) =
   st.fuel <- fuel;
   let rt =
     {
@@ -597,20 +596,16 @@ let run ?(fuel = 200_000_000) ?(entry = "main") ?(args = []) (prog : Compile.pro
       funcs = prog.funcs;
       impls = Array.make (Array.length prog.intrinsic_names) None;
       cyc = Float.Array.make 1 st.cycles;
-      cur = entry;
+      cur = "main";
     }
   in
   let outcome =
-    match Hashtbl.find_opt prog.index entry with
-    | None ->
-        Exec.Fault { fault = Memory.Misc ("no entry function " ^ entry); func = "-" }
+    match Hashtbl.find_opt prog.index "main" with
+    | None -> Exec.Fault { fault = Memory.Misc "no entry function main"; func = "-" }
     | Some fidx -> (
         let bf = prog.funcs.(fidx) in
         let frame = Bytes.copy bf.frame in
-        List.iteri
-          (fun i v -> if i < Array.length bf.params then set frame bf.params.(i) v)
-          args;
-        match call_fn rt bf frame (List.length args) with
+        match call_fn rt bf frame 0 with
         | ret ->
             flush rt;
             Exec.Exit (get frame ret)

@@ -15,11 +15,10 @@
 
 val run :
   ?fuel:int ->
-  ?entry:string ->
-  ?args:int64 list ->
   Compile.program ->
   Machine.Exec.state ->
   Machine.Exec.outcome * Machine.Exec.stats
 (** [run image st] is a drop-in replacement for {!Machine.Exec.run}
-    (same defaults), where [image] is {!Compile.compile} of a state of
-    [st.prog].  The state is consumed: run each prepared state once. *)
+    (same fuel default; [main] with no arguments, with the same faults
+    when it is missing or takes parameters), where [image] is
+    {!Compile.compile} of a state of [st.prog].  The state is consumed: run each prepared state once. *)

@@ -20,7 +20,7 @@ let configs =
     ("no VLA padding", { base with vla_padding = false });
   ]
 
-let run ?(pool = Sched.Pool.sequential) ~backend ?(seed = 1L) () =
+let run ?(pool = Sched.Pool.sequential) ~backend () =
   let probe =
     match Apps.Spec.find "gobmk" with
     | Some w -> w
@@ -31,7 +31,7 @@ let run ?(pool = Sched.Pool.sequential) ~backend ?(seed = 1L) () =
     Sched.Pool.run_all pool
       (List.map
          (fun (label, config) ->
-           Sched.Job.v ~id:("e7/" ^ label) ~seed (fun () ->
+           Sched.Job.v ~id:("e7/" ^ label) ~seed:1L (fun () ->
                let total_pbox_bytes =
                  List.fold_left
                    (fun acc (w : Apps.Spec.workload) ->
@@ -42,7 +42,7 @@ let run ?(pool = Sched.Pool.sequential) ~backend ?(seed = 1L) () =
                      acc + Smokestack.Harden.pbox_bytes hardened)
                    0 Apps.Spec.all
                in
-               let stats, _ = Workbench.smokestack_stats ~backend ~seed config probe in
+               let stats, _ = Workbench.smokestack_stats ~backend config probe in
                { label; config; total_pbox_bytes; gobmk_cycles = stats.cycles }))
          configs)
   in

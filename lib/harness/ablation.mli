@@ -23,8 +23,7 @@ type row = {
 
 type t = { rows : row list }
 
-val run :
-  ?pool:Sched.Pool.t -> backend:Machine.Backend.t -> ?seed:int64 -> unit -> t
+val run : ?pool:Sched.Pool.t -> backend:Machine.Backend.t -> unit -> t
 (** One job per ablation configuration when [?pool] is parallel. *)
 
 val table : t -> Sutil.Texttable.t

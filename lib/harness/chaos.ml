@@ -193,8 +193,7 @@ let policy_rows ~seed (w : Apps.Spec.workload) =
       })
     [ Rng.Generator.Fail_secure; Rng.Generator.Fail_open ]
 
-let run ?(pool = Sched.Pool.sequential) ?(workloads = default_workloads)
-    ?(seed = 7L) () =
+let run ?(pool = Sched.Pool.sequential) ?(workloads = default_workloads) () =
   let ws =
     List.map
       (fun name ->
@@ -212,14 +211,14 @@ let run ?(pool = Sched.Pool.sequential) ?(workloads = default_workloads)
             let id =
               Printf.sprintf "chaos/%s/%s" w.wname (Fault.Plan.to_spec plan)
             in
-            Sched.Job.seeded ~root:seed ~id (fun ~seed -> cell ~seed ~plan w))
+            Sched.Job.seeded ~root:7L ~id (fun ~seed -> cell ~seed ~plan w))
           plans)
       ws
   in
   let rows = Sched.Pool.run_all pool jobs in
   let policy =
     policy_rows
-      ~seed:(Sutil.Simrng.split_seed ~root:seed ~id:"chaos/policy")
+      ~seed:(Sutil.Simrng.split_seed ~root:7L ~id:"chaos/policy")
       (List.hd ws)
   in
   let counted = List.filter (fun r -> r.ccorrupting && r.cfired > 0) rows in

@@ -62,7 +62,6 @@ type t = {
 val run :
   ?pool:Sched.Pool.t ->
   ?workloads:string list ->
-  ?seed:int64 ->
   unit ->
   t
 (** One job per (workload, plan) cell, merged in submission order — the

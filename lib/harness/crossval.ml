@@ -42,7 +42,7 @@ let synth_cases () =
         | `Data, `Indirect | `Heap, `Indirect ->
             [ ("serve", "*", "serve", "auth") ]
       in
-      (v.vname, v.source, Lazy.force v.program, v.attack, witnesses))
+      (v.vname, Lazy.force v.program, v.attack, witnesses))
     Apps.Synth.variants
 
 let realvuln_cases () =
@@ -57,12 +57,10 @@ let realvuln_cases () =
   in
   [
     ( "librelp/key-leak",
-      Apps.Librelp.source,
       librelp,
       Apps.Librelp.attack_static,
       [ ("relpTcpChkPeerName", "allNames", "relpTcpLstnInit", "keyPtr") ] );
     ( "wireshark/CVE-2014-2299",
-      Apps.Wireshark.source,
       wireshark,
       Apps.Wireshark.attack,
       [
@@ -79,12 +77,9 @@ let realvuln_cases () =
           "packet_list_dissect_and_cache_record",
           "packet_list" );
       ] );
-    ("proftpd/key-extraction", Apps.Proftpd.source, proftpd,
-     Apps.Proftpd.attack_key_extraction, proftpd_witness);
-    ("proftpd/bot", Apps.Proftpd.source, proftpd, Apps.Proftpd.attack_bot,
-     proftpd_witness);
-    ("proftpd/mem-permissions", Apps.Proftpd.source, proftpd,
-     Apps.Proftpd.attack_memperm, proftpd_witness);
+    ("proftpd/key-extraction", proftpd, Apps.Proftpd.attack_key_extraction, proftpd_witness);
+    ("proftpd/bot", proftpd, Apps.Proftpd.attack_bot, proftpd_witness);
+    ("proftpd/mem-permissions", proftpd, Apps.Proftpd.attack_memperm, proftpd_witness);
   ]
 
 let cases () = synth_cases () @ realvuln_cases ()
@@ -141,7 +136,7 @@ let cached_verdicts ?store ~(backend : Machine.Backend.t) ~source ~config ~extra
           Store.Entry.verdicts_entry (List.map verdict_to_pair vs))
         ~decode:verdicts_of_entry thunk
 
-let run ?(pool = Sched.Pool.sequential) ~backend ?store ?(trials = 6) () =
+let run ?(pool = Sched.Pool.sequential) ~backend ?(trials = 6) () =
   let cases = cases () in
   (* Static pass: once per distinct program (the proftpd exploits share
      one), in the submitting domain — the analysis is pure and fast
@@ -149,7 +144,7 @@ let run ?(pool = Sched.Pool.sequential) ~backend ?store ?(trials = 6) () =
      identity. *)
   let static : (Ir.Prog.t * Analysis.Dop.pair list) list ref = ref [] in
   List.iter
-    (fun (_, _, prog, _, _) ->
+    (fun (_, prog, _, _) ->
       if not (List.exists (fun (p, _) -> p == prog) !static) then
         let funcans = Analysis.Funcan.analyze prog in
         static := (prog, Analysis.Dop.enumerate prog funcans) :: !static)
@@ -160,21 +155,13 @@ let run ?(pool = Sched.Pool.sequential) ~backend ?store ?(trials = 6) () =
   let rows =
     Sched.Pool.run_all pool
       (List.map
-         (fun (cname, source, prog, (attack : Apps.Dopkit.attack), witnesses) ->
+         (fun (cname, prog, (attack : Apps.Dopkit.attack), witnesses) ->
            Sched.Job.v ~id:("crossval/" ^ cname) ~seed:3L (fun () ->
                let verdicts =
-                 cached_verdicts ?store ~backend ~source ~config:None
-                   ~extra:
-                     (Printf.sprintf "crossval;case=%s;trials=%d;seed0=17"
-                        cname trials)
-                   (fun () ->
-                     let applied =
-                       Defenses.Defense.apply ~seed:3L
-                         Defenses.Defense.No_defense prog
-                     in
-                     Security.trials
-                       (fun a ~seed -> (attack ~backend a ~seed).verdict)
-                       applied ~n:trials ~seed0:17)
+                 Security.trials
+                   (fun a ~seed -> (attack ~backend a ~seed).verdict)
+                   (Defenses.Defense.apply ~seed:3L Defenses.Defense.No_defense prog)
+                   ~n:trials ~seed0:17
                in
                let dynamic_success =
                  List.exists (( = ) Attacks.Verdict.Success) verdicts
@@ -228,7 +215,7 @@ let run_selective ?(pool = Sched.Pool.sequential) ~(backend : Machine.Backend.t)
   in
   let attack_jobs =
     List.map
-      (fun (cname, _, prog, (attack : Apps.Dopkit.attack), _) ->
+      (fun (cname, prog, (attack : Apps.Dopkit.attack), _) ->
         Sched.Job.v ~id:("selective/" ^ cname) ~seed:3L (fun () ->
             let verdicts_under d =
               Security.trials

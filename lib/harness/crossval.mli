@@ -30,19 +30,10 @@ type row = {
 
 type t = { rows : row list; all_validated : bool }
 
-val run :
-  ?pool:Sched.Pool.t ->
-  backend:Machine.Backend.t ->
-  ?store:Store.Cache.t ->
-  ?trials:int ->
-  unit ->
-  t
-(** The dynamic trials run on [~backend].  Static analysis runs once per distinct program in the submitting
-    domain; only the dynamic trials are parallelized.  With [?store],
-    each case's verdict list is served from (and recorded to) the store
-    keyed on its program source, the attack-case name and the trial
-    parameters — a warm run replays no attacks and reports
-    identically. *)
+val run : ?pool:Sched.Pool.t -> backend:Machine.Backend.t -> ?trials:int -> unit -> t
+(** The dynamic trials ([trials] attempts per case, default 6) run on
+    [~backend].  Static analysis runs once per distinct program in the
+    submitting domain; only the dynamic trials are parallelized. *)
 
 val output : t -> Output.t
 (** The E12b table ([crossval]) and its verdict line. *)

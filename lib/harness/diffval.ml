@@ -25,10 +25,8 @@ let report_to_string r =
 
 (* Compare field by field so a mismatch names the first observable that
    diverged instead of a bare "stats differ".  The comparison runs on
-   Store.Entry.exec records — the same representation cached results
-   decode to — so a store-served leg goes through byte-for-byte the
-   comparison a fresh leg does (the exec codec keeps cycles bit-exact
-   and output verbatim). *)
+   the Store.Entry.exec rendering of each run: the outcome as its
+   string, cycles bit-exact, output verbatim. *)
 let compare_exec ~case (e1 : Store.Entry.exec) (e2 : Store.Entry.exec) =
   let s1 = e1.stats and s2 = e2.stats in
   let diffs = ref [] in
@@ -59,10 +57,10 @@ let backends () =
      guarantees the library is linked into whoever uses Diffval *)
   (Machine.Backend.reference, Engine.Backend.backend)
 
-let check_applied ~case ?(fuel = 400_000_000) ~seed ~chunks applied =
+let check_applied ~case ~chunks applied =
   let reference, bytecode = backends () in
   let run backend =
-    Apps.Runner.run_chunks ~backend ~fuel applied ~seed ~chunks
+    Apps.Runner.run_chunks ~backend ~fuel:400_000_000 applied ~seed:1L ~chunks
   in
   compare_observables ~case (run reference) (run bytecode)
 
@@ -70,33 +68,22 @@ let defenses_under_test =
   [ Defenses.Defense.No_defense;
     Defenses.Defense.Smokestack Smokestack.Config.default ]
 
-let check_apps ?(pool = Sched.Pool.sequential) ?fuel () =
-  Workbench.force_programs Apps.Spec.all;
+let check_apps () =
   let mismatches =
-    List.concat
-      (Sched.Pool.run_all pool
-         (List.concat_map
-            (fun (w : Apps.Spec.workload) ->
-              List.map
-                (fun d ->
-                  let case =
-                    Printf.sprintf "%s/%s" w.wname (Defenses.Defense.name d)
-                  in
-                  Sched.Job.v ~id:("diffval/" ^ case) ~seed:1L (fun () ->
-                      let applied =
-                        Defenses.Defense.apply ~seed:3L d (Lazy.force w.program)
-                      in
-                      check_applied ~case ?fuel ~seed:1L
-                        ~chunks:(Workbench.chunks_of_input w.input)
-                        applied))
-                defenses_under_test)
-            Apps.Spec.all))
+    List.concat_map
+      (fun (w : Apps.Spec.workload) ->
+        List.concat_map
+          (fun d ->
+            let case = Printf.sprintf "%s/%s" w.wname (Defenses.Defense.name d) in
+            let applied = Defenses.Defense.apply ~seed:3L d (Lazy.force w.program) in
+            check_applied ~case ~chunks:(Workbench.chunks_of_input w.input) applied)
+          defenses_under_test)
+      Apps.Spec.all
   in
   { cases = List.length Apps.Spec.all * List.length defenses_under_test;
     mismatches }
 
-let check_progen ?(pool = Sched.Pool.sequential) ?store ?(fuel = 2_000_000)
-    ~seed count =
+let check_progen ?(pool = Sched.Pool.sequential) ~seed count =
   let reference, bytecode = backends () in
   let mismatches =
     List.concat
@@ -105,28 +92,11 @@ let check_progen ?(pool = Sched.Pool.sequential) ?store ?(fuel = 2_000_000)
             (fun (pseed, source) ->
               let case = Printf.sprintf "progen seed %Ld" pseed in
               Sched.Job.v ~id:("diffval/" ^ case) ~seed:pseed (fun () ->
-                  let prog = lazy (Minic.Driver.compile source) in
+                  let prog = Minic.Driver.compile source in
                   let leg (backend : Machine.Backend.t) =
-                    let fresh () =
-                      Store.Entry.exec_of_run
-                        (backend.run ~fuel
-                           (Machine.Exec.prepare (Lazy.force prog)))
-                    in
-                    match store with
-                    | None -> fresh ()
-                    | Some store ->
-                        (* each engine gets its own key: the store must
-                           never launder one engine's observables into
-                           the other's leg of the comparison *)
-                        Store.Cache.memo store
-                          (Store.Key.of_source ~source_text:source
-                             ~config:None ~engine:backend.kind ~seed:0L
-                             ~extra:(Printf.sprintf "diffval;fuel=%d" fuel)
-                             ())
-                          ~encode:Store.Entry.exec_entry
-                          ~decode:Store.Entry.exec_of_entry fresh
+                    backend.run ~fuel:2_000_000 (Machine.Exec.prepare prog)
                   in
-                  compare_exec ~case (leg reference) (leg bytecode)))
+                  compare_observables ~case (leg reference) (leg bytecode)))
             (List.of_seq (Minic.Progen.range ~seed count))))
   in
   { cases = count; mismatches }

@@ -28,21 +28,13 @@ val compare_observables :
 (** Every observable of two runs of one program, the reference's first:
     the mismatches in field order, [[]] when the runs are identical. *)
 
-val check_apps : ?pool:Sched.Pool.t -> ?fuel:int -> unit -> report
+val check_apps : unit -> report
 (** Every {!Apps.Spec.all} workload under both [No_defense] and the
-    default Smokestack configuration.  One job per (workload, defense)
-    pair; mismatches are concatenated in submission order. *)
+    default Smokestack configuration, run sequentially with seed 1 and
+    400 million instructions of fuel; mismatches in (workload, defense)
+    order. *)
 
-val check_progen :
-  ?pool:Sched.Pool.t ->
-  ?store:Store.Cache.t ->
-  ?fuel:int ->
-  seed:int64 ->
-  int ->
-  report
+val check_progen : ?pool:Sched.Pool.t -> seed:int64 -> int -> report
 (** [check_progen ~seed n] validates [n] Progen-generated programs with
-    seeds [seed, seed+1, ...] (deterministic, input-free).  One job per
-    seed.  With [?store], each engine's leg is served from (and
-    recorded to) the store under its own engine-keyed entry, so warm
-    re-validation replays both legs without executing either — the
-    report is identical either way. *)
+    seeds [seed, seed+1, ...] (deterministic, input-free, 2 million
+    instructions of fuel).  One job per seed. *)

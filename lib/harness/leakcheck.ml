@@ -371,9 +371,9 @@ let guided_only_table guided =
         ]);
   tbl
 
-let guided_run ~backend ?(budget = 600) ?(walks = 5) () =
+let guided_run ~backend ?(budget = 600) () =
   Analysis.Validate.install ();
-  guided_measurement ~backend ~budget ~walks ()
+  guided_measurement ~backend ~budget ~walks:5 ()
 
 let output t =
   [

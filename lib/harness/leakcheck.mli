@@ -87,11 +87,11 @@ val run :
     [walks] 5 guided restart walks.  Every program runs under 8 entropy
     seeds. *)
 
-val guided_run :
-  backend:Machine.Backend.t -> ?budget:int -> ?walks:int -> unit -> guided option
+val guided_run : backend:Machine.Backend.t -> ?budget:int -> unit -> guided option
 (** Just the guided-attack half, without the corpus sweep — the
-    [smokestackc attack --leak-guided] entry point.  Defaults as in
-    {!run}; [None] if the planner found no guidable chain. *)
+    [smokestackc attack --leak-guided] entry point: 5 guided restart
+    walks, [budget] (default 600) per walk; [None] if the planner found
+    no guidable chain. *)
 
 val guided_only_table : guided option -> Sutil.Texttable.t
 (** The guided-attack table over one measurement: a {!guided_run}

@@ -15,18 +15,15 @@ type t = { rows : row list; mean_pct : float }
    putting the percentages on a real process's scale. *)
 let process_floor_bytes = 1 lsl 20
 
-let run ?(pool = Sched.Pool.sequential) ~backend ?(workloads = Apps.Spec.spec)
-    ?(seed = 1L) () =
+let run ?(pool = Sched.Pool.sequential) ~backend ?(workloads = Apps.Spec.spec) () =
   Workbench.force_programs workloads;
   let rows =
     Sched.Pool.run_all pool
     @@ List.map
       (fun (w : Apps.Spec.workload) ->
-        Sched.Job.v ~id:("fig4/" ^ w.wname) ~seed @@ fun () ->
-        let base = Workbench.baseline ~backend ~seed w in
-        let stats, pbox_bytes =
-          Workbench.smokestack_stats ~backend ~seed Smokestack.Config.default w
-        in
+        Sched.Job.v ~id:("fig4/" ^ w.wname) ~seed:1L @@ fun () ->
+        let base = Workbench.baseline ~backend w in
+        let stats, pbox_bytes = Workbench.smokestack_stats ~backend Smokestack.Config.default w in
         let baseline_rss = base.rss_bytes + process_floor_bytes in
         let hardened_rss = stats.rss_bytes + process_floor_bytes in
         {

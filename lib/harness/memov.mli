@@ -21,7 +21,6 @@ val run :
   ?pool:Sched.Pool.t ->
   backend:Machine.Backend.t ->
   ?workloads:Apps.Spec.workload list ->
-  ?seed:int64 ->
   unit ->
   t
 (** Uses the AES-10 configuration (the scheme does not affect memory).

@@ -91,8 +91,7 @@ let available_workloads () = List.map (fun t -> t.name) (builtin_targets ())
 let has_success = List.exists (( = ) Attacks.Verdict.Success)
 
 let run ?(pool = Sched.Pool.sequential) ~backend ?store ?(trials = 6)
-    ?(brute_budget = 600) ?(max_chains = 8) ?workloads ?(progen = 0)
-    ?(progen_seed = 9001L) () =
+    ?(brute_budget = 600) ?(max_chains = 8) ?workloads ?(progen = 0) () =
   (* the elision oracle behind Config.selective lives in lib/analysis *)
   Analysis.Validate.install ();
   let targets =
@@ -114,7 +113,7 @@ let run ?(pool = Sched.Pool.sequential) ~backend ?store ?(trials = 6)
             program = lazy (Minic.Driver.compile psource);
             hand = None;
           })
-        (List.of_seq (Minic.Progen.range ~seed:progen_seed progen))
+        (List.of_seq (Minic.Progen.range ~seed:9001L progen))
   in
   let results =
     Sched.Pool.run_all pool

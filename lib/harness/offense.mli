@@ -89,15 +89,13 @@ val run :
   ?max_chains:int ->
   ?workloads:string list ->
   ?progen:int ->
-  ?progen_seed:int64 ->
   unit ->
   t
 (** One pool job per target.  [workloads] (default: all of
     {!available_workloads}) selects built-in targets by name; [progen]
-    (default 0) appends that many Progen-generated programs from
-    [progen_seed] (default 9001) — input-free programs honestly
-    synthesize zero deliverable chains and appear only in the
-    synthesis table.  [trials] (default 6) attempts per (chain,
+    (default 0) appends that many Progen-generated programs from seed
+    9001 — input-free programs honestly synthesize zero deliverable
+    chains and appear only in the synthesis table.  [trials] (default 6) attempts per (chain,
     defense) cell; [brute_budget] (default 600) caps each entropy
     measurement.  With [?store], every cell's verdict list (trials and
     brute-force alike) is keyed on (source, config, engine, chain id,

@@ -15,15 +15,14 @@ type t = {
    per (workload, scheme) cell.  Rows are reassembled from the cell
    list by submission order, so the parallel report is byte-identical
    to the sequential one. *)
-let run ?(pool = Sched.Pool.sequential) ~backend ?(workloads = Apps.Spec.all)
-    ?(seed = 1L) () =
+let run ?(pool = Sched.Pool.sequential) ~backend ?(workloads = Apps.Spec.all) () =
   Workbench.force_programs workloads;
   let baselines =
     Sched.Pool.run_all pool
       (List.map
          (fun (w : Apps.Spec.workload) ->
-           Sched.Job.v ~id:("fig3/baseline/" ^ w.wname) ~seed (fun () ->
-               Workbench.baseline ~backend ~seed w))
+           Sched.Job.v ~id:("fig3/baseline/" ^ w.wname) ~seed:1L (fun () ->
+               Workbench.baseline ~backend w))
          workloads)
   in
   let cell_jobs =
@@ -33,12 +32,12 @@ let run ?(pool = Sched.Pool.sequential) ~backend ?(workloads = Apps.Spec.all)
           (fun scheme ->
             Sched.Job.v
               ~id:(Printf.sprintf "fig3/%s/%s" w.wname (Rng.Scheme.name scheme))
-              ~seed
+              ~seed:1L
               (fun () ->
                 let config =
                   Smokestack.Config.with_scheme scheme Smokestack.Config.default
                 in
-                let stats, _ = Workbench.smokestack_stats ~backend ~seed config w in
+                let stats, _ = Workbench.smokestack_stats ~backend config w in
                 let measured =
                   Sutil.Stats.percent_overhead ~baseline:base.cycles
                     ~measured:stats.cycles

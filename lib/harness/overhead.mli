@@ -18,7 +18,6 @@ val run :
   ?pool:Sched.Pool.t ->
   backend:Machine.Backend.t ->
   ?workloads:Apps.Spec.workload list ->
-  ?seed:int64 ->
   unit ->
   t
 (** Measures every workload baseline vs hardened under each of the four

@@ -11,7 +11,7 @@ type row = {
 
 type t = { rows : row list }
 
-val run : ?pool:Sched.Pool.t -> ?draws:int -> ?seed:int64 -> unit -> t
+val run : ?pool:Sched.Pool.t -> ?draws:int -> unit -> t
 (** [draws] defaults to 100_000 per scheme; one job per scheme when
     [?pool] is parallel (each job compiles its own probe program). *)
 

@@ -107,7 +107,7 @@ let predicted_attempts hardened func =
           .Smokestack.Entropy_an.expected_bruteforce_attempts
   | None -> None
 
-let cost_corpus ~pool ~backend ?store config =
+let cost_corpus ~pool ~backend config =
   let policy_on =
     match config.resilient.Server.Dispatch.policy with
     | Some p -> p
@@ -158,20 +158,11 @@ let cost_corpus ~pool ~backend ?store config =
                in
                let hand_row =
                  let verdicts =
-                   Crossval.cached_verdicts ?store ~backend ~source:v.source
-                     ~config:(hardened_config config.defense)
-                     ~extra:
-                       (Printf.sprintf
-                          "resilience;brute-hand;budget=%d;seed0=0;hseed=3"
-                          config.budget)
-                     (fun () ->
-                       (* the walk Harness.Offense brute forces the
-                          hand-written attacks with *)
-                       (Attacks.Bruteforce.run ~max_attempts:config.budget
-                          (fun seed ->
-                            (v.attack ~backend applied ~seed:(Int64.of_int seed))
-                              .verdict))
-                         .verdicts)
+                   (* the walk Harness.Offense brute forces the
+                      hand-written attacks with *)
+                   (Attacks.Bruteforce.run ~max_attempts:config.budget (fun seed ->
+                        (v.attack ~backend applied ~seed:(Int64.of_int seed)).verdict))
+                     .verdicts
                  in
                  mk ~kind:"hand-written" ~func:hand_func verdicts
                in
@@ -183,15 +174,7 @@ let cost_corpus ~pool ~backend ?store config =
                  | None -> []
                  | Some chain ->
                      let verdicts =
-                       Crossval.cached_verdicts ?store ~backend ~source:v.source
-                         ~config:(hardened_config config.defense)
-                         ~extra:
-                           (Printf.sprintf
-                              "resilience;brute;chain=%s;budget=%d;seed0=0;hseed=3"
-                              chain.Dopc.Chain.chain_id config.budget)
-                         (fun () ->
-                           Dopc.Exec.brute ~backend applied chain
-                             ~budget:config.budget ~seed0:0)
+                       Dopc.Exec.brute ~backend applied chain ~budget:config.budget ~seed0:0
                      in
                      [
                        mk
@@ -223,8 +206,8 @@ let benign_p99 (d : Server.Dispatch.t) =
   Array.sort compare sojourns;
   Server.Metrics.percentile sojourns 99.
 
-let run ?(pool = Sched.Pool.sequential) ~backend ?store ?(config = default) ()
-    =
+let run ?(pool = Sched.Pool.sequential) ~backend () =
+  let config = default in
   (* the elision oracle behind Config.selective lives in lib/analysis;
      chain synthesis probes want it installed like E17 does *)
   Analysis.Validate.install ();
@@ -250,7 +233,7 @@ let run ?(pool = Sched.Pool.sequential) ~backend ?store ?(config = default) ()
   in
   let baseline = cell "fcfs baseline (affinity off)" config.baseline in
   let resilient = cell "wfq + breakers + degradation" config.resilient in
-  let cost_rows = cost_corpus ~pool ~backend ?store config in
+  let cost_rows = cost_corpus ~pool ~backend config in
   let is_hand r = String.equal r.rkind "hand-written" in
   {
     config;

@@ -4,11 +4,10 @@
 
     {b Attacker economics.}  Brute-force verdict sequences for the
     hand-written corpus attacks and the PR 8 synthesized chains (both
-    against full Smokestack hardening, both {!Store}-cached so warm
-    runs skip execution) are replayed through {!Server.Policy.brute_cost}:
-    affinity off, the cost is [attempts * gap]; affinity on, every trip
-    inserts exponential virtual-time backoff and persistent failure
-    ends in quarantine — the restart-after-crash assumption turned into
+    against full Smokestack hardening) are replayed through
+    {!Server.Policy.brute_cost}: affinity off, the cost is
+    [attempts * gap]; affinity on, every trip inserts exponential
+    virtual-time backoff and persistent failure ends in quarantine — the restart-after-crash assumption turned into
     a measurable price, reported next to the [Entropy_an] prediction.
 
     {b Fleet under a fault storm.}  One storm-overlaid schedule is
@@ -63,13 +62,10 @@ type t = {
   mismatches : int;  (** batch mismatches summed over cells (must be 0) *)
 }
 
-val run :
-  ?pool:Sched.Pool.t ->
-  backend:Machine.Backend.t ->
-  ?store:Store.Cache.t ->
-  ?config:config ->
-  unit ->
-  t
+val run : ?pool:Sched.Pool.t -> backend:Machine.Backend.t -> unit -> t
+(** Runs the experiment at its one configuration (1000 storm-overlaid
+    sessions, brute-force budget 4000, gap 1000 cycles), reported in
+    [t.config]. *)
 
 val output : t -> Output.t
 (** The E18 report: the cost ([resilience]), fleet ([resilience_fleet])

@@ -7,12 +7,8 @@ type cell = {
 
 type t = { title : string; cells : cell list }
 
-let trials ?(pool = Sched.Pool.sequential) attack applied ~n ~seed0 =
-  Sched.Pool.run_all pool
-    (List.init n (fun i ->
-         let seed = Int64.of_int (seed0 + (1000 * i)) in
-         Sched.Job.v ~id:(Printf.sprintf "trial/%d" i) ~seed (fun () ->
-             attack applied ~seed)))
+let trials attack applied ~n ~seed0 =
+  List.init n (fun i -> attack applied ~seed:(Int64.of_int (seed0 + (1000 * i))))
 
 let mk_cell attack_name defense verdicts =
   {
@@ -52,8 +48,7 @@ let pentest ?(pool = Sched.Pool.sequential) ~backend ?(trials_per_cell = 12) () 
   in
   { title = "E5: synthetic DOP penetration tests (success rate per attempt)"; cells }
 
-let bypass_prior ?(pool = Sched.Pool.sequential) ~backend
-    ?(trials_per_cell = 12) () =
+let bypass_prior ?(pool = Sched.Pool.sequential) ~backend () =
   let prog = Lazy.force Apps.Librelp.program in
   let strategies =
     [
@@ -93,7 +88,7 @@ let bypass_prior ?(pool = Sched.Pool.sequential) ~backend
                            attack applied ~seed:(Int64.of_int (17 + (1000 * b))))
                      else
                        let applied = Defenses.Defense.apply ~seed:build_seed d prog in
-                       trials attack applied ~n:trials_per_cell ~seed0:17
+                       trials attack applied ~n:12 ~seed0:17
                    in
                    mk_cell name d verdicts))
              Defenses.Defense.all)
@@ -170,8 +165,7 @@ let rng_security ?(pool = Sched.Pool.sequential) ~backend
 
 type rerand_row = { interval : int; rr_success_rate : float }
 
-let rerandomization ?(pool = Sched.Pool.sequential) ~backend
-    ?(trials_per_cell = 12) () =
+let rerandomization ?(pool = Sched.Pool.sequential) ~backend () =
   let prog = Lazy.force Apps.Librelp.program in
   Sched.Pool.run_all pool
     (List.map
@@ -187,8 +181,8 @@ let rerandomization ?(pool = Sched.Pool.sequential) ~backend
                  prog
              in
              let verdicts =
-               trials (Apps.Librelp.attack_probe_then_exploit ~backend) applied
-                 ~n:trials_per_cell ~seed0:83
+               trials (Apps.Librelp.attack_probe_then_exploit ~backend) applied ~n:12
+                 ~seed0:83
              in
              { interval; rr_success_rate = Attacks.Verdict.success_rate verdicts }))
        [ 1; 8; 64 ])

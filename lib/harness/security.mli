@@ -18,17 +18,15 @@ type cell = {
 type t = { title : string; cells : cell list }
 
 val trials :
-  ?pool:Sched.Pool.t ->
   (Defenses.Defense.applied -> seed:int64 -> Attacks.Verdict.t) ->
   Defenses.Defense.applied ->
   n:int ->
   seed0:int ->
   Attacks.Verdict.t list
-(** [n] independent attempts with seeds [seed0 + 1000*i], collected in
-    trial order.  [?pool] parallelizes the attempts; the experiment
-    drivers below instead parallelize at cell granularity and call this
-    sequentially from inside their jobs (never nest [Sched.Pool.run_all]
-    on the same pool). *)
+(** [n] independent attempts with seeds [seed0 + 1000*i], run in trial
+    order in the calling domain: the experiment drivers below
+    parallelize at cell granularity and call this from inside their
+    jobs. *)
 
 val pentest :
   ?pool:Sched.Pool.t ->
@@ -39,12 +37,7 @@ val pentest :
 (** E5 — the synthetic {direct,indirect} x {stack,data,heap} matrix
     against all six defenses.  One job per (attack, defense) cell. *)
 
-val bypass_prior :
-  ?pool:Sched.Pool.t ->
-  backend:Machine.Backend.t ->
-  ?trials_per_cell:int ->
-  unit ->
-  t
+val bypass_prior : ?pool:Sched.Pool.t -> backend:Machine.Backend.t -> unit -> t
 (** E4 — the librelp PoC against the prior stack randomizations, via
     both attacker strategies (binary analysis; probe-then-exploit
     disclosure).  For the per-build defenses each of 12 trials uses a
@@ -77,17 +70,13 @@ val rng_security :
 type rerand_row = { interval : int; rr_success_rate : float }
 
 val rerandomization :
-  ?pool:Sched.Pool.t ->
-  backend:Machine.Backend.t ->
-  ?trials_per_cell:int ->
-  unit ->
-  rerand_row list
+  ?pool:Sched.Pool.t -> backend:Machine.Backend.t -> unit -> rerand_row list
 (** E11 (extension) — why {e per-invocation} matters: the same-run
     probe-then-exploit attack against Smokestack variants that redraw
     the permutation index every [n]-th request, for [n] in 1, 8 and
-    64.  Windows smaller than one request's draw count behave like the
-    paper's design; anything larger re-opens the attack up to the
-    exploit's reach cap. *)
+    64, 12 trials each.  Windows smaller than one request's draw count
+    behave like the paper's design; anything larger re-opens the attack
+    up to the exploit's reach cap. *)
 
 val rerand_table : rerand_row list -> Sutil.Texttable.t
 

@@ -28,8 +28,8 @@ let pbox_saving_pct r =
    per workload measuring the full and selective hardened runs
    back-to-back (they share the compiled program, so splitting them
    into separate jobs would only duplicate the closure captures). *)
-let run ?(pool = Sched.Pool.sequential) ~backend ?store ?(workloads = Apps.Spec.all)
-    ?(seed = 1L) () =
+let run ?(pool = Sched.Pool.sequential) ~backend () =
+  let workloads = Apps.Spec.all and seed = 1L in
   (* the elision oracle behind Config.selective lives in lib/analysis *)
   Analysis.Validate.install ();
   Workbench.force_programs workloads;
@@ -40,7 +40,7 @@ let run ?(pool = Sched.Pool.sequential) ~backend ?store ?(workloads = Apps.Spec.
       (List.map
          (fun (w : Apps.Spec.workload) ->
            Sched.Job.v ~id:("e14/baseline/" ^ w.wname) ~seed (fun () ->
-               Workbench.baseline ~backend ?store ~seed w))
+               Workbench.baseline ~backend w))
          workloads)
   in
   let rows =
@@ -54,7 +54,7 @@ let run ?(pool = Sched.Pool.sequential) ~backend ?store ?(workloads = Apps.Spec.
                in
                let overhead_of config =
                  let stats, pbox_bytes =
-                   Workbench.smokestack_stats ~backend ?store ~seed config w
+                   Workbench.smokestack_stats ~backend config w
                  in
                  ( Sutil.Stats.percent_overhead ~baseline:base.cycles
                      ~measured:stats.cycles

@@ -26,19 +26,11 @@ type t = {
   mean_pbox_saving_pct : float;
 }
 
-val run :
-  ?pool:Sched.Pool.t ->
-  backend:Machine.Backend.t ->
-  ?store:Store.Cache.t ->
-  ?workloads:Apps.Spec.workload list ->
-  ?seed:int64 ->
-  unit ->
-  t
-(** Installs the {!Analysis.Validate} elision oracle, then runs each
-    workload baseline / full / selective.  Parallel results are
-    identical to the sequential default.  [?store] is handed to
-    {!Workbench.baseline} and {!Workbench.smokestack_stats}, replacing
-    their process-local memo with the given (possibly on-disk)
-    store. *)
+val run : ?pool:Sched.Pool.t -> backend:Machine.Backend.t -> unit -> t
+(** Installs the {!Analysis.Validate} elision oracle, then runs every
+    {!Apps.Spec.all} workload baseline / full / selective (seed 1), the
+    runs served by {!Workbench.baseline} and
+    {!Workbench.smokestack_stats}.  Parallel results are identical to
+    the sequential default. *)
 
 val table : t -> Sutil.Texttable.t

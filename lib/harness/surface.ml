@@ -12,105 +12,25 @@ type row = {
 
 type t = { rows : row list; defense_names : string list }
 
-let programs ~progen =
+let programs () =
   List.map
     (fun (w : Apps.Spec.workload) ->
       let kind = match w.kind with `Spec -> "spec" | `Io -> "io" in
       (* Spec/Synth lazies are shared across jobs, so they are forced
-         here in the submitting domain; only the job-local progen
-         compiles below stay lazy (skipped entirely on a warm store). *)
-      (w.wname, kind, Lazy.from_val (Lazy.force w.program), None, w.dop_hints))
+         here in the submitting domain; only the progen programs compile
+         inside their jobs. *)
+      let prog = Lazy.force w.program in
+      (w.wname, kind, (fun () -> prog), w.dop_hints))
     Apps.Spec.all
   @ List.map
       (fun (v : Apps.Synth.variant) ->
-        (v.vname, "synth", Lazy.from_val (Lazy.force v.program), None, []))
+        let prog = Lazy.force v.program in
+        (v.vname, "synth", (fun () -> prog), []))
       Apps.Synth.variants
   @ List.map
       (fun (seed, source) ->
-        ( Printf.sprintf "progen-%Ld" seed,
-          "progen",
-          lazy (Minic.Driver.compile source),
-          Some source,
-          [] ))
-      (List.of_seq (Minic.Progen.range ~seed:9001L progen))
-
-(* The analyzer row crosses the store as a "surface-row" entry.  The
-   easiest-pair attempt counts are floats that can be [infinity]
-   (unreachable pair), which JSON has no literal for, so they travel as
-   IEEE-754 bit patterns — also making the cached row bit-identical to
-   the fresh one. *)
-let row_kind = "surface-row"
-let row_version = 1
-
-let row_entry r =
-  let module J = Sutil.Json in
-  Store.Entry.make ~kind:row_kind ~version:row_version
-    (J.Obj
-       [
-         ("n_funcs", J.Int r.n_funcs);
-         ("n_slots", J.Int r.n_slots);
-         ("n_overflow", J.Int r.n_overflow);
-         ("n_victims", J.Int r.n_victims);
-         ("n_pairs", J.Int r.n_pairs);
-         ( "easiest",
-           J.List
-             (List.map
-                (fun (d, a) ->
-                  J.Obj
-                    [
-                      ("defense", J.String d);
-                      ( "attempts_bits",
-                        J.String
-                          (Printf.sprintf "%016Lx" (Int64.bits_of_float a)) );
-                    ])
-                r.easiest) );
-         ("hints_ok", J.Bool r.hints_ok);
-       ])
-
-let row_of_entry ~pname ~pkind (e : Store.Entry.t) =
-  let module J = Sutil.Json in
-  if e.kind <> row_kind || e.version <> row_version then None
-  else
-    let j = e.payload in
-    let int k = Option.bind (J.member k j) J.to_int_opt in
-    let easiest =
-      List.map
-        (fun item ->
-          match
-            ( Option.bind (J.member "defense" item) J.to_str_opt,
-              Option.bind (J.member "attempts_bits" item) J.to_str_opt )
-          with
-          | Some d, Some bits -> (
-              match Int64.of_string_opt ("0x" ^ bits) with
-              | Some b -> Some (d, Int64.float_of_bits b)
-              | None -> None)
-          | _ -> None)
-        (J.to_list (Option.value ~default:(J.List []) (J.member "easiest" j)))
-    in
-    match
-      ( (int "n_funcs", int "n_slots", int "n_overflow"),
-        (int "n_victims", int "n_pairs"),
-        Option.bind (J.member "hints_ok" j) (function
-          | J.Bool b -> Some b
-          | _ -> None) )
-    with
-    | ( (Some n_funcs, Some n_slots, Some n_overflow),
-        (Some n_victims, Some n_pairs),
-        Some hints_ok )
-      when List.for_all Option.is_some easiest ->
-        Some
-          {
-            pname;
-            pkind;
-            n_funcs;
-            n_slots;
-            n_overflow;
-            n_victims;
-            n_pairs;
-            easiest = List.filter_map Fun.id easiest;
-            hints_ok;
-          }
-    | _ -> None
+        (Printf.sprintf "progen-%Ld" seed, "progen", (fun () -> Minic.Driver.compile source), []))
+      (List.of_seq (Minic.Progen.range ~seed:9001L 4))
 
 let hints_hold (report : Analysis.Report.t) hints =
   List.for_all
@@ -125,54 +45,32 @@ let hints_hold (report : Analysis.Report.t) hints =
         report.analyses)
     hints
 
-let run ?(pool = Sched.Pool.sequential) ?store ?(progen = 4) ?(score = true) ()
-    =
-  let programs = programs ~progen in
+let run ?(pool = Sched.Pool.sequential) () =
   let rows =
     Sched.Pool.run_all pool
       (List.map
-         (fun (pname, pkind, prog, source, hints) ->
+         (fun (pname, pkind, prog, hints) ->
            Sched.Job.v ~id:("e12/" ^ pname) ~seed:3L (fun () ->
-               let analyze () =
-                 let report =
-                   Analysis.Report.analyze_prog ~name:pname ~score
-                     (Lazy.force prog)
-                 in
-                 let sum f =
-                   List.fold_left
-                     (fun acc (fs : Analysis.Report.func_summary) ->
-                       acc + f fs)
-                     0 report.funcs
-                 in
-                 {
-                   pname;
-                   pkind;
-                   n_funcs = List.length report.funcs;
-                   n_slots = sum (fun fs -> fs.n_slots);
-                   n_overflow = sum (fun fs -> fs.n_overflow);
-                   n_victims = sum (fun fs -> fs.n_victims);
-                   n_pairs = List.length report.pairs;
-                   easiest =
-                     (if score then Analysis.Report.summary report else []);
-                   hints_ok = hints_hold report hints;
-                 }
+               let report = Analysis.Report.analyze_prog ~name:pname ~score:true (prog ()) in
+               let sum f =
+                 List.fold_left
+                   (fun acc (fs : Analysis.Report.func_summary) -> acc + f fs)
+                   0 report.funcs
                in
-               match (store, source) with
-               | Some store, Some source ->
-                   (* static analysis: no execution engine or run seed
-                      is involved, so those key fields are pinned *)
-                   Store.Cache.memo store
-                     (Store.Key.of_source ~source_text:source ~config:None
-                        ~engine:Machine.Backend.Reference ~seed:0L
-                        ~extra:(Printf.sprintf "surface;score=%b" score)
-                        ())
-                     ~encode:row_entry
-                     ~decode:(row_of_entry ~pname ~pkind)
-                     analyze
-               | _ -> analyze ()))
-         programs)
+               {
+                 pname;
+                 pkind;
+                 n_funcs = List.length report.funcs;
+                 n_slots = sum (fun fs -> fs.n_slots);
+                 n_overflow = sum (fun fs -> fs.n_overflow);
+                 n_victims = sum (fun fs -> fs.n_victims);
+                 n_pairs = List.length report.pairs;
+                 easiest = Analysis.Report.summary report;
+                 hints_ok = hints_hold report hints;
+               }))
+         (programs ()))
   in
-  { rows; defense_names = (if score then Analysis.Score.defense_names else []) }
+  { rows; defense_names = Analysis.Score.defense_names }
 
 let table t =
   let tbl =

@@ -18,22 +18,16 @@ type row = {
   n_victims : int;
   n_pairs : int;
   easiest : (string * float) list;
-      (** per defense, expected attempts of the easiest pair;
-          [[]] when scoring is off *)
+      (** per defense, expected attempts of the easiest pair *)
   hints_ok : bool;  (** all [dop_hints] classified overflow-capable *)
 }
 
 type t = { rows : row list; defense_names : string list }
 
-val run :
-  ?pool:Sched.Pool.t -> ?store:Store.Cache.t -> ?progen:int -> ?score:bool ->
-  unit -> t
-(** [progen] (default 4) random programs from seeds 9001..; [score]
-    (default [true]) enables the sampled per-defense attempts.  With
-    [?store], the progen rows are served from the store (keyed on the
-    generated source and the [score] flag; the attempt floats travel as
-    bit patterns, so cached rows render identically) and their
-    compilation + analysis is skipped when warm. *)
+val run : ?pool:Sched.Pool.t -> unit -> t
+(** One row per workload, synthetic variant and each of 4 random
+    programs from seeds 9001..; every row carries the sampled
+    per-defense attempts. *)
 
 val output : t -> Output.t
 (** The E12 surface table ([analysis]). *)

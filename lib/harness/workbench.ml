@@ -9,10 +9,12 @@ let chunks_of_input input =
   in
   if String.equal input "" then [] else split input
 
-let run ~backend ?(fuel = 400_000_000) (applied : Defenses.Defense.applied)
-    ~seed (w : Apps.Spec.workload) =
+(* One process run of the workload, seed 1.  A workload crash means
+   the harness itself is broken, and the experiment must not silently
+   absorb that. *)
+let run ~backend (applied : Defenses.Defense.applied) (w : Apps.Spec.workload) =
   let outcome, stats =
-    Apps.Runner.run_chunks ~backend ~fuel applied ~seed
+    Apps.Runner.run_chunks ~backend ~fuel:400_000_000 applied ~seed:1L
       ~chunks:(chunks_of_input w.input)
   in
   (match outcome with
@@ -33,41 +35,39 @@ let force_programs workloads =
    hashtable: the key is content-addressed over the workload source,
    the hardening fingerprint, the engine *kind* (the registry identity,
    not the display label — without it a reference-engine result could
-   be served to a bytecode-engine comparison), the run seed, and a
-   digest of the input bytes.  Store access is mutex-guarded inside
-   Cache, so parallel Sched jobs share the memo; the run itself happens
+   be served to a bytecode-engine comparison), the run seed (always 1),
+   and a digest of the input bytes.  Store access is mutex-guarded
+   inside Cache, so parallel Sched jobs share the memo; the run itself happens
    unlocked, and since stats are deterministic per key, two jobs racing
    on a miss waste one run but can never produce a wrong or
    order-dependent answer.  Only clean [run]s are ever stored (run
    raises otherwise), so a cached entry never masks a workload crash. *)
 let shared_store = Store.Cache.in_memory ()
 
-let workbench_key ~config ~backend ~seed (w : Apps.Spec.workload) =
+let workbench_key ~config ~backend (w : Apps.Spec.workload) =
   Store.Key.of_source ~source_text:w.source ~config
-    ~engine:backend.Machine.Backend.kind ~seed
+    ~engine:backend.Machine.Backend.kind ~seed:1L
     ~extra:
       (Printf.sprintf "workbench;input=%s;hseed=3" (Store.Hash.hex w.input))
     ()
 
-let baseline ~backend ?(store = shared_store) ?(seed = 1L)
-    (w : Apps.Spec.workload) =
-  let key = workbench_key ~config:None ~backend ~seed w in
+let baseline ~backend (w : Apps.Spec.workload) =
+  let key = workbench_key ~config:None ~backend w in
   let exec =
-    Store.Cache.memo store key ~encode:Store.Entry.exec_entry
+    Store.Cache.memo shared_store key ~encode:Store.Entry.exec_entry
       ~decode:Store.Entry.exec_of_entry (fun () ->
         let applied =
           Defenses.Defense.apply Defenses.Defense.No_defense
             (Lazy.force w.program)
         in
-        Store.Entry.exec_of_run (run ~backend applied ~seed w))
+        Store.Entry.exec_of_run (run ~backend applied w))
   in
   exec.Store.Entry.stats
 
-let smokestack_stats ~backend ?(store = shared_store) ?(seed = 1L) config
-    (w : Apps.Spec.workload) =
-  let key = workbench_key ~config:(Some config) ~backend ~seed w in
+let smokestack_stats ~backend config (w : Apps.Spec.workload) =
+  let key = workbench_key ~config:(Some config) ~backend w in
   let exec =
-    Store.Cache.memo store key ~encode:Store.Entry.exec_entry
+    Store.Cache.memo shared_store key ~encode:Store.Entry.exec_entry
       ~decode:Store.Entry.exec_of_entry (fun () ->
         let applied =
           Defenses.Defense.apply ~seed:3L
@@ -75,6 +75,6 @@ let smokestack_stats ~backend ?(store = shared_store) ?(seed = 1L) config
             (Lazy.force w.program)
         in
         Store.Entry.exec_of_run ~pbox_bytes:applied.pbox_bytes
-          (run ~backend applied ~seed w))
+          (run ~backend applied w))
   in
   (exec.Store.Entry.stats, Option.value ~default:0 exec.Store.Entry.pbox_bytes)

@@ -5,45 +5,30 @@ val chunks_of_input : string -> string list
 (** Splits a workload's input string into 48-byte messages
     (empty input means no messages). *)
 
-val run :
-  backend:Machine.Backend.t ->
-  ?fuel:int ->
-  Defenses.Defense.applied ->
-  seed:int64 ->
-  Apps.Spec.workload ->
-  Machine.Exec.outcome * Machine.Exec.stats
-(** One process run of the workload.  Raises [Failure] if the program
-    did not exit cleanly — a workload crash means the harness itself is
-    broken, and the experiment must not silently absorb that.
-    [~backend] is the execution engine. *)
-
 val force_programs : Apps.Spec.workload list -> unit
 (** Compile every workload's lazy program now, in the calling domain.
     Experiment job builders call this before submitting to a
     {!Sched.Pool}: forcing the same lazy concurrently from two domains
     is undefined in OCaml 5, so the force must happen sequentially. *)
 
-val baseline :
-  backend:Machine.Backend.t ->
-  ?store:Store.Cache.t ->
-  ?seed:int64 ->
-  Apps.Spec.workload ->
-  Machine.Exec.stats
-(** No-defense run, served from the store keyed on (workload source ×
-    no-hardening × engine kind × seed × input digest) — the engine kind
-    is part of the key so a reference baseline is never served to a
-    bytecode comparison.  Safe to call from parallel jobs; values are
-    deterministic per key, so parallel, sequential, cold and warm runs
-    observe identical stats. *)
+val baseline : backend:Machine.Backend.t -> Apps.Spec.workload -> Machine.Exec.stats
+(** No-defense run with seed 1 on [~backend], the workload's input
+    split by {!chunks_of_input}.  Raises [Failure] if the program did
+    not exit cleanly — a workload crash means the harness itself is
+    broken.  Served from a process-wide in-memory store keyed on
+    (workload source × no-hardening × engine kind × seed × input
+    digest) — the engine kind is part of the key so a reference
+    baseline is never served to a bytecode comparison.  Safe to call
+    from parallel jobs; values are deterministic per key, so parallel,
+    sequential, cold and warm runs observe identical stats. *)
 
 val smokestack_stats :
   backend:Machine.Backend.t ->
-  ?store:Store.Cache.t ->
-  ?seed:int64 ->
   Smokestack.Config.t ->
   Apps.Spec.workload ->
   Machine.Exec.stats * int
-(** Hardened run; also returns the P-BOX bytes of the hardened binary.
+(** Hardened run (build seed 3, run seed 1); also returns the P-BOX
+    bytes of the hardened binary.
     Store-served like {!baseline}, with the config's
     [Smokestack.Config.fingerprint] in the key, so any config change
     (including selective hardening) gets its own entry. *)

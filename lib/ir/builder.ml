@@ -102,8 +102,7 @@ let call t ?(result = false) callee args =
 let call_ind t ?(result = false) callee args =
   call_like t ~result (fun dst -> Instr.Call_ind { dst; callee; args })
 
-let intrinsic t ?(result = false) name args =
-  call_like t ~result (fun dst -> Instr.Intrinsic { dst; name; args })
+let intrinsic t name args = emit t (Instr.Intrinsic { dst = None; name; args })
 
 let set_term t term =
   if t.terminated then

@@ -42,7 +42,7 @@ val sext : t -> width:int -> Instr.operand -> Instr.reg
 val trunc : t -> width:int -> Instr.operand -> Instr.reg
 val call : t -> ?result:bool -> string -> Instr.operand list -> Instr.reg option
 val call_ind : t -> ?result:bool -> Instr.operand -> Instr.operand list -> Instr.reg option
-val intrinsic : t -> ?result:bool -> string -> Instr.operand list -> Instr.reg option
+val intrinsic : t -> string -> Instr.operand list -> unit
 
 (** {1 Terminators} *)
 

@@ -1,7 +1,6 @@
 type kind = Reference | Bytecode
 
-type run_fn =
-  ?fuel:int -> ?entry:string -> ?args:int64 list -> Exec.state -> Exec.outcome * Exec.stats
+type run_fn = ?fuel:int -> Exec.state -> Exec.outcome * Exec.stats
 
 type t = { kind : kind; label : string; load : Ir.Prog.t -> run_fn; run : run_fn }
 
@@ -18,14 +17,14 @@ let all_kinds = [ Reference; Bytecode ]
 let make ~kind ~label ~load =
   let load (prog : Ir.Prog.t) =
     let run = load prog in
-    fun ?fuel ?entry ?args (st : Exec.state) ->
+    fun ?fuel (st : Exec.state) ->
       if st.prog != prog then
         invalid_arg
           (Printf.sprintf "Machine.Backend(%s): state prepared from another program"
              label);
-      run ?fuel ?entry ?args st
+      run ?fuel st
   in
-  let run ?fuel ?entry ?args (st : Exec.state) = load st.prog ?fuel ?entry ?args st in
+  let run ?fuel (st : Exec.state) = load st.prog ?fuel st in
   { kind; label; load; run }
 
 let reference = make ~kind:Reference ~label:"reference" ~load:(fun _ -> Exec.run)

@@ -20,9 +20,9 @@
 
 type kind = Reference | Bytecode
 
-type run_fn =
-  ?fuel:int -> ?entry:string -> ?args:int64 list -> Exec.state -> Exec.outcome * Exec.stats
-(** Same signature and defaults as {!Exec.run}. *)
+type run_fn = ?fuel:int -> Exec.state -> Exec.outcome * Exec.stats
+(** Same signature and default as {!Exec.run}: every run executes
+    [main] with no arguments. *)
 
 type t = private {
   kind : kind;

@@ -39,15 +39,11 @@ val syscall : float
 
 val rng_pseudo : float  (** 3.4 *)
 
-val rng_aes1 : float  (** 19.2 *)
-
-val rng_aes10 : float  (** 92.8 *)
-
 val rng_rdrand : float  (** 265.6 *)
 
 val rng_aes : rounds:int -> float
-(** Linear interpolation between AES-1 and AES-10 costs for
-    intermediate round counts. *)
+(** Table I's AES-1 (19.2) and AES-10 (92.8) costs at [rounds] 1 and
+    10, linearly interpolated for the round counts between. *)
 
 val layout_dynamic_per_var : float
 (** Per-variable cost of decoding a permutation at the prologue when

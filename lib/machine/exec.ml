@@ -290,26 +290,18 @@ let run_builtin st name (args : int64 array) : int64 option =
 (* ------------------------------------------------------------------ *)
 (* Interpreter                                                         *)
 
-let block_table : (string, (string, Ir.Func.block) Hashtbl.t) Hashtbl.t =
-  Hashtbl.create 64
+(* Label maps of the functions one run has entered, by name: the program
+   cannot change during a run, so a map built on a function's first call
+   serves all its later ones. *)
+type blocks = (string, (string, Ir.Func.block) Hashtbl.t) Hashtbl.t
 
-let blocks_of (f : Ir.Func.t) =
-  (* Per-function label map, keyed by function identity via name +
-     physical block list; rebuilt if the function was transformed. *)
-  let key = f.name in
-  match Hashtbl.find_opt block_table key with
-  | Some tbl when Hashtbl.length tbl = List.length f.blocks
-                  && List.for_all
-                       (fun (b : Ir.Func.block) ->
-                         match Hashtbl.find_opt tbl b.label with
-                         | Some b' -> b' == b
-                         | None -> false)
-                       f.blocks ->
-      tbl
-  | _ ->
+let blocks_of (blocks : blocks) (f : Ir.Func.t) =
+  match Hashtbl.find_opt blocks f.name with
+  | Some tbl -> tbl
+  | None ->
       let tbl = Hashtbl.create 16 in
       List.iter (fun (b : Ir.Func.block) -> Hashtbl.replace tbl b.label b) f.blocks;
-      Hashtbl.replace block_table key tbl;
+      Hashtbl.replace blocks f.name tbl;
       tbl
 
 let sdiv_check b =
@@ -355,8 +347,8 @@ let eval_icmp op a b =
   in
   if r then 1L else 0L
 
-let rec call_function (st : state) (f : Ir.Func.t) (args : int64 list) :
-    int64 option =
+let rec call_function (st : state) (blocks : blocks) (f : Ir.Func.t)
+    (args : int64 list) : int64 option =
   st.call_count <- st.call_count + 1;
   st.depth <- st.depth + 1;
   st.max_depth <- max st.max_depth st.depth;
@@ -414,7 +406,7 @@ let rec call_function (st : state) (f : Ir.Func.t) (args : int64 list) :
     let argv = List.map eval args in
     let result =
       match Ir.Prog.find_func st.prog callee with
-      | Some callee_f -> call_function st callee_f argv
+      | Some callee_f -> call_function st blocks callee_f argv
       | None ->
           if Ir.Prog.is_extern st.prog callee then
             run_builtin st callee (Array.of_list argv)
@@ -496,7 +488,7 @@ let rec call_function (st : state) (f : Ir.Func.t) (args : int64 list) :
               (Memory.Fault
                  (Memory.Misc (Printf.sprintf "unregistered intrinsic %s" name))))
   in
-  let tbl = blocks_of f in
+  let tbl = blocks_of blocks f in
   let rec run_block (b : Ir.Func.block) =
     List.iter exec_instr b.instrs;
     match b.term with
@@ -539,15 +531,15 @@ let stats_of_state (st : state) =
     output = Buffer.contents st.output;
   }
 
-let run ?(fuel = 200_000_000) ?(entry = "main") ?(args = []) st =
+let run ?(fuel = 200_000_000) st =
   st.fuel <- fuel;
-  st.cur_func <- entry;
+  st.cur_func <- "main";
   let outcome =
-    match Ir.Prog.find_func st.prog entry with
-    | None -> Fault { fault = Memory.Misc ("no entry function " ^ entry); func = "-" }
+    match Ir.Prog.find_func st.prog "main" with
+    | None -> Fault { fault = Memory.Misc "no entry function main"; func = "-" }
     | Some f -> (
         try
-          let r = call_function st f args in
+          let r = call_function st (Hashtbl.create 16) f [] in
           Exit (Option.value ~default:0L r)
         with
         | Exit_program code -> Exit code

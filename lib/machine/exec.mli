@@ -122,10 +122,14 @@ val global_addr : state -> string -> int
 val charge : state -> float -> unit
 (** Add cycles; for intrinsic implementations. *)
 
-val run : ?fuel:int -> ?entry:string -> ?args:int64 list -> state -> outcome * stats
-(** Executes [entry] (default ["main"]). [fuel] bounds executed
-    instructions (default 200 million). The state is consumed: run each
-    prepared state once. *)
+val run : ?fuel:int -> state -> outcome * stats
+(** Executes [main] with no arguments: a program without one faults
+    with ["no entry function main"] in function ["-"], and a [main] that
+    takes parameters faults on its arity.  [fuel] bounds executed
+    instructions (default 200 million).  The state is consumed: run each
+    prepared state once.  The label maps of the functions a run enters
+    live in that run alone, so runs on several domains share nothing
+    here. *)
 
 (** {1 Shared execution services} — the pieces of the reference
     interpreter an alternative backend must reuse verbatim so that both

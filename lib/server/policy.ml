@@ -55,8 +55,6 @@ let create cfg =
     added_delay = 0.;
   }
 
-let config t = t.cfg
-
 let state_of t ~client =
   match Hashtbl.find_opt t.table client with Some s -> s | None -> Closed 0
 

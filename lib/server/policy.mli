@@ -75,7 +75,6 @@ type t
     only the sequential admission replay touches it. *)
 
 val create : config -> t
-val config : t -> config
 
 val decide : t -> client:int -> now:float -> decision
 (** Admission decision for [client] at virtual time [now].  Advances

@@ -343,8 +343,6 @@ let open_disk dir =
   refresh d;
   mk (Disk d)
 
-let root t = match t.backend with Memory _ -> None | Disk d -> Some d.dir
-
 let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f

@@ -67,9 +67,6 @@ val open_disk : string -> t
 val in_memory : unit -> t
 (** A fresh private in-process store. *)
 
-val root : t -> string option
-(** The disk root, or [None] for a memory store. *)
-
 val find : t -> Key.t -> Entry.t option
 (** Lookup; bumps [hits]/[misses], quarantines corrupt disk records. *)
 

@@ -2,8 +2,6 @@ module J = Sutil.Json
 
 type t = { kind : string; version : int; payload : J.t }
 
-let make ~kind ~version payload = { kind; version; payload }
-
 let to_json ~key e =
   J.Obj
     [
@@ -79,7 +77,7 @@ let exec_entry e =
       | Some b -> [ ("pbox_bytes", J.Int b) ]
       | None -> [])
   in
-  make ~kind:exec_kind ~version:exec_version payload
+  { kind = exec_kind; version = exec_version; payload }
 
 let exec_of_entry e =
   if e.kind <> exec_kind || e.version <> exec_version then None
@@ -129,7 +127,7 @@ let verdicts_entry vs =
            J.Obj [ ("tag", J.String tag); ("detail", J.String detail) ])
          vs)
   in
-  make ~kind:verdicts_kind ~version:verdicts_version payload
+  { kind = verdicts_kind; version = verdicts_version; payload }
 
 let verdicts_of_entry e =
   if e.kind <> verdicts_kind || e.version <> verdicts_version then None

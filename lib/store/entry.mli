@@ -14,8 +14,6 @@
 
 type t = { kind : string; version : int; payload : Sutil.Json.t }
 
-val make : kind:string -> version:int -> Sutil.Json.t -> t
-
 val to_json : key:Key.t -> t -> Sutil.Json.t
 (** The on-disk document: the full key is echoed next to the payload so
     a reader can verify the file really belongs to the key it was

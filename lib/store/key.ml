@@ -18,10 +18,6 @@ let for_sources ~config ~engine ~seed ?(extra = "") () =
 let of_source ~source_text ~config ~engine ~seed ?extra () =
   for_sources ~config ~engine ~seed ?extra () source_text
 
-let to_string k =
-  Printf.sprintf "src=%s cfg=%s eng=%s seed=%Ld extra=%s" k.source k.config
-    k.engine k.seed k.extra
-
 let id k =
   Hash.hex_of_parts
     [ k.source; k.config; k.engine; Int64.to_string k.seed; k.extra ]

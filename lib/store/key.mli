@@ -49,9 +49,6 @@ val for_sources :
     [for_sources ... () source_text]: a batch over one configuration
     gets the same keys without re-rendering the config per source. *)
 
-val to_string : t -> string
-(** Stable one-line rendering (diagnostics and the entry-file echo). *)
-
 val id : t -> string
 (** The content address: hex digest over every field.  Distinct keys
     have distinct ids (modulo hash collision, which {!Cache.find}'s

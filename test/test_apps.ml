@@ -299,14 +299,18 @@ let test_workloads_run_and_are_deterministic () =
       let applied =
         Defenses.Defense.apply Defenses.Defense.No_defense (Lazy.force w.program)
       in
-      let _, s2 = Harness.Workbench.run ~backend applied ~seed:99L w in
+      let o2, s2 =
+        Apps.Runner.run_chunks ~backend ~fuel:400_000_000 applied ~seed:99L
+          ~chunks:(Harness.Workbench.chunks_of_input w.input)
+      in
+      Alcotest.(check bool) (w.wname ^ " exits cleanly") true (o2 = Machine.Exec.Exit 0L);
       Alcotest.(check string) (w.wname ^ " deterministic") s1.output s2.output;
       Alcotest.(check bool) (w.wname ^ " does real work") true (s1.cycles > 100_000.))
     Apps.Spec.all
 
 let test_workload_count_and_kinds () =
   Alcotest.(check int) "12 SPEC-like kernels" 12 (List.length Apps.Spec.spec);
-  Alcotest.(check int) "2 I/O apps" 2 (List.length Apps.Spec.io)
+  Alcotest.(check int) "2 I/O apps" 2 (List.length (List.filter (fun (w : Apps.Spec.workload) -> w.kind = `Io) Apps.Spec.all))
 
 let () =
   Alcotest.run "apps"

@@ -8,12 +8,12 @@
 let test_craft_basic () =
   let chunk =
     Attacks.Overflow.craft ~len:4
-      [ Attacks.Overflow.bytes 6 "XY"; Attacks.Overflow.u32 10 0x01020304L ]
+      [ Attacks.Overflow.bytes 6 "XY"; Attacks.Overflow.u64 10 0x01020304L ]
   in
-  Alcotest.(check int) "length" 14 (String.length chunk);
+  Alcotest.(check int) "length" 18 (String.length chunk);
   Alcotest.(check char) "filler" 'A' chunk.[0];
   Alcotest.(check string) "bytes" "XY" (String.sub chunk 6 2);
-  Alcotest.(check string) "u32 LE" "\x04\x03\x02\x01" (String.sub chunk 10 4)
+  Alcotest.(check string) "u64 LE" "\x04\x03\x02\x01\x00\x00\x00\x00" (String.sub chunk 10 8)
 
 let test_craft_rejects_overlap () =
   (* unlabeled writes still name their byte ranges *)

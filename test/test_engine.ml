@@ -46,10 +46,6 @@ let test_cost_rng_aes_endpoints () =
     (Machine.Cost.rng_aes ~rounds:1);
   Alcotest.(check (float 0.))
     "AES-10 matches Table I" 92.8
-    (Machine.Cost.rng_aes ~rounds:10);
-  Alcotest.(check (float 0.)) "rng_aes1 endpoint" Machine.Cost.rng_aes1
-    (Machine.Cost.rng_aes ~rounds:1);
-  Alcotest.(check (float 0.)) "rng_aes10 endpoint" Machine.Cost.rng_aes10
     (Machine.Cost.rng_aes ~rounds:10)
 
 let test_cost_rng_aes_bounds () =
@@ -69,9 +65,9 @@ let test_cost_rng_monotonic () =
   done;
   Alcotest.(check bool)
     "pseudo < AES-1 < AES-10 < RDRAND" true
-    (Machine.Cost.rng_pseudo < Machine.Cost.rng_aes1
-    && Machine.Cost.rng_aes1 < Machine.Cost.rng_aes10
-    && Machine.Cost.rng_aes10 < Machine.Cost.rng_rdrand)
+    (Machine.Cost.rng_pseudo < Machine.Cost.rng_aes ~rounds:1
+    && Machine.Cost.rng_aes ~rounds:1 < Machine.Cost.rng_aes ~rounds:10
+    && Machine.Cost.rng_aes ~rounds:10 < Machine.Cost.rng_rdrand)
 
 let test_cost_structure () =
   let open Machine.Cost in
@@ -957,6 +953,45 @@ let test_parity_fused_fuel_and_faults () =
         [ false; true ])
     fused_kinds
 
+(* Every run enters [main] with no arguments: a program without one
+   faults before any instruction, outside every function. *)
+let test_parity_no_main () =
+  let prog = Ir.Prog.create () in
+  let f = Ir.Func.create ~name:"start" ~params:[] ~returns:(Some Ir.Ty.I64) in
+  let b = Ir.Builder.create f in
+  Ir.Builder.ret b (Some (Ir.Instr.Imm 0L));
+  Ir.Prog.add_func prog f;
+  let results =
+    List.map
+      (fun (label, (b : Machine.Backend.t)) -> (label, b.run (Machine.Exec.prepare prog)))
+      both
+  in
+  List.iter
+    (fun (label, (o, (s : Machine.Exec.stats))) ->
+      (match o with
+      | Machine.Exec.Fault { fault = Machine.Memory.Misc "no entry function main"; func = "-" } -> ()
+      | o ->
+          Alcotest.failf "%s: expected the missing-main fault, got %s" label
+            (Machine.Exec.outcome_to_string o));
+      Alcotest.(check int) (label ^ ": nothing ran") 0 s.instr_count)
+    results;
+  check_identical "no main" results
+
+(* ... and a [main] that takes a parameter faults on its arity. *)
+let test_parity_main_arity () =
+  let results = run_both {| int main(int x) { return x; } |} in
+  List.iter
+    (fun (label, (o, _)) ->
+      match o with
+      | Machine.Exec.Fault { fault = Machine.Memory.Misc m; func = "main" }
+        when String.starts_with ~prefix:"call to main with 0 args" m ->
+          ()
+      | o ->
+          Alcotest.failf "%s: expected an arity fault in main, got %s" label
+            (Machine.Exec.outcome_to_string o))
+    results;
+  check_identical "main arity" results
+
 (* ------------------------------------------------------------------ *)
 (* Allocation gate *)
 
@@ -1371,6 +1406,31 @@ let test_bound_runners_on_a_pool () =
         runs)
     both
 
+(* Progen programs all define [main] and share helper names.  The
+   reference interpreter keeps its label maps per run, so runs of
+   different programs interleaved on a 2-domain pool see only their own
+   program: every run's observables equal a sequential run's. *)
+let test_reference_runs_share_nothing () =
+  let progs =
+    List.init 6 (fun i -> compile (Minic.Progen.generate ~seed:(Int64.of_int (2000 + i))))
+  in
+  let run prog = ref_backend.run ~fuel:2_000_000 (Machine.Exec.prepare prog) in
+  let sequential = List.map run progs in
+  let pooled =
+    Sched.Pool.with_pool ~jobs:2 (fun pool ->
+        Sched.Pool.run_all pool
+          (List.init 24 (fun i ->
+               Sched.Job.v ~id:(string_of_int i) (fun () -> run (List.nth progs (i mod 6))))))
+  in
+  List.iteri
+    (fun i r ->
+      let case = Printf.sprintf "run %d (program %d)" i (i mod 6) in
+      match Harness.Diffval.compare_observables ~case (List.nth sequential (i mod 6)) r with
+      | [] -> ()
+      | m :: _ ->
+          Alcotest.failf "%s: %s differs (%s, want %s)" case m.field m.actual m.expected)
+    pooled
+
 (* ------------------------------------------------------------------ *)
 (* Differential validation: fuzzed programs + the application matrix *)
 
@@ -1445,6 +1505,9 @@ let () =
             test_parity_rodata_store_null_load;
           Alcotest.test_case "fused ops: fuel and faults" `Quick
             test_parity_fused_fuel_and_faults;
+          Alcotest.test_case "no main" `Quick test_parity_no_main;
+          Alcotest.test_case "main takes a parameter" `Quick
+            test_parity_main_arity;
         ] );
       ( "backend",
         [
@@ -1453,6 +1516,8 @@ let () =
             test_bound_runner_guard;
           Alcotest.test_case "bound runners on a 2-domain pool" `Quick
             test_bound_runners_on_a_pool;
+          Alcotest.test_case "reference runs on a 2-domain pool" `Quick
+            test_reference_runs_share_nothing;
         ] );
       ( "diffval",
         [

@@ -221,9 +221,9 @@ let test_registry_backend_reaches_execution () =
     Machine.Backend.make ~kind:Machine.Backend.Bytecode ~label:"bytecode"
       ~load:(fun prog ->
         let run = Engine.Backend.backend.load prog in
-        fun ?fuel ?entry ?args st ->
+        fun ?fuel st ->
           Atomic.incr runs;
-          run ?fuel ?entry ?args st)
+          run ?fuel st)
   in
   let render backend =
     Harness.Output.to_markdown (e.run Sched.Pool.sequential backend).output

@@ -49,9 +49,7 @@ let base_key ?(source_text = "int main() { return 0; }") ?config
 let test_key_deterministic () =
   let k1 = base_key () and k2 = base_key () in
   Alcotest.(check bool) "equal" true (Key.equal k1 k2);
-  Alcotest.(check string) "same id" (Key.id k1) (Key.id k2);
-  Alcotest.(check string) "same rendering" (Key.to_string k1)
-    (Key.to_string k2)
+  Alcotest.(check string) "same id" (Key.id k1) (Key.id k2)
 
 (* Ids must stay byte-identical across releases, or every stored record
    becomes a miss: pinned digests, plus the length-prefixed framing
@@ -328,7 +326,7 @@ let test_foreign_directory_rejected () =
     | exception Cache.Incompatible _ -> true)
 
 let test_concurrent_writers () =
-  with_disk_store @@ fun store _dir ->
+  with_disk_store @@ fun store dir ->
   let keys = List.init 24 (fun i -> base_key ~seed:(Int64.of_int i) ()) in
   Sched.Pool.with_pool ~jobs:8 @@ fun pool ->
   (* every job writes its own key and one shared key: distinct writers
@@ -351,18 +349,14 @@ let test_concurrent_writers () =
     (shared :: keys);
   Alcotest.(check bool)
     "no partial record left behind" true
-    (match Cache.root store with
-    | None -> false
-    | Some root ->
-        List.for_all
-          (fun seg ->
-            let recs, rest = records (read_file seg) in
-            rest = 0
-            && List.for_all
-                 (fun (_, h, b) ->
-                   String.sub h 44 32 = Digest.to_hex (Digest.string b))
-                 recs)
-          (segments root))
+    (List.for_all
+       (fun seg ->
+         let recs, rest = records (read_file seg) in
+         rest = 0
+         && List.for_all
+              (fun (_, h, b) -> String.sub h 44 32 = Digest.to_hex (Digest.string b))
+              recs)
+       (segments dir))
 
 let keys n = List.init n (fun i -> base_key ~seed:(Int64.of_int (100 + i)) ())
 let put_all store = List.iter (fun k -> Cache.put store k (Entry.exec_entry sample_exec))
@@ -653,8 +647,7 @@ let test_campaign_log_reads_back () =
       let what = Printf.sprintf "record %d" i in
       (match Result.map Entry.of_json (Sutil.Json.of_string body) with
       | Ok (Some (k, _)) ->
-          Alcotest.(check string) (what ^ " key") (Key.to_string key)
-            (Key.to_string k)
+          Alcotest.(check bool) (what ^ " key") true (Key.equal key k)
       | _ -> Alcotest.failf "%s does not parse" what);
       match (Cache.find store key, Cache.find computed key) with
       | Some e, Some c ->
@@ -687,27 +680,31 @@ let test_campaign_resume_property () =
 
 (* ------------------------------------------------------------------ *)
 (* Workbench integration: stats are a function of the key, not of
-   which store instance served them *)
+   whether the store served them: the memoized stats equal a fresh run
+   of the same key (build seed 3, run seed 1) *)
 
 let test_workbench_stats_store_independent () =
   let w = List.hd Apps.Spec.all in
   Harness.Workbench.force_programs [ w ];
-  let s1 = Harness.Workbench.baseline ~backend:Machine.Backend.reference ~store:(Cache.in_memory ()) w in
-  let s2 = Harness.Workbench.baseline ~backend:Machine.Backend.reference ~store:(Cache.in_memory ()) w in
+  let backend = Machine.Backend.reference in
+  let fresh defense =
+    let applied = Defenses.Defense.apply ~seed:3L defense (Lazy.force w.program) in
+    let _, stats =
+      Apps.Runner.run_chunks ~backend ~fuel:400_000_000 applied ~seed:1L
+        ~chunks:(Harness.Workbench.chunks_of_input w.input)
+    in
+    (stats, applied.pbox_bytes)
+  in
+  let s1 = Harness.Workbench.baseline ~backend w in
+  let s2, _ = fresh Defenses.Defense.No_defense in
   Alcotest.(check int64)
     "baseline cycles bit-identical across stores"
     (Int64.bits_of_float s1.Machine.Exec.cycles)
     (Int64.bits_of_float s2.Machine.Exec.cycles);
   Alcotest.(check string) "baseline output identical" s1.Machine.Exec.output
     s2.Machine.Exec.output;
-  let h1, p1 =
-    Harness.Workbench.smokestack_stats ~backend:Machine.Backend.reference ~store:(Cache.in_memory ())
-      Smokestack.Config.default w
-  in
-  let h2, p2 =
-    Harness.Workbench.smokestack_stats ~backend:Machine.Backend.reference ~store:(Cache.in_memory ())
-      Smokestack.Config.default w
-  in
+  let h1, p1 = Harness.Workbench.smokestack_stats ~backend Smokestack.Config.default w in
+  let h2, p2 = fresh (Defenses.Defense.Smokestack Smokestack.Config.default) in
   Alcotest.(check int64)
     "hardened cycles bit-identical across stores"
     (Int64.bits_of_float h1.Machine.Exec.cycles)
@@ -753,7 +750,7 @@ let test_memo_hit () =
 let test_memo_undecodable () =
   on_both_backends (fun store reopen ->
       let key = base_key ~extra:"memo-undecodable" () and calls = ref 0 in
-      Cache.put store key (Entry.make ~kind:"other" ~version:1 Sutil.Json.Null);
+      Cache.put store key { Entry.kind = "other"; version = 1; payload = Sutil.Json.Null };
       let v = [ ("detected", "fid") ] in
       Alcotest.(check bool) "recomputed" true
         (memo_verdicts store key calls v = v);
